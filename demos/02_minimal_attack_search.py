@@ -1,9 +1,10 @@
 """Find the weakest injection that still causes a false relay operation.
 
-Shows the three layers of the synthesizer: the monotonicity probe, the
-bisection search it seeds, and the replay certificate.  Ends with a grid
-whose feasible set has a hole, where bisection refuses and the exhaustive
-backend takes over.
+Shows the layers of the synthesizer: the monotonicity probe, the exact
+closed-form answer for the "any relay" goal, the bisection search the probe
+seeds for goals that name a relay kind, and the replay certificate.  Ends
+with a grid whose feasible set has a hole, where bisection refuses and the
+exhaustive backend takes over.
 """
 
 import warnings
@@ -53,17 +54,29 @@ print(f"up-set (monotone): {probe.monotone}, "
 
 print()
 print("=" * 64)
-print("2. Bisect to the minimal injection")
+print("2. The minimal injection: closed form, then bisection")
 print("=" * 64)
-outcome = synthesize_min_attack(config, goal, tolerance=1e-4)
+# Any relay counts: the pre-event trace is linear in dp_a, so one relay-free
+# unit response gives the exact minimum, certified by one replay.
+outcome = synthesize_min_attack(config, goal)
 vec = outcome.vector
-print(f"minimal injection: {vec.dp_a:.6f} pu")
+print(f"any relay, closed form: {vec.dp_a!r} pu")
 print(f"first false operation: {vec.outcome.kind.name} on "
       f"{vec.outcome.relay_id} at step {vec.outcome.trip_step}")
-
 replay = feasibility(config, vec.dp_a, goal)
 print(f"certificate replay reproduces the outcome: "
       f"{replay.vector.outcome == vec.outcome}")
+
+# A goal that names the relay kind may be met only after other relays have
+# operated, so it is searched: bisection inside the probe's bracket, to the
+# tolerance.
+rocof_goal = AttackGoal(horizon=12, target_kind=TargetKind.ROCOF_ONLY)
+bracket = probe_monotonicity(config, rocof_goal).directions[1].bracket
+print(f"ROCOF trips only, probe bracket: "
+      f"({bracket[0]:.6f}, {bracket[1]:.6f}) pu")
+bisected = synthesize_min_attack(config, rocof_goal, tolerance=1e-4)
+print(f"ROCOF trips only, bisected to 1e-4: {bisected.vector.dp_a:.6f} pu "
+      f"trips {bisected.vector.outcome.relay_id}")
 
 result = solve(CspProblem(config, goal))
 print(f"constraint-problem wrapper agrees: {result.status.name} at "

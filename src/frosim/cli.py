@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from .config import load_config, config_from_dict
 from .dynamics import AttackSignal, SimOptions, simulate, write_trace_csv
-from .errors import FrosimError, NonMonotoneFeasibility
+from .errors import FrosimError, InvalidParameter, NonMonotoneFeasibility
 from .sweep import (
     SweepMode,
     SweepSpec,
@@ -91,6 +92,8 @@ def cmd_simulate(args) -> int:
     try:
         config = load_config(args.config)
         dp_a = parse_quantity(args.dp_a, config.params.f_nominal)
+        if not math.isfinite(dp_a):
+            raise InvalidParameter("--dp-a", "must be finite", dp_a)
         attack = AttackSignal(dp_a, args.attack_step)
         trace = simulate(config, attack, args.horizon, _sim_options(args))
     except (FrosimError, OSError, ValueError) as exc:
@@ -111,6 +114,12 @@ def cmd_synthesize(args) -> int:
         config = load_config(args.config)
         goal = _goal_from_args(args)
         tolerance = parse_quantity(args.tolerance, config.params.f_nominal)
+        if not 0 < tolerance < math.inf:
+            raise InvalidParameter("--tolerance", "must be finite and > 0",
+                                   tolerance)
+        if args.probe_samples < 2:
+            raise InvalidParameter("--probe-samples", "must be >= 2",
+                                   args.probe_samples)
     except (FrosimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

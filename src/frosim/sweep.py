@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 from .config import GridConfig, validate_config, with_capability, with_dynamics
 from .dynamics import EventKind
 from .errors import FrosimError, InvalidParameter
-from .synth import AttackGoal, AttackVector, synthesize_min_attack
+from .synth import RECORD_DIGITS, AttackGoal, AttackVector, synthesize_min_attack
 
 # Default value grids for the five studied parameters.
 DEFAULT_H_VALUES = (2.0, 4.0, 6.0, 8.0, 10.0)
@@ -95,8 +96,9 @@ class SweepSpec:
         if self.mode is SweepMode.RANDOM and (self.count is None or self.count < 1):
             raise InvalidParameter("count", "RANDOM mode requires count >= 1",
                                    self.count)
-        if self.tolerance <= 0:
-            raise InvalidParameter("tolerance", "must be > 0", self.tolerance)
+        if not 0 < self.tolerance < math.inf:
+            raise InvalidParameter("tolerance", "must be finite and > 0",
+                                   self.tolerance)
 
 
 def generate_combinations(spec: SweepSpec) -> list[Combo]:
@@ -353,7 +355,7 @@ def trend_report_dict(report: TrendReport) -> dict:
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".12g")
+    return format(x, f".{RECORD_DIGITS}g")
 
 
 def write_records_csv(records: Sequence[SweepRecord], path) -> None:

@@ -2,11 +2,23 @@
 
 Feasibility of a candidate injection is decided by replaying it through the
 deterministic simulator and checking the event log against the goal.  The
-default synthesis backend searches over the single free variable, the
-injection magnitude: a coarse probe establishes whether the feasible set is
-an up-set in magnitude, and if so bisection pins the minimal feasible
-magnitude; otherwise the caller is told to fall back to the exhaustive
-scanning backend, which needs no structural assumption.
+single free variable is the injection magnitude, and which path finds its
+minimum depends on the goal:
+
+- ``ANY`` (any relay operates) is answered in closed form.  Until the first
+  relay event the deviation trace is linear and odd in ``dp_a``, and under
+  this goal every event counts, so the minimum is the smallest
+  threshold-over-coefficient of one relay-free unit response.  The answer is
+  the smallest :data:`RECORD_DIGITS`-significant-digit decimal at or above
+  that minimum which replays, so it also replays from a written record.
+- ``ROCOF_ONLY``, ``LS_ONLY`` and ``SPECIFIC`` can be met only after earlier
+  non-matching events have broken linearity.  A coarse probe establishes
+  whether the feasible set is an up-set in magnitude, and if so bisection
+  pins the minimal feasible magnitude to a tolerance; otherwise the caller is
+  told to fall back to the exhaustive scan, which needs no structural
+  assumption.
+
+Every answer is the outcome of a :func:`feasibility` replay.
 
 A thin constraint-problem wrapper (:class:`CspProblem`, :func:`solve`)
 exposes the same search behind a backend-agnostic contract so an external
@@ -17,7 +29,9 @@ replayed through :func:`feasibility` before it is accepted.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
+from decimal import ROUND_CEILING, Context, Decimal
 from typing import NamedTuple, Optional, Protocol
 
 from .config import GridConfig, capability_bound
@@ -28,6 +42,9 @@ from .dynamics import (
     SimOptions,
     DEFAULT_OPTIONS,
     SimTrace,
+    SystemState,
+    frequency_step,
+    governor_step,
     initial_state,
     simulate,
     simulate_step,
@@ -35,8 +52,20 @@ from .dynamics import (
 from .errors import (
     CapabilityExceeded,
     CertificateMismatch,
+    InvalidParameter,
     NonMonotoneFeasibility,
 )
+
+#: Significant digits of a recorded injection magnitude (the sweep records
+#: CSV).  Closed-form answers are decimals of this many digits, so the value a
+#: record holds is the value that was certified.
+RECORD_DIGITS = 12
+
+# Rounds up to a record decimal.
+_RECORD = Context(prec=RECORD_DIGITS, rounding=ROUND_CEILING)
+# Exact for the sums, halves and unit steps of record decimals, whatever the
+# caller's decimal context.
+_EXACT = Context(prec=2 * RECORD_DIGITS)
 
 
 class TargetKind(enum.Enum):
@@ -247,6 +276,135 @@ def probe_monotonicity(
     })
 
 
+def _check_step(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise InvalidParameter(name, "must be finite and > 0", value)
+
+
+def _unit_response(config: GridConfig, goal: AttackGoal) -> list[float]:
+    """Relay-free deviation trace, steps 0..horizon, for ``dp_a = 1`` from
+    the goal's attack step."""
+    params = config.params
+    # the update equations read only delta_f and dp_gov
+    state = SystemState(0, 0.0, 0.0, 0.0, 0.0, (), (), ())
+    response = [0.0]
+    for n in range(goal.horizon):
+        dp_a = 1.0 if n >= goal.attack_step else 0.0
+        state = SystemState(
+            n + 1,
+            frequency_step(state, params, dp_a, 0.0, 0.0),
+            governor_step(state, params),
+            0.0, 0.0, (), (), (),
+        )
+        response.append(state.delta_f)
+    return response
+
+
+def _closed_form_minima(config: GridConfig, goal: AttackGoal) -> dict[int, float]:
+    """Smallest magnitude at which some relay operates, per allowed direction.
+
+    Before the first event the trace at ``dp_a = d*x`` is ``d*x*u`` for the
+    relay-free unit response ``u``.  Load-shedding relay ``i`` operates at
+    step ``n`` once ``x*(-d*u[n]) >= 1 - threshold_i/f0``, which only a
+    falling deviation can meet; ROCOF relay ``j`` once
+    ``x*|u[n] - u[n-M]|*f0/(M*dt) >= threshold_j`` for ``n >= M``.  The
+    minimum is the smallest threshold over coefficient; ``inf`` when no
+    relay can operate within the horizon.  SimOptions act only after a first
+    event, so this holds under every option.
+    """
+    params = config.params
+    m = params.rocof_window_m
+    u = _unit_response(config, goal)
+    ls_margin = min(
+        (1.0 - ld.underfreq_threshold / params.f_nominal for ld in config.loads),
+        default=math.inf,
+    )
+    rocof_threshold = min(
+        (g.rocof_threshold for g in config.generators), default=math.inf,
+    )
+    slope_per_pu = params.f_nominal / (m * params.dt)
+
+    def smallest(threshold: float, coefficients: list[float]) -> float:
+        return min((threshold / c for c in coefficients if c > 0),
+                   default=math.inf)
+
+    rocof_min = smallest(rocof_threshold, [
+        abs(u[n] - u[n - m]) * slope_per_pu for n in range(m, len(u))
+    ])
+    return {
+        d: min(rocof_min, smallest(ls_margin, [-d * x for x in u]))
+        for d in goal.directions()
+    }
+
+
+def _certify_upward(
+    config: GridConfig,
+    goal: AttackGoal,
+    direction: int,
+    start: Decimal,
+    options: SimOptions,
+) -> tuple[FeasibilityOutcome, Decimal]:
+    """Certified outcome at the smallest record decimal >= *start* that meets
+    *goal* along *direction*, with that magnitude.
+
+    *start* is the rounded-up closed-form minimum and normally replays at
+    once.  A failing replay (the simulator's own rounding put the boundary a
+    few units above) steps up 1, 2, 4, ... units in the last digit and then
+    bisects back over record decimals.  A decimal beyond the capability bound
+    is replaced by the bound itself; the outcome is unsuccessful only when
+    the bound fails too.
+    """
+    bound = capability_bound(config.capability)
+
+    def replay(magnitude: Decimal) -> FeasibilityOutcome:
+        return feasibility(config, direction * float(magnitude), goal, options)
+
+    failed, magnitude, units = None, start, 1
+    while True:
+        if magnitude > bound:
+            magnitude = Decimal(bound)
+            outcome = replay(magnitude)
+            if not outcome.success:
+                return outcome, magnitude
+            break
+        outcome = replay(magnitude)
+        if outcome.success:
+            break
+        failed = magnitude
+        exponent = failed.adjusted() - RECORD_DIGITS + 1
+        step = Decimal(units).scaleb(exponent, _EXACT)
+        magnitude, units = _RECORD.add(failed, step), 2 * units
+    while failed is not None:
+        mid = _RECORD.plus(_EXACT.divide(_EXACT.add(failed, magnitude), 2))
+        if mid >= magnitude:
+            break
+        trial = replay(mid)
+        if trial.success:
+            magnitude, outcome = mid, trial
+        else:
+            failed = mid
+    return outcome, magnitude
+
+
+def _closed_form_min_attack(
+    config: GridConfig, goal: AttackGoal, options: SimOptions,
+) -> FeasibilityOutcome:
+    # smallest magnitude wins; equal magnitudes resolve to the positive
+    # direction, so key = (magnitude, -direction)
+    starts = sorted(
+        (_RECORD.plus(Decimal(x)), -d)
+        for d, x in _closed_form_minima(config, goal).items()
+    )
+    best, best_key = FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS), None
+    for key in starts:
+        if best_key is not None and key >= best_key:
+            break  # a certified magnitude is never below its start
+        outcome, magnitude = _certify_upward(config, goal, -key[1], key[0], options)
+        if outcome.success and (best_key is None or (magnitude, key[1]) < best_key):
+            best, best_key = outcome, (magnitude, key[1])
+    return best
+
+
 def synthesize_min_attack(
     config: GridConfig,
     goal: AttackGoal,
@@ -254,17 +412,25 @@ def synthesize_min_attack(
     probe_samples: int = 17,
     options: SimOptions = DEFAULT_OPTIONS,
 ) -> FeasibilityOutcome:
-    """Find the smallest-magnitude injection meeting *goal*, to *tolerance*.
+    """Find the smallest-magnitude injection meeting *goal*.
 
-    Bisects between the largest known-infeasible and smallest known-feasible
-    magnitudes, seeded by :func:`probe_monotonicity`; when the goal allows
-    either direction both are searched and the smaller magnitude wins, ties
-    broken toward the positive direction.  Raises
-    :class:`NonMonotoneFeasibility` when the probe shows the success set is
-    not an up-set; use :func:`exhaustive_min_attack` then.
+    An ``ANY`` goal is answered exactly from :func:`_closed_form_minima`: the
+    smallest :data:`RECORD_DIGITS`-digit decimal at or above the minimum
+    that replays, certified by one :func:`feasibility` replay; *tolerance*
+    and *probe_samples* do not affect it.
+
+    Other goals bisect, to *tolerance*, between the largest known-infeasible
+    and smallest known-feasible magnitudes, seeded by
+    :func:`probe_monotonicity`, and raise :class:`NonMonotoneFeasibility`
+    when the probe shows the success set is not an up-set; use
+    :func:`exhaustive_min_attack` then.
+
+    When the goal allows either direction both are searched and the smaller
+    magnitude wins, ties broken toward the positive direction.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    _check_step("tolerance", tolerance)
+    if goal.target_kind is TargetKind.ANY:
+        return _closed_form_min_attack(config, goal, options)
     report = probe_monotonicity(config, goal, probe_samples, options)
     candidates: list[tuple[float, int]] = []
     for direction, probe in sorted(report.directions.items(), reverse=True):
@@ -303,8 +469,7 @@ def exhaustive_min_attack(
     direction is its minimum.  The capability bound itself is always tested
     even when it is not a grid multiple.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be > 0, got {resolution}")
+    _check_step("resolution", resolution)
     bound = capability_bound(config.capability)
     candidates: list[tuple[float, int]] = []
     for direction in goal.directions():

@@ -89,6 +89,15 @@ class TestSimulate:
                     "--out", str(tmp_path)])  # a directory
         assert code == 3
 
+    @pytest.mark.parametrize("dp_a", ["nan", "inf", "-inf", "nanhz"])
+    def test_non_finite_dp_a_exits_2(self, tmp_path, config_file, capsys, dp_a):
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--config", str(config_file),
+                    f"--dp-a={dp_a}", "--horizon", "60", "--out", str(out)])
+        assert code == 2
+        assert "error: --dp-a" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hz_suffix_is_per_unit_equivalent(self, tmp_path, config_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["simulate", "--config", str(config_file),
@@ -134,6 +143,22 @@ class TestSynthesize:
                     "--horizon", "12", "--out", str(out)])
         assert code == 1
         assert json.loads(out.read_text()) == {"status": "no_attack"}
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tolerance", "0"), ("--tolerance", "-1"), ("--tolerance", "nan"),
+        ("--tolerance", "inf"), ("--tolerance", "nanhz"),
+        ("--probe-samples", "1"), ("--probe-samples", "-3"),
+    ])
+    @pytest.mark.parametrize("target", ["any", "rocof"])
+    def test_bad_numeric_flag_exits_2(self, tmp_path, config_file, capsys,
+                                      flag, value, target):
+        out = tmp_path / "r.json"
+        code = run(["synthesize", "--config", str(config_file),
+                    "--target", target, "--horizon", "12",
+                    f"{flag}={value}", "--out", str(out)])
+        assert code == 2
+        assert f"error: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonmonotone_without_exhaustive_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "nm.json"

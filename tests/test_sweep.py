@@ -10,9 +10,13 @@ from frosim import (
     SweepRecord,
     SweepSpec,
     classify_attack,
+    feasibility,
     generate_combinations,
     run_sweep,
     trend_report,
+    validate_config,
+    with_capability,
+    with_dynamics,
     write_records_csv,
 )
 from frosim.sweep import (
@@ -219,6 +223,27 @@ class TestFiles:
             else:
                 assert parsed.min_dp_a == pytest.approx(orig.min_dp_a,
                                                         rel=1e-10)
+
+    def test_recorded_answers_replay(self, tmp_path):
+        # a minimal answer sits on the feasibility boundary, so the value
+        # the CSV keeps (not the float it was written from) must meet the goal
+        goal = AttackGoal(horizon=12)
+        spec = SweepSpec(base=study_config(kappa=2.0), goal=goal,
+                         mode=SweepMode.RANDOM, count=200, seed=1)
+        path = tmp_path / "records.csv"
+        write_records_csv(run_sweep(spec), path)
+        successes = [r for r in read_records_csv(path) if r.success]
+        assert len({r.min_dp_a for r in successes}) >= 25
+        for rec in successes:
+            config = validate_config(with_capability(
+                with_dynamics(spec.base, h_inertia=rec.h, droop_r=rec.r,
+                              governor_t=rec.t),
+                toi=rec.toi_pct / 100.0, ad=rec.ad_pct / 100.0,
+            ))
+            out = feasibility(config, rec.min_dp_a, goal)
+            assert out.success, rec
+            assert classify_attack(out.vector) is rec.attack_type
+            assert out.vector.outcome.trip_step == rec.trip_step
 
     def test_read_rejects_wrong_header(self, tmp_path):
         p = tmp_path / "bad.csv"

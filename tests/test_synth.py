@@ -1,10 +1,13 @@
 """Attack synthesis: feasibility oracle, probing, bisection, CSP wrapper."""
 
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
+import frosim.synth
 from frosim import (
     Assignment,
     AttackerCapability,
@@ -21,6 +24,7 @@ from frosim import (
     LoadRelay,
     NonMonotoneFeasibility,
     Sign,
+    SimOptions,
     SolveStatus,
     TargetKind,
     capability_bound,
@@ -30,6 +34,7 @@ from frosim import (
     solve,
     synthesize_min_attack,
     validate_config,
+    with_capability,
 )
 from conftest import random_small_config, study_config
 
@@ -229,6 +234,95 @@ class TestSynthesizeMinAttack:
             synthesize_min_attack(study_config(), AttackGoal(horizon=12),
                                   tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [-1e-4, math.nan, math.inf])
+    @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.ROCOF_ONLY])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance, target):
+        with pytest.raises(ValueError):
+            synthesize_min_attack(
+                study_config(), AttackGoal(horizon=12, target_kind=target),
+                tolerance=tolerance)
+
+
+CLOSED_FORM_CASES = list(itertools.product(
+    Sign, (0, 5),
+    (SimOptions(), SimOptions(literal_accumulation=True),
+     SimOptions(literal_signs=True), SimOptions(rescale_inertia=True)),
+))
+
+
+class TestClosedFormAny:
+    @pytest.mark.parametrize("case", range(len(CLOSED_FORM_CASES)))
+    def test_exact_and_within_one_scan_step(self, case):
+        sign, attack_step, options = CLOSED_FORM_CASES[case]
+        goal = AttackGoal(horizon=60, sign=sign, attack_step=attack_step)
+        rng = random.Random(1000 + case)
+        # draw until a grid admits an attack; every refusal on the way must
+        # be confirmed by a failing replay at the capability bound
+        for _ in range(100):
+            cfg = random_small_config(rng)
+            out = synthesize_min_attack(cfg, goal, options=options)
+            if out.success:
+                break
+            bound = capability_bound(cfg.capability)
+            for direction in goal.directions():
+                assert not feasibility(cfg, direction * bound, goal,
+                                       options).success
+        else:
+            pytest.fail("no grid in 100 draws admits an attack")
+        dp_a = out.vector.dp_a
+        replay = feasibility(cfg, dp_a, goal, options)
+        assert replay.success and replay.vector.outcome == out.vector.outcome
+        for direction in goal.directions():
+            below = direction * 0.999999 * abs(dp_a)
+            assert not feasibility(cfg, below, goal, options).success
+        scan = exhaustive_min_attack(cfg, goal, resolution=1e-4, options=options)
+        assert abs(dp_a) <= abs(scan.vector.dp_a) < abs(dp_a) + 1e-4
+        assert float(format(dp_a, ".12g")) == dp_a
+
+    def _answer(self, sign=Sign.EITHER):
+        cfg = study_config(kappa=60.0)
+        goal = AttackGoal(horizon=12, sign=sign)
+        out = synthesize_min_attack(cfg, goal)
+        assert out.success
+        return cfg, goal, out.vector.dp_a
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0 - 1e-9])
+    def test_bound_below_minimum_is_no_attack(self, scale):
+        cfg, goal, dp_a = self._answer()
+        bound = capability_bound(cfg.capability)
+        capped = with_capability(
+            cfg, kappa=cfg.capability.kappa * scale * abs(dp_a) / bound)
+        assert capability_bound(capped.capability) < abs(dp_a)
+        out = synthesize_min_attack(capped, goal)
+        assert out.status is FeasibilityStatus.NO_ATTACK_EXISTS
+        bound = capability_bound(capped.capability)
+        for direction in goal.directions():
+            assert not feasibility(capped, direction * bound, goal).success
+
+    def test_one_replay_on_success(self, monkeypatch):
+        replays = []
+        real = frosim.synth.feasibility
+
+        def counted(*args, **kwargs):
+            replays.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(frosim.synth, "feasibility", counted)
+        cfg, goal, dp_a = self._answer()
+        assert replays == [dp_a]
+
+    def test_low_start_climbs_back_to_the_same_answer(self, monkeypatch):
+        # a start below the simulator's boundary (here forced far lower than
+        # rounding could put it) must climb and bisect back to the smallest
+        # record decimal that replays
+        cfg, goal, dp_a = self._answer(Sign.POSITIVE)
+        real = frosim.synth._closed_form_minima
+        monkeypatch.setattr(
+            frosim.synth, "_closed_form_minima",
+            lambda *a: {d: x * (1 - 1e-6) for d, x in real(*a).items()})
+        out = synthesize_min_attack(cfg, goal)
+        assert out.success and out.vector.dp_a == dp_a
+
 
 class TestExhaustiveMinAttack:
     def test_handles_nonmonotone_instance(self):
@@ -240,6 +334,12 @@ class TestExhaustiveMinAttack:
         assert out.vector.dp_a < 0.02
         replay = feasibility(cfg, out.vector.dp_a, goal)
         assert replay.vector.outcome == out.vector.outcome
+
+    @pytest.mark.parametrize("resolution", [0.0, -1e-3, math.nan, math.inf])
+    def test_resolution_precondition(self, resolution):
+        with pytest.raises(ValueError):
+            exhaustive_min_attack(study_config(), AttackGoal(horizon=12),
+                                  resolution=resolution)
 
     def test_matches_oracle_on_monotone_instance(self):
         cfg = study_config(kappa=60.0)
