@@ -4,7 +4,7 @@ Shows the layers of the synthesizer: the monotonicity probe, the exact
 closed-form answer for the "any relay" goal, the bisection search the probe
 seeds for goals that name a relay kind, and the replay certificate.  Ends
 with a grid whose feasible set has a hole, where bisection refuses and the
-exhaustive backend takes over.
+exhaustive scan takes over.
 """
 
 import warnings
@@ -12,7 +12,6 @@ import warnings
 from frosim import (
     AttackerCapability,
     AttackGoal,
-    CspProblem,
     GeneratorRelay,
     GridConfig,
     GridParams,
@@ -23,7 +22,6 @@ from frosim import (
     exhaustive_min_attack,
     feasibility,
     probe_monotonicity,
-    solve,
     synthesize_min_attack,
     validate_config,
 )
@@ -78,10 +76,6 @@ bisected = synthesize_min_attack(config, rocof_goal, tolerance=1e-4)
 print(f"ROCOF trips only, bisected to 1e-4: {bisected.vector.dp_a:.6f} pu "
       f"trips {bisected.vector.outcome.relay_id}")
 
-result = solve(CspProblem(config, goal))
-print(f"constraint-problem wrapper agrees: {result.status.name} at "
-      f"dp_a={result.assignment.dp_a:.6f}")
-
 print()
 print("=" * 64)
 print("3. A feasible set with a hole")
@@ -107,6 +101,6 @@ try:
 except NonMonotoneFeasibility as exc:
     print(f"bisection refused: {exc}")
 fallback = exhaustive_min_attack(holey, holey_goal, resolution=1e-3)
-print(f"exhaustive backend finds the rebound route: "
+print(f"exhaustive scan finds the rebound route: "
       f"{fallback.vector.dp_a:.4f} pu trips {fallback.vector.outcome.relay_id} "
       f"at step {fallback.vector.outcome.trip_step}")

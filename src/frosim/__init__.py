@@ -41,9 +41,7 @@ from .dynamics import (
     write_trace_csv,
 )
 from .errors import (
-    BackendUnavailable,
     CapabilityExceeded,
-    CertificateMismatch,
     FrosimError,
     HorizonTooShort,
     InvalidParameter,
@@ -64,24 +62,17 @@ from .sweep import (
     write_records_csv,
 )
 from .synth import (
-    Assignment,
     AttackGoal,
     AttackOutcome,
     AttackVector,
-    CspProblem,
     FeasibilityOutcome,
     FeasibilityStatus,
     MonotonicityReport,
-    SearchAdapter,
     Sign,
-    SolveResult,
-    SolveStatus,
-    SolverAdapter,
     TargetKind,
     exhaustive_min_attack,
     feasibility,
     probe_monotonicity,
-    solve,
     synthesize_min_attack,
 )
 

@@ -6,7 +6,7 @@ Subcommands: ``simulate`` (run one injection, write the trace CSV),
 (aggregate a records CSV into trend outputs).
 
 Exit codes are a stable contract: 0 success, 1 no attack exists, 2 bad
-configuration or spec, 3 output I/O failure, 4 search backend declined
+configuration or spec, 3 output I/O failure, 4 bisection declined
 (non-monotone feasibility without ``--exhaustive``).
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
@@ -180,7 +180,7 @@ def _spec_from_file(path, seed_override=None) -> SweepSpec:
         ("toi_pct", "toi_pct_values"), ("ad_pct", "ad_pct_values"),
     ]:
         if json_key in data:
-            kwargs[field_name] = tuple(data[json_key])
+            kwargs[field_name] = data[json_key]
     seed = seed_override if seed_override is not None else data.get("seed", 0)
     return SweepSpec(
         base=base,

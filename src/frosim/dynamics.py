@@ -367,6 +367,14 @@ class SimTrace:
         return self.events[0].step if self.events else None
 
 
+def _check_horizon(config: GridConfig, horizon: int) -> None:
+    m = config.params.rocof_window_m
+    if horizon < m:
+        raise HorizonTooShort(
+            f"horizon {horizon} is shorter than one ROCOF window (M={m})"
+        )
+
+
 def simulate(
     config: GridConfig,
     attack: AttackSignal,
@@ -380,11 +388,7 @@ def simulate(
     recorded.  Raises :class:`HorizonTooShort` when the horizon does not
     cover one full ROCOF window.
     """
-    m = config.params.rocof_window_m
-    if horizon < m:
-        raise HorizonTooShort(
-            f"horizon {horizon} is shorter than one ROCOF window (M={m})"
-        )
+    _check_horizon(config, horizon)
     state = initial_state(config)
     records = []
     for _ in range(horizon + 1):

@@ -36,13 +36,6 @@ class CapabilityExceeded(FrosimError, ValueError):
 class NonMonotoneFeasibility(FrosimError, RuntimeError):
     """Feasibility is not an up-set in magnitude; bisection declined.
 
-    Callers should fall back to the exhaustive backend.
+    Callers should fall back to the exhaustive scan.
     """
 
-
-class BackendUnavailable(FrosimError, RuntimeError):
-    """The requested solver backend cannot run in this environment."""
-
-
-class CertificateMismatch(FrosimError, RuntimeError):
-    """A solver answer failed to replay through the simulator."""

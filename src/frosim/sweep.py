@@ -13,6 +13,7 @@ import enum
 import itertools
 import json
 import math
+import numbers
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -66,6 +67,10 @@ class AttackType(enum.Enum):
     NONE = "NONE"
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep and how.
@@ -89,14 +94,23 @@ class SweepSpec:
     def __post_init__(self):
         for name in ("h_values", "r_values", "t_values",
                      "toi_pct_values", "ad_pct_values"):
-            vals = tuple(getattr(self, name))
+            vals = getattr(self, name)
+            if not (isinstance(vals, Sequence) and all(
+                    _is_real(v) and math.isfinite(v) for v in vals)):
+                raise InvalidParameter(
+                    name, "must be a list of finite numbers", vals)
+            vals = tuple(vals)
             object.__setattr__(self, name, vals)
             if not vals:
                 raise InvalidParameter(name, "must be nonempty", vals)
+        if self.count is not None and not (
+                isinstance(self.count, numbers.Integral)
+                and not isinstance(self.count, bool)):
+            raise InvalidParameter("count", "must be an integer", self.count)
         if self.mode is SweepMode.RANDOM and (self.count is None or self.count < 1):
             raise InvalidParameter("count", "RANDOM mode requires count >= 1",
                                    self.count)
-        if not 0 < self.tolerance < math.inf:
+        if not (_is_real(self.tolerance) and 0 < self.tolerance < math.inf):
             raise InvalidParameter("tolerance", "must be finite and > 0",
                                    self.tolerance)
 

@@ -19,20 +19,15 @@ minimum depends on the goal:
   assumption.
 
 Every answer is the outcome of a :func:`feasibility` replay.
-
-A thin constraint-problem wrapper (:class:`CspProblem`, :func:`solve`)
-exposes the same search behind a backend-agnostic contract so an external
-constraint solver can be plugged in; every answer a backend returns is
-replayed through :func:`feasibility` before it is accepted.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
-from typing import NamedTuple, Optional, Protocol
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .config import GridConfig, capability_bound
 from .dynamics import (
@@ -43,18 +38,14 @@ from .dynamics import (
     DEFAULT_OPTIONS,
     SimTrace,
     SystemState,
+    _check_horizon,
     frequency_step,
     governor_step,
     initial_state,
     simulate,
     simulate_step,
 )
-from .errors import (
-    CapabilityExceeded,
-    CertificateMismatch,
-    InvalidParameter,
-    NonMonotoneFeasibility,
-)
+from .errors import CapabilityExceeded, InvalidParameter, NonMonotoneFeasibility
 
 #: Significant digits of a recorded injection magnitude (the sweep records
 #: CSV).  Closed-form answers are decimals of this many digits, so the value a
@@ -195,8 +186,10 @@ def _is_feasible(
     goal: AttackGoal,
     options: SimOptions = DEFAULT_OPTIONS,
 ) -> bool:
-    # Same stepping kernel as simulate(), stopping at the first matching
-    # event; used by the search loops where only the verdict is needed.
+    # Same precondition and stepping kernel as simulate(), stopping at the
+    # first matching event; used by the search loops where only the verdict
+    # is needed.
+    _check_horizon(config, goal.horizon)
     state = initial_state(config)
     attack = AttackSignal(dp_a, goal.attack_step)
     for _ in range(goal.horizon + 1):
@@ -386,22 +379,26 @@ def _certify_upward(
     return outcome, magnitude
 
 
-def _closed_form_min_attack(
-    config: GridConfig, goal: AttackGoal, options: SimOptions,
+def _smallest_first(
+    candidates: Iterable[tuple],
+    certify: Callable[..., tuple[FeasibilityOutcome, object]],
 ) -> FeasibilityOutcome:
-    # smallest magnitude wins; equal magnitudes resolve to the positive
-    # direction, so key = (magnitude, -direction)
-    starts = sorted(
-        (_RECORD.plus(Decimal(x)), -d)
-        for d, x in _closed_form_minima(config, goal).items()
-    )
+    """The certified outcome of the winning ``(magnitude, direction)``
+    candidate: the smallest magnitude wins, ties go to the positive direction.
+
+    ``certify(magnitude, direction)`` replays a candidate with
+    :func:`feasibility` and returns the outcome with the magnitude it
+    certified, which is never below the candidate's; so candidates are
+    certified in order only until none left can beat the best so far.
+    """
     best, best_key = FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS), None
-    for key in starts:
-        if best_key is not None and key >= best_key:
-            break  # a certified magnitude is never below its start
-        outcome, magnitude = _certify_upward(config, goal, -key[1], key[0], options)
-        if outcome.success and (best_key is None or (magnitude, key[1]) < best_key):
-            best, best_key = outcome, (magnitude, key[1])
+    for magnitude, direction in sorted(candidates, key=lambda c: (c[0], -c[1])):
+        if best_key is not None and (magnitude, -direction) >= best_key:
+            break
+        outcome, magnitude = certify(magnitude, direction)
+        key = (magnitude, -direction)
+        if outcome.success and (best_key is None or key < best_key):
+            best, best_key = outcome, key
     return best
 
 
@@ -430,7 +427,10 @@ def synthesize_min_attack(
     """
     _check_step("tolerance", tolerance)
     if goal.target_kind is TargetKind.ANY:
-        return _closed_form_min_attack(config, goal, options)
+        starts = [(_RECORD.plus(Decimal(x)), d)
+                  for d, x in _closed_form_minima(config, goal).items()]
+        return _smallest_first(starts, lambda m, d: _certify_upward(
+            config, goal, d, m, options))
     report = probe_monotonicity(config, goal, probe_samples, options)
     candidates: list[tuple[float, int]] = []
     for direction, probe in sorted(report.directions.items(), reverse=True):
@@ -449,12 +449,8 @@ def synthesize_min_attack(
             else:
                 lo = mid
         candidates.append((hi, direction))
-    if not candidates:
-        return FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS)
-    # smallest magnitude wins; equal magnitudes resolve to the positive direction
-    candidates.sort(key=lambda c: (c[0], -c[1]))
-    magnitude, direction = candidates[0]
-    return feasibility(config, direction * magnitude, goal, options)
+    return _smallest_first(candidates, lambda m, d: (
+        feasibility(config, d * m, goal, options), m))
 
 
 def exhaustive_min_attack(
@@ -489,142 +485,8 @@ def exhaustive_min_attack(
             k += 1
         if found is not None:
             candidates.append((found, direction))
-    if not candidates:
-        return FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS)
-    candidates.sort(key=lambda c: (c[0], -c[1]))
-    magnitude, direction = candidates[0]
-    return feasibility(config, direction * magnitude, goal, options)
-
-
-# ---------------------------------------------------------------------------
-# Constraint-problem wrapper with pluggable backends
-
-
-@dataclass(frozen=True)
-class CspProblem:
-    """A bounded-horizon relay-trigger satisfaction problem.
-
-    The free variable is the injection ``dp_a`` constrained to the attacker's
-    capability interval; the dynamics recursions tie every later quantity to
-    it, and the goal (when present) requires some matching relay trigger
-    within the horizon.  ``goal=None`` states no trigger requirement, which
-    the zero injection satisfies trivially.
-    """
-
-    config: GridConfig
-    goal: Optional[AttackGoal]
-    tolerance: float = 1e-4
-
-    @property
-    def bound(self) -> float:
-        return capability_bound(self.config.capability)
-
-    def describe(self) -> dict:
-        """Structural summary for backend implementors and logs."""
-        return {
-            "variable": "dp_a",
-            "variable_bounds": [-self.bound, self.bound],
-            "horizon": self.goal.horizon if self.goal else 0,
-            "trigger": self.goal.target_kind.value if self.goal else None,
-            "sign": self.goal.sign.value if self.goal else None,
-            "generators": len(self.config.generators),
-            "loads": len(self.config.loads),
-        }
-
-
-@dataclass(frozen=True)
-class Assignment:
-    dp_a: float
-    attack_step: int = 0
-
-
-class SolveStatus(enum.Enum):
-    SAT = "sat"
-    UNSAT = "unsat"
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    status: SolveStatus
-    assignment: Optional[Assignment] = None
-    vector: Optional[AttackVector] = None
-
-
-class SolverAdapter(Protocol):
-    """Backend contract: produce a satisfying assignment or report none.
-
-    Implementations may raise :class:`BackendUnavailable` when their engine
-    cannot run.  Whatever they return is replayed through the simulator by
-    :func:`solve`; an assignment that fails replay raises
-    :class:`CertificateMismatch`.
-    """
-
-    name: str
-
-    def solve(self, problem: CspProblem) -> Optional[Assignment]: ...
-
-
-class SearchAdapter:
-    """Default backend: minimal-magnitude search over the simulator.
-
-    Sound because once the attack step is fixed the injection magnitude is
-    the only free variable.  Falls back to the exhaustive scan when the
-    probe finds a non-monotone feasible set.
-    """
-
-    name = "search"
-
-    def __init__(self, probe_samples: int = 17, options: SimOptions = DEFAULT_OPTIONS):
-        self.probe_samples = probe_samples
-        self.options = options
-
-    def solve(self, problem: CspProblem) -> Optional[Assignment]:
-        if problem.goal is None:
-            return Assignment(0.0, 0)
-        try:
-            outcome = synthesize_min_attack(
-                problem.config, problem.goal, problem.tolerance,
-                self.probe_samples, self.options,
-            )
-        except NonMonotoneFeasibility:
-            outcome = exhaustive_min_attack(
-                problem.config, problem.goal, problem.tolerance, self.options,
-            )
-        if not outcome.success:
-            return None
-        return Assignment(outcome.vector.dp_a, outcome.vector.attack_step)
-
-
-def solve(problem: CspProblem, adapter: Optional[SolverAdapter] = None) -> SolveResult:
-    """Run a backend on *problem* and certify its answer.
-
-    Returns SAT with the certified assignment, or UNSAT.  Backend answers are
-    never trusted: a SAT assignment must replay through :func:`feasibility`
-    and reproduce a matching trigger, otherwise :class:`CertificateMismatch`
-    is raised (an encoding bug in the backend, not an attack verdict).
-    """
-    if adapter is None:
-        adapter = SearchAdapter()
-    if problem.goal is None:
-        # No trigger requirement: the zero injection satisfies the dynamics.
-        return SolveResult(SolveStatus.SAT, Assignment(0.0, 0))
-    assignment = adapter.solve(problem)
-    if assignment is None:
-        return SolveResult(SolveStatus.UNSAT)
-    goal = replace(problem.goal, attack_step=assignment.attack_step)
-    try:
-        outcome = feasibility(problem.config, assignment.dp_a, goal)
-    except CapabilityExceeded as exc:
-        raise CertificateMismatch(
-            f"backend {adapter.name!r} returned dp_a outside the capability "
-            f"bound: {exc}"
-        ) from exc
-    if not outcome.success:
-        raise CertificateMismatch(
-            f"backend {adapter.name!r} returned dp_a={assignment.dp_a} but the "
-            "replay produces no matching relay operation"
-        )
-    return SolveResult(SolveStatus.SAT, assignment, outcome.vector)
+    return _smallest_first(candidates, lambda m, d: (
+        feasibility(config, d * m, goal, options), m))
 
 
 def synthesis_result_dict(outcome: FeasibilityOutcome, trace_file: Optional[str]) -> dict:

@@ -160,6 +160,21 @@ class TestSynthesize:
         assert f"error: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    @pytest.mark.parametrize("target", ["any", "rocof", "ls", "specific"])
+    def test_horizon_shorter_than_rocof_window_exits_2(
+            self, tmp_path, config_file, capsys, target, exhaustive):
+        out = tmp_path / "r.json"
+        args = ["synthesize", "--config", str(config_file),
+                "--target", target, "--relay-id", "g4", "--horizon", "3",
+                "--out", str(out)]
+        if exhaustive:
+            args.append("--exhaustive")
+        assert run(args) == 2
+        assert ("error: horizon 3 is shorter than one ROCOF window (M=6)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_nonmonotone_without_exhaustive_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "nm.json"
         data = config_dict(
@@ -229,6 +244,16 @@ class TestSweep:
         p.write_text("{}")
         assert run(["sweep", "--spec", str(p),
                     "--out", str(tmp_path / "o.csv")]) == 2
+        # mistyped fields are rejected before any combination runs
+        for over in [{"tolerance": "1e-4"}, {"h_s": 5}, {"h_s": ["2"]},
+                     {"r_pu": [True]}, {"t_s": [float("nan")]},
+                     {"mode": "random", "count": "20"},
+                     {"mode": "random", "count": 20.0}]:
+            capsys.readouterr()
+            spec = self.spec_file(tmp_path, **over)
+            assert run(["sweep", "--spec", str(spec),
+                        "--out", str(tmp_path / "o.csv")]) == 2, over
+            assert "error: bad sweep spec" in capsys.readouterr().err, over
 
     def test_unwritable_out_exits_3(self, tmp_path):
         spec = self.spec_file(tmp_path)

@@ -1,4 +1,5 @@
-"""Attack synthesis: feasibility oracle, probing, bisection, CSP wrapper."""
+"""Attack synthesis: feasibility oracle, probing, closed form, bisection,
+exhaustive scan."""
 
 import itertools
 import math
@@ -9,13 +10,9 @@ import pytest
 
 import frosim.synth
 from frosim import (
-    Assignment,
     AttackerCapability,
     AttackGoal,
-    BackendUnavailable,
     CapabilityExceeded,
-    CertificateMismatch,
-    CspProblem,
     EventKind,
     FeasibilityStatus,
     GeneratorRelay,
@@ -25,13 +22,11 @@ from frosim import (
     NonMonotoneFeasibility,
     Sign,
     SimOptions,
-    SolveStatus,
     TargetKind,
     capability_bound,
     exhaustive_min_attack,
     feasibility,
     probe_monotonicity,
-    solve,
     synthesize_min_attack,
     validate_config,
     with_capability,
@@ -155,6 +150,14 @@ class TestSynthesizeMinAttack:
         out = synthesize_min_attack(cfg, AttackGoal(horizon=12))
         assert out.status is FeasibilityStatus.NO_ATTACK_EXISTS
 
+    def test_unreachable_goal_is_no_attack(self):
+        # high inertia and a tiny capability: nothing in range sheds load
+        cfg = study_config(h=10.0)  # bound 0.006
+        goal = AttackGoal(horizon=60, target_kind=TargetKind.LS_ONLY)
+        assert exhaustive_scan_oracle(cfg, goal, 1e-4) is None
+        out = synthesize_min_attack(cfg, goal)
+        assert out.status is FeasibilityStatus.NO_ATTACK_EXISTS
+
     def test_case_study_minimum_trips_lowest_relay(self):
         cfg = study_config(kappa=60.0)
         out = synthesize_min_attack(cfg, AttackGoal(horizon=12))
@@ -211,9 +214,11 @@ class TestSynthesizeMinAttack:
         gens = (GeneratorRelay("g", "b", 1.0, 0.5),)
         loads = (LoadRelay("l", "b", 0.5, 1e-9),)
         cfg = study_config(kappa=60.0, generators=gens, loads=loads)
-        out = synthesize_min_attack(
-            cfg, AttackGoal(horizon=12, sign=Sign.EITHER))
-        assert out.success and out.vector.dp_a > 0
+        for target in (TargetKind.ANY, TargetKind.ROCOF_ONLY):
+            goal = AttackGoal(horizon=12, target_kind=target, sign=Sign.EITHER)
+            for out in (synthesize_min_attack(cfg, goal),
+                        exhaustive_min_attack(cfg, goal)):
+                assert out.success and out.vector.dp_a > 0
 
     def test_negative_sign_searches_over_frequency(self):
         gens = (GeneratorRelay("g", "b", 1.0, 0.5),)
@@ -347,82 +352,6 @@ class TestExhaustiveMinAttack:
         oracle = exhaustive_scan_oracle(cfg, goal, 1e-3)
         out = exhaustive_min_attack(cfg, goal, resolution=1e-3)
         assert out.vector.dp_a == pytest.approx(oracle, abs=1e-12)
-
-
-class _FixedAdapter:
-    name = "fixed"
-
-    def __init__(self, assignment):
-        self.assignment = assignment
-
-    def solve(self, problem):
-        return self.assignment
-
-
-class _DeadAdapter:
-    name = "dead"
-
-    def solve(self, problem):
-        raise BackendUnavailable("engine not installed")
-
-
-class TestSolve:
-    def test_no_trigger_requirement_is_sat_at_zero(self):
-        problem = CspProblem(study_config(), goal=None)
-        result = solve(problem)
-        assert result.status is SolveStatus.SAT
-        assert result.assignment == Assignment(0.0, 0)
-
-    def test_case_study_encoding_is_sat(self):
-        problem = CspProblem(study_config(kappa=60.0), AttackGoal(horizon=12))
-        result = solve(problem)
-        assert result.status is SolveStatus.SAT
-        assert result.vector is not None
-        assert result.vector.outcome.kind is EventKind.ROCOF_TRIP
-
-    def test_unreachable_goal_is_unsat(self):
-        # high inertia and a tiny capability: nothing in range sheds load
-        cfg = study_config(h=10.0)  # bound 0.006
-        goal = AttackGoal(horizon=60, target_kind=TargetKind.LS_ONLY)
-        assert exhaustive_scan_oracle(cfg, goal, 1e-4) is None
-        result = solve(CspProblem(cfg, goal))
-        assert result.status is SolveStatus.UNSAT
-
-    def test_default_backend_falls_back_to_exhaustive(self):
-        cfg = nonmonotone_config()
-        goal = AttackGoal(horizon=600, target_kind=TargetKind.ROCOF_ONLY)
-        result = solve(CspProblem(cfg, goal, tolerance=1e-3))
-        assert result.status is SolveStatus.SAT
-        assert result.vector.dp_a < 0.02
-
-    def test_backend_unavailable_propagates(self):
-        problem = CspProblem(study_config(kappa=60.0), AttackGoal(horizon=12))
-        with pytest.raises(BackendUnavailable):
-            solve(problem, adapter=_DeadAdapter())
-
-    def test_bogus_assignment_fails_certificate(self):
-        problem = CspProblem(study_config(kappa=60.0), AttackGoal(horizon=12))
-        with pytest.raises(CertificateMismatch):
-            solve(problem, adapter=_FixedAdapter(Assignment(1e-5, 0)))
-
-    def test_out_of_bound_assignment_fails_certificate(self):
-        problem = CspProblem(study_config(), AttackGoal(horizon=12))
-        with pytest.raises(CertificateMismatch):
-            solve(problem, adapter=_FixedAdapter(Assignment(0.5, 0)))
-
-    def test_valid_external_assignment_accepted(self):
-        cfg = study_config(kappa=60.0)
-        problem = CspProblem(cfg, AttackGoal(horizon=12))
-        result = solve(problem, adapter=_FixedAdapter(Assignment(0.322, 0)))
-        assert result.status is SolveStatus.SAT
-        assert result.vector.outcome.relay_id == "g4"
-
-    def test_describe_names_the_variable_and_bounds(self):
-        cfg = study_config()
-        problem = CspProblem(cfg, AttackGoal(horizon=12))
-        d = problem.describe()
-        assert d["variable"] == "dp_a"
-        assert d["variable_bounds"] == [-0.006, 0.006]
 
 
 class TestBackendAgreement:
