@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config, config_from_dict
+from .config import config_from_dict, load_config, require_json_type
 from .dynamics import AttackSignal, SimOptions, simulate, write_trace_csv
 from .errors import FrosimError, InvalidParameter, NonMonotoneFeasibility
 from .sweep import (
@@ -161,12 +161,16 @@ def cmd_synthesize(args) -> int:
 
 def _spec_from_file(path, seed_override=None) -> SweepSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = require_json_type(json.load(fh), "spec", dict)
     if "base_config_file" in data:
-        base = load_config(Path(path).parent / data["base_config_file"])
+        name = require_json_type(data["base_config_file"], "base_config_file", str)
+        base = load_config(Path(path).parent / name)
     else:
         base = config_from_dict(data["base_config"])
-    g = data["goal"]
+    g = require_json_type(data["goal"], "goal", dict)
+    for key, kind in (("horizon", int), ("attack_step", int), ("relay_id", str)):
+        if key in g:
+            require_json_type(g[key], f"goal.{key}", kind)
     goal = AttackGoal(
         horizon=g["horizon"],
         target_kind=TargetKind(g.get("target", "any")),
@@ -182,6 +186,7 @@ def _spec_from_file(path, seed_override=None) -> SweepSpec:
         if json_key in data:
             kwargs[field_name] = data[json_key]
     seed = seed_override if seed_override is not None else data.get("seed", 0)
+    require_json_type(seed, "seed", int)
     return SweepSpec(
         base=base,
         goal=goal,
@@ -236,7 +241,8 @@ def cmd_report(args) -> int:
     except OSError as exc:
         print(f"error writing report: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"{report.total_records} records, {report.total_successes} successes")
+    print(f"{report.total_records} records, {report.total_successes} successes, "
+          f"{report.excluded_records} excluded (status not ok)")
     for name, trend in report.parameters.items():
         marker = "ok" if trend.matches_expected else "MISMATCH"
         print(f"  {name}: verdict={trend.verdict} expected={trend.expected} "

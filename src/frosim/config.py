@@ -36,6 +36,8 @@ default is given):
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -251,14 +253,52 @@ _TOP_KEYS = {
 }
 
 
-def _get(d: dict, key: str, where: str):
+def is_finite_real(value) -> bool:
+    """A real number, not a ``bool`` (JSON ``true`` is no number), that a
+    float holds finitely: NaN, the infinities and integers beyond the float
+    range are not."""
+    # the concrete check first: it is the common case and much cheaper
+    return ((isinstance(value, (int, float)) or isinstance(value, numbers.Real))
+            and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
+
+
+_KINDS = {float: "a finite number", int: "an integer", list: "a list",
+          dict: "an object", str: "a string"}
+
+
+def require_json_type(value, fld: str, kind: type):
+    """Return *value* if it is of the JSON *kind*, else raise
+    :class:`InvalidParameter` naming *fld*.
+
+    ``float`` admits a number that :func:`is_finite_real` accepts and
+    ``int`` an integer, neither a boolean; ``list``, ``dict`` and ``str``
+    are the JSON array, object and string.
+    """
+    if kind is float:
+        ok = is_finite_real(value)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise InvalidParameter(fld, f"must be {_KINDS[kind]}", value)
+    return value
+
+
+def _get(d: dict, key: str, where: str, kind: type):
     if key not in d:
         raise InvalidParameter(f"{where}{key}", "missing required key", None)
-    return d[key]
+    return require_json_type(d[key], f"{where}{key}", kind)
 
 
 def config_from_dict(data: dict) -> ValidatedGridConfig:
-    """Build and validate a config from a parsed JSON object."""
+    """Build and validate a config from a parsed JSON object.
+
+    Every field must have its JSON type: numbers finite and not booleans,
+    ``generators`` and ``loads`` lists of objects, ``id`` and ``bus``
+    strings, ``attacker`` an object.  Anything else raises
+    :class:`InvalidParameter`.
+    """
     if not isinstance(data, dict):
         raise InvalidParameter("config", "top level must be an object", type(data).__name__)
     unknown = set(data) - _TOP_KEYS
@@ -266,37 +306,40 @@ def config_from_dict(data: dict) -> ValidatedGridConfig:
         warnings.warn(f"ignoring unknown config keys: {sorted(unknown)}", stacklevel=2)
 
     params = GridParams(
-        h_inertia=_get(data, "inertia_h_s", ""),
-        droop_r=_get(data, "droop_r_pu", ""),
-        governor_t=_get(data, "governor_t_s", ""),
-        dt=_get(data, "dt_s", ""),
-        rocof_window_m=_get(data, "rocof_window_m", ""),
-        f_nominal=data.get("frequency_nominal_hz", 60.0),
+        h_inertia=_get(data, "inertia_h_s", "", float),
+        droop_r=_get(data, "droop_r_pu", "", float),
+        governor_t=_get(data, "governor_t_s", "", float),
+        dt=_get(data, "dt_s", "", float),
+        rocof_window_m=_get(data, "rocof_window_m", "", float),
+        f_nominal=require_json_type(data.get("frequency_nominal_hz", 60.0),
+                                    "frequency_nominal_hz", float),
     )
     gens = []
-    for i, g in enumerate(_get(data, "generators", "")):
+    for i, g in enumerate(_get(data, "generators", "", list)):
         where = f"generators[{i}]."
+        g = require_json_type(g, f"generators[{i}]", dict)
         gens.append(GeneratorRelay(
-            id=str(_get(g, "id", where)),
-            bus=str(_get(g, "bus", where)),
-            p_tg=_get(g, "p_tg_pu", where),
-            rocof_threshold=_get(g, "rocof_thresh_hz_per_s", where),
+            id=_get(g, "id", where, str),
+            bus=_get(g, "bus", where, str),
+            p_tg=_get(g, "p_tg_pu", where, float),
+            rocof_threshold=_get(g, "rocof_thresh_hz_per_s", where, float),
         ))
     loads = []
-    for i, l in enumerate(_get(data, "loads", "")):
+    for i, l in enumerate(_get(data, "loads", "", list)):
         where = f"loads[{i}]."
+        l = require_json_type(l, f"loads[{i}]", dict)
         loads.append(LoadRelay(
-            id=str(_get(l, "id", where)),
-            bus=str(_get(l, "bus", where)),
-            p_sh=_get(l, "p_sh_pu", where),
-            underfreq_threshold=_get(l, "underfreq_thresh_hz", where),
+            id=_get(l, "id", where, str),
+            bus=_get(l, "bus", where, str),
+            p_sh=_get(l, "p_sh_pu", where, float),
+            underfreq_threshold=_get(l, "underfreq_thresh_hz", where, float),
         ))
-    a = _get(data, "attacker", "")
+    a = _get(data, "attacker", "", dict)
     cap = AttackerCapability(
-        toi=_get(a, "toi", "attacker."),
-        ad=_get(a, "ad", "attacker."),
-        der_total=_get(a, "der_total_pu", "attacker."),
-        kappa=a.get("kappa", 1.0),
+        toi=_get(a, "toi", "attacker.", float),
+        ad=_get(a, "ad", "attacker.", float),
+        der_total=_get(a, "der_total_pu", "attacker.", float),
+        kappa=require_json_type(a.get("kappa", 1.0), "attacker.kappa", float),
     )
     return validate_config(GridConfig(params, tuple(gens), tuple(loads), cap))
 

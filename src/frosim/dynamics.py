@@ -30,6 +30,14 @@ Per step ``n`` the evaluation order is fixed:
    relay totals;
 5. push ``df[n+1]`` into the history window.
 
+:func:`simulate_step` is the fused kernel that every replay runs: one
+function with the relay loops and both recursions inlined, which allocates a
+new latch tuple or event only when a relay newly operates.
+:func:`eval_ls_relays`, :func:`rocof`, :func:`eval_rocof_relays`,
+:func:`governor_step` and :func:`frequency_step` are the reference equations,
+one per stage; composed in the order above they give the kernel's states and
+records bit for bit, and the tests hold the kernel to that.
+
 Identical inputs produce bit-identical traces.
 """
 
@@ -103,8 +111,7 @@ class SimOptions:
 DEFAULT_OPTIONS = SimOptions()
 
 
-@dataclass(frozen=True)
-class SystemState:
+class SystemState(NamedTuple):
     """Dynamic state at the start of step ``n``.
 
     ``freq_history`` holds the last (at most M+1) per-unit frequency
@@ -264,73 +271,96 @@ class StepRecord(NamedTuple):
     events: tuple[RelayEvent, ...]
 
 
+_new_tuple = tuple.__new__
+
+
 def simulate_step(
     state: SystemState,
     config: GridConfig,
     attack: AttackSignal,
     options: SimOptions = DEFAULT_OPTIONS,
 ) -> tuple[SystemState, StepRecord]:
-    """Advance one step; return the successor state and this step's record."""
+    """Advance one step; return the successor state and this step's record.
+
+    This is the fused kernel: it follows the module's evaluation order with
+    the arithmetic of :func:`eval_ls_relays`, :func:`rocof`,
+    :func:`eval_rocof_relays`, :func:`governor_step` and
+    :func:`frequency_step` inlined, the same floating-point operations in the
+    same order, so its states and records equal theirs bit for bit.  A step
+    on which no relay newly operates shares the incoming latch tuples and
+    records ``events=()``.
+    """
+    (n, delta_f, dp_gov, dp_sh_cum, dp_tg_cum,
+     history, gen_latches, load_latches) = state
     params = config.params
-    f_hz = params.f_nominal * (1.0 + state.delta_f)
+    f_nominal = params.f_nominal
+    dt = params.dt
+    m = params.rocof_window_m
+    accumulate = options.literal_accumulation
+    events = ()
 
-    ls = eval_ls_relays(
-        f_hz, state.load_latches, config.loads,
-        literal_accumulation=options.literal_accumulation,
-    )
-    dp_sh_next = state.dp_sh_cum + ls.increment
+    # 1-2. load shedding against f[n]
+    f_hz = f_nominal * (1.0 + delta_f)
+    shed = 0.0
+    for i, relay in enumerate(config.loads):
+        if f_hz <= relay.underfreq_threshold:
+            if not load_latches[i]:
+                load_latches = load_latches[:i] + (True,) + load_latches[i + 1:]
+                events += (RelayEvent(n, relay.id, EventKind.LS_SHED),)
+                shed += relay.p_sh
+            elif accumulate:
+                shed += relay.p_sh
+    dp_sh_next = dp_sh_cum + shed
 
-    slope = rocof(state.freq_history, params)
-    rc = eval_rocof_relays(
-        slope, state.gen_latches, config.generators,
-        literal_accumulation=options.literal_accumulation,
-    )
-    dp_tg_next = state.dp_tg_cum + rc.increment
+    # 3. ROCOF against the windowed slope, once M+1 samples exist
+    tripped = 0.0
+    if len(history) < m + 1:
+        slope = None
+    else:
+        slope = (history[-1] - history[-1 - m]) * f_nominal / (m * dt)
+        magnitude = abs(slope)
+        for i, relay in enumerate(config.generators):
+            if magnitude >= relay.rocof_threshold:
+                if not gen_latches[i]:
+                    gen_latches = gen_latches[:i] + (True,) + gen_latches[i + 1:]
+                    events += (RelayEvent(n, relay.id, EventKind.ROCOF_TRIP),)
+                    tripped += relay.p_tg
+                elif accumulate:
+                    tripped += relay.p_tg
+    dp_tg_next = dp_tg_cum + tripped
 
-    events = tuple(
-        [RelayEvent(state.n, config.loads[i].id, EventKind.LS_SHED) for i in ls.fired]
-        + [RelayEvent(state.n, config.generators[i].id, EventKind.ROCOF_TRIP) for i in rc.fired]
-    )
-
-    h_effective = None
+    # 4. governor and frequency recursions on the updated relay totals
+    h = params.h_inertia
     if options.rescale_inertia:
         total = sum(g.p_tg for g in config.generators)
         share = (total - dp_tg_next) / total if total > 0 else 1.0
-        h_effective = params.h_inertia * max(share, _H_RESCALE_FLOOR)
-
-    dp_a_effective = attack.dp_a if state.n >= attack.attack_step else 0.0
-    gov_next = governor_step(state, params)
-    df_next = frequency_step(
-        state, params, dp_a_effective, dp_tg_next, dp_sh_next,
-        literal_signs=options.literal_signs, h_effective=h_effective,
+        h = h * max(share, _H_RESCALE_FLOOR)
+    governor_t = params.governor_t
+    droop_r = params.droop_r
+    dp_a = attack.dp_a if n >= attack.attack_step else 0.0
+    gov_next = dp_gov + (dt / governor_t) * (-delta_f / droop_r - dp_gov)
+    df_next = (dt / (4.0 * h)) * (
+        dp_gov * (2.0 - dt / governor_t)
+        - 2.0 * dp_a
+        - delta_f * (dt / (droop_r * governor_t) - 4.0 * h / dt)
+        - dp_tg_next
+        + (-dp_sh_next if options.literal_signs else dp_sh_next)
     )
 
-    history = state.freq_history + (df_next,)
-    if len(history) > params.rocof_window_m + 1:
-        history = history[-(params.rocof_window_m + 1):]
+    # 5. keep the last M+1 deviations
+    if len(history) > m:
+        history = history[-m:] + (df_next,)
+    else:
+        history = history + (df_next,)
 
-    record = StepRecord(
-        n=state.n,
-        t_s=state.n * params.dt,
-        delta_f=state.delta_f,
-        f_hz=f_hz,
-        rocof_hz_per_s=slope,
-        dp_gov=state.dp_gov,
-        dp_sh_cum=dp_sh_next,
-        dp_tg_cum=dp_tg_next,
-        events=events,
+    # tuple.__new__ fills the named tuples without the frame of their
+    # generated __new__, as their _make does
+    return (
+        _new_tuple(SystemState, (n + 1, df_next, gov_next, dp_sh_next,
+                                 dp_tg_next, history, gen_latches, load_latches)),
+        _new_tuple(StepRecord, (n, n * dt, delta_f, f_hz, slope, dp_gov,
+                                dp_sh_next, dp_tg_next, events)),
     )
-    next_state = SystemState(
-        n=state.n + 1,
-        delta_f=df_next,
-        dp_gov=gov_next,
-        dp_sh_cum=dp_sh_next,
-        dp_tg_cum=dp_tg_next,
-        freq_history=history,
-        gen_latches=rc.latches,
-        load_latches=ls.latches,
-    )
-    return next_state, record
 
 
 TRACE_CSV_HEADER = "n,t_s,f_hz,rocof_hz_per_s,dp_gov_pu,dp_sh_cum_pu,dp_tg_cum_pu,events"

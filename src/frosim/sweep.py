@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-import math
 import numbers
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +19,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .config import GridConfig, validate_config, with_capability, with_dynamics
+from .config import (
+    GridConfig,
+    is_finite_real,
+    validate_config,
+    with_capability,
+    with_dynamics,
+)
 from .dynamics import EventKind
 from .errors import FrosimError, InvalidParameter
 from .synth import RECORD_DIGITS, AttackGoal, AttackVector, synthesize_min_attack
@@ -33,8 +38,11 @@ DEFAULT_TOI_PCT_VALUES = (2.0, 4.0, 6.0, 8.0, 10.0)
 DEFAULT_AD_PCT_VALUES = (20.0, 40.0, 60.0, 80.0, 100.0)
 
 SWEEP_CSV_HEADER = (
-    "combo_id,h_s,r_pu,t_s,toi_pct,ad_pct,success,attack_type,min_dp_a_pu,trip_step"
+    "combo_id,h_s,r_pu,t_s,toi_pct,ad_pct,success,attack_type,min_dp_a_pu,"
+    "trip_step,status"
 )
+# Records written before the status column existed; read with status "ok".
+_SWEEP_CSV_HEADER_NO_STATUS = SWEEP_CSV_HEADER.rsplit(",", 1)[0]
 
 #: Expected trend direction per parameter: success counts should not rise
 #: with inertia or droop, and should not fall with the governor time
@@ -67,10 +75,6 @@ class AttackType(enum.Enum):
     NONE = "NONE"
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep and how.
@@ -96,7 +100,7 @@ class SweepSpec:
                      "toi_pct_values", "ad_pct_values"):
             vals = getattr(self, name)
             if not (isinstance(vals, Sequence) and all(
-                    _is_real(v) and math.isfinite(v) for v in vals)):
+                    is_finite_real(v) for v in vals)):
                 raise InvalidParameter(
                     name, "must be a list of finite numbers", vals)
             vals = tuple(vals)
@@ -110,7 +114,7 @@ class SweepSpec:
         if self.mode is SweepMode.RANDOM and (self.count is None or self.count < 1):
             raise InvalidParameter("count", "RANDOM mode requires count >= 1",
                                    self.count)
-        if not (_is_real(self.tolerance) and 0 < self.tolerance < math.inf):
+        if not (is_finite_real(self.tolerance) and self.tolerance > 0):
             raise InvalidParameter("tolerance", "must be finite and > 0",
                                    self.tolerance)
 
@@ -256,11 +260,19 @@ class HTypeSplit:
 
 @dataclass(frozen=True)
 class TrendReport:
+    """Trend verdicts over the ``ok`` records.
+
+    ``total_records`` counts every record; ``excluded_records`` counts those
+    whose synthesis failed (status other than ``ok``), which the buckets and
+    the H split leave out.
+    """
+
     total_records: int
     total_successes: int
     slack: float
     parameters: dict[str, ParameterTrend]
     h_type_split: tuple[HTypeSplit, ...] = field(default_factory=tuple)
+    excluded_records: int = 0
 
 
 def _direction_verdict(rates: Sequence[float], slack: float) -> str:
@@ -291,10 +303,13 @@ def trend_report(records: Sequence[SweepRecord], slack: float = 0.02) -> TrendRe
     of bucket success rates with an absolute slack band (default two
     percentage points), since the studied relationships are trends rather
     than strict orderings.  A parameter with fewer than two distinct values
-    gets the verdict "insufficient buckets".
+    gets the verdict "insufficient buckets".  Records whose status is not
+    ``ok`` failed to synthesize; they are counted as excluded and kept out of
+    the buckets, where they would read as "no attack".
     """
     if not records:
         raise InvalidParameter("records", "must be nonempty", 0)
+    counted = [r for r in records if r.status == "ok"]
     getters = {
         "h_s": lambda r: r.h,
         "r_pu": lambda r: r.r,
@@ -305,7 +320,7 @@ def trend_report(records: Sequence[SweepRecord], slack: float = 0.02) -> TrendRe
     parameters = {}
     for name, get in getters.items():
         grouped: dict[float, list[SweepRecord]] = {}
-        for rec in records:
+        for rec in counted:
             grouped.setdefault(get(rec), []).append(rec)
         buckets = tuple(
             TrendBucket(v, len(rs), sum(1 for r in rs if r.success))
@@ -318,8 +333,8 @@ def trend_report(records: Sequence[SweepRecord], slack: float = 0.02) -> TrendRe
         parameters[name] = ParameterTrend(name, expected, buckets, verdict, matches)
 
     split = []
-    for h in sorted({r.h for r in records}):
-        rs = [r for r in records if r.h == h]
+    for h in sorted({r.h for r in counted}):
+        rs = [r for r in counted if r.h == h]
         split.append(HTypeSplit(
             h=h,
             rocof=sum(1 for r in rs if r.attack_type is AttackType.ROCOF),
@@ -332,6 +347,7 @@ def trend_report(records: Sequence[SweepRecord], slack: float = 0.02) -> TrendRe
         slack=slack,
         parameters=parameters,
         h_type_split=tuple(split),
+        excluded_records=len(records) - len(counted),
     )
 
 
@@ -339,6 +355,7 @@ def trend_report_dict(report: TrendReport) -> dict:
     return {
         "total_records": report.total_records,
         "total_successes": report.total_successes,
+        "excluded_records": report.excluded_records,
         "slack": report.slack,
         "parameters": {
             name: {
@@ -383,22 +400,29 @@ def write_records_csv(records: Sequence[SweepRecord], path) -> None:
                 r.attack_type.value,
                 "" if r.min_dp_a is None else _fmt(r.min_dp_a),
                 "" if r.trip_step is None else str(r.trip_step),
+                r.status,
             ]) + "\n")
 
 
 def read_records_csv(path) -> list[SweepRecord]:
-    """Parse a sweep CSV back into records (for the report stage)."""
+    """Parse a sweep CSV back into records (for the report stage).
+
+    A file with the older header, which lacks the ``status`` column, reads
+    with status ``ok`` on every record.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
-        raise InvalidParameter("records", "missing or wrong header",
-                               lines[0] if lines else "")
+    header = lines[0] if lines else ""
+    if header not in (SWEEP_CSV_HEADER, _SWEEP_CSV_HEADER_NO_STATUS):
+        raise InvalidParameter("records", "missing or wrong header", header)
     if len(lines) < 2:
         raise InvalidParameter("records", "no data rows", 0)
+    has_status = header == SWEEP_CSV_HEADER
     records = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 10:
+        status = parts[-1] if has_status else "ok"
+        if len(parts) != 10 + has_status or not status:
             raise InvalidParameter("records", "malformed row", ln)
         try:
             records.append(SweepRecord(
@@ -409,6 +433,7 @@ def read_records_csv(path) -> list[SweepRecord]:
                 attack_type=AttackType(parts[7]),
                 min_dp_a=float(parts[8]) if parts[8] else None,
                 trip_step=int(parts[9]) if parts[9] else None,
+                status=status,
             ))
         except (ValueError, KeyError) as exc:
             raise InvalidParameter("records", f"malformed row: {exc}", ln) from exc

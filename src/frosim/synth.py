@@ -419,8 +419,10 @@ def synthesize_min_attack(
     Other goals bisect, to *tolerance*, between the largest known-infeasible
     and smallest known-feasible magnitudes, seeded by
     :func:`probe_monotonicity`, and raise :class:`NonMonotoneFeasibility`
-    when the probe shows the success set is not an up-set; use
-    :func:`exhaustive_min_attack` then.
+    when the success set is seen not to be an up-set: in the probe, or when
+    the answer less one *tolerance* still meets the goal in an allowed
+    direction (a gap narrower than the probe spacing, which bisection can
+    step over); use :func:`exhaustive_min_attack` then.
 
     When the goal allows either direction both are searched and the smaller
     magnitude wins, ties broken toward the positive direction.
@@ -449,8 +451,17 @@ def synthesize_min_attack(
             else:
                 lo = mid
         candidates.append((hi, direction))
-    return _smallest_first(candidates, lambda m, d: (
+    best = _smallest_first(candidates, lambda m, d: (
         feasibility(config, d * m, goal, options), m))
+    if best.success:
+        below = abs(best.vector.dp_a) - tolerance
+        if below > 0 and any(_is_feasible(config, d * below, goal, options)
+                             for d in goal.directions()):
+            raise NonMonotoneFeasibility(
+                f"the goal is also met at magnitude {below!r}, one tolerance "
+                "below the bisected answer; bisection declined"
+            )
+    return best
 
 
 def exhaustive_min_attack(

@@ -38,6 +38,41 @@ def config_dict(h=2.0, r=0.2, t=0.2, toi=0.02, ad=0.2, kappa=60.0,
     }
 
 
+def with_value(data, path, value):
+    """A copy of *data* with the value at *path* (keys and list indices)
+    replaced by *value*."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+# Grid-config fields set to a value of the wrong JSON type or a non-finite
+# number; each must exit 2, never 1 ("no attack exists").
+BAD_CONFIG_VALUES = [
+    (("inertia_h_s",), "2"),
+    (("generators", 0, "p_tg_pu"), "1"),
+    (("droop_r_pu",), True),
+    (("rocof_window_m",), None),
+    (("governor_t_s",), float("nan")),
+    (("dt_s",), float("inf")),
+    (("inertia_h_s",), 10 ** 400),  # an integer no float holds
+    (("loads", 1, "underfreq_thresh_hz"), float("-inf")),
+    (("frequency_nominal_hz",), [60.0]),
+    (("attacker", "kappa"), "1"),
+    (("attacker", "toi"), {"value": 0.02}),
+    (("generators",), {"id": "g4"}),
+    (("loads",), "l1"),
+    (("generators", 1), "g5"),
+    (("loads", 0), ["l1"]),
+    (("attacker",), [0.02, 0.2, 1.5]),
+    (("generators", 2, "id"), 1),
+]
+BAD_CONFIG_IDS = ["/".join(map(str, p)) + f"={v!r:.12}" for p, v in BAD_CONFIG_VALUES]
+
+
 @pytest.fixture
 def config_file(tmp_path):
     p = tmp_path / "grid.json"
@@ -160,6 +195,16 @@ class TestSynthesize:
         assert f"error: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("path,value", BAD_CONFIG_VALUES, ids=BAD_CONFIG_IDS)
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, path, value):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(with_value(config_dict(), path, value)))
+        out = tmp_path / "r.json"
+        assert run(["synthesize", "--config", str(cfg), "--horizon", "12",
+                    "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("exhaustive", [False, True])
     @pytest.mark.parametrize("target", ["any", "rocof", "ls", "specific"])
     def test_horizon_shorter_than_rocof_window_exits_2(
@@ -248,12 +293,30 @@ class TestSweep:
         for over in [{"tolerance": "1e-4"}, {"h_s": 5}, {"h_s": ["2"]},
                      {"r_pu": [True]}, {"t_s": [float("nan")]},
                      {"mode": "random", "count": "20"},
-                     {"mode": "random", "count": 20.0}]:
+                     {"mode": "random", "count": 20.0},
+                     {"goal": {"horizon": "12"}}, {"goal": {"horizon": True}},
+                     {"goal": {"horizon": 12, "attack_step": "0"}},
+                     {"goal": {"horizon": 12, "attack_step": 1.0}},
+                     {"goal": {"horizon": 12, "target": "specific",
+                               "relay_id": 4}},
+                     {"goal": [1]}, {"goal": "any"},
+                     {"seed": "1"}, {"seed": 1.5}, {"seed": False},
+                     {"h_s": [10 ** 400]}, {"tolerance": 10 ** 400},
+                     {"mode": "random", "count": 20, "seed": "1"}]:
             capsys.readouterr()
             spec = self.spec_file(tmp_path, **over)
             assert run(["sweep", "--spec", str(spec),
                         "--out", str(tmp_path / "o.csv")]) == 2, over
             assert "error: bad sweep spec" in capsys.readouterr().err, over
+
+    @pytest.mark.parametrize("path,value", BAD_CONFIG_VALUES, ids=BAD_CONFIG_IDS)
+    def test_mistyped_base_config_exits_2(self, tmp_path, capsys, path, value):
+        spec = self.spec_file(
+            tmp_path, base_config=with_value(config_dict(kappa=2.0), path, value))
+        assert run(["sweep", "--spec", str(spec), "--workers", "1",
+                    "--out", str(tmp_path / "o.csv")]) == 2
+        assert "error: bad sweep spec" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unwritable_out_exits_3(self, tmp_path):
         spec = self.spec_file(tmp_path)
@@ -279,6 +342,25 @@ class TestReport:
         report = json.loads(out.read_text())
         assert report["total_records"] == 60
         assert (tmp_path / "csv" / "trend_toi_pct.csv").exists()
+
+    def test_failed_combinations_are_excluded_and_reported(self, tmp_path, capsys):
+        # H = 0 is invalid, so those four cells fail to synthesize
+        spec = TestSweep().spec_file(tmp_path, h_s=[0.0, 2.0])
+        records = tmp_path / "records.csv"
+        assert run(["sweep", "--spec", str(spec), "--out", str(records),
+                    "--workers", "1"]) == 0
+        rows = [ln.split(",") for ln in records.read_text().splitlines()[1:]]
+        assert sorted(r[-1] for r in rows if r[1] == "0") == ["InvalidParameter"] * 4
+        capsys.readouterr()
+        out = tmp_path / "trend.json"
+        assert run(["report", "--records", str(records), "--out", str(out)]) == 0
+        assert "8 records, 3 successes, 4 excluded" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["total_records"] == 8
+        assert report["excluded_records"] == 4
+        h = report["parameters"]["h_s"]["buckets"]
+        assert [b["value"] for b in h] == [2.0] and h[0]["records"] == 4
+        assert [s["h_s"] for s in report["h_attack_type_split"]] == [2.0]
 
     def test_empty_records_exits_2(self, tmp_path):
         p = tmp_path / "records.csv"

@@ -1,5 +1,6 @@
 """Dynamics engine: recursions, relay evaluation, stepping, traces."""
 
+import itertools
 import math
 import random
 
@@ -24,10 +25,11 @@ from frosim import (
     simulate_step,
     write_trace_csv,
 )
-from frosim.dynamics import TRACE_CSV_HEADER
+from frosim.dynamics import TRACE_CSV_HEADER, RelayEvent, StepRecord
 from conftest import (
     C1_GENERATORS,
     C1_LOADS,
+    random_small_config,
     relays_disabled_config,
     study_config,
 )
@@ -230,6 +232,106 @@ class TestSimulateStep:
         for _ in range(20):
             state, _ = simulate_step(state, cfg, AttackSignal(0.01))
             assert len(state.freq_history) <= cfg.params.rocof_window_m + 1
+
+
+def reference_step(state, config, attack, options=SimOptions()):
+    """One step composed from the reference equations, in the documented
+    evaluation order; ``simulate_step`` must equal it bit for bit."""
+    params = config.params
+    f_hz = params.f_nominal * (1.0 + state.delta_f)
+
+    ls = eval_ls_relays(
+        f_hz, state.load_latches, config.loads,
+        literal_accumulation=options.literal_accumulation,
+    )
+    dp_sh_next = state.dp_sh_cum + ls.increment
+
+    slope = rocof(state.freq_history, params)
+    rc = eval_rocof_relays(
+        slope, state.gen_latches, config.generators,
+        literal_accumulation=options.literal_accumulation,
+    )
+    dp_tg_next = state.dp_tg_cum + rc.increment
+
+    events = tuple(
+        [RelayEvent(state.n, config.loads[i].id, EventKind.LS_SHED) for i in ls.fired]
+        + [RelayEvent(state.n, config.generators[i].id, EventKind.ROCOF_TRIP)
+           for i in rc.fired]
+    )
+
+    h_effective = None
+    if options.rescale_inertia:
+        total = sum(g.p_tg for g in config.generators)
+        share = (total - dp_tg_next) / total if total > 0 else 1.0
+        h_effective = params.h_inertia * max(share, 0.01)
+
+    dp_a_effective = attack.dp_a if state.n >= attack.attack_step else 0.0
+    gov_next = governor_step(state, params)
+    df_next = frequency_step(
+        state, params, dp_a_effective, dp_tg_next, dp_sh_next,
+        literal_signs=options.literal_signs, h_effective=h_effective,
+    )
+
+    history = state.freq_history + (df_next,)
+    if len(history) > params.rocof_window_m + 1:
+        history = history[-(params.rocof_window_m + 1):]
+
+    record = StepRecord(
+        n=state.n, t_s=state.n * params.dt, delta_f=state.delta_f, f_hz=f_hz,
+        rocof_hz_per_s=slope, dp_gov=state.dp_gov, dp_sh_cum=dp_sh_next,
+        dp_tg_cum=dp_tg_next, events=events,
+    )
+    next_state = SystemState(
+        n=state.n + 1, delta_f=df_next, dp_gov=gov_next,
+        dp_sh_cum=dp_sh_next, dp_tg_cum=dp_tg_next, freq_history=history,
+        gen_latches=rc.latches, load_latches=ls.latches,
+    )
+    return next_state, record
+
+
+ALL_OPTIONS = [SimOptions(*flags)
+               for flags in itertools.product((False, True), repeat=3)]
+
+
+class TestFusedKernel:
+    STEPS = 240
+
+    @staticmethod
+    def grids():
+        rng = random.Random(505)
+        return [study_config()] + [random_small_config(rng) for _ in range(4)]
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_lockstep_with_reference_equations(self, options):
+        fired = sustained = 0
+        for cfg, attack_step, sign, mag in itertools.product(
+                self.grids(), (0, 5), (1, -1), (0.02, 0.3, 1.5)):
+            attack = AttackSignal(sign * mag, attack_step)
+            ref = got = initial_state(cfg)
+            for _ in range(self.STEPS):
+                ref, ref_rec = reference_step(ref, cfg, attack, options)
+                got, rec = simulate_step(got, cfg, attack, options)
+                for name in SystemState._fields:
+                    assert getattr(got, name) == getattr(ref, name), name
+                for name in StepRecord._fields:
+                    assert getattr(rec, name) == getattr(ref_rec, name), name
+                # repr also tells -0.0 from 0.0, which == does not
+                assert repr((got, rec)) == repr((ref, ref_rec))
+                fired += len(rec.events)
+            blocks = (sum(l.p_sh for l in cfg.loads)
+                      + sum(g.p_tg for g in cfg.generators))
+            sustained += got.dp_sh_cum + got.dp_tg_cum > blocks + 1e-9
+        assert fired > 0
+        # literal accumulation re-adds blocks past their one-time total
+        assert bool(sustained) == options.literal_accumulation
+
+    def test_quiet_step_shares_latches_and_records_no_events(self):
+        cfg = study_config()
+        state = initial_state(cfg)
+        nxt, rec = simulate_step(state, cfg, AttackSignal(0.001))
+        assert rec.events == ()
+        assert nxt.gen_latches is state.gen_latches
+        assert nxt.load_latches is state.load_latches
 
 
 class TestSimulate:

@@ -198,6 +198,19 @@ class TestTrendReport:
         with pytest.raises(InvalidParameter):
             trend_report([])
 
+    def test_non_ok_records_are_counted_not_bucketed(self):
+        records = run_sweep(small_spec(h_values=(0.0, 2.0)))
+        report = trend_report(records)
+        bad = sum(r.status != "ok" for r in records)
+        assert bad == 4
+        assert report.total_records == len(records)
+        assert report.excluded_records == bad
+        assert [b.value for b in report.parameters["h_s"].buckets] == [2.0]
+        for trend in report.parameters.values():
+            assert sum(b.records for b in trend.buckets) == len(records) - bad
+        assert [s.h for s in report.h_type_split] == [2.0]
+        assert trend_report_dict(report)["excluded_records"] == bad
+
     def test_h_type_split_counts(self):
         records = synthetic_records({2.0: [True, False], 6.0: [True]})
         split = {s.h: s for s in trend_report(records).h_type_split}
@@ -244,6 +257,28 @@ class TestFiles:
             assert out.success, rec
             assert classify_attack(out.vector) is rec.attack_type
             assert out.vector.outcome.trip_step == rec.trip_step
+
+    def test_status_column_round_trips(self, tmp_path):
+        records = run_sweep(small_spec(h_values=(0.0, 2.0)))
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        assert path.read_text().splitlines()[1].endswith(",InvalidParameter")
+        back = read_records_csv(path)
+        assert [r.status for r in back] == [r.status for r in records]
+        assert {r.status for r in back} == {"ok", "InvalidParameter"}
+
+    def test_header_without_status_reads_ok(self, tmp_path):
+        records = run_sweep(small_spec())
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        old = [ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
+        assert old[0] == ("combo_id,h_s,r_pu,t_s,toi_pct,ad_pct,success,"
+                          "attack_type,min_dp_a_pu,trip_step")
+        path.write_text("\n".join(old) + "\n")
+        back = read_records_csv(path)
+        assert len(back) == len(records)
+        assert all(r.status == "ok" for r in back)
+        assert [r.success for r in back] == [r.success for r in records]
 
     def test_read_rejects_wrong_header(self, tmp_path):
         p = tmp_path / "bad.csv"

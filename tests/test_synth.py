@@ -234,6 +234,32 @@ class TestSynthesizeMinAttack:
         with pytest.raises(NonMonotoneFeasibility):
             synthesize_min_attack(cfg, goal)
 
+    def test_gap_narrower_than_the_probe_is_refused(self):
+        # shedding lA near the horizon makes a rebound steep enough to trip
+        # gA at step 60 on about [0.01482, 0.01489] and again from about
+        # 0.01498; the 17-point probe (spacing 0.002) sees an up-set and
+        # bisection lands above the gap, where one tolerance lower still
+        # trips gA
+        cfg = validate_config(GridConfig(
+            GridParams(h_inertia=0.5946544920385339,
+                       droop_r=0.7303595585743459,
+                       governor_t=0.6441702874234793),
+            (GeneratorRelay("gA", "b1", 0.6746155477314216, 0.9815112915367007),
+             GeneratorRelay("gB", "b2", 1.005844243656564, 1.0845440462506284)),
+            (LoadRelay("lA", "b3", 0.3298253477018722, 59.40300825133899),),
+            AttackerCapability(toi=0.07235790415689941,
+                               ad=0.42829947024744847, der_total=1.5,
+                               kappa=0.684839101903469),
+        ))
+        goal = AttackGoal(horizon=60, target_kind=TargetKind.SPECIFIC,
+                          specific_relay_id="gA")
+        assert probe_monotonicity(cfg, goal).monotone
+        with pytest.raises(NonMonotoneFeasibility, match="one tolerance below"):
+            synthesize_min_attack(cfg, goal)
+        out = exhaustive_min_attack(cfg, goal)
+        assert out.success
+        assert not feasibility(cfg, out.vector.dp_a - 1e-4, goal).success
+
     def test_tolerance_precondition(self):
         with pytest.raises(ValueError):
             synthesize_min_attack(study_config(), AttackGoal(horizon=12),
