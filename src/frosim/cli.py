@@ -6,8 +6,9 @@ Subcommands: ``simulate`` (run one injection, write the trace CSV),
 (aggregate a records CSV into trend outputs).
 
 Exit codes are a stable contract: 0 success, 1 no attack exists, 2 bad
-configuration or spec, 3 output I/O failure, 4 bisection declined
-(non-monotone feasibility without ``--exhaustive``).
+configuration, spec or flag (including a ``--relay-id`` that names no relay
+of the grid and a ``--workers`` outside 1..cpu count), 3 output I/O failure,
+4 bisection declined (non-monotone feasibility without ``--exhaustive``).
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
 logging verbosity.
@@ -16,17 +17,21 @@ logging verbosity.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
+from . import __version__
 from .config import config_from_dict, load_config, require_json_type
 from .dynamics import AttackSignal, SimOptions, simulate, write_trace_csv
 from .errors import FrosimError, InvalidParameter, NonMonotoneFeasibility
 from .sweep import (
+    AttackType,
     SweepMode,
     SweepSpec,
     run_sweep,
@@ -39,6 +44,7 @@ from .synth import (
     AttackGoal,
     Sign,
     TargetKind,
+    check_relay_id,
     exhaustive_min_attack,
     synthesis_result_dict,
     synthesize_min_attack,
@@ -113,6 +119,7 @@ def cmd_synthesize(args) -> int:
     try:
         config = load_config(args.config)
         goal = _goal_from_args(args)
+        check_relay_id(config, goal)
         tolerance = parse_quantity(args.tolerance, config.params.f_nominal)
         if not 0 < tolerance < math.inf:
             raise InvalidParameter("--tolerance", "must be finite and > 0",
@@ -159,9 +166,10 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def _spec_from_file(path, seed_override=None) -> SweepSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = require_json_type(json.load(fh), "spec", dict)
+def _spec_from_file(path, seed_override=None) -> tuple[SweepSpec, str]:
+    """The spec in the JSON file at *path*, and the sha256 of its bytes."""
+    raw = Path(path).read_bytes()
+    data = require_json_type(json.loads(raw.decode("utf-8")), "spec", dict)
     if "base_config_file" in data:
         name = require_json_type(data["base_config_file"], "base_config_file", str)
         base = load_config(Path(path).parent / name)
@@ -187,7 +195,7 @@ def _spec_from_file(path, seed_override=None) -> SweepSpec:
             kwargs[field_name] = data[json_key]
     seed = seed_override if seed_override is not None else data.get("seed", 0)
     require_json_type(seed, "seed", int)
-    return SweepSpec(
+    spec = SweepSpec(
         base=base,
         goal=goal,
         mode=SweepMode(data.get("mode", "cartesian")),
@@ -196,15 +204,22 @@ def _spec_from_file(path, seed_override=None) -> SweepSpec:
         tolerance=data.get("tolerance", 1e-4),
         **kwargs,
     )
+    return spec, hashlib.sha256(raw).hexdigest()
 
 
 def cmd_sweep(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        print(f"error: --workers must be in 1..{cpus} (got {args.workers})",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        spec = _spec_from_file(args.spec, args.seed)
+        spec, spec_sha256 = _spec_from_file(args.spec, args.seed)
     except (FrosimError, OSError, ValueError, KeyError) as exc:
         print(f"error: bad sweep spec: {exc!r}", file=sys.stderr)
         return EXIT_CONFIG
     records = run_sweep(spec, workers=args.workers)
+    status_counts = Counter(r.status for r in records)
     try:
         write_records_csv(records, args.out)
         with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as fh:
@@ -213,17 +228,19 @@ def cmd_sweep(args) -> int:
                 "count": len(records),
                 "seed": spec.seed,
                 "tolerance": spec.tolerance,
+                "workers": args.workers,
+                "frosim_version": __version__,
+                "spec_sha256": spec_sha256,
+                "status_counts": dict(sorted(status_counts.items())),
             }, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         print(f"error writing {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     successes = sum(1 for r in records if r.success)
-    by_type: dict[str, int] = {}
-    for r in records:
-        by_type[r.attack_type.value] = by_type.get(r.attack_type.value, 0) + 1
+    by_type = Counter(r.attack_type for r in records)
     print(f"{len(records)} combinations, {successes} successful "
-          f"({by_type.get('ROCOF', 0)} ROCOF, {by_type.get('LS', 0)} LS); "
+          f"({by_type[AttackType.ROCOF]} ROCOF, {by_type[AttackType.LS]} LS); "
           f"mode={spec.mode.value} seed={spec.seed}")
     return EXIT_OK
 

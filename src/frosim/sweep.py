@@ -2,9 +2,14 @@
 
 Each combination instantiates the base grid with its dynamic parameters and
 attacker capability, runs minimal-attack synthesis, and records the outcome.
-Combinations are independent work items; runs are reproducible because the
-random mode draws from a seeded generator and records are always ordered by
-combination id regardless of how many workers executed them.
+Combinations that share (H, R, T) differ only in the capability bound, so
+they run together and share one replay memo: the ``ANY`` goal's closed-form
+starts are computed once per (H, R, T), and a magnitude is replayed once per
+(H, R, T) however many bounds reach it.  The memo is dropped when its group
+ends.  A replay reads no capability, so every record is the one a lone
+synthesis gives.  Runs are reproducible because the random mode draws from a
+seeded generator and records are always ordered by combination id
+regardless of how many workers executed them.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 import numbers
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +34,13 @@ from .config import (
 )
 from .dynamics import EventKind
 from .errors import FrosimError, InvalidParameter
-from .synth import RECORD_DIGITS, AttackGoal, AttackVector, synthesize_min_attack
+from .synth import (
+    RECORD_DIGITS,
+    AttackGoal,
+    AttackVector,
+    check_relay_id,
+    synthesize_min_attack,
+)
 
 # Default value grids for the five studied parameters.
 DEFAULT_H_VALUES = (2.0, 4.0, 6.0, 8.0, 10.0)
@@ -81,6 +93,7 @@ class SweepSpec:
 
     The base config supplies everything not swept: rosters, the DER total
     and calibration factor, step size, window length, and nominal frequency.
+    A ``SPECIFIC`` goal must name one of its relays.
     """
 
     base: GridConfig
@@ -117,6 +130,7 @@ class SweepSpec:
         if not (is_finite_real(self.tolerance) and self.tolerance > 0):
             raise InvalidParameter("tolerance", "must be finite and > 0",
                                    self.tolerance)
+        check_relay_id(self.base, self.goal)
 
 
 def generate_combinations(spec: SweepSpec) -> list[Combo]:
@@ -169,7 +183,8 @@ def classify_attack(vector: Optional[AttackVector]) -> AttackType:
     return AttackType.ROCOF if first.kind is EventKind.ROCOF_TRIP else AttackType.LS
 
 
-def _run_combo(spec: SweepSpec, combo_id: int, combo: Combo) -> SweepRecord:
+def _run_combo(spec: SweepSpec, combo_id: int, combo: Combo,
+               replays: dict) -> SweepRecord:
     try:
         config = with_dynamics(
             spec.base, h_inertia=combo.h, droop_r=combo.r, governor_t=combo.t,
@@ -179,6 +194,7 @@ def _run_combo(spec: SweepSpec, combo_id: int, combo: Combo) -> SweepRecord:
         )
         outcome = synthesize_min_attack(
             validate_config(config), spec.goal, spec.tolerance,
+            _replays=replays,
         )
     except FrosimError as exc:
         return SweepRecord(
@@ -198,30 +214,46 @@ def _run_combo(spec: SweepSpec, combo_id: int, combo: Combo) -> SweepRecord:
     )
 
 
+def _dynamics(item: tuple[int, Combo]) -> tuple:
+    # 2 and 2.0 compare equal, but configs built from them need not step bit
+    # for bit alike (integer products are exact), so the types count too.
+    h, r, t = item[1][:3]
+    return h, r, t, type(h).__name__, type(r).__name__, type(t).__name__
+
+
 def _run_chunk(args) -> list[SweepRecord]:
-    spec, start, combos = args
-    return [_run_combo(spec, start + i, c) for i, c in enumerate(combos)]
+    """Records of ``(combo_id, combo)`` items sorted by :func:`_dynamics`;
+    each run of one (H, R, T) shares a replay memo."""
+    spec, items = args
+    records = []
+    for _, group in itertools.groupby(items, key=_dynamics):
+        replays: dict = {}
+        records.extend(_run_combo(spec, i, c, replays) for i, c in group)
+    return records
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Synthesize the minimal attack for every combination.
 
-    Per-combination failures are folded into the record's status field; the
-    sweep itself never aborts.  Results are ordered by combination id no
-    matter how many workers ran them.
+    Combinations run sorted (stably) by (H, R, T), and those of one (H, R, T)
+    share one replay memo (see the module docstring), which changes no
+    record.  A process pool takes contiguous slices of that order, so a
+    group's repeats mostly share one worker.  Per-combination failures are
+    folded into the record's status field; the sweep itself never aborts.
+    Results are ordered by combination id no matter how many workers ran
+    them.
     """
-    combos = generate_combinations(spec)
-    if workers <= 1 or len(combos) < 2:
-        return [_run_combo(spec, i, c) for i, c in enumerate(combos)]
-    chunk = max(1, len(combos) // (workers * 8))
-    tasks = [
-        (spec, start, combos[start:start + chunk])
-        for start in range(0, len(combos), chunk)
-    ]
-    records: list[SweepRecord] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_run_chunk, tasks):
-            records.extend(part)
+    order = sorted(enumerate(generate_combinations(spec)), key=_dynamics)
+    if workers <= 1 or len(order) < 2:
+        records = _run_chunk((spec, order))
+    else:
+        chunk = max(1, len(order) // (workers * 8))
+        tasks = [(spec, order[start:start + chunk])
+                 for start in range(0, len(order), chunk)]
+        records = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_run_chunk, tasks):
+                records.extend(part)
     records.sort(key=lambda r: r.combo_id)
     return records
 
@@ -408,7 +440,9 @@ def read_records_csv(path) -> list[SweepRecord]:
     """Parse a sweep CSV back into records (for the report stage).
 
     A file with the older header, which lacks the ``status`` column, reads
-    with status ``ok`` on every record.
+    with status ``ok`` on every record.  ``success`` must read ``true`` or
+    ``false`` and a ``min_dp_a`` present must be finite; any other malformed
+    row raises :class:`InvalidParameter`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -422,21 +456,25 @@ def read_records_csv(path) -> list[SweepRecord]:
     for ln in lines[1:]:
         parts = ln.split(",")
         status = parts[-1] if has_status else "ok"
-        if len(parts) != 10 + has_status or not status:
+        if (len(parts) != 10 + has_status or not status
+                or parts[6] not in ("true", "false")):
             raise InvalidParameter("records", "malformed row", ln)
         try:
+            min_dp_a = float(parts[8]) if parts[8] else None
             records.append(SweepRecord(
                 combo_id=int(parts[0]),
                 h=float(parts[1]), r=float(parts[2]), t=float(parts[3]),
                 toi_pct=float(parts[4]), ad_pct=float(parts[5]),
                 success=parts[6] == "true",
                 attack_type=AttackType(parts[7]),
-                min_dp_a=float(parts[8]) if parts[8] else None,
+                min_dp_a=min_dp_a,
                 trip_step=int(parts[9]) if parts[9] else None,
                 status=status,
             ))
         except (ValueError, KeyError) as exc:
             raise InvalidParameter("records", f"malformed row: {exc}", ln) from exc
+        if min_dp_a is not None and not math.isfinite(min_dp_a):
+            raise InvalidParameter("records", "malformed row", ln)
     return records
 
 

@@ -18,7 +18,10 @@ minimum depends on the goal:
   told to fall back to the exhaustive scan, which needs no structural
   assumption.
 
-Every answer is the outcome of a :func:`feasibility` replay.
+Every answer is the outcome of a :func:`feasibility` replay.  A replay
+depends on the config only through its dynamics and relays, never on the
+capability, so a sweep's combinations of one (H, R, T) share their replays
+through :func:`synthesize_min_attack`'s private memo argument.
 """
 
 from __future__ import annotations
@@ -109,6 +112,15 @@ class AttackGoal:
         return event.relay_id == self.specific_relay_id
 
 
+def check_relay_id(config: GridConfig, goal: AttackGoal) -> None:
+    """Raise :class:`InvalidParameter` when a ``SPECIFIC`` goal names no
+    generator or load relay of *config*; no search could then succeed."""
+    if goal.target_kind is TargetKind.SPECIFIC and goal.specific_relay_id not in {
+            relay.id for relay in (*config.generators, *config.loads)}:
+        raise InvalidParameter("relay_id", "names no relay of the grid",
+                               goal.specific_relay_id)
+
+
 class AttackOutcome(NamedTuple):
     relay_id: str
     kind: EventKind
@@ -151,6 +163,14 @@ def _first_matching(trace: SimTrace, goal: AttackGoal) -> Optional[RelayEvent]:
     return None
 
 
+def _check_capability(config: GridConfig, dp_a: float) -> None:
+    bound = capability_bound(config.capability)
+    if abs(dp_a) > bound:
+        raise CapabilityExceeded(
+            f"|dp_a|={abs(dp_a)} exceeds capability bound {bound}"
+        )
+
+
 def feasibility(
     config: GridConfig,
     dp_a: float,
@@ -162,11 +182,7 @@ def feasibility(
     Raises :class:`CapabilityExceeded` when the magnitude is outside the
     attacker's bound; that is a caller bug, not an unsuccessful attack.
     """
-    bound = capability_bound(config.capability)
-    if abs(dp_a) > bound:
-        raise CapabilityExceeded(
-            f"|dp_a|={abs(dp_a)} exceeds capability bound {bound}"
-        )
+    _check_capability(config, dp_a)
     trace = simulate(config, AttackSignal(dp_a, goal.attack_step), goal.horizon, options)
     event = _first_matching(trace, goal)
     if event is None:
@@ -200,6 +216,31 @@ def _is_feasible(
     return False
 
 
+# A replay memo maps a signed injection magnitude to what replaying it gave:
+# the ``feasibility`` outcome and the ``_is_feasible`` verdict under their own
+# keys.  Replays read neither the capability nor the tolerance, so calls whose
+# configs differ only in capability, with the same goal and options, may
+# share one memo.  The key keeps the sign of a zero magnitude.
+
+def _replayed(config, dp_a, goal, options, replays: dict) -> FeasibilityOutcome:
+    """:func:`feasibility`, replayed only when *replays* lacks *dp_a*."""
+    _check_capability(config, dp_a)
+    key = ("outcome", dp_a, math.copysign(1.0, dp_a))
+    outcome = replays.get(key)
+    if outcome is None:
+        outcome = replays[key] = feasibility(config, dp_a, goal, options)
+    return outcome
+
+
+def _verdict(config, dp_a, goal, options, replays: dict) -> bool:
+    """:func:`_is_feasible`, replayed only when *replays* lacks *dp_a*."""
+    key = ("verdict", dp_a, math.copysign(1.0, dp_a))
+    verdict = replays.get(key)
+    if verdict is None:
+        verdict = replays[key] = _is_feasible(config, dp_a, goal, options)
+    return verdict
+
+
 @dataclass(frozen=True)
 class DirectionProbe:
     """Feasibility samples along one injection direction."""
@@ -230,15 +271,12 @@ def _probe_direction(
     direction: int,
     samples: int,
     options: SimOptions,
+    replays: dict,
 ) -> DirectionProbe:
     bound = capability_bound(config.capability)
     magnitudes = tuple(bound * i / (samples - 1) for i in range(samples))
-    feasible = []
-    cache: dict[float, bool] = {}
-    for mag in magnitudes:
-        if mag not in cache:
-            cache[mag] = _is_feasible(config, direction * mag, goal, options)
-        feasible.append(cache[mag])
+    feasible = [_verdict(config, direction * mag, goal, options, replays)
+                for mag in magnitudes]
     first = next((i for i, ok in enumerate(feasible) if ok), None)
     monotone = first is None or all(feasible[first:])
     bracket = None
@@ -253,6 +291,8 @@ def probe_monotonicity(
     goal: AttackGoal,
     samples: int = 17,
     options: SimOptions = DEFAULT_OPTIONS,
+    *,
+    _replays: Optional[dict] = None,
 ) -> MonotonicityReport:
     """Sample feasibility on evenly spaced magnitudes in [0, capability bound].
 
@@ -263,8 +303,9 @@ def probe_monotonicity(
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
+    replays = {} if _replays is None else _replays
     return MonotonicityReport({
-        d: _probe_direction(config, goal, d, samples, options)
+        d: _probe_direction(config, goal, d, samples, options, replays)
         for d in goal.directions()
     })
 
@@ -336,6 +377,7 @@ def _certify_upward(
     direction: int,
     start: Decimal,
     options: SimOptions,
+    replays: dict,
 ) -> tuple[FeasibilityOutcome, Decimal]:
     """Certified outcome at the smallest record decimal >= *start* that meets
     *goal* along *direction*, with that magnitude.
@@ -350,7 +392,8 @@ def _certify_upward(
     bound = capability_bound(config.capability)
 
     def replay(magnitude: Decimal) -> FeasibilityOutcome:
-        return feasibility(config, direction * float(magnitude), goal, options)
+        return _replayed(config, direction * float(magnitude), goal, options,
+                         replays)
 
     failed, magnitude, units = None, start, 1
     while True:
@@ -408,6 +451,8 @@ def synthesize_min_attack(
     tolerance: float = 1e-4,
     probe_samples: int = 17,
     options: SimOptions = DEFAULT_OPTIONS,
+    *,
+    _replays: Optional[dict] = None,
 ) -> FeasibilityOutcome:
     """Find the smallest-magnitude injection meeting *goal*.
 
@@ -426,14 +471,27 @@ def synthesize_min_attack(
 
     When the goal allows either direction both are searched and the smaller
     magnitude wins, ties broken toward the positive direction.
+
+    No magnitude is replayed twice in one call.  *_replays* lets calls share
+    that memory: a dict passed to calls with the same goal and options whose
+    configs differ only in capability (as the combinations of one (H, R, T)
+    in a sweep do).  It then also keeps the ``ANY`` goal's closed-form
+    starts, which read no capability.  Every answer is the one an unshared
+    call gives.
     """
     _check_step("tolerance", tolerance)
+    replays = {} if _replays is None else _replays
     if goal.target_kind is TargetKind.ANY:
-        starts = [(_RECORD.plus(Decimal(x)), d)
-                  for d, x in _closed_form_minima(config, goal).items()]
+        starts = replays.get("starts")
+        if starts is None:
+            starts = replays["starts"] = [
+                (_RECORD.plus(Decimal(x)), d)
+                for d, x in _closed_form_minima(config, goal).items()
+            ]
         return _smallest_first(starts, lambda m, d: _certify_upward(
-            config, goal, d, m, options))
-    report = probe_monotonicity(config, goal, probe_samples, options)
+            config, goal, d, m, options, replays))
+    report = probe_monotonicity(config, goal, probe_samples, options,
+                                _replays=replays)
     candidates: list[tuple[float, int]] = []
     for direction, probe in sorted(report.directions.items(), reverse=True):
         if not probe.monotone:
@@ -446,16 +504,16 @@ def synthesize_min_attack(
         lo, hi = probe.bracket
         while hi - lo > tolerance:
             mid = 0.5 * (lo + hi)
-            if _is_feasible(config, direction * mid, goal, options):
+            if _verdict(config, direction * mid, goal, options, replays):
                 hi = mid
             else:
                 lo = mid
         candidates.append((hi, direction))
     best = _smallest_first(candidates, lambda m, d: (
-        feasibility(config, d * m, goal, options), m))
+        _replayed(config, d * m, goal, options, replays), m))
     if best.success:
         below = abs(best.vector.dp_a) - tolerance
-        if below > 0 and any(_is_feasible(config, d * below, goal, options)
+        if below > 0 and any(_verdict(config, d * below, goal, options, replays)
                              for d in goal.directions()):
             raise NonMonotoneFeasibility(
                 f"the goal is also met at magnitude {below!r}, one tolerance "

@@ -1,11 +1,16 @@
 """Command-line interface: flags, file outputs, exit-code contract."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import frosim
+import frosim.sweep
 from frosim.cli import run
 from frosim.dynamics import TRACE_CSV_HEADER
 from frosim.sweep import SWEEP_CSV_HEADER
@@ -220,6 +225,26 @@ class TestSynthesize:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_unknown_relay_id_exits_2(self, tmp_path, config_file, capsys,
+                                      exhaustive):
+        out = tmp_path / "r.json"
+        args = ["synthesize", "--config", str(config_file),
+                "--target", "specific", "--relay-id", "nosuch",
+                "--horizon", "12", "--out", str(out)]
+        assert run(args + ["--exhaustive"] * exhaustive) == 2
+        assert ("error: relay_id: names no relay of the grid (got 'nosuch')"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("relay_id", ["g1", "l2"])
+    def test_relay_ids_of_both_rosters_are_searched(self, tmp_path, config_file,
+                                                    relay_id):
+        assert run(["synthesize", "--config", str(config_file),
+                    "--target", "specific", "--relay-id", relay_id,
+                    "--horizon", "12",
+                    "--out", str(tmp_path / "r.json")]) in (0, 1)
+
     def test_nonmonotone_without_exhaustive_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "nm.json"
         data = config_dict(
@@ -268,6 +293,10 @@ class TestSweep:
         assert len(lines) == 9  # header + 2*1*1*2*2 combos
         meta = json.loads((tmp_path / "records.csv.meta.json").read_text())
         assert meta["mode"] == "cartesian" and meta["count"] == 8
+        assert meta["workers"] == 1
+        assert meta["frosim_version"] == frosim.__version__
+        assert meta["spec_sha256"] == hashlib.sha256(spec.read_bytes()).hexdigest()
+        assert meta["status_counts"] == {"ok": 8}
 
     def test_random_reruns_identical(self, tmp_path):
         spec = self.spec_file(tmp_path, mode="random", count=40, seed=1)
@@ -308,6 +337,30 @@ class TestSweep:
             assert run(["sweep", "--spec", str(spec),
                         "--out", str(tmp_path / "o.csv")]) == 2, over
             assert "error: bad sweep spec" in capsys.readouterr().err, over
+
+    def test_unknown_relay_id_exits_2(self, tmp_path, capsys):
+        spec = self.spec_file(tmp_path, goal={
+            "horizon": 12, "target": "specific", "relay_id": "nosuch"})
+        out = tmp_path / "o.csv"
+        assert run(["sweep", "--spec", str(spec), "--workers", "1",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad sweep spec" in err and "nosuch" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [
+        0, -1, (os.cpu_count() or 1) + 1, 10 ** 9])
+    def test_workers_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch,
+                                          workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(frosim.sweep, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "o.csv"
+        assert run(["sweep", "--spec", str(self.spec_file(tmp_path)),
+                    "--workers", str(workers), "--out", str(out)]) == 2
+        assert "error: --workers must be in 1.." in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("path,value", BAD_CONFIG_VALUES, ids=BAD_CONFIG_IDS)
     def test_mistyped_base_config_exits_2(self, tmp_path, capsys, path, value):
@@ -362,6 +415,21 @@ class TestReport:
         assert [b["value"] for b in h] == [2.0] and h[0]["records"] == 4
         assert [s["h_s"] for s in report["h_attack_type_split"]] == [2.0]
 
+    @pytest.mark.parametrize("column,value", [(6, "yes"), (8, "nan")])
+    def test_malformed_records_exit_2(self, tmp_path, capsys, column, value):
+        records = self.records_file(tmp_path)
+        lines = records.read_text().splitlines()
+        row = lines[1].split(",")
+        row[column] = value
+        lines[1] = ",".join(row)
+        records.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "trend.json"
+        assert run(["report", "--records", str(records),
+                    "--out", str(out)]) == 2
+        assert "error: records: malformed row" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_records_exits_2(self, tmp_path):
         p = tmp_path / "records.csv"
         p.write_text(SWEEP_CSV_HEADER + "\n")
@@ -393,3 +461,10 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == frosim.__version__

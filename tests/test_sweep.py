@@ -1,24 +1,32 @@
 """Sweep harness: combination generation, execution, trends, file formats."""
 
+from collections import Counter
+from dataclasses import astuple
+
 import pytest
 
+import frosim.synth
 from frosim import (
     AttackGoal,
     AttackType,
+    FrosimError,
     InvalidParameter,
     SweepMode,
     SweepRecord,
     SweepSpec,
+    capability_bound,
     classify_attack,
     feasibility,
     generate_combinations,
     run_sweep,
+    synthesize_min_attack,
     trend_report,
     validate_config,
     with_capability,
     with_dynamics,
     write_records_csv,
 )
+from frosim.synth import Sign, TargetKind
 from frosim.sweep import (
     SWEEP_CSV_HEADER,
     read_records_csv,
@@ -123,6 +131,131 @@ class TestRunSweep:
         spec = small_spec(mode=SweepMode.RANDOM, count=12, seed=5)
         records = run_sweep(spec, workers=2)
         assert [r.combo_id for r in records] == list(range(12))
+
+
+def combo_config(spec, combo):
+    return with_capability(
+        with_dynamics(spec.base, h_inertia=combo.h, droop_r=combo.r,
+                      governor_t=combo.t),
+        toi=combo.toi_pct / 100.0, ad=combo.ad_pct / 100.0,
+    )
+
+
+def lone_records(spec):
+    """The records of *spec*, each from its own synthesis call (no memo
+    shared), as (fields, repr of min_dp_a)."""
+    rows = []
+    for i, combo in enumerate(generate_combinations(spec)):
+        try:
+            out = synthesize_min_attack(validate_config(combo_config(spec, combo)),
+                                        spec.goal, spec.tolerance)
+        except FrosimError as exc:
+            rec = SweepRecord(i, *combo, success=False,
+                              attack_type=AttackType.NONE,
+                              status=type(exc).__name__)
+        else:
+            vec = out.vector
+            rec = SweepRecord(i, *combo, success=out.success,
+                              attack_type=classify_attack(vec),
+                              min_dp_a=vec and vec.dp_a,
+                              trip_step=vec and vec.outcome.trip_step)
+        rows.append((astuple(rec), repr(rec.min_dp_a)))
+    return rows
+
+
+def memo_spec(target, sign, **kw):
+    """Random draws that repeat each (H, R, T) under many capability
+    bounds, some below and some above the minimal injections."""
+    defaults = dict(
+        goal=AttackGoal(horizon=12, target_kind=target, sign=sign),
+        h_values=(2.0, 6.0), r_values=(0.2, 0.6), t_values=(0.2, 1.0),
+        toi_pct_values=(2.0, 6.0, 10.0), ad_pct_values=(20.0, 60.0, 100.0),
+        mode=SweepMode.RANDOM, count=64, seed=11,
+    )
+    defaults.update(kw)
+    return small_spec(**defaults)
+
+
+MEMO_SPECS = [
+    pytest.param(memo_spec(target, sign), id=f"{target.value}-{sign.value}")
+    for target in (TargetKind.ANY, TargetKind.ROCOF_ONLY)
+    for sign in (Sign.POSITIVE, Sign.EITHER)
+] + [
+    # H = 0 fails validation in every one of its cells, before any memo
+    pytest.param(small_spec(h_values=(0.0, 2.0), toi_pct_values=(2.0, 6.0, 10.0)),
+                 id="cartesian-invalid-h"),
+]
+
+
+class TestDynamicsMemo:
+    """Combinations of one (H, R, T) share replays; no record may change."""
+
+    def test_each_group_repeats_under_several_bounds(self):
+        for param in MEMO_SPECS[:-1]:
+            bounds: dict[tuple, set] = {}
+            for combo in generate_combinations(param.values[0]):
+                bounds.setdefault(combo[:3], set()).add(combo[3:])
+            assert len(bounds) == 8
+            assert all(len(b) >= 3 for b in bounds.values())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec", MEMO_SPECS)
+    def test_records_equal_lone_syntheses(self, spec, workers):
+        expected = lone_records(spec)
+        got = [(astuple(r), repr(r.min_dp_a)) for r in run_sweep(spec, workers)]
+        assert got == expected
+        statuses = Counter(row[0][-1] for row in expected)
+        if spec.mode is SweepMode.CARTESIAN:
+            assert statuses == {"InvalidParameter": 6, "ok": 6}
+        else:
+            assert statuses["ok"] > 0
+            assert 0 < sum(row[0][6] for row in expected) < len(expected)
+
+    @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.ROCOF_ONLY])
+    def test_serial_sweep_replays_each_dynamics_and_magnitude_once(
+            self, monkeypatch, target):
+        spec = memo_spec(target, Sign.EITHER, count=160)
+        replays = Counter()
+        simulate, is_feasible = frosim.synth.simulate, frosim.synth._is_feasible
+
+        def count(kind, config, dp_a):
+            p = config.params
+            replays[kind, p.h_inertia, p.droop_r, p.governor_t, repr(dp_a)] += 1
+
+        def counted_simulate(config, attack, horizon, options):
+            count("outcome", config, attack.dp_a)
+            return simulate(config, attack, horizon, options)
+
+        def counted_is_feasible(config, dp_a, goal, options):
+            count("verdict", config, dp_a)
+            return is_feasible(config, dp_a, goal, options)
+
+        monkeypatch.setattr(frosim.synth, "simulate", counted_simulate)
+        monkeypatch.setattr(frosim.synth, "_is_feasible", counted_is_feasible)
+        lone = lone_records(spec)
+        lone_replays, replays = replays, Counter()
+        assert [(astuple(r), repr(r.min_dp_a))
+                for r in run_sweep(spec, workers=1)] == lone
+        assert set(replays) == set(lone_replays)
+        assert set(replays.values()) == {1}
+        assert sum(lone_replays.values()) >= 2 * len(replays)
+
+    def test_capability_check_is_kept_on_every_call(self):
+        spec = memo_spec(TargetKind.ANY, Sign.POSITIVE)
+        combo = generate_combinations(spec)[0]
+        wide = validate_config(with_capability(
+            combo_config(spec, combo), toi=1.0, ad=1.0))
+        narrow = validate_config(with_capability(
+            combo_config(spec, combo), toi=0.01, ad=0.01))
+        replays = {}
+        big = synthesize_min_attack(wide, spec.goal, _replays=replays)
+        assert big.success and abs(big.vector.dp_a) > capability_bound(
+            narrow.capability)
+        with pytest.raises(frosim.CapabilityExceeded):
+            frosim.synth._replayed(narrow, big.vector.dp_a, spec.goal,
+                                   frosim.SimOptions(), replays)
+        assert not synthesize_min_attack(narrow, spec.goal,
+                                         _replays=replays).success
 
 
 class TestClassify:
@@ -279,6 +412,21 @@ class TestFiles:
         assert len(back) == len(records)
         assert all(r.status == "ok" for r in back)
         assert [r.success for r in back] == [r.success for r in records]
+
+    @pytest.mark.parametrize("column,value", [
+        (6, "yes"), (6, "1"), (6, ""), (8, "nan"), (8, "-inf"), (8, "inf")])
+    def test_read_rejects_malformed_fields(self, tmp_path, column, value):
+        records = run_sweep(small_spec(toi_pct_values=(10.0,)))
+        assert records[0].success
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        row[column] = value
+        lines[1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameter, match="malformed row"):
+            read_records_csv(path)
 
     def test_read_rejects_wrong_header(self, tmp_path):
         p = tmp_path / "bad.csv"
