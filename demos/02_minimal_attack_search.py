@@ -1,10 +1,10 @@
 """Find the weakest injection that still causes a false relay operation.
 
-Shows the layers of the synthesizer: the monotonicity probe, the exact
-closed-form answer for the "any relay" goal, the bisection search the probe
-seeds for goals that name a relay kind, and the replay certificate.  Ends
-with a grid whose feasible set has a hole, where bisection refuses and the
-exhaustive scan takes over.
+Shows the layers of the synthesizer: the exact closed-form answer for the
+"any relay" goal, the exact interval pass for goals that name a relay kind,
+and the replay certificate.  Ends with a grid whose feasible set has a hole,
+which the interval pass maps in full and answers exactly; the exhaustive
+scan, which assumes nothing, agrees.
 """
 
 import warnings
@@ -16,15 +16,16 @@ from frosim import (
     GridConfig,
     GridParams,
     LoadRelay,
-    NonMonotoneFeasibility,
+    SimOptions,
     TargetKind,
     capability_bound,
     exhaustive_min_attack,
     feasibility,
-    probe_monotonicity,
     synthesize_min_attack,
     validate_config,
 )
+# the pass synthesize_min_attack runs for goals other than "any relay"
+from frosim.synth import _feasible_intervals
 
 config = validate_config(GridConfig(
     params=GridParams(h_inertia=2.0, droop_r=0.2, governor_t=0.2),
@@ -39,21 +40,9 @@ config = validate_config(GridConfig(
 goal = AttackGoal(horizon=12)
 
 print("=" * 64)
-print("1. Probe feasibility over the capability interval")
+print("1. The minimal injection: closed form")
 print("=" * 64)
-bound = capability_bound(config.capability)
-print(f"capability bound: {bound:.3f} pu")
-report = probe_monotonicity(config, goal, samples=17)
-probe = report.directions[1]
-marks = "".join("#" if ok else "." for ok in probe.feasible)
-print(f"feasible pattern over [0, bound]: {marks}")
-print(f"up-set (monotone): {probe.monotone}, "
-      f"boundary bracket: {probe.bracket}")
-
-print()
-print("=" * 64)
-print("2. The minimal injection: closed form, then bisection")
-print("=" * 64)
+print(f"capability bound: {capability_bound(config.capability):.3f} pu")
 # Any relay counts: the pre-event trace is linear in dp_a, so one relay-free
 # unit response gives the exact minimum, certified by one replay.
 outcome = synthesize_min_attack(config, goal)
@@ -65,16 +54,27 @@ replay = feasibility(config, vec.dp_a, goal)
 print(f"certificate replay reproduces the outcome: "
       f"{replay.vector.outcome == vec.outcome}")
 
-# A goal that names the relay kind may be met only after other relays have
-# operated, so it is searched: bisection inside the probe's bracket, to the
-# tolerance.
-rocof_goal = AttackGoal(horizon=12, target_kind=TargetKind.ROCOF_ONLY)
-bracket = probe_monotonicity(config, rocof_goal).directions[1].bracket
-print(f"ROCOF trips only, probe bracket: "
-      f"({bracket[0]:.6f}, {bracket[1]:.6f}) pu")
-bisected = synthesize_min_attack(config, rocof_goal, tolerance=1e-4)
-print(f"ROCOF trips only, bisected to 1e-4: {bisected.vector.dp_a:.6f} pu "
-      f"trips {bisected.vector.outcome.relay_id}")
+
+def show_intervals(grid, goal):
+    intervals, peak = _feasible_intervals(grid, goal, 1, SimOptions())
+    spans = ", ".join(f"[{lo:.6f}, {hi:.6f}]" for lo, hi in intervals)
+    print(f"feasible magnitudes: {spans}  (at most {peak} intervals live)")
+
+
+print()
+print("=" * 64)
+print("2. A goal that names the relay kind: the interval pass")
+print("=" * 64)
+# Within 12 steps load is shed only after the ROCOF trips have steepened the
+# fall, which breaks linearity.  With the earlier relay outcomes fixed, every
+# relay condition is linear in the magnitude again, so one pass over
+# intervals of it finds the whole feasible set.
+ls_goal = AttackGoal(horizon=12, target_kind=TargetKind.LS_ONLY)
+show_intervals(config, ls_goal)
+exact = synthesize_min_attack(config, ls_goal)
+print(f"load shedding only, exact: {exact.vector.dp_a!r} pu "
+      f"sheds {exact.vector.outcome.relay_id} at step "
+      f"{exact.vector.outcome.trip_step}")
 
 print()
 print("=" * 64)
@@ -93,14 +93,10 @@ with warnings.catch_warnings():
                                       kappa=0.35 / 1.5),
     ))
 holey_goal = AttackGoal(horizon=600, target_kind=TargetKind.ROCOF_ONLY)
-probe = probe_monotonicity(holey, holey_goal, samples=17).directions[1]
-marks = "".join("#" if ok else "." for ok in probe.feasible)
-print(f"feasible pattern: {marks}  (up-set: {probe.monotone})")
-try:
-    synthesize_min_attack(holey, holey_goal)
-except NonMonotoneFeasibility as exc:
-    print(f"bisection refused: {exc}")
-fallback = exhaustive_min_attack(holey, holey_goal, resolution=1e-3)
-print(f"exhaustive scan finds the rebound route: "
-      f"{fallback.vector.dp_a:.4f} pu trips {fallback.vector.outcome.relay_id} "
-      f"at step {fallback.vector.outcome.trip_step}")
+show_intervals(holey, holey_goal)
+answer = synthesize_min_attack(holey, holey_goal)
+print(f"exact minimum: {answer.vector.dp_a!r} pu trips "
+      f"{answer.vector.outcome.relay_id} at step "
+      f"{answer.vector.outcome.trip_step}")
+scan = exhaustive_min_attack(holey, holey_goal, resolution=1e-3)
+print(f"exhaustive scan at 1e-3 agrees: {scan.vector.dp_a:.4f} pu")

@@ -8,7 +8,9 @@ Subcommands: ``simulate`` (run one injection, write the trace CSV),
 Exit codes are a stable contract: 0 success, 1 no attack exists, 2 bad
 configuration, spec or flag (including a ``--relay-id`` that names no relay
 of the grid and a ``--workers`` outside 1..cpu count), 3 output I/O failure,
-4 bisection declined (non-monotone feasibility without ``--exhaustive``).
+4 search declined (:class:`~frosim.errors.NonMonotoneFeasibility`).  Synthesis
+answers every goal exactly and no longer declines, so no command exits 4
+today; the code stays reserved for a search that gives up.
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
 logging verbosity.
@@ -17,6 +19,7 @@ logging verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -124,9 +127,6 @@ def cmd_synthesize(args) -> int:
         if not 0 < tolerance < math.inf:
             raise InvalidParameter("--tolerance", "must be finite and > 0",
                                    tolerance)
-        if args.probe_samples < 2:
-            raise InvalidParameter("--probe-samples", "must be >= 2",
-                                   args.probe_samples)
     except (FrosimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -135,9 +135,7 @@ def cmd_synthesize(args) -> int:
         if args.exhaustive:
             outcome = exhaustive_min_attack(config, goal, tolerance)
         else:
-            outcome = synthesize_min_attack(
-                config, goal, tolerance, probe_samples=args.probe_samples,
-            )
+            outcome = synthesize_min_attack(config, goal, tolerance)
     except NonMonotoneFeasibility as exc:
         print(f"error: {exc}; rerun with --exhaustive", file=sys.stderr)
         return EXIT_BACKEND
@@ -192,7 +190,9 @@ def _spec_from_file(path, seed_override=None) -> tuple[SweepSpec, str]:
         ("toi_pct", "toi_pct_values"), ("ad_pct", "ad_pct_values"),
     ]:
         if json_key in data:
-            kwargs[field_name] = data[json_key]
+            values = require_json_type(data[json_key], json_key, list)
+            kwargs[field_name] = [require_json_type(v, f"{json_key}[{i}]", float)
+                                  for i, v in enumerate(values)]
     seed = seed_override if seed_override is not None else data.get("seed", 0)
     require_json_type(seed, "seed", int)
     spec = SweepSpec(
@@ -201,7 +201,8 @@ def _spec_from_file(path, seed_override=None) -> tuple[SweepSpec, str]:
         mode=SweepMode(data.get("mode", "cartesian")),
         count=data.get("count"),
         seed=seed,
-        tolerance=data.get("tolerance", 1e-4),
+        tolerance=require_json_type(data.get("tolerance", 1e-4), "tolerance",
+                                    float),
         **kwargs,
     )
     return spec, hashlib.sha256(raw).hexdigest()
@@ -300,11 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--attack-step", type=int, default=0)
     p.add_argument("--tolerance", default="1e-4",
-                   help="magnitude tolerance, per-unit")
-    p.add_argument("--probe-samples", type=int, default=17)
+                   help="resolution of --exhaustive, per-unit")
     p.add_argument("--exhaustive", action="store_true",
                    help="scan every magnitude at the tolerance resolution "
-                        "instead of probe+bisection")
+                        "instead of the exact search")
     p.add_argument("--out", required=True, help="result JSON path")
     p.add_argument("--trace-out", default=None,
                    help="winning trace CSV path (default: OUT.trace.csv)")
@@ -327,11 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first command, not at import: parsing leaves the parser
+    # as it was, so one serves every command of the process.
+    return build_parser()
+
+
 def run(argv=None) -> int:
     level = _LOG_LEVELS.get(os.environ.get("FRO_LOG_LEVEL", "warn").lower(),
                             logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -271,11 +271,16 @@ def require_json_type(value, fld: str, kind: type):
     :class:`InvalidParameter` naming *fld*.
 
     ``float`` admits a number that :func:`is_finite_real` accepts and
-    ``int`` an integer, neither a boolean; ``list``, ``dict`` and ``str``
-    are the JSON array, object and string.
+    returns it as a float, ``int`` an integer, neither a boolean; ``list``,
+    ``dict`` and ``str`` are the JSON array, object and string.  A JSON
+    integer read as a real runs as its float spelling does: kept an
+    integer, products such as ``R*T`` of two large ones are exact and can
+    outgrow what a float converts from.
     """
     if kind is float:
-        ok = is_finite_real(value)
+        if is_finite_real(value):
+            return float(value)
+        ok = False
     elif kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
@@ -294,10 +299,10 @@ def _get(d: dict, key: str, where: str, kind: type):
 def config_from_dict(data: dict) -> ValidatedGridConfig:
     """Build and validate a config from a parsed JSON object.
 
-    Every field must have its JSON type: numbers finite and not booleans,
-    ``generators`` and ``loads`` lists of objects, ``id`` and ``bus``
-    strings, ``attacker`` an object.  Anything else raises
-    :class:`InvalidParameter`.
+    Every field must have its JSON type: numbers finite and not booleans
+    (read as floats, but ``rocof_window_m`` an integer), ``generators`` and
+    ``loads`` lists of objects, ``id`` and ``bus`` strings, ``attacker`` an
+    object.  Anything else raises :class:`InvalidParameter`.
     """
     if not isinstance(data, dict):
         raise InvalidParameter("config", "top level must be an object", type(data).__name__)
@@ -305,12 +310,14 @@ def config_from_dict(data: dict) -> ValidatedGridConfig:
     if unknown:
         warnings.warn(f"ignoring unknown config keys: {sorted(unknown)}", stacklevel=2)
 
+    window = _get(data, "rocof_window_m", "", int)
+    require_json_type(window, "rocof_window_m", float)  # and a float holds it
     params = GridParams(
         h_inertia=_get(data, "inertia_h_s", "", float),
         droop_r=_get(data, "droop_r_pu", "", float),
         governor_t=_get(data, "governor_t_s", "", float),
         dt=_get(data, "dt_s", "", float),
-        rocof_window_m=_get(data, "rocof_window_m", "", float),
+        rocof_window_m=window,
         f_nominal=require_json_type(data.get("frequency_nominal_hz", 60.0),
                                     "frequency_nominal_hz", float),
     )

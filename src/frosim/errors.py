@@ -34,8 +34,9 @@ class CapabilityExceeded(FrosimError, ValueError):
 
 
 class NonMonotoneFeasibility(FrosimError, RuntimeError):
-    """Feasibility is not an up-set in magnitude; bisection declined.
+    """A search declined because feasibility is not an up-set in magnitude.
 
-    Callers should fall back to the exhaustive scan.
+    Synthesis answers every goal exactly and no longer raises it; callers
+    that catch it fall back to the exhaustive scan.
     """
 

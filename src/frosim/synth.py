@@ -12,11 +12,17 @@ minimum depends on the goal:
   the smallest :data:`RECORD_DIGITS`-significant-digit decimal at or above
   that minimum which replays, so it also replays from a written record.
 - ``ROCOF_ONLY``, ``LS_ONLY`` and ``SPECIFIC`` can be met only after earlier
-  non-matching events have broken linearity.  A coarse probe establishes
-  whether the feasible set is an up-set in magnitude, and if so bisection
-  pins the minimal feasible magnitude to a tolerance; otherwise the caller is
-  told to fall back to the exhaustive scan, which needs no structural
-  assumption.
+  non-matching events have broken linearity, and their feasible set need
+  not be an up-set in magnitude.  Once the earlier relay outcomes are fixed,
+  every relay condition is linear in the magnitude, so one pass of the
+  model over intervals of it (:func:`_feasible_intervals`) finds the whole
+  feasible set, as a constraint solver would; its smallest start, rounded
+  up to a record decimal, is certified by replay, and a replay one record
+  decimal lower must fail.
+
+:func:`exhaustive_min_attack` scans a magnitude grid instead and assumes
+nothing.  :func:`probe_monotonicity` samples feasibility on a coarse grid, a
+diagnostic that synthesis does not use.
 
 Every answer is the outcome of a :func:`feasibility` replay.  A replay
 depends on the config only through its dynamics and relays, never on the
@@ -27,6 +33,7 @@ through :func:`synthesize_min_attack`'s private memo argument.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
@@ -34,6 +41,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .config import GridConfig, capability_bound
 from .dynamics import (
+    _H_RESCALE_FLOOR,
     AttackSignal,
     EventKind,
     RelayEvent,
@@ -48,7 +56,9 @@ from .dynamics import (
     simulate,
     simulate_step,
 )
-from .errors import CapabilityExceeded, InvalidParameter, NonMonotoneFeasibility
+from .errors import CapabilityExceeded, InvalidParameter
+
+log = logging.getLogger(__name__)
 
 #: Significant digits of a recorded injection magnitude (the sweep records
 #: CSV).  Closed-form answers are decimals of this many digits, so the value a
@@ -216,11 +226,11 @@ def _is_feasible(
     return False
 
 
-# A replay memo maps a signed injection magnitude to what replaying it gave:
-# the ``feasibility`` outcome and the ``_is_feasible`` verdict under their own
-# keys.  Replays read neither the capability nor the tolerance, so calls whose
-# configs differ only in capability, with the same goal and options, may
-# share one memo.  The key keeps the sign of a zero magnitude.
+# A replay memo maps a signed injection magnitude to the ``feasibility``
+# outcome replaying it gave.  Replays read neither the capability nor the
+# tolerance, so calls whose configs differ only in capability, with the same
+# goal and options, may share one memo.  The key keeps the sign of a zero
+# magnitude.
 
 def _replayed(config, dp_a, goal, options, replays: dict) -> FeasibilityOutcome:
     """:func:`feasibility`, replayed only when *replays* lacks *dp_a*."""
@@ -230,15 +240,6 @@ def _replayed(config, dp_a, goal, options, replays: dict) -> FeasibilityOutcome:
     if outcome is None:
         outcome = replays[key] = feasibility(config, dp_a, goal, options)
     return outcome
-
-
-def _verdict(config, dp_a, goal, options, replays: dict) -> bool:
-    """:func:`_is_feasible`, replayed only when *replays* lacks *dp_a*."""
-    key = ("verdict", dp_a, math.copysign(1.0, dp_a))
-    verdict = replays.get(key)
-    if verdict is None:
-        verdict = replays[key] = _is_feasible(config, dp_a, goal, options)
-    return verdict
 
 
 @dataclass(frozen=True)
@@ -271,11 +272,10 @@ def _probe_direction(
     direction: int,
     samples: int,
     options: SimOptions,
-    replays: dict,
 ) -> DirectionProbe:
     bound = capability_bound(config.capability)
     magnitudes = tuple(bound * i / (samples - 1) for i in range(samples))
-    feasible = [_verdict(config, direction * mag, goal, options, replays)
+    feasible = [_is_feasible(config, direction * mag, goal, options)
                 for mag in magnitudes]
     first = next((i for i, ok in enumerate(feasible) if ok), None)
     monotone = first is None or all(feasible[first:])
@@ -291,21 +291,19 @@ def probe_monotonicity(
     goal: AttackGoal,
     samples: int = 17,
     options: SimOptions = DEFAULT_OPTIONS,
-    *,
-    _replays: Optional[dict] = None,
 ) -> MonotonicityReport:
     """Sample feasibility on evenly spaced magnitudes in [0, capability bound].
 
     Reports, per direction in the goal, whether the observed success set is an
-    up-set (everything above the smallest success also succeeds).  Bisection
-    is sound only under that structure; relay interactions can in principle
-    break it, which is why it is probed per instance rather than assumed.
+    up-set (everything above the smallest success also succeeds).  A
+    diagnostic: synthesis does not call it, and a gap narrower than the
+    sample spacing goes unseen; :func:`_feasible_intervals` gives the whole
+    feasible set.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    replays = {} if _replays is None else _replays
     return MonotonicityReport({
-        d: _probe_direction(config, goal, d, samples, options, replays)
+        d: _probe_direction(config, goal, d, samples, options)
         for d in goal.directions()
     })
 
@@ -371,6 +369,150 @@ def _closed_form_minima(config: GridConfig, goal: AttackGoal) -> dict[int, float
     }
 
 
+def _feasible_intervals(
+    config: GridConfig,
+    goal: AttackGoal,
+    direction: int,
+    options: SimOptions,
+) -> tuple[list[tuple[float, float]], int]:
+    """Magnitudes ``x`` in [0, capability bound] at which injecting
+    ``direction * x`` meets *goal*, as sorted disjoint ``(lo, hi)``
+    intervals, with the peak number of pieces live at one step.
+
+    One pass of the model over pieces of [0, bound].  On a piece the relay
+    totals and latches are fixed values, so the deviation, the governor
+    output and the ROCOF history are affine in ``x`` (pairs ``c0 + c1*x``)
+    and every relay condition changes truth at most at one point (load
+    shedding) or two (ROCOF, ``|slope| >= thr``).  Each step cuts every
+    piece at those points and decides each sub-piece's relays at its
+    midpoint with the kernel's comparisons.  A sub-piece where a matching
+    relay newly operates is feasible and leaves the pass; the others advance
+    by the kernel's recursions applied to both coefficients.  Adjacent
+    sub-pieces of one piece that end the step with equal totals and latches
+    advance as one: their futures are the same affine functions.  Pieces of
+    different parents never merge, since equal latches set at different
+    steps leave different constant terms.  The options change only terms
+    that are constant on a piece (the inertia rescale, the shed sign,
+    re-accumulation).  The interval ends carry the float error of the cut
+    points; a replay decides.
+    """
+    _check_horizon(config, goal.horizon)
+    params = config.params
+    f_nominal, dt, m = params.f_nominal, params.dt, params.rocof_window_m
+    governor_t, droop_r = params.governor_t, params.droop_r
+    accumulate = options.literal_accumulation
+    literal_signs = options.literal_signs
+    rescale = options.rescale_inertia
+    total_tg = sum(g.p_tg for g in config.generators)
+    slope_per_pu = f_nominal / (m * dt)
+    gain = dt / governor_t
+    gov_decay = 2.0 - dt / governor_t
+    loads = [(ld.underfreq_threshold, ld.underfreq_threshold / f_nominal - 1.0,
+              ld.p_sh, goal.matches(RelayEvent(0, ld.id, EventKind.LS_SHED)))
+             for ld in config.loads]
+    gens = [(g.rocof_threshold, g.p_tg,
+             goal.matches(RelayEvent(0, g.id, EventKind.ROCOF_TRIP)))
+            for g in config.generators]
+
+    feasible: list[tuple[float, float]] = []
+    # (lo, hi, delta_f c0, c1, dp_gov c0, c1, history c0s, c1s, shed total,
+    #  tripped total, generator latches, load latches)
+    pieces = [(0.0, capability_bound(config.capability), 0.0, 0.0, 0.0, 0.0,
+               (0.0,), (0.0,), 0.0, 0.0,
+               (False,) * len(gens), (False,) * len(loads))]
+    peak = 1
+    for n in range(goal.horizon + 1):
+        drive = -2.0 * direction if n >= goal.attack_step else 0.0
+        advanced = []
+        for (lo, hi, d0, d1, g0, g1, w0, w1, sh, tg,
+             gen_latches, load_latches) in pieces:
+            windowed = len(w0) > m
+            if windowed:
+                s0 = (w0[-1] - w0[-1 - m]) * slope_per_pu
+                s1 = (w1[-1] - w1[-1 - m]) * slope_per_pu
+            cuts = [lo, hi]
+            if d1:
+                for i, (_, margin, _, _) in enumerate(loads):
+                    if accumulate or not load_latches[i]:
+                        x = (margin - d0) / d1
+                        if lo < x < hi:
+                            cuts.append(x)
+            if windowed and s1:
+                for i, (thr, _, _) in enumerate(gens):
+                    if accumulate or not gen_latches[i]:
+                        for x in ((thr - s0) / s1, (-thr - s0) / s1):
+                            if lo < x < hi:
+                                cuts.append(x)
+            if len(cuts) > 2:
+                cuts = sorted(set(cuts))
+            group = None
+            for a, b in zip(cuts, cuts[1:]):
+                mid = 0.5 * (a + b)
+                f_hz = f_nominal * (1.0 + (d0 + d1 * mid))
+                ll, shed, met = load_latches, 0.0, False
+                for i, (thr, _, p_sh, match) in enumerate(loads):
+                    if f_hz <= thr:
+                        if not ll[i]:
+                            met = met or match
+                            ll = ll[:i] + (True,) + ll[i + 1:]
+                            shed += p_sh
+                        elif accumulate:
+                            shed += p_sh
+                gl, tripped = gen_latches, 0.0
+                if windowed:
+                    magnitude = abs(((w0[-1] + w1[-1] * mid)
+                                     - (w0[-1 - m] + w1[-1 - m] * mid))
+                                    * slope_per_pu)
+                    for i, (thr, p_tg, match) in enumerate(gens):
+                        if magnitude >= thr:
+                            if not gl[i]:
+                                met = met or match
+                                gl = gl[:i] + (True,) + gl[i + 1:]
+                                tripped += p_tg
+                            elif accumulate:
+                                tripped += p_tg
+                if met:
+                    feasible.append((a, b))
+                    group = None
+                    continue
+                key = (sh + shed, tg + tripped, gl, ll)
+                if group is not None and group[1] == key:
+                    group[0][1] = b
+                else:
+                    group = ([a, b], key)
+                    advanced.append((group[0], key, d0, d1, g0, g1, w0, w1))
+        pieces = []
+        for ((lo, hi), (sh, tg, gl, ll), d0, d1, g0, g1, w0, w1) in advanced:
+            h = params.h_inertia
+            if rescale:
+                share = (total_tg - tg) / total_tg if total_tg > 0 else 1.0
+                h = h * max(share, _H_RESCALE_FLOOR)
+            scale = dt / (4.0 * h)
+            damping = dt / (droop_r * governor_t) - 4.0 * h / dt
+            nd0 = scale * (g0 * gov_decay - d0 * damping - tg
+                           + (-sh if literal_signs else sh))
+            nd1 = scale * (g1 * gov_decay + drive - d1 * damping)
+            if len(w0) > m:
+                w0, w1 = w0[-m:] + (nd0,), w1[-m:] + (nd1,)
+            else:
+                w0, w1 = w0 + (nd0,), w1 + (nd1,)
+            pieces.append((lo, hi, nd0, nd1,
+                           g0 + gain * (-d0 / droop_r - g0),
+                           g1 + gain * (-d1 / droop_r - g1),
+                           w0, w1, sh, tg, gl, ll))
+        peak = max(peak, len(pieces))
+        if not pieces:
+            break
+    feasible.sort()
+    merged: list[tuple[float, float]] = []
+    for lo, hi in feasible:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return merged, peak
+
+
 def _certify_upward(
     config: GridConfig,
     goal: AttackGoal,
@@ -382,12 +524,13 @@ def _certify_upward(
     """Certified outcome at the smallest record decimal >= *start* that meets
     *goal* along *direction*, with that magnitude.
 
-    *start* is the rounded-up closed-form minimum and normally replays at
-    once.  A failing replay (the simulator's own rounding put the boundary a
-    few units above) steps up 1, 2, 4, ... units in the last digit and then
-    bisects back over record decimals.  A decimal beyond the capability bound
-    is replaced by the bound itself; the outcome is unsuccessful only when
-    the bound fails too.
+    *start* is the rounded-up closed-form minimum, which normally replays at
+    once, or the record decimal just below the rounded-up interval-pass
+    minimum, which normally fails once.  A failing replay (the simulator's
+    own rounding put the boundary a few units above) steps up 1, 2, 4, ...
+    units in the last digit and then bisects back over record decimals.  A
+    decimal beyond the capability bound is replaced by the bound itself; the
+    outcome is unsuccessful only when the bound fails too.
     """
     bound = capability_bound(config.capability)
 
@@ -445,29 +588,58 @@ def _smallest_first(
     return best
 
 
+def _step_down(config, goal, direction, outcome, magnitude, options,
+               replays) -> tuple[FeasibilityOutcome, Decimal]:
+    """Walk from a certified *magnitude* down one record decimal at a time
+    while the replay still meets *goal*; the last success and its magnitude.
+
+    An interval-pass start is a float cut point, which can land a rounding
+    error above the simulator's own boundary; then record decimals below
+    the rounded-up start also replay."""
+    while True:
+        lower = _below(magnitude)
+        if lower == magnitude:
+            return outcome, magnitude
+        trial = _replayed(config, direction * float(lower), goal, options,
+                          replays)
+        if not trial.success:
+            return outcome, magnitude
+        outcome, magnitude = trial, lower
+
+
+def _below(magnitude: Decimal) -> Decimal:
+    """The record decimal one unit below a positive *magnitude*; zero stays."""
+    return _RECORD.next_minus(magnitude) if magnitude > 0 else magnitude
+
+
+def _describe(outcome: FeasibilityOutcome) -> str:
+    if not outcome.success:
+        return "no attack"
+    v = outcome.vector
+    return (f"dp_a={v.dp_a!r} ({v.outcome.kind.json_name} {v.outcome.relay_id} "
+            f"at step {v.outcome.trip_step})")
+
+
 def synthesize_min_attack(
     config: GridConfig,
     goal: AttackGoal,
     tolerance: float = 1e-4,
-    probe_samples: int = 17,
     options: SimOptions = DEFAULT_OPTIONS,
     *,
     _replays: Optional[dict] = None,
 ) -> FeasibilityOutcome:
-    """Find the smallest-magnitude injection meeting *goal*.
+    """Find the smallest-magnitude injection meeting *goal*, exactly.
 
-    An ``ANY`` goal is answered exactly from :func:`_closed_form_minima`: the
-    smallest :data:`RECORD_DIGITS`-digit decimal at or above the minimum
-    that replays, certified by one :func:`feasibility` replay; *tolerance*
-    and *probe_samples* do not affect it.
-
-    Other goals bisect, to *tolerance*, between the largest known-infeasible
-    and smallest known-feasible magnitudes, seeded by
-    :func:`probe_monotonicity`, and raise :class:`NonMonotoneFeasibility`
-    when the success set is seen not to be an up-set: in the probe, or when
-    the answer less one *tolerance* still meets the goal in an allowed
-    direction (a gap narrower than the probe spacing, which bisection can
-    step over); use :func:`exhaustive_min_attack` then.
+    The answer is the smallest :data:`RECORD_DIGITS`-digit decimal that
+    replays, certified by a :func:`feasibility` replay.  An ``ANY`` goal
+    starts from :func:`_closed_form_minima`; other goals start from the
+    smallest feasible magnitude of :func:`_feasible_intervals`, and a replay
+    one record decimal below the answer must then fail (see
+    :func:`_step_down`).  With
+    nothing feasible in a direction the capability bound itself is replayed,
+    and the answer is no attack only when it fails.  *tolerance* is
+    validated but does not affect the answer; it is the resolution of
+    :func:`exhaustive_min_attack`.
 
     When the goal allows either direction both are searched and the smaller
     magnitude wins, ties broken toward the positive direction.
@@ -476,49 +648,61 @@ def synthesize_min_attack(
     that memory: a dict passed to calls with the same goal and options whose
     configs differ only in capability (as the combinations of one (H, R, T)
     in a sweep do).  It then also keeps the ``ANY`` goal's closed-form
-    starts, which read no capability.  Every answer is the one an unshared
-    call gives.
+    starts, which read no capability, and each interval pass under its
+    direction and bound.  Every answer is the one an unshared call gives.
     """
     _check_step("tolerance", tolerance)
     replays = {} if _replays is None else _replays
     if goal.target_kind is TargetKind.ANY:
+        passes = None
         starts = replays.get("starts")
         if starts is None:
             starts = replays["starts"] = [
                 (_RECORD.plus(Decimal(x)), d)
                 for d, x in _closed_form_minima(config, goal).items()
             ]
-        return _smallest_first(starts, lambda m, d: _certify_upward(
-            config, goal, d, m, options, replays))
-    report = probe_monotonicity(config, goal, probe_samples, options,
-                                _replays=replays)
-    candidates: list[tuple[float, int]] = []
-    for direction, probe in sorted(report.directions.items(), reverse=True):
-        if not probe.monotone:
-            raise NonMonotoneFeasibility(
-                f"feasibility is not an up-set along direction {direction:+d}; "
-                "bisection declined"
-            )
-        if probe.bracket is None:
-            continue
-        lo, hi = probe.bracket
-        while hi - lo > tolerance:
-            mid = 0.5 * (lo + hi)
-            if _verdict(config, direction * mid, goal, options, replays):
-                hi = mid
-            else:
-                lo = mid
-        candidates.append((hi, direction))
-    best = _smallest_first(candidates, lambda m, d: (
-        _replayed(config, d * m, goal, options, replays), m))
-    if best.success:
-        below = abs(best.vector.dp_a) - tolerance
-        if below > 0 and any(_verdict(config, d * below, goal, options, replays)
-                             for d in goal.directions()):
-            raise NonMonotoneFeasibility(
-                f"the goal is also met at magnitude {below!r}, one tolerance "
-                "below the bisected answer; bisection declined"
-            )
+    else:
+        bound = capability_bound(config.capability)
+        passes = {}
+        for d in goal.directions():
+            key = ("intervals", d, bound)
+            if key not in replays:
+                replays[key] = _feasible_intervals(config, goal, d, options)
+            passes[d] = replays[key]
+        # Certified from one record decimal below the rounded-up start: a
+        # cut point's float error is far below one unit, so no certified
+        # magnitude falls under its candidate, as _smallest_first's early
+        # stop requires, even after the step-down.
+        starts = [(_below(_RECORD.plus(Decimal(intervals[0][0])))
+                   if intervals else _RECORD.plus(Decimal(math.inf)), d)
+                  for d, (intervals, _) in passes.items()]
+    # each replay run adds one memo entry
+    runs = {"certify": 0, "step-down": 0}
+
+    def certify(start: Decimal, direction: int):
+        before = len(replays)
+        outcome, magnitude = _certify_upward(config, goal, direction, start,
+                                             options, replays)
+        runs["certify"] += len(replays) - before
+        if passes is not None and outcome.success and start.is_finite():
+            before = len(replays)
+            outcome, magnitude = _step_down(config, goal, direction, outcome,
+                                            magnitude, options, replays)
+            runs["step-down"] += len(replays) - before
+        return outcome, magnitude
+
+    best = _smallest_first(starts, certify)
+    if log.isEnabledFor(logging.DEBUG):
+        if passes is None:
+            found = "closed-form starts " + ", ".join(
+                f"{d:+d}: {m}" for m, d in starts)
+        else:
+            found = "interval pass, " + "; ".join(
+                f"{d:+d}: feasible {intervals}, peak {peak} live pieces"
+                for d, (intervals, peak) in passes.items())
+        log.debug("synthesis %s/%s by %s; certify replays %d, step-down "
+                  "replays %d; %s", goal.target_kind.value, goal.sign.value,
+                  found, runs["certify"], runs["step-down"], _describe(best))
     return best
 
 
@@ -537,25 +721,33 @@ def exhaustive_min_attack(
     _check_step("resolution", resolution)
     bound = capability_bound(config.capability)
     candidates: list[tuple[float, int]] = []
+    scanned = 0
     for direction in goal.directions():
         k = 0
         found = None
         while True:
             mag = k * resolution
             if mag > bound:
-                if bound > (k - 1) * resolution and _is_feasible(
-                    config, direction * bound, goal, options
-                ):
-                    found = bound
+                if bound > (k - 1) * resolution:
+                    scanned += 1
+                    if _is_feasible(config, direction * bound, goal, options):
+                        found = bound
                 break
+            scanned += 1
             if _is_feasible(config, direction * mag, goal, options):
                 found = mag
                 break
             k += 1
         if found is not None:
             candidates.append((found, direction))
-    return _smallest_first(candidates, lambda m, d: (
+    best = _smallest_first(candidates, lambda m, d: (
         feasibility(config, d * m, goal, options), m))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("synthesis %s/%s by exhaustive scan at %r; scan replays %d, "
+                  "certify replays %d; %s", goal.target_kind.value,
+                  goal.sign.value, resolution, scanned, int(bool(candidates)),
+                  _describe(best))
+    return best
 
 
 def synthesis_result_dict(outcome: FeasibilityOutcome, trace_file: Optional[str]) -> dict:

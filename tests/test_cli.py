@@ -64,6 +64,8 @@ BAD_CONFIG_VALUES = [
     (("governor_t_s",), float("nan")),
     (("dt_s",), float("inf")),
     (("inertia_h_s",), 10 ** 400),  # an integer no float holds
+    (("rocof_window_m",), 10 ** 400),
+    (("rocof_window_m",), 6.0),
     (("loads", 1, "underfreq_thresh_hz"), float("-inf")),
     (("frequency_nominal_hz",), [60.0]),
     (("attacker", "kappa"), "1"),
@@ -187,7 +189,6 @@ class TestSynthesize:
     @pytest.mark.parametrize("flag,value", [
         ("--tolerance", "0"), ("--tolerance", "-1"), ("--tolerance", "nan"),
         ("--tolerance", "inf"), ("--tolerance", "nanhz"),
-        ("--probe-samples", "1"), ("--probe-samples", "-3"),
     ])
     @pytest.mark.parametrize("target", ["any", "rocof"])
     def test_bad_numeric_flag_exits_2(self, tmp_path, config_file, capsys,
@@ -245,7 +246,9 @@ class TestSynthesize:
                     "--horizon", "12",
                     "--out", str(tmp_path / "r.json")]) in (0, 1)
 
-    def test_nonmonotone_without_exhaustive_exits_4(self, tmp_path, capsys):
+    def test_nonmonotone_instance_is_answered_exactly(self, tmp_path):
+        # a feasible set with a hole, [0.008992, 0.056269] and
+        # [0.200296, 0.35]: the exact answer is the start of the first part
         cfg = tmp_path / "nm.json"
         data = config_dict(
             h=2.0, r=1.0, t=0.2, toi=1.0, ad=1.0, kappa=0.35 / 1.5,
@@ -258,11 +261,16 @@ class TestSynthesize:
         args = ["synthesize", "--config", str(cfg), "--target", "rocof",
                 "--horizon", "600", "--tolerance", "1e-3",
                 "--out", str(tmp_path / "r.json")]
-        assert run(args) == 4
-        assert "--exhaustive" in capsys.readouterr().err
+        assert run(args) == 0
+        exact = json.loads((tmp_path / "r.json").read_text())["dp_a_pu"]
+        assert exact == 0.00899189181221
+        goal = frosim.AttackGoal(horizon=600,
+                                 target_kind=frosim.TargetKind.ROCOF_ONLY)
+        grid = frosim.load_config(cfg)
+        assert not frosim.feasibility(grid, 0.0089918918122, goal).success
         assert run(args + ["--exhaustive"]) == 0
-        result = json.loads((tmp_path / "r.json").read_text())
-        assert result["dp_a_pu"] < 0.02
+        scan = json.loads((tmp_path / "r.json").read_text())["dp_a_pu"]
+        assert exact <= scan < exact + 1e-3
 
 
 class TestSweep:
@@ -447,6 +455,89 @@ class TestReport:
         report = json.loads(out.read_text())
         verdicts = {p["verdict"] for p in report["parameters"].values()}
         assert verdicts == {"insufficient buckets"}
+
+
+class TestIntegerSpellings:
+    """A JSON integer beyond what products of floats keep exact runs as its
+    float spelling does, in a config and in a sweep's value lists."""
+
+    BIG = 2 ** 600
+
+    def outputs(self, tmp_path, command, name, doc):
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / f"{name}.out"
+        flag = {"synthesize": ["--config", str(src), "--horizon", "60",
+                               "--target", "rocof",
+                               "--trace-out", str(tmp_path / f"{name}.csv")],
+                "sweep": ["--spec", str(src), "--workers", "1"]}[command]
+        code = run([command, *flag, "--out", str(out)])
+        text = out.read_text().replace(name, "NAME")
+        if command == "synthesize":
+            text += (tmp_path / f"{name}.csv").read_text()
+        return code, text
+
+    def test_synthesize(self, tmp_path, capsys):
+        results = [self.outputs(tmp_path, "synthesize", name, config_dict(
+                       r=value, t=value))
+                   for name, value in (("int", self.BIG),
+                                       ("float", float(self.BIG)))]
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sweep(self, tmp_path, capsys):
+        results = [self.outputs(tmp_path, "sweep", name, {
+                       "base_config": config_dict(kappa=2.0),
+                       "goal": {"horizon": 12, "target": "rocof"},
+                       "h_s": [2.0, 6], "r_pu": [value], "t_s": [value],
+                       "toi_pct": [2, 10.0], "ad_pct": [100],
+                       "tolerance": 1})
+                   for name, value in (("int", self.BIG),
+                                       ("float", float(self.BIG)))]
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_command(tmp_path, monkeypatch):
+    # synthesize, a rejected flag, then sweep: in one process as in three
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config_dict()))
+    spec = TestSweep().spec_file(tmp_path)
+    commands = [
+        ["synthesize", "--config", str(cfg), "--horizon", "12",
+         "--target", "rocof", "--out", "r.json"],
+        ["synthesize", "--config", str(cfg), "--horizon", "12",
+         "--no-such-flag", "--out", "r.json"],
+        ["sweep", "--spec", str(spec), "--workers", "1", "--out", "s.csv"],
+    ]
+
+    def outputs(where):
+        return {name: (where / name).read_bytes()
+                for name in ("r.json", "r.json.trace.csv", "s.csv")}
+
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(frosim.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    codes = [subprocess.run([sys.executable, "-m", "frosim.cli", *argv],
+                            cwd=alone, env=env, capture_output=True,
+                            timeout=120).returncode
+             for argv in commands]
+    together = tmp_path / "together"
+    together.mkdir()
+    monkeypatch.chdir(together)
+    got = []
+    for argv in commands:
+        try:
+            got.append(run(argv))
+        except SystemExit as exc:
+            got.append(exc.code)
+    assert got == codes == [0, 2, 0]
+    assert outputs(together) == outputs(alone)
 
 
 def test_console_entry_point_smoke(tmp_path):

@@ -1,20 +1,27 @@
-"""Malformed JSON inputs: every mutant of a shipped demo input exits 2.
+"""Malformed inputs: every mutant of a shipped demo input exits 2, and
+every drawn numeric flag keeps the exit-code contract.
 
 Each mutant changes one place in ``demos/case_study_grid.json`` or
 ``demos/sweep_spec.json``: a value replaced by one of another JSON type, a
 number replaced by a non-finite one, or a required key dropped.  The exit
 code must be 2 ("bad configuration or spec") and nothing may be raised; exit
-1 would claim that no attack exists.
+1 would claim that no attack exists.  The numeric flags ``--dp-a``,
+``--tolerance``, ``--horizon``, ``--attack-step`` and ``--workers`` are
+drawn from small ranges around their valid bounds: a valid set runs (exit 0,
+or 1 for a search), any other exits 2.
 """
 
 import copy
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+import frosim.sweep
 from frosim.cli import run
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -88,11 +95,12 @@ def mutants(draw, doc):
     return mutant
 
 
-def exit_code(command, flag, doc):
+def exit_code(command, flag, doc, *extra):
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "input.json"
         src.write_text(json.dumps(doc), encoding="utf-8")
-        extra = ["--horizon", "12"] if command == "synthesize" else ["--workers", "1"]
+        extra = extra or (
+            ["--horizon", "12"] if command == "synthesize" else ["--workers", "1"])
         return run([command, flag, str(src), *extra,
                     "--out", str(Path(tmp) / "out")])
 
@@ -113,3 +121,62 @@ def test_unmutated_inputs_are_valid():
     # the property is about the mutation, not the documents
     assert exit_code("synthesize", "--config", GRID) == 0
     assert exit_code("sweep", "--spec", {**SPEC, "count": 5}) == 0
+
+
+# The case-study grid's ROCOF window; a shorter horizon exits 2.
+WINDOW = GRID["rocof_window_m"]
+NUMBERS = settings(max_examples=40, derandomize=True, database=None,
+                   deadline=None)
+MAGNITUDE = st.one_of(
+    st.floats(-0.05, 0.05), st.sampled_from([math.nan, math.inf, -math.inf]))
+STEPS = st.integers(-2, WINDOW + 6)
+
+
+def run_flags(command, **flags):
+    """Exit code of *command* on the case-study grid with ``--name=value``
+    flags; an argparse rejection reads as its exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "input.json"
+        src.write_text(json.dumps(GRID), encoding="utf-8")
+        argv = [command, "--config", str(src), "--out", str(Path(tmp) / "out")]
+        argv += [f"--{name.replace('_', '-')}={value}"
+                 for name, value in flags.items()]
+        try:
+            return run(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@NUMBERS
+@given(MAGNITUDE, st.sampled_from(["", "pu", "hz"]), STEPS, STEPS)
+def test_simulate_numeric_flags(dp_a, suffix, horizon, attack_step):
+    code = run_flags("simulate", dp_a=f"{dp_a!r}{suffix}", horizon=horizon,
+                     attack_step=attack_step)
+    valid = math.isfinite(dp_a) and horizon >= WINDOW and attack_step >= 0
+    assert code == (0 if valid else 2)
+
+
+@NUMBERS
+@given(st.one_of(st.floats(-1e-3, 1e-2), st.sampled_from(
+           [0.0, math.nan, math.inf, -math.inf])),
+       st.sampled_from(["", "pu", "hz"]), STEPS, STEPS,
+       st.sampled_from(["any", "rocof"]))
+def test_synthesize_numeric_flags(tolerance, suffix, horizon, attack_step,
+                                  target):
+    code = run_flags("synthesize", tolerance=f"{tolerance!r}{suffix}",
+                     horizon=horizon, attack_step=attack_step, target=target)
+    valid = (0 < tolerance < math.inf and horizon >= WINDOW
+             and attack_step >= 0)
+    assert code in ((0, 1) if valid else (2,))
+
+
+@NUMBERS
+@given(st.one_of(st.integers(-3, 0),
+                 st.integers(1, 50).map(lambda k: (os.cpu_count() or 1) + k)))
+def test_sweep_workers_out_of_range(workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    with mock.patch.object(frosim.sweep, "ProcessPoolExecutor", no_pool):
+        assert exit_code("sweep", "--spec", {**SPEC, "count": 5},
+                         "--workers", str(workers)) == 2

@@ -1,9 +1,11 @@
-"""Attack synthesis: feasibility oracle, probing, closed form, bisection,
-exhaustive scan."""
+"""Attack synthesis: feasibility oracle, probing, closed form, interval
+pass, exhaustive scan."""
 
 import itertools
+import logging
 import math
 import random
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from frosim import (
     GridConfig,
     GridParams,
     LoadRelay,
-    NonMonotoneFeasibility,
     Sign,
     SimOptions,
     TargetKind,
@@ -144,6 +145,23 @@ class TestProbeMonotonicity:
                                samples=1)
 
 
+def assert_exact_minimum(cfg, goal, out, resolution, options=SimOptions()):
+    """*out* replays, is at most the scan's answer at *resolution* and within
+    one resolution step of it, and one record decimal lower fails in every
+    allowed direction."""
+    dp_a = out.vector.dp_a
+    replay = feasibility(cfg, dp_a, goal, options)
+    assert replay.success and replay.vector.outcome == out.vector.outcome
+    assert float(format(dp_a, ".12g")) == dp_a
+    lower = float(Decimal(repr(abs(dp_a))).next_minus(Context(prec=12)))
+    for direction in goal.directions():
+        assert not feasibility(cfg, direction * lower, goal, options).success
+    scan = exhaustive_min_attack(cfg, goal, resolution=resolution,
+                                 options=options)
+    assert scan.success
+    assert abs(dp_a) <= abs(scan.vector.dp_a) < abs(dp_a) + resolution
+
+
 class TestSynthesizeMinAttack:
     def test_zero_capability(self):
         cfg = study_config(toi=0.0)
@@ -228,18 +246,18 @@ class TestSynthesizeMinAttack:
             cfg, AttackGoal(horizon=12, sign=Sign.NEGATIVE))
         assert out.success and out.vector.dp_a < 0
 
-    def test_nonmonotone_instance_refused(self):
+    def test_nonmonotone_instance_answered_exactly(self):
+        # the feasible set is [0.008992, 0.056269] and [0.200296, 0.35]
         cfg = nonmonotone_config()
         goal = AttackGoal(horizon=600, target_kind=TargetKind.ROCOF_ONLY)
-        with pytest.raises(NonMonotoneFeasibility):
-            synthesize_min_attack(cfg, goal)
+        out = synthesize_min_attack(cfg, goal)
+        assert out.success and out.vector.dp_a == 0.00899189181221
+        assert_exact_minimum(cfg, goal, out, resolution=1e-3)
 
-    def test_gap_narrower_than_the_probe_is_refused(self):
+    def test_gap_narrower_than_the_probe_is_answered_exactly(self):
         # shedding lA near the horizon makes a rebound steep enough to trip
-        # gA at step 60 on about [0.01482, 0.01489] and again from about
-        # 0.01498; the 17-point probe (spacing 0.002) sees an up-set and
-        # bisection lands above the gap, where one tolerance lower still
-        # trips gA
+        # gA at step 60 on about [0.01482, 0.01490] and again from about
+        # 0.01498; the 17-point probe (spacing 0.002) sees an up-set
         cfg = validate_config(GridConfig(
             GridParams(h_inertia=0.5946544920385339,
                        droop_r=0.7303595585743459,
@@ -254,11 +272,9 @@ class TestSynthesizeMinAttack:
         goal = AttackGoal(horizon=60, target_kind=TargetKind.SPECIFIC,
                           specific_relay_id="gA")
         assert probe_monotonicity(cfg, goal).monotone
-        with pytest.raises(NonMonotoneFeasibility, match="one tolerance below"):
-            synthesize_min_attack(cfg, goal)
-        out = exhaustive_min_attack(cfg, goal)
-        assert out.success
-        assert not feasibility(cfg, out.vector.dp_a - 1e-4, goal).success
+        out = synthesize_min_attack(cfg, goal)
+        assert out.success and out.vector.dp_a == 0.0148150418517
+        assert_exact_minimum(cfg, goal, out, resolution=1e-4)
 
     def test_tolerance_precondition(self):
         with pytest.raises(ValueError):
@@ -388,13 +404,180 @@ class TestBackendAgreement:
             cfg = random_small_config(rng)
             goal = AttackGoal(horizon=40)
             tol = 2e-3
-            try:
-                a = synthesize_min_attack(cfg, goal, tolerance=tol)
-            except NonMonotoneFeasibility:
-                continue
+            a = synthesize_min_attack(cfg, goal, tolerance=tol)
             b = exhaustive_min_attack(cfg, goal, resolution=tol)
             assert a.success == b.success
             if a.success:
                 assert abs(a.vector.dp_a - b.vector.dp_a) <= tol + 1e-12
             agree += 1
         assert agree >= 5
+
+
+ALL_OPTIONS = [SimOptions(*flags)
+               for flags in itertools.product((False, True), repeat=3)]
+INTERVAL_CASES = list(itertools.product(
+    range(len(ALL_OPTIONS)),
+    (TargetKind.ROCOF_ONLY, TargetKind.LS_ONLY, TargetKind.SPECIFIC),
+    Sign, (0, 3),
+))
+
+
+class TestIntervalPass:
+    @pytest.mark.parametrize("case", range(len(INTERVAL_CASES)))
+    def test_exact_against_the_scan(self, case):
+        option, target, sign, attack_step = INTERVAL_CASES[case]
+        options = ALL_OPTIONS[option]
+        rng = random.Random(2000 + case)
+        # draw until a grid admits an attack; every refusal on the way must
+        # be confirmed by a failing replay at the capability bound
+        for _ in range(100):
+            cfg = random_small_config(rng)
+            relay_id = rng.choice(["gA", "gB", "lA"])
+            goal = AttackGoal(
+                horizon=60, target_kind=target, sign=sign,
+                attack_step=attack_step,
+                specific_relay_id=relay_id if target is TargetKind.SPECIFIC
+                else None)
+            out = synthesize_min_attack(cfg, goal, options=options)
+            if out.success:
+                break
+            bound = capability_bound(cfg.capability)
+            for direction in goal.directions():
+                assert not feasibility(cfg, direction * bound, goal,
+                                       options).success
+        else:
+            pytest.fail("no grid in 100 draws admits an attack")
+        assert_exact_minimum(cfg, goal, out, resolution=1e-3, options=options)
+
+    @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
+    def test_intervals_agree_with_replays(self, option):
+        # the whole feasible set, not only its minimum, on grids whose reach
+        # (ten times the usual) lets several relays operate in turn: each
+        # interval end is a boundary of the replayed feasible set, and the
+        # middle of each interval and of each gap replays as the pass says
+        options = ALL_OPTIONS[option]
+        rng = random.Random(3000 + option)
+        goals = [AttackGoal(horizon=60, target_kind=TargetKind.ROCOF_ONLY),
+                 AttackGoal(horizon=60, target_kind=TargetKind.LS_ONLY)] + [
+            AttackGoal(horizon=60, target_kind=TargetKind.SPECIFIC,
+                       specific_relay_id=relay) for relay in ("gA", "gB")]
+        ends = 0
+        for _ in range(16):
+            cfg = random_small_config(rng)
+            cfg = validate_config(with_capability(
+                cfg, kappa=10 * cfg.capability.kappa))
+            bound = capability_bound(cfg.capability)
+            for goal, direction in itertools.product(goals, (1, -1)):
+                intervals, _ = frosim.synth._feasible_intervals(
+                    cfg, goal, direction, options)
+
+                def replays(x):
+                    return frosim.synth._is_feasible(
+                        cfg, direction * x, goal, options)
+
+                edges = [0.0, *(end for iv in intervals for end in iv), bound]
+                for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                    if lo < hi:  # a gap of width 0 at either end of [0, bound]
+                        assert replays(0.5 * (lo + hi)) == (i % 2 == 1)
+                for lo, hi in intervals:
+                    for end, inward in ((lo, 1), (hi, -1)):
+                        if 0 < end < bound:
+                            assert replays(end + inward * 1e-9 * end)
+                            assert not replays(end - inward * 1e-9 * end)
+                            ends += 1
+        assert ends >= 64
+
+    @pytest.mark.parametrize("case", ["shed", "trip"])
+    def test_latched_relays_still_cut_under_accumulation(self, case):
+        # with literal accumulation a latched relay re-adds its block while
+        # its condition holds, so where that condition changes truth on a
+        # piece matters as much as for an unlatched relay: here how often l
+        # re-sheds (or gB re-trips) decides which magnitudes trip g (gA)
+        # later; a dense replay scan of the window checks every part
+        options = SimOptions(literal_accumulation=True)
+        if case == "shed":
+            cfg = nonmonotone_config()
+            goal = AttackGoal(horizon=60, target_kind=TargetKind.ROCOF_ONLY)
+            window = (0.13, 0.17, 1e-4)
+        else:
+            cfg = random_small_config(random.Random(360))
+            cfg = validate_config(with_capability(
+                cfg, kappa=10 * cfg.capability.kappa))
+            goal = AttackGoal(horizon=60, target_kind=TargetKind.SPECIFIC,
+                              specific_relay_id="gA")
+            window = (0.0443, 0.0449, 1e-6)
+        intervals, _ = frosim.synth._feasible_intervals(cfg, goal, 1, options)
+        lo, hi, step = window
+        assert sum(lo < a < hi or lo < b < hi for a, b in intervals) >= 2
+        for k in range(round((hi - lo) / step) + 1):
+            x = lo + k * step
+            if any(abs(x - end) < 1e-9 for iv in intervals for end in iv):
+                continue
+            inside = any(a <= x <= b for a, b in intervals)
+            assert frosim.synth._is_feasible(cfg, x, goal, options) == inside, x
+
+    @pytest.mark.parametrize("factor", [1 + 5e-12, 1 - 1e-6])
+    def test_misplaced_start_walks_back_to_the_same_answer(
+            self, monkeypatch, factor):
+        # a start some record decimals too high must step down, and one too
+        # low (here far lower than a cut point's rounding could put it) must
+        # climb and bisect back, to the smallest record decimal that replays
+        cfg = study_config(kappa=60.0)
+        goal = AttackGoal(horizon=12, target_kind=TargetKind.LS_ONLY)
+        exact = synthesize_min_attack(cfg, goal).vector.dp_a
+        real = frosim.synth._feasible_intervals
+
+        def misplaced(*args):
+            intervals, peak = real(*args)
+            return [(lo * factor, hi) for lo, hi in intervals], peak
+
+        monkeypatch.setattr(frosim.synth, "_feasible_intervals", misplaced)
+        assert synthesize_min_attack(cfg, goal).vector.dp_a == exact
+
+    def test_one_debug_line_per_answer(self, caplog, monkeypatch):
+        cfg = study_config(kappa=60.0)
+        rocof = AttackGoal(horizon=12, target_kind=TargetKind.ROCOF_ONLY,
+                           sign=Sign.EITHER)
+        caplog.set_level(logging.DEBUG, logger="frosim")
+        answers = [synthesize_min_attack(cfg, rocof),
+                   synthesize_min_attack(cfg, AttackGoal(horizon=12)),
+                   exhaustive_min_attack(cfg, rocof, resolution=1e-3)]
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "frosim.synth"]
+        assert len(lines) == 3
+        interval, closed, scan = lines
+        assert "by interval pass, +1: feasible [(" in interval
+        assert "-1: feasible [(" in interval and "peak 1 live pieces" in interval
+        # each direction is certified from one record decimal below its
+        # rounded-up start, which fails, then at the start; the directions'
+        # starts tie, so the negative one could still step below the
+        # positive answer and is certified too
+        assert "certify replays 4, step-down replays 0" in interval
+        assert repr(answers[0].vector.dp_a) in interval
+        assert "by closed-form starts +1:" in closed
+        assert "certify replays 1, step-down replays 0" in closed
+        assert "by exhaustive scan at 0.001; scan replays " in scan
+        assert repr(answers[2].vector.dp_a) in scan
+
+        # at the default level no line is built
+        caplog.clear()
+        caplog.set_level(logging.WARNING, logger="frosim")
+        monkeypatch.setattr(frosim.synth, "_describe", None)
+        again = [synthesize_min_attack(cfg, rocof),
+                 exhaustive_min_attack(cfg, rocof, resolution=1e-3)]
+        assert [a.vector.dp_a for a in again] == [
+            answers[0].vector.dp_a, answers[2].vector.dp_a]
+        assert not caplog.records
+
+    def test_feasible_intervals_of_the_holey_grid(self):
+        cfg = nonmonotone_config()
+        goal = AttackGoal(horizon=600, target_kind=TargetKind.ROCOF_ONLY)
+        intervals, peak = frosim.synth._feasible_intervals(
+            cfg, goal, 1, SimOptions())
+        assert [(round(lo, 6), round(hi, 6)) for lo, hi in intervals] == [
+            (0.008992, 0.056269), (0.200296, 0.35)]
+        assert 1 < peak < 100
+        for lo, hi in intervals:
+            assert feasibility(cfg, 0.5 * (lo + hi), goal).success
+        for gap in (0.004, 0.1, 0.15):
+            assert not feasibility(cfg, gap, goal).success
