@@ -32,7 +32,12 @@ Per step ``n`` the evaluation order is fixed:
 
 :func:`simulate_step` is the fused kernel that every replay runs: one
 function with the relay loops and both recursions inlined, which allocates a
-new latch tuple or event only when a relay newly operates.
+new latch tuple or event only when a relay newly operates.  Every replay
+steps it through one loop, :func:`_steps`, which yields the step records
+from :func:`initial_state` for as long as its caller iterates.
+:func:`simulate` keeps them all as a :class:`SimTrace`, whose column arrays
+are built from the records on first read; the search loops of
+:mod:`frosim.synth` stop at the first event that meets their goal.
 :func:`eval_ls_relays`, :func:`rocof`, :func:`eval_rocof_relays`,
 :func:`governor_step` and :func:`frequency_step` are the reference equations,
 one per stage; composed in the order above they give the kernel's states and
@@ -46,7 +51,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -366,28 +372,45 @@ def simulate_step(
 TRACE_CSV_HEADER = "n,t_s,f_hz,rocof_hz_per_s,dp_gov_pu,dp_sh_cum_pu,dp_tg_cum_pu,events"
 
 
+def _column(field: str, dtype=float) -> cached_property:
+    """A trace column built from the records' *field* on first read; numpy
+    stores a ``None`` (ROCOF before the window fills) as NaN."""
+    index = StepRecord._fields.index(field)
+
+    def build(trace: SimTrace) -> np.ndarray:
+        return np.array([r[index] for r in trace.records], dtype=dtype)
+
+    return cached_property(build)
+
+
 @dataclass(frozen=True)
 class SimTrace:
-    """Time series of one run plus the ordered relay-event log.
+    """The step records of one run, with its time series and event log.
 
     Rows cover steps 0..horizon inclusive; ``rocof_hz_per_s`` is NaN while
     fewer than M+1 frequency samples exist.  Relay totals in a row include
     operations at that row's step.  ``delta_f`` carries the per-unit
-    deviation exactly as stepped; ``f_hz`` is its Hz reconstruction.
+    deviation exactly as stepped; ``f_hz`` is its Hz reconstruction.  Each
+    column array is built from the records the first time it is read.
     """
 
-    n: np.ndarray
-    t_s: np.ndarray
-    delta_f: np.ndarray
-    f_hz: np.ndarray
-    rocof_hz_per_s: np.ndarray
-    dp_gov: np.ndarray
-    dp_sh_cum: np.ndarray
-    dp_tg_cum: np.ndarray
-    events: tuple[RelayEvent, ...]
+    records: tuple[StepRecord, ...]
+
+    n = _column("n", np.int64)
+    t_s = _column("t_s")
+    delta_f = _column("delta_f")
+    f_hz = _column("f_hz")
+    rocof_hz_per_s = _column("rocof_hz_per_s")
+    dp_gov = _column("dp_gov")
+    dp_sh_cum = _column("dp_sh_cum")
+    dp_tg_cum = _column("dp_tg_cum")
+
+    @cached_property
+    def events(self) -> tuple[RelayEvent, ...]:
+        return tuple(ev for r in self.records for ev in r.events)
 
     def __len__(self) -> int:
-        return len(self.n)
+        return len(self.records)
 
     @property
     def first_event(self) -> Optional[RelayEvent]:
@@ -405,6 +428,22 @@ def _check_horizon(config: GridConfig, horizon: int) -> None:
         )
 
 
+def _steps(
+    config: GridConfig,
+    attack: AttackSignal,
+    horizon: int,
+    options: SimOptions = DEFAULT_OPTIONS,
+) -> Iterator[StepRecord]:
+    """The replay loop: the records of steps 0..horizon from the balanced
+    equilibrium, one :func:`simulate_step` each, stepped only as far as the
+    caller iterates."""
+    _check_horizon(config, horizon)
+    state = initial_state(config)
+    for _ in range(horizon + 1):
+        state, record = simulate_step(state, config, attack, options)
+        yield record
+
+
 def simulate(
     config: GridConfig,
     attack: AttackSignal,
@@ -418,30 +457,7 @@ def simulate(
     recorded.  Raises :class:`HorizonTooShort` when the horizon does not
     cover one full ROCOF window.
     """
-    _check_horizon(config, horizon)
-    state = initial_state(config)
-    records = []
-    for _ in range(horizon + 1):
-        state, record = simulate_step(state, config, attack, options)
-        records.append(record)
-
-    events = []
-    for rec in records:
-        events.extend(rec.events)
-    return SimTrace(
-        n=np.array([r.n for r in records], dtype=np.int64),
-        t_s=np.array([r.t_s for r in records], dtype=float),
-        delta_f=np.array([r.delta_f for r in records], dtype=float),
-        f_hz=np.array([r.f_hz for r in records], dtype=float),
-        rocof_hz_per_s=np.array(
-            [math.nan if r.rocof_hz_per_s is None else r.rocof_hz_per_s for r in records],
-            dtype=float,
-        ),
-        dp_gov=np.array([r.dp_gov for r in records], dtype=float),
-        dp_sh_cum=np.array([r.dp_sh_cum for r in records], dtype=float),
-        dp_tg_cum=np.array([r.dp_tg_cum for r in records], dtype=float),
-        events=tuple(events),
-    )
+    return SimTrace(tuple(_steps(config, attack, horizon, options)))
 
 
 def _fmt(x: float) -> str:
@@ -449,30 +465,25 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
-    """Write the trace in the stable CSV layout.
+    """Write the trace in the stable CSV layout, one row per step record.
 
     The ROCOF column is empty while the measurement window is not yet full;
     the events column semicolon-joins ``KIND:relay_id`` entries for events at
     that step.
     """
-    by_step: dict[int, list[RelayEvent]] = {}
-    for ev in trace.events:
-        by_step.setdefault(ev.step, []).append(ev)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_CSV_HEADER + "\n")
-        for i in range(len(trace)):
-            step = int(trace.n[i])
-            rocof_val = trace.rocof_hz_per_s[i]
-            evs = ";".join(
-                f"{ev.kind.name}:{ev.relay_id}" for ev in by_step.get(step, ())
-            )
+        for r in trace.records:
+            # an unstable grid that no validation vetted can step into
+            # inf - inf, a NaN slope, which is written as missing
+            slope = r.rocof_hz_per_s
             fh.write(",".join([
-                str(step),
-                _fmt(trace.t_s[i]),
-                _fmt(trace.f_hz[i]),
-                "" if math.isnan(rocof_val) else _fmt(rocof_val),
-                _fmt(trace.dp_gov[i]),
-                _fmt(trace.dp_sh_cum[i]),
-                _fmt(trace.dp_tg_cum[i]),
-                evs,
+                str(r.n),
+                _fmt(r.t_s),
+                _fmt(r.f_hz),
+                "" if slope is None or math.isnan(slope) else _fmt(slope),
+                _fmt(r.dp_gov),
+                _fmt(r.dp_sh_cum),
+                _fmt(r.dp_tg_cum),
+                ";".join(f"{ev.kind.name}:{ev.relay_id}" for ev in r.events),
             ]) + "\n")

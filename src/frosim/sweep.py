@@ -436,16 +436,27 @@ def write_records_csv(records: Sequence[SweepRecord], path) -> None:
             ]) + "\n")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text}")
+    return value
+
+
 def read_records_csv(path) -> list[SweepRecord]:
     """Parse a sweep CSV back into records (for the report stage).
 
     A file with the older header, which lacks the ``status`` column, reads
     with status ``ok`` on every record.  ``success`` must read ``true`` or
-    ``false`` and a ``min_dp_a`` present must be finite; any other malformed
-    row raises :class:`InvalidParameter`.
+    ``false``, and the parameter columns and a ``min_dp_a`` present must be
+    finite; a file that is not UTF-8 text or has any other malformed row
+    raises :class:`InvalidParameter`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter("records", "not UTF-8 text") from exc
     header = lines[0] if lines else ""
     if header not in (SWEEP_CSV_HEADER, _SWEEP_CSV_HEADER_NO_STATUS):
         raise InvalidParameter("records", "missing or wrong header", header)
@@ -460,21 +471,18 @@ def read_records_csv(path) -> list[SweepRecord]:
                 or parts[6] not in ("true", "false")):
             raise InvalidParameter("records", "malformed row", ln)
         try:
-            min_dp_a = float(parts[8]) if parts[8] else None
             records.append(SweepRecord(
                 combo_id=int(parts[0]),
-                h=float(parts[1]), r=float(parts[2]), t=float(parts[3]),
-                toi_pct=float(parts[4]), ad_pct=float(parts[5]),
+                h=_finite(parts[1]), r=_finite(parts[2]), t=_finite(parts[3]),
+                toi_pct=_finite(parts[4]), ad_pct=_finite(parts[5]),
                 success=parts[6] == "true",
                 attack_type=AttackType(parts[7]),
-                min_dp_a=min_dp_a,
+                min_dp_a=_finite(parts[8]) if parts[8] else None,
                 trip_step=int(parts[9]) if parts[9] else None,
                 status=status,
             ))
         except (ValueError, KeyError) as exc:
             raise InvalidParameter("records", f"malformed row: {exc}", ln) from exc
-        if min_dp_a is not None and not math.isfinite(min_dp_a):
-            raise InvalidParameter("records", "malformed row", ln)
     return records
 
 

@@ -27,7 +27,10 @@ diagnostic that synthesis does not use.
 Every answer is the outcome of a :func:`feasibility` replay.  A replay
 depends on the config only through its dynamics and relays, never on the
 capability, so a sweep's combinations of one (H, R, T) share their replays
-through :func:`synthesize_min_attack`'s private memo argument.
+through :func:`synthesize_min_attack`'s private memo argument.  Every replay
+steps through the one loop of :mod:`frosim.dynamics`: the unit response is
+the replay of a relay-free copy of the config, and a search that needs only
+a verdict stops its replay at the first matching event.
 """
 
 from __future__ import annotations
@@ -48,14 +51,12 @@ from .dynamics import (
     SimOptions,
     DEFAULT_OPTIONS,
     SimTrace,
-    SystemState,
     _check_horizon,
-    frequency_step,
-    governor_step,
-    initial_state,
+    _steps,
     simulate,
-    simulate_step,
 )
+# Unused here, but bench/tracer.py wraps them under these names.
+from .dynamics import initial_state, simulate_step  # noqa: F401
 from .errors import CapabilityExceeded, InvalidParameter
 
 log = logging.getLogger(__name__)
@@ -166,13 +167,6 @@ class FeasibilityOutcome:
         return self.status is FeasibilityStatus.SUCCESS
 
 
-def _first_matching(trace: SimTrace, goal: AttackGoal) -> Optional[RelayEvent]:
-    for ev in trace.events:
-        if goal.matches(ev):
-            return ev
-    return None
-
-
 def _check_capability(config: GridConfig, dp_a: float) -> None:
     bound = capability_bound(config.capability)
     if abs(dp_a) > bound:
@@ -194,7 +188,7 @@ def feasibility(
     """
     _check_capability(config, dp_a)
     trace = simulate(config, AttackSignal(dp_a, goal.attack_step), goal.horizon, options)
-    event = _first_matching(trace, goal)
+    event = next((ev for ev in trace.events if goal.matches(ev)), None)
     if event is None:
         return FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS)
     vector = AttackVector(
@@ -212,18 +206,12 @@ def _is_feasible(
     goal: AttackGoal,
     options: SimOptions = DEFAULT_OPTIONS,
 ) -> bool:
-    # Same precondition and stepping kernel as simulate(), stopping at the
-    # first matching event; used by the search loops where only the verdict
-    # is needed.
-    _check_horizon(config, goal.horizon)
-    state = initial_state(config)
-    attack = AttackSignal(dp_a, goal.attack_step)
-    for _ in range(goal.horizon + 1):
-        state, record = simulate_step(state, config, attack, options)
-        for ev in record.events:
-            if goal.matches(ev):
-                return True
-    return False
+    # simulate()'s replay, stopped at the first matching event; used by the
+    # search loops where only the verdict is needed
+    return any(goal.matches(ev)
+               for record in _steps(config, AttackSignal(dp_a, goal.attack_step),
+                                    goal.horizon, options)
+               for ev in record.events)
 
 
 # A replay memo maps a signed injection magnitude to the ``feasibility``
@@ -315,21 +303,10 @@ def _check_step(name: str, value: float) -> None:
 
 def _unit_response(config: GridConfig, goal: AttackGoal) -> list[float]:
     """Relay-free deviation trace, steps 0..horizon, for ``dp_a = 1`` from
-    the goal's attack step."""
-    params = config.params
-    # the update equations read only delta_f and dp_gov
-    state = SystemState(0, 0.0, 0.0, 0.0, 0.0, (), (), ())
-    response = [0.0]
-    for n in range(goal.horizon):
-        dp_a = 1.0 if n >= goal.attack_step else 0.0
-        state = SystemState(
-            n + 1,
-            frequency_step(state, params, dp_a, 0.0, 0.0),
-            governor_step(state, params),
-            0.0, 0.0, (), (), (),
-        )
-        response.append(state.delta_f)
-    return response
+    the goal's attack step: the replay of *config* with no relays."""
+    relay_free = GridConfig(config.params, (), (), config.capability)
+    attack = AttackSignal(1.0, goal.attack_step)
+    return [record.delta_f for record in _steps(relay_free, attack, goal.horizon)]
 
 
 def _closed_form_minima(config: GridConfig, goal: AttackGoal) -> dict[int, float]:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -436,6 +437,18 @@ class TestReport:
         assert run(["report", "--records", str(records),
                     "--out", str(out)]) == 2
         assert "error: records: malformed row" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        random.Random(7).randbytes(300),
+        (SWEEP_CSV_HEADER + "\n").encode() + b"\xff\xfe,2.0\n",
+    ], ids=["random-bytes", "header-then-ff-fe-row"])
+    def test_records_not_utf8_exit_2(self, tmp_path, capsys, content):
+        p = tmp_path / "bin.csv"
+        p.write_bytes(content)
+        out = tmp_path / "r.json"
+        assert run(["report", "--records", str(p), "--out", str(out)]) == 2
+        assert "error: records: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_records_exits_2(self, tmp_path):

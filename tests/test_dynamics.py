@@ -7,9 +7,12 @@ import random
 import numpy as np
 import pytest
 
+import frosim.synth
 from frosim import (
+    AttackGoal,
     AttackSignal,
     EventKind,
+    GridConfig,
     GridParams,
     HorizonTooShort,
     NO_ATTACK,
@@ -394,6 +397,47 @@ class TestSimulate:
         assert steps == sorted(steps)
 
 
+class TestSimTrace:
+    COLUMNS = ("n", "t_s", "delta_f", "f_hz", "rocof_hz_per_s", "dp_gov",
+               "dp_sh_cum", "dp_tg_cum")
+
+    @staticmethod
+    def trace():
+        return simulate(study_config(kappa=60.0), AttackSignal(0.322), 40)
+
+    def test_columns_equal_the_record_fields(self):
+        trace = self.trace()
+        assert len(trace) == len(trace.records) == 41
+        assert trace.n.dtype == np.int64
+        for name in self.COLUMNS:
+            column = getattr(trace, name)
+            assert column.shape == (41,)
+            fields = [getattr(r, name) for r in trace.records]
+            if name == "rocof_hz_per_s":
+                assert fields[0] is None and fields[-1] is not None
+                fields = [math.nan if x is None else x for x in fields]
+            if name != "n":
+                assert column.dtype == np.float64
+            # repr tells -0.0 from 0.0 and shows NaN where a slope is missing
+            assert repr(column.tolist()) == repr(fields), name
+        assert trace.events == tuple(
+            ev for r in trace.records for ev in r.events)
+        assert trace.first_event_step() == trace.events[0].step
+
+    def test_second_read_returns_the_same_array(self):
+        trace = self.trace()
+        for name in self.COLUMNS:
+            assert getattr(trace, name) is getattr(trace, name), name
+
+    def test_replays_check_the_horizon_first(self):
+        cfg = study_config()
+        for call in (lambda: simulate(cfg, AttackSignal(0.1), 5),
+                     lambda: frosim.synth._is_feasible(
+                         cfg, 0.1, AttackGoal(horizon=5))):
+            with pytest.raises(HorizonTooShort):
+                call()
+
+
 class TestModeledVariants:
     def test_literal_accumulation_grows_every_step(self):
         cfg = study_config()
@@ -446,7 +490,58 @@ class TestScalingProperties:
             assert np.array_equal(negated.delta_f, -base.delta_f)
 
 
+def reference_write_trace_csv(trace, path):
+    """Reference trace writer, indexing the column arrays row by row;
+    ``write_trace_csv`` must write the same bytes."""
+    by_step = {}
+    for ev in trace.events:
+        by_step.setdefault(ev.step, []).append(ev)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(TRACE_CSV_HEADER + "\n")
+        for i in range(len(trace)):
+            step = int(trace.n[i])
+            rocof_val = trace.rocof_hz_per_s[i]
+            evs = ";".join(
+                f"{ev.kind.name}:{ev.relay_id}" for ev in by_step.get(step, ())
+            )
+            fh.write(",".join([
+                str(step),
+                format(trace.t_s[i], ".12g"),
+                format(trace.f_hz[i], ".12g"),
+                "" if math.isnan(rocof_val) else format(rocof_val, ".12g"),
+                format(trace.dp_gov[i], ".12g"),
+                format(trace.dp_sh_cum[i], ".12g"),
+                format(trace.dp_tg_cum[i], ".12g"),
+                evs,
+            ]) + "\n")
+
+
 class TestTraceCsv:
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_same_bytes_as_the_reference_writer(self, tmp_path, options):
+        rng = random.Random(606)
+        grids = [study_config(kappa=60.0)] + [
+            random_small_config(rng) for _ in range(3)]
+        # unvalidated and unstable: the deviation overflows, and the slope
+        # turns NaN, within the horizon
+        grids.append(GridConfig(
+            GridParams(h_inertia=0.001, droop_r=0.01, governor_t=0.01),
+            C1_GENERATORS, C1_LOADS, grids[0].capability))
+        events = 0
+        for i, (cfg, dp_a) in enumerate(itertools.product(
+                grids, (0.322, -0.9, 1.5))):
+            attack = AttackSignal(dp_a, i % 3)
+            trace = simulate(cfg, attack, 150, options)
+            events += len(trace.events)
+            got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+            write_trace_csv(simulate(cfg, attack, 150, options), got)
+            reference_write_trace_csv(trace, want)
+            assert got.read_bytes() == want.read_bytes()
+        assert events > 0
+        # the last trace, on the unstable grid, ends on a NaN slope
+        assert math.isnan(trace.records[-1].rocof_hz_per_s)
+
+
     def test_layout_and_events_column(self, tmp_path):
         cfg = study_config()
         trace = simulate(cfg, AttackSignal(0.322), 10)

@@ -414,7 +414,8 @@ class TestFiles:
         assert [r.success for r in back] == [r.success for r in records]
 
     @pytest.mark.parametrize("column,value", [
-        (6, "yes"), (6, "1"), (6, ""), (8, "nan"), (8, "-inf"), (8, "inf")])
+        (6, "yes"), (6, "1"), (6, ""), (8, "nan"), (8, "-inf"), (8, "inf"),
+        (1, "nan"), (2, "inf"), (3, "inf"), (4, "-inf"), (5, "-inf")])
     def test_read_rejects_malformed_fields(self, tmp_path, column, value):
         records = run_sweep(small_spec(toi_pct_values=(10.0,)))
         assert records[0].success

@@ -10,6 +10,7 @@ from decimal import Context, Decimal
 import numpy as np
 import pytest
 
+import frosim.dynamics
 import frosim.synth
 from frosim import (
     AttackerCapability,
@@ -23,10 +24,13 @@ from frosim import (
     LoadRelay,
     Sign,
     SimOptions,
+    SystemState,
     TargetKind,
     capability_bound,
     exhaustive_min_attack,
     feasibility,
+    frequency_step,
+    governor_step,
     probe_monotonicity,
     synthesize_min_attack,
     validate_config,
@@ -61,6 +65,26 @@ def nonmonotone_config():
         ))
 
 
+def reference_unit_response(config, goal):
+    """The relay-free response to ``dp_a = 1`` stepped by the reference
+    recursions, steps 0..horizon; ``synth._unit_response`` must equal it
+    bit for bit."""
+    params = config.params
+    # the update equations read only delta_f and dp_gov
+    state = SystemState(0, 0.0, 0.0, 0.0, 0.0, (), (), ())
+    response = [0.0]
+    for n in range(goal.horizon):
+        dp_a = 1.0 if n >= goal.attack_step else 0.0
+        state = SystemState(
+            n + 1,
+            frequency_step(state, params, dp_a, 0.0, 0.0),
+            governor_step(state, params),
+            0.0, 0.0, (), (), (),
+        )
+        response.append(state.delta_f)
+    return response
+
+
 class TestFeasibility:
     def test_zero_injection_never_succeeds(self):
         out = feasibility(study_config(), 0.0, AttackGoal(horizon=100))
@@ -88,6 +112,25 @@ class TestFeasibility:
         cfg = study_config()  # bound = 0.006
         with pytest.raises(CapabilityExceeded):
             feasibility(cfg, 0.01, AttackGoal(horizon=12))
+
+    @pytest.mark.parametrize("target", list(TargetKind), ids=str)
+    def test_verdict_replay_stops_at_the_matching_event(self, monkeypatch,
+                                                        target):
+        cfg = study_config(kappa=60.0)
+        goal = AttackGoal(horizon=200, target_kind=target,
+                          specific_relay_id="l1")
+        trip_step = feasibility(cfg, 0.322, goal).vector.outcome.trip_step
+        steps = 0
+        real = frosim.dynamics.simulate_step
+
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return real(*args)
+
+        monkeypatch.setattr(frosim.dynamics, "simulate_step", counted)
+        assert frosim.synth._is_feasible(cfg, 0.322, goal)
+        assert steps == trip_step + 1 < 201
 
     def test_goal_filtering_by_kind(self):
         cfg = study_config(kappa=60.0)
@@ -325,6 +368,25 @@ class TestClosedFormAny:
         scan = exhaustive_min_attack(cfg, goal, resolution=1e-4, options=options)
         assert abs(dp_a) <= abs(scan.vector.dp_a) < abs(dp_a) + 1e-4
         assert float(format(dp_a, ".12g")) == dp_a
+
+    def test_unit_response_matches_the_reference_recursion(self):
+        rng = random.Random(808)
+        for _ in range(150):
+            base = random_small_config(rng)
+            params = GridParams(
+                h_inertia=rng.uniform(1.0, 10.0),
+                droop_r=rng.uniform(0.2, 1.0),
+                governor_t=rng.uniform(0.2, 1.0),
+                dt=rng.choice((1.0 / 60.0, 0.02, 0.01)),
+                rocof_window_m=rng.randint(1, 12))
+            cfg = GridConfig(params, base.generators, base.loads,
+                             base.capability)
+            m = params.rocof_window_m
+            goal = AttackGoal(horizon=rng.randint(m, 200),
+                              attack_step=rng.randint(0, 30))
+            got = frosim.synth._unit_response(cfg, goal)
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(got) == repr(reference_unit_response(cfg, goal))
 
     def _answer(self, sign=Sign.EITHER):
         cfg = study_config(kappa=60.0)
