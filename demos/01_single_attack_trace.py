@@ -46,20 +46,21 @@ print(f"{'n':>3} {'t (s)':>7} {'f (Hz)':>9} {'slope (Hz/s)':>13}  events")
 events_by_step = {}
 for ev in trace.events:
     events_by_step.setdefault(ev.step, []).append(ev)
-for i in range(13):
-    slope = trace.rocof_hz_per_s[i]
-    slope_text = f"{slope:+.3f}" if not math.isnan(slope) else "-"
+for rec in trace.records[:13]:
+    slope = rec.rocof_hz_per_s  # None until the slope window fills
+    slope_text = "-" if slope is None else f"{slope:+.3f}"
     evs = ", ".join(f"{e.kind.name}:{e.relay_id}"
-                    for e in events_by_step.get(i, []))
-    print(f"{trace.n[i]:>3} {trace.t_s[i]:>7.4f} {trace.f_hz[i]:>9.4f} "
+                    for e in events_by_step.get(rec.n, []))
+    print(f"{rec.n:>3} {rec.t_s:>7.4f} {rec.f_hz:>9.4f} "
           f"{slope_text:>13}  {evs}")
 
 print()
 print("Relay event log:")
 for ev in trace.events:
     print(f"  step {ev.step:>3}: {ev.kind.name:>10} {ev.relay_id}")
-print(f"Tripped generation: {trace.dp_tg_cum[-1]:.2f} pu, "
-      f"shed load: {trace.dp_sh_cum[-1]:.2f} pu")
+last = trace.records[-1]
+print(f"Tripped generation: {last.dp_tg_cum:.2f} pu, "
+      f"shed load: {last.dp_sh_cum:.2f} pu")
 
 print()
 print("=" * 64)
@@ -80,4 +81,4 @@ steps = math.ceil(40 * max(2 * quiet.params.h_inertia * r,
                            quiet.params.governor_t) / quiet.params.dt)
 settle = simulate(quiet, AttackSignal(dp), steps)
 print(f"injection {dp} pu, droop {r}: expected deviation {-r * dp:+.4f} pu, "
-      f"simulated {settle.delta_f[-1]:+.10f} pu after {steps} steps")
+      f"simulated {settle.records[-1].delta_f:+.10f} pu after {steps} steps")

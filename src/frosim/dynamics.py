@@ -35,8 +35,8 @@ function with the relay loops and both recursions inlined, which allocates a
 new latch tuple or event only when a relay newly operates.  Every replay
 steps it through one loop, :func:`_steps`, which yields the step records
 from :func:`initial_state` for as long as its caller iterates.
-:func:`simulate` keeps them all as a :class:`SimTrace`, whose column arrays
-are built from the records on first read; the search loops of
+:func:`simulate` keeps them all as a :class:`SimTrace`, and
+:func:`write_trace_csv` writes one CSV row per record; the search loops of
 :mod:`frosim.synth` stop at the first event that meets their goal.
 :func:`eval_ls_relays`, :func:`rocof`, :func:`eval_rocof_relays`,
 :func:`governor_step` and :func:`frequency_step` are the reference equations,
@@ -53,8 +53,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .config import GeneratorRelay, GridConfig, GridParams, LoadRelay
 from .errors import HorizonTooShort
@@ -372,38 +370,17 @@ def simulate_step(
 TRACE_CSV_HEADER = "n,t_s,f_hz,rocof_hz_per_s,dp_gov_pu,dp_sh_cum_pu,dp_tg_cum_pu,events"
 
 
-def _column(field: str, dtype=float) -> cached_property:
-    """A trace column built from the records' *field* on first read; numpy
-    stores a ``None`` (ROCOF before the window fills) as NaN."""
-    index = StepRecord._fields.index(field)
-
-    def build(trace: SimTrace) -> np.ndarray:
-        return np.array([r[index] for r in trace.records], dtype=dtype)
-
-    return cached_property(build)
-
-
 @dataclass(frozen=True)
 class SimTrace:
-    """The step records of one run, with its time series and event log.
+    """The step records of one run, with its event log.
 
-    Rows cover steps 0..horizon inclusive; ``rocof_hz_per_s`` is NaN while
-    fewer than M+1 frequency samples exist.  Relay totals in a row include
-    operations at that row's step.  ``delta_f`` carries the per-unit
-    deviation exactly as stepped; ``f_hz`` is its Hz reconstruction.  Each
-    column array is built from the records the first time it is read.
+    Records cover steps 0..horizon inclusive; ``rocof_hz_per_s`` is ``None``
+    while fewer than M+1 frequency samples exist.  Relay totals in a record
+    include operations at that record's step.  ``delta_f`` carries the
+    per-unit deviation exactly as stepped; ``f_hz`` is its Hz reconstruction.
     """
 
     records: tuple[StepRecord, ...]
-
-    n = _column("n", np.int64)
-    t_s = _column("t_s")
-    delta_f = _column("delta_f")
-    f_hz = _column("f_hz")
-    rocof_hz_per_s = _column("rocof_hz_per_s")
-    dp_gov = _column("dp_gov")
-    dp_sh_cum = _column("dp_sh_cum")
-    dp_tg_cum = _column("dp_tg_cum")
 
     @cached_property
     def events(self) -> tuple[RelayEvent, ...]:
@@ -415,9 +392,6 @@ class SimTrace:
     @property
     def first_event(self) -> Optional[RelayEvent]:
         return self.events[0] if self.events else None
-
-    def first_event_step(self) -> Optional[int]:
-        return self.events[0].step if self.events else None
 
 
 def _check_horizon(config: GridConfig, horizon: int) -> None:
@@ -460,16 +434,12 @@ def simulate(
     return SimTrace(tuple(_steps(config, attack, horizon, options)))
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def write_trace_csv(trace: SimTrace, path) -> None:
     """Write the trace in the stable CSV layout, one row per step record.
 
-    The ROCOF column is empty while the measurement window is not yet full;
-    the events column semicolon-joins ``KIND:relay_id`` entries for events at
-    that step.
+    Numbers carry 12 significant digits.  The ROCOF column is empty while the
+    measurement window is not yet full; the events column semicolon-joins
+    ``KIND:relay_id`` entries for events at that step.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_CSV_HEADER + "\n")
@@ -477,13 +447,7 @@ def write_trace_csv(trace: SimTrace, path) -> None:
             # an unstable grid that no validation vetted can step into
             # inf - inf, a NaN slope, which is written as missing
             slope = r.rocof_hz_per_s
-            fh.write(",".join([
-                str(r.n),
-                _fmt(r.t_s),
-                _fmt(r.f_hz),
-                "" if slope is None or math.isnan(slope) else _fmt(slope),
-                _fmt(r.dp_gov),
-                _fmt(r.dp_sh_cum),
-                _fmt(r.dp_tg_cum),
-                ";".join(f"{ev.kind.name}:{ev.relay_id}" for ev in r.events),
-            ]) + "\n")
+            slope = "" if slope is None or math.isnan(slope) else f"{slope:.12g}"
+            events = ";".join(f"{ev.kind.name}:{ev.relay_id}" for ev in r.events)
+            fh.write(f"{r.n},{r.t_s:.12g},{r.f_hz:.12g},{slope},{r.dp_gov:.12g},"
+                     f"{r.dp_sh_cum:.12g},{r.dp_tg_cum:.12g},{events}\n")

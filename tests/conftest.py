@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from frosim import (
@@ -24,6 +26,13 @@ C1_GENERATORS = (
 C1_LOADS = tuple(
     LoadRelay(f"l{i}", f"bus{i}", 0.5, 59.5) for i in range(1, 5)
 )
+
+
+def column(trace, field):
+    """One field of every step record of *trace* as an array, with a
+    ``None`` (ROCOF before the window fills) read as NaN."""
+    values = [getattr(r, field) for r in trace.records]
+    return np.array([math.nan if v is None else v for v in values])
 
 
 def study_config(h=2.0, r=0.2, t=0.2, toi=0.02, ad=0.2, kappa=1.0,

@@ -31,6 +31,7 @@ from frosim import (
 )
 from conftest import (
     C1_GENERATORS,
+    column,
     random_small_config,
     relays_disabled_config,
     study_config,
@@ -105,9 +106,9 @@ def test_criterion_3_quiescence():
     """Zero injection over 10,000 steps: a bit-flat 60.000 Hz trace with
     zero events."""
     trace = simulate(study_config(), AttackSignal(0.0), 10000)
-    assert np.all(trace.f_hz == 60.0)
-    assert np.all(trace.delta_f == 0.0)
-    assert np.all(trace.dp_gov == 0.0)
+    assert np.all(column(trace, "f_hz") == 60.0)
+    assert np.all(column(trace, "delta_f") == 0.0)
+    assert np.all(column(trace, "dp_gov") == 0.0)
     assert not trace.events
     print("ACCEPTANCE 3 PASS: 10,000-step zero-injection trace is bit-flat "
           "with zero events")
@@ -149,9 +150,10 @@ def test_criterion_4_droop_steady_state_within_ten_governor_lags():
         re_slow = (-1.0 / t + math.sqrt(disc)) / 2.0 if disc >= 0 else -0.5 / t
         settle_steps = math.ceil(20.0 / abs(re_slow) / dt)
         lag_steps = math.ceil(10.0 * t / dt)
-        trace = simulate(cfg, AttackSignal(dp), settle_steps)
+        delta_f = column(simulate(cfg, AttackSignal(dp), settle_steps),
+                         "delta_f")
 
-        residual = abs(trace.delta_f[-1] + r * dp)
+        residual = abs(delta_f[-1] + r * dp)
         residuals.append(residual)
         if residual > worst:
             worst, worst_case = residual, (h, r, t, dp)
@@ -164,7 +166,7 @@ def test_criterion_4_droop_steady_state_within_ten_governor_lags():
         ])
         x_star = np.array([dp, -r * dp])
         x_lag = x_star - np.linalg.matrix_power(a, lag_steps) @ x_star
-        worst_lag = max(worst_lag, abs(trace.delta_f[lag_steps] - x_lag[1]))
+        worst_lag = max(worst_lag, abs(delta_f[lag_steps] - x_lag[1]))
 
     ok = worst <= 1e-6 and worst_lag <= 1e-12
     line = (f"max residual {worst:.3e} pu after 20*tau_slow at (H,R,T,dp)="
@@ -190,17 +192,14 @@ def test_criterion_5_pre_event_linearity_and_odd_symmetry():
         base = simulate(cfg, AttackSignal(a), 240)
         scaled = simulate(cfg, AttackSignal(lam * a), 240)
         negated = simulate(cfg, AttackSignal(-a), 240)
-        cut = min(
-            base.first_event_step() or 241,
-            scaled.first_event_step() or 241,
-            negated.first_event_step() or 241,
-        )
+        cut = min(trace.first_event.step if trace.first_event else 241
+                  for trace in (base, scaled, negated))
         # a trip can occur no earlier than the first full window (step 6),
         # so at least six pre-event rows always remain comparable
         assert cut >= 6
-        b = base.delta_f[:cut]
-        s = scaled.delta_f[:cut]
-        n = negated.delta_f[:cut]
+        b = column(base, "delta_f")[:cut]
+        s = column(scaled, "delta_f")[:cut]
+        n = column(negated, "delta_f")[:cut]
         assert np.all(np.abs(s - lam * b) <= 1e-12 * np.abs(lam * b))
         assert np.all(np.abs(n + b) <= 1e-12 * np.abs(b))
     print("ACCEPTANCE 5 PASS: 50 random grids scale linearly and mirror "
@@ -242,8 +241,8 @@ def test_criterion_6_synthesizer_soundness():
         replay = feasibility(cfg, out.vector.dp_a, goal)
         assert replay.success
         assert replay.vector.outcome == out.vector.outcome
-        assert np.array_equal(replay.vector.trace.delta_f,
-                              out.vector.trace.delta_f)
+        assert np.array_equal(column(replay.vector.trace, "delta_f"),
+                              column(out.vector.trace, "delta_f"))
     assert feasible_count >= 10
     print(f"ACCEPTANCE 6 PASS: search matches the scan oracle within one "
           f"resolution step on 50 grids ({feasible_count} feasible), all "

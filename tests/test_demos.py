@@ -1,4 +1,6 @@
-"""The narrative demos run to completion against the package in ``src/``."""
+"""The narrative demos run to completion against the package in ``src/``,
+with numpy imports blocked: frosim and its demos need only the standard
+library."""
 
 import os
 import subprocess
@@ -10,6 +12,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
+# a None entry in sys.modules makes every later `import numpy` raise
+# ImportError
+RUN_WITHOUT_NUMPY = ("import runpy, sys; sys.modules['numpy'] = None; "
+                     "runpy.run_path(sys.argv[1], run_name='__main__')")
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
@@ -17,7 +24,7 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", RUN_WITHOUT_NUMPY, str(demo)], cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -32,6 +32,7 @@ from frosim.dynamics import TRACE_CSV_HEADER, RelayEvent, StepRecord
 from conftest import (
     C1_GENERATORS,
     C1_LOADS,
+    column,
     random_small_config,
     relays_disabled_config,
     study_config,
@@ -341,9 +342,9 @@ class TestSimulate:
     def test_quiescence(self):
         cfg = study_config()
         trace = simulate(cfg, NO_ATTACK, 2000)
-        assert np.all(trace.f_hz == 60.0)
-        assert np.all(trace.dp_gov == 0.0)
-        assert not trace.events
+        assert np.all(column(trace, "f_hz") == 60.0)
+        assert np.all(column(trace, "dp_gov") == 0.0)
+        assert not trace.events and trace.first_event is None
 
     def test_case_study_attack_trips_lowest_threshold_relay(self):
         cfg = study_config(kappa=60.0)
@@ -355,11 +356,12 @@ class TestSimulate:
         cfg = study_config()
         attack = AttackSignal(0.05)
         trace = simulate(cfg, attack, 30)
+        f_hz, dp_gov = column(trace, "f_hz"), column(trace, "dp_gov")
         state = initial_state(cfg)
         for i in range(31):
             state, rec = simulate_step(state, cfg, attack)
-            assert trace.f_hz[i] == rec.f_hz
-            assert trace.dp_gov[i] == rec.dp_gov
+            assert f_hz[i] == rec.f_hz
+            assert dp_gov[i] == rec.dp_gov
 
     def test_horizon_shorter_than_window_rejected(self):
         with pytest.raises(HorizonTooShort):
@@ -373,26 +375,27 @@ class TestSimulate:
             cfg = relays_disabled_config(h=h, r=r, t=t)
             steps = math.ceil(40 * max(2 * h * r, t) / cfg.params.dt)
             trace = simulate(cfg, AttackSignal(dp), steps)
-            df_final = trace.f_hz[-1] / 60.0 - 1.0
+            df_final = column(trace, "f_hz")[-1] / 60.0 - 1.0
             assert abs(df_final + r * dp) <= 1e-6
 
     def test_determinism(self):
         cfg = study_config()
         a = simulate(cfg, AttackSignal(0.2), 200)
         b = simulate(cfg, AttackSignal(0.2), 200)
-        assert np.array_equal(a.f_hz, b.f_hz)
+        assert np.array_equal(column(a, "f_hz"), column(b, "f_hz"))
         assert a.events == b.events
 
     def test_attack_step_delays_injection(self):
         cfg = relays_disabled_config()
-        trace = simulate(cfg, AttackSignal(0.1, attack_step=10), 30)
-        assert np.all(trace.f_hz[:11] == 60.0)
-        assert trace.f_hz[11] < 60.0
+        f_hz = column(simulate(cfg, AttackSignal(0.1, attack_step=10), 30),
+                      "f_hz")
+        assert np.all(f_hz[:11] == 60.0)
+        assert f_hz[11] < 60.0
 
     def test_rows_increase_and_events_are_ordered(self):
         cfg = study_config(kappa=60.0)
         trace = simulate(cfg, AttackSignal(0.2), 40)
-        assert np.all(np.diff(trace.n) == 1)
+        assert np.all(np.diff(column(trace, "n")) == 1)
         steps = [ev.step for ev in trace.events]
         assert steps == sorted(steps)
 
@@ -408,26 +411,17 @@ class TestSimTrace:
     def test_columns_equal_the_record_fields(self):
         trace = self.trace()
         assert len(trace) == len(trace.records) == 41
-        assert trace.n.dtype == np.int64
         for name in self.COLUMNS:
-            column = getattr(trace, name)
-            assert column.shape == (41,)
             fields = [getattr(r, name) for r in trace.records]
             if name == "rocof_hz_per_s":
                 assert fields[0] is None and fields[-1] is not None
                 fields = [math.nan if x is None else x for x in fields]
-            if name != "n":
-                assert column.dtype == np.float64
             # repr tells -0.0 from 0.0 and shows NaN where a slope is missing
-            assert repr(column.tolist()) == repr(fields), name
+            assert repr(column(trace, name).tolist()) == repr(fields), name
         assert trace.events == tuple(
             ev for r in trace.records for ev in r.events)
-        assert trace.first_event_step() == trace.events[0].step
-
-    def test_second_read_returns_the_same_array(self):
-        trace = self.trace()
-        for name in self.COLUMNS:
-            assert getattr(trace, name) is getattr(trace, name), name
+        assert trace.first_event == trace.events[0]
+        assert trace.first_event.step == 6
 
     def test_replays_check_the_horizon_first(self):
         cfg = study_config()
@@ -445,10 +439,9 @@ class TestModeledVariants:
         latched = simulate(cfg, attack, 20)
         literal = simulate(cfg, attack, 20,
                            SimOptions(literal_accumulation=True))
-        assert latched.dp_sh_cum[-1] <= 2.0 + 1e-12
-        assert latched.dp_tg_cum[-1] <= 3.0 + 1e-12
-        assert literal.dp_sh_cum[-1] > latched.dp_sh_cum[-1]
-        assert literal.dp_tg_cum[-1] > latched.dp_tg_cum[-1]
+        for field, blocks in (("dp_sh_cum", 2.0), ("dp_tg_cum", 3.0)):
+            assert column(latched, field)[-1] <= blocks + 1e-12
+            assert column(literal, field)[-1] > column(latched, field)[-1]
         # events still record first operation only
         assert len(literal.events) == len(latched.events)
 
@@ -459,7 +452,8 @@ class TestModeledVariants:
         literal = simulate(cfg, attack, 40, SimOptions(literal_signs=True))
         shed_step = next(ev.step for ev in physical.events
                          if ev.kind is EventKind.LS_SHED)
-        assert literal.f_hz[shed_step + 2] < physical.f_hz[shed_step + 2]
+        assert (column(literal, "f_hz")[shed_step + 2]
+                < column(physical, "f_hz")[shed_step + 2])
 
     def test_rescaled_inertia_accelerates_the_fall(self):
         cfg = study_config()
@@ -468,9 +462,11 @@ class TestModeledVariants:
         rescaled = simulate(cfg, attack, 40, SimOptions(rescale_inertia=True))
         trip_step = next(ev.step for ev in constant.events
                          if ev.kind is EventKind.ROCOF_TRIP)
-        assert np.array_equal(constant.f_hz[:trip_step + 1],
-                              rescaled.f_hz[:trip_step + 1])
-        assert rescaled.f_hz[-1] < constant.f_hz[-1]
+        f_constant = column(constant, "f_hz")
+        f_rescaled = column(rescaled, "f_hz")
+        assert np.array_equal(f_constant[:trip_step + 1],
+                              f_rescaled[:trip_step + 1])
+        assert f_rescaled[-1] < f_constant[-1]
 
 
 class TestScalingProperties:
@@ -486,32 +482,37 @@ class TestScalingProperties:
             negated = simulate(cfg, AttackSignal(-a), 300)
             # doubling and negating the input are exact float operations, so
             # the stepped deviation matches bitwise
-            assert np.array_equal(doubled.delta_f, 2 * base.delta_f)
-            assert np.array_equal(negated.delta_f, -base.delta_f)
+            b = column(base, "delta_f")
+            assert np.array_equal(column(doubled, "delta_f"), 2 * b)
+            assert np.array_equal(column(negated, "delta_f"), -b)
 
 
 def reference_write_trace_csv(trace, path):
-    """Reference trace writer, indexing the column arrays row by row;
+    """Reference trace writer, indexing the field columns row by row;
     ``write_trace_csv`` must write the same bytes."""
     by_step = {}
     for ev in trace.events:
         by_step.setdefault(ev.step, []).append(ev)
+    n, t_s, f_hz, rocof_hz_per_s, dp_gov, dp_sh_cum, dp_tg_cum = (
+        column(trace, field) for field in (
+            "n", "t_s", "f_hz", "rocof_hz_per_s", "dp_gov", "dp_sh_cum",
+            "dp_tg_cum"))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_CSV_HEADER + "\n")
         for i in range(len(trace)):
-            step = int(trace.n[i])
-            rocof_val = trace.rocof_hz_per_s[i]
+            step = int(n[i])
+            rocof_val = rocof_hz_per_s[i]
             evs = ";".join(
                 f"{ev.kind.name}:{ev.relay_id}" for ev in by_step.get(step, ())
             )
             fh.write(",".join([
                 str(step),
-                format(trace.t_s[i], ".12g"),
-                format(trace.f_hz[i], ".12g"),
+                format(t_s[i], ".12g"),
+                format(f_hz[i], ".12g"),
                 "" if math.isnan(rocof_val) else format(rocof_val, ".12g"),
-                format(trace.dp_gov[i], ".12g"),
-                format(trace.dp_sh_cum[i], ".12g"),
-                format(trace.dp_tg_cum[i], ".12g"),
+                format(dp_gov[i], ".12g"),
+                format(dp_sh_cum[i], ".12g"),
+                format(dp_tg_cum[i], ".12g"),
                 evs,
             ]) + "\n")
 
@@ -563,4 +564,5 @@ class TestTraceCsv:
         write_trace_csv(trace, out)
         row = out.read_text().splitlines()[3].split(",")
         # reconstructing the float from the text must be lossless at 12 digits
-        assert float(row[2]) == pytest.approx(trace.f_hz[2], rel=1e-11)
+        assert float(row[2]) == pytest.approx(column(trace, "f_hz")[2],
+                                              rel=1e-11)
