@@ -142,7 +142,8 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class ValidatedGridConfig(GridConfig):
-    """A :class:`GridConfig` that passed :func:`validate_config`.
+    """A :class:`GridConfig` that passed :func:`validate_config`, or, from
+    :func:`validate_grid`, all of its checks but the capability's.
 
     Carries the frequency-update coefficient as diagnostic metadata.
     """
@@ -161,7 +162,19 @@ def validate_config(config: GridConfig) -> ValidatedGridConfig:
     Raises :class:`InvalidParameter` naming the offending field, or
     :class:`StabilityViolation` when the step size is incompatible with the
     governor time constant.  Validating an already-validated config returns
-    an equal value.
+    an equal value.  The dynamics and rosters are checked before the
+    capability, so their error is the one raised when both are invalid.
+    """
+    return with_valid_capability(validate_grid(config), config.capability)
+
+
+def validate_grid(config: GridConfig) -> ValidatedGridConfig:
+    """Run the checks of :func:`validate_config` that do not read the
+    capability, and return *config* as validated, its capability unchecked.
+
+    Configs that differ only in capability, as the combinations of one
+    sweep (H, R, T) do, share one result and add each capability through
+    :func:`with_valid_capability`.
     """
     p = config.params
     _require(p.h_inertia > 0, "h_inertia", "must be > 0", p.h_inertia)
@@ -205,7 +218,7 @@ def validate_config(config: GridConfig) -> ValidatedGridConfig:
                 f"generator relay {g.id!r}: rocof_threshold "
                 f"{g.rocof_threshold} Hz/s outside the customary "
                 f"[{lo}, {hi}] band",
-                stacklevel=2,
+                stacklevel=3,  # the caller of validate_config
             )
 
     seen = set()
@@ -217,19 +230,30 @@ def validate_config(config: GridConfig) -> ValidatedGridConfig:
         _require(l.id not in seen, f"loads[{i}].id", "must be unique", l.id)
         seen.add(l.id)
 
-    cap = config.capability
+    return ValidatedGridConfig(
+        params=p,
+        generators=config.generators,
+        loads=config.loads,
+        capability=config.capability,
+        delta_f_coefficient=coeff,
+    )
+
+
+def with_valid_capability(grid: ValidatedGridConfig,
+                          cap: AttackerCapability) -> ValidatedGridConfig:
+    """*grid*, from :func:`validate_grid`, with capability *cap* after the
+    capability checks of :func:`validate_config`."""
     _require(0 <= cap.toi <= 1, "capability.toi", "must lie in [0, 1]", cap.toi)
     _require(0 <= cap.ad <= 1, "capability.ad", "must lie in [0, 1]", cap.ad)
     _require(cap.der_total >= 0, "capability.der_total", "must be >= 0",
              cap.der_total)
     _require(cap.kappa >= 0, "capability.kappa", "must be >= 0", cap.kappa)
-
     return ValidatedGridConfig(
-        params=p,
-        generators=config.generators,
-        loads=config.loads,
+        params=grid.params,
+        generators=grid.generators,
+        loads=grid.loads,
         capability=cap,
-        delta_f_coefficient=coeff,
+        delta_f_coefficient=grid.delta_f_coefficient,
     )
 
 

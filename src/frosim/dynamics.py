@@ -34,10 +34,14 @@ Per step ``n`` the evaluation order is fixed:
 function with the relay loops and both recursions inlined, which allocates a
 new latch tuple or event only when a relay newly operates.  Every replay
 steps it through one loop, :func:`_steps`, which yields the step records
-from :func:`initial_state` for as long as its caller iterates.
-:func:`simulate` keeps them all as a :class:`SimTrace`, and
-:func:`write_trace_csv` writes one CSV row per record; the search loops of
-:mod:`frosim.synth` stop at the first event that meets their goal.
+from :func:`initial_state` for as long as its caller iterates.  Once the
+injection is on and a step leaves the state bit for bit as it found it (a
+settled steady state), the loop stops stepping and repeats that step's
+record with only ``n`` and ``t_s`` advanced, which is what stepping on
+would give.  :func:`simulate` keeps the records as a :class:`SimTrace`, and
+:func:`write_trace_csv` writes one CSV row per record, reusing a repeated
+record's value text; the search loops of :mod:`frosim.synth` stop at the
+first event that meets their goal.
 :func:`eval_ls_relays`, :func:`rocof`, :func:`eval_rocof_relays`,
 :func:`governor_step` and :func:`frequency_step` are the reference equations,
 one per stage; composed in the order above they give the kernel's states and
@@ -402,6 +406,20 @@ def _check_horizon(config: GridConfig, horizon: int) -> None:
         )
 
 
+def _same_float(a: float, b: float) -> bool:
+    # bit equality: == but for the sign of a zero; NaN matches nothing
+    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def _same_state(a: SystemState, b: SystemState) -> bool:
+    """Whether *a* and *b* agree bit for bit in every field but ``n``."""
+    return (all(map(_same_float, a[1:5], b[1:5]))
+            and len(a.freq_history) == len(b.freq_history)
+            and all(map(_same_float, a.freq_history, b.freq_history))
+            and a.gen_latches == b.gen_latches
+            and a.load_latches == b.load_latches)
+
+
 def _steps(
     config: GridConfig,
     attack: AttackSignal,
@@ -410,12 +428,30 @@ def _steps(
 ) -> Iterator[StepRecord]:
     """The replay loop: the records of steps 0..horizon from the balanced
     equilibrium, one :func:`simulate_step` each, stepped only as far as the
-    caller iterates."""
+    caller iterates.
+
+    A step reads ``n`` only through the attack gate and its record's ``n``
+    and ``t_s``.  So once the injection is on and a step leaves the rest of
+    the state bit for bit as it found it (:func:`_same_state`), every later
+    step repeats that step's record but for ``n`` and ``t_s = n * dt``; the
+    loop yields those records, sharing the repeated field values, without
+    stepping the kernel.
+    """
     _check_horizon(config, horizon)
     state = initial_state(config)
-    for _ in range(horizon + 1):
-        state, record = simulate_step(state, config, attack, options)
+    attack_step = attack.attack_step
+    for n in range(horizon + 1):
+        nxt, record = simulate_step(state, config, attack, options)
         yield record
+        # delta_f alone first: while the state moves, one comparison a step
+        if (nxt[1] == state[1] and n >= attack_step
+                and _same_state(nxt, state)):
+            dt = config.params.dt
+            tail = record[2:]
+            for k in range(n + 1, horizon + 1):
+                yield _new_tuple(StepRecord, (k, k * dt) + tail)
+            return
+        state = nxt
 
 
 def simulate(
@@ -440,14 +476,33 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     Numbers carry 12 significant digits.  The ROCOF column is empty while the
     measurement window is not yet full; the events column semicolon-joins
     ``KIND:relay_id`` entries for events at that step.
+
+    A row is one ``%``-format, the same float formatting as ``format(x,
+    ".12g")``.  A record whose value fields are the very objects of the
+    previous record's, as the records after a fixed point of :func:`_steps`
+    are, reuses that row's value text and formats only ``n`` and ``t_s``.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_CSV_HEADER + "\n")
+        prev = row = None
+        values = None  # prev's row after its ``n,t_s,``, once a record repeats it
         for r in trace.records:
-            # an unstable grid that no validation vetted can step into
-            # inf - inf, a NaN slope, which is written as missing
-            slope = r.rocof_hz_per_s
-            slope = "" if slope is None or math.isnan(slope) else f"{slope:.12g}"
-            events = ";".join(f"{ev.kind.name}:{ev.relay_id}" for ev in r.events)
-            fh.write(f"{r.n},{r.t_s:.12g},{r.f_hz:.12g},{slope},{r.dp_gov:.12g},"
-                     f"{r.dp_sh_cum:.12g},{r.dp_tg_cum:.12g},{events}\n")
+            (n, t_s, _, f_hz, slope, dp_gov, dp_sh_cum, dp_tg_cum,
+             events) = r
+            if (prev is not None and f_hz is prev[3] and slope is prev[4]
+                    and dp_gov is prev[5] and dp_sh_cum is prev[6]
+                    and dp_tg_cum is prev[7] and events is prev[8]):
+                if values is None:
+                    values = row.split(",", 2)[2]
+                row = "%d,%.12g,%s" % (n, t_s, values)
+            else:
+                values = None
+                # an unstable grid that no validation vetted can step into
+                # inf - inf, a NaN slope, which is written as missing
+                row = "%d,%.12g,%.12g,%s,%.12g,%.12g,%.12g,%s\n" % (
+                    n, t_s, f_hz,
+                    "" if slope is None or slope != slope else "%.12g" % slope,
+                    dp_gov, dp_sh_cum, dp_tg_cum,
+                    ";".join([f"{ev.kind.name}:{ev.relay_id}" for ev in events]))
+            fh.write(row)
+            prev = r

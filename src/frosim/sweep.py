@@ -3,13 +3,14 @@
 Each combination instantiates the base grid with its dynamic parameters and
 attacker capability, runs minimal-attack synthesis, and records the outcome.
 Combinations that share (H, R, T) differ only in the capability bound, so
-they run together and share one replay memo: the ``ANY`` goal's closed-form
-starts are computed once per (H, R, T), and a magnitude is replayed once per
-(H, R, T) however many bounds reach it.  The memo is dropped when its group
-ends.  A replay reads no capability, so every record is the one a lone
-synthesis gives.  Runs are reproducible because the random mode draws from a
-seeded generator and records are always ordered by combination id
-regardless of how many workers executed them.
+they run together: their grid is validated once, each combination then
+checking only its capability, and they share one replay memo.  The ``ANY``
+goal's closed-form starts are computed once per (H, R, T), and a magnitude
+is replayed once per (H, R, T) however many bounds reach it.  The memo is
+dropped when its group ends.  A replay reads no capability, so every record
+is the one a lone synthesis gives.  Runs are reproducible because the
+random mode draws from a seeded generator and records are always ordered by
+combination id regardless of how many workers executed them.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .config import (
+    AttackerCapability,
     GridConfig,
+    ValidatedGridConfig,
     is_finite_real,
-    validate_config,
-    with_capability,
+    validate_grid,
     with_dynamics,
+    with_valid_capability,
 )
 from .dynamics import EventKind
 from .errors import FrosimError, InvalidParameter
@@ -183,24 +186,24 @@ def classify_attack(vector: Optional[AttackVector]) -> AttackType:
     return AttackType.ROCOF if first.kind is EventKind.ROCOF_TRIP else AttackType.LS
 
 
-def _run_combo(spec: SweepSpec, combo_id: int, combo: Combo,
-               replays: dict) -> SweepRecord:
+def _failed(combo_id: int, combo: Combo, exc: FrosimError) -> SweepRecord:
+    return SweepRecord(combo_id, *combo, success=False,
+                       attack_type=AttackType.NONE, status=type(exc).__name__)
+
+
+def _run_combo(spec: SweepSpec, grid: ValidatedGridConfig, combo_id: int,
+               combo: Combo, replays: dict) -> SweepRecord:
     try:
-        config = with_dynamics(
-            spec.base, h_inertia=combo.h, droop_r=combo.r, governor_t=combo.t,
-        )
-        config = with_capability(
-            config, toi=combo.toi_pct / 100.0, ad=combo.ad_pct / 100.0,
-        )
+        cap = spec.base.capability
+        config = with_valid_capability(grid, AttackerCapability(
+            toi=combo.toi_pct / 100.0, ad=combo.ad_pct / 100.0,
+            der_total=cap.der_total, kappa=cap.kappa,
+        ))
         outcome = synthesize_min_attack(
-            validate_config(config), spec.goal, spec.tolerance,
-            _replays=replays,
+            config, spec.goal, spec.tolerance, _replays=replays,
         )
     except FrosimError as exc:
-        return SweepRecord(
-            combo_id, *combo, success=False, attack_type=AttackType.NONE,
-            status=type(exc).__name__,
-        )
+        return _failed(combo_id, combo, exc)
     if not outcome.success:
         return SweepRecord(combo_id, *combo, success=False,
                            attack_type=AttackType.NONE)
@@ -222,13 +225,25 @@ def _dynamics(item: tuple[int, Combo]) -> tuple:
 
 
 def _run_chunk(args) -> list[SweepRecord]:
-    """Records of ``(combo_id, combo)`` items sorted by :func:`_dynamics`;
-    each run of one (H, R, T) shares a replay memo."""
+    """Records of ``(combo_id, combo)`` items sorted by :func:`_dynamics`.
+
+    Each run of one (H, R, T) validates its grid once, each combination
+    adding only the capability checks, and shares one replay memo.  An
+    invalid grid fails every record of its run, as validating each
+    combination's config would.
+    """
     spec, items = args
     records = []
-    for _, group in itertools.groupby(items, key=_dynamics):
+    for key, group in itertools.groupby(items, key=_dynamics):
+        h, r, t = key[:3]
+        try:
+            grid = validate_grid(with_dynamics(
+                spec.base, h_inertia=h, droop_r=r, governor_t=t))
+        except FrosimError as exc:
+            records.extend(_failed(i, c, exc) for i, c in group)
+            continue
         replays: dict = {}
-        records.extend(_run_combo(spec, i, c, replays) for i, c in group)
+        records.extend(_run_combo(spec, grid, i, c, replays) for i, c in group)
     return records
 
 

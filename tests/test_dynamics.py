@@ -3,10 +3,12 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frosim.dynamics
 import frosim.synth
 from frosim import (
     AttackGoal,
@@ -20,15 +22,23 @@ from frosim import (
     SystemState,
     eval_ls_relays,
     eval_rocof_relays,
+    feasibility,
     frequency_step,
     governor_step,
     initial_state,
+    load_config,
     rocof,
     simulate,
     simulate_step,
     write_trace_csv,
 )
-from frosim.dynamics import TRACE_CSV_HEADER, RelayEvent, StepRecord
+from frosim.dynamics import (
+    TRACE_CSV_HEADER,
+    RelayEvent,
+    SimTrace,
+    StepRecord,
+    _same_state,
+)
 from conftest import (
     C1_GENERATORS,
     C1_LOADS,
@@ -400,6 +410,115 @@ class TestSimulate:
         assert steps == sorted(steps)
 
 
+def record_reprs(records):
+    # repr tells -0.0 from 0.0, which == does not; a list of them shows the
+    # first differing record when they differ
+    return [repr(r) for r in records]
+
+
+def manual_records(cfg, attack, horizon, options=SimOptions()):
+    """The records of steps 0..horizon, one ``simulate_step`` call each."""
+    state = initial_state(cfg)
+    records = []
+    for _ in range(horizon + 1):
+        state, record = simulate_step(state, cfg, attack, options)
+        records.append(record)
+    return records
+
+
+def count_kernel_steps(monkeypatch):
+    """Count the ``simulate_step`` calls of every replay from here on."""
+    calls = [0]
+    kernel = frosim.dynamics.simulate_step
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(frosim.dynamics, "simulate_step", counted)
+    return calls
+
+
+class TestFixedPoint:
+    """Once a step leaves the state as it found it, the replay repeats the
+    record without stepping; no record may change."""
+
+    HORIZON = 3000
+    ATTACKS = (AttackSignal(-0.35), AttackSignal(1.5),
+               AttackSignal(-0.0, 500), AttackSignal(0.1, 1500))
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_records_equal_manual_stepping(self, monkeypatch, options):
+        shortcuts = 0
+        for cfg, attack in itertools.product(
+                (study_config(kappa=60.0), relays_disabled_config(h=6.0)),
+                self.ATTACKS):
+            want = record_reprs(
+                manual_records(cfg, attack, self.HORIZON, options))
+            steps = count_kernel_steps(monkeypatch)
+            assert record_reprs(simulate(
+                cfg, attack, self.HORIZON, options).records) == want, attack
+            monkeypatch.undo()
+            shortcuts += steps[0] < self.HORIZON + 1
+        assert shortcuts > 0
+
+    def test_quiescent_grid_waits_for_the_attack(self, monkeypatch):
+        cfg = study_config()
+        attack = AttackSignal(0.25, attack_step=500)
+        want = record_reprs(manual_records(cfg, attack, self.HORIZON))
+        steps = count_kernel_steps(monkeypatch)
+        trace = simulate(cfg, attack, self.HORIZON)
+        assert record_reprs(trace.records) == want
+        # flat from step 7 on, yet stepped until the injection settles
+        assert 500 < steps[0] < self.HORIZON + 1
+        assert trace.records[500].f_hz == 60.0 > trace.records[501].f_hz
+        steps[0] = 0
+        assert not simulate(cfg, NO_ATTACK, self.HORIZON).events
+        assert steps[0] == cfg.params.rocof_window_m + 1
+
+    def test_kernel_steps_on_the_case_study_grid(self, monkeypatch):
+        cfg = load_config(Path(__file__).resolve().parent.parent / "demos"
+                          / "case_study_grid.json")
+        horizon = 40000
+        steps = count_kernel_steps(monkeypatch)
+        settled = simulate(cfg, AttackSignal(0.25), horizon)
+        assert len(settled) == horizon + 1 and steps[0] < 2000
+        steps[0] = 0
+        # re-added blocks move the totals every step: no fixed point
+        simulate(cfg, AttackSignal(0.25), horizon,
+                 SimOptions(literal_accumulation=True))
+        assert steps[0] == horizon + 1
+
+    def test_is_feasible_steps_to_the_trip(self, monkeypatch):
+        cfg = study_config(kappa=60.0)
+        goal = AttackGoal(horizon=self.HORIZON)
+        trip_step = feasibility(cfg, 0.322, goal).vector.outcome.trip_step
+        steps = count_kernel_steps(monkeypatch)
+        assert frosim.synth._is_feasible(cfg, 0.322, goal)
+        assert steps[0] == trip_step + 1
+        steps[0] = 0
+        # too weak to operate any relay: settles, then stops stepping
+        assert not frosim.synth._is_feasible(cfg, 0.001, goal)
+        assert steps[0] < self.HORIZON + 1
+
+    def test_same_state_is_bit_equality_but_for_n(self):
+        state = SystemState(
+            n=9, delta_f=0.0, dp_gov=0.25, dp_sh_cum=0.0, dp_tg_cum=1.0,
+            freq_history=(0.0,) * 7, gen_latches=(True, False, False),
+            load_latches=(False,) * 4)
+        assert _same_state(state._replace(n=10), state)
+        for name, value in [
+                ("delta_f", -0.0), ("dp_gov", 0.25000000000000006),
+                ("dp_sh_cum", -0.0), ("dp_tg_cum", 2.0),
+                ("freq_history", (0.0,) * 6 + (-0.0,)),
+                ("freq_history", (0.0,) * 6),
+                ("gen_latches", (True, True, False)),
+                ("load_latches", (True,) + (False,) * 3)]:
+            assert not _same_state(state._replace(**{name: value}), state), name
+        nan = state._replace(dp_gov=math.nan)
+        assert not _same_state(nan, nan)
+
+
 class TestSimTrace:
     COLUMNS = ("n", "t_s", "delta_f", "f_hz", "rocof_hz_per_s", "dp_gov",
                "dp_sh_cum", "dp_tg_cum")
@@ -542,6 +661,43 @@ class TestTraceCsv:
         # the last trace, on the unstable grid, ends on a NaN slope
         assert math.isnan(trace.records[-1].rocof_hz_per_s)
 
+        # long traces: past a fixed point, whose repeated records share
+        # their field values, and long after the unstable grid's f_hz
+        # overflows to inf and then NaN
+        repeats = 0
+        for i, (cfg, attack) in enumerate([
+                (grids[0], AttackSignal(0.322)),
+                (grids[0], AttackSignal(-0.0, 500)),
+                (grids[1], AttackSignal(-0.9, 1500)),
+                (grids[-1], AttackSignal(0.322))]):
+            trace = simulate(cfg, attack, 3000, options)
+            last, before = trace.records[-1], trace.records[-2]
+            repeats += last.f_hz is before.f_hz
+            got, want = tmp_path / f"long{i}.csv", tmp_path / f"longref{i}.csv"
+            write_trace_csv(trace, got)
+            reference_write_trace_csv(trace, want)
+            assert got.read_bytes() == want.read_bytes()
+        assert repeats > 0
+        f_hz = [r.f_hz for r in trace.records]
+        assert math.inf in f_hz or -math.inf in f_hz
+        assert math.isnan(f_hz[-1])
+
+    def test_shared_values_reuse_only_the_previous_row(self, tmp_path):
+        # runs of records sharing their value objects, split by one that
+        # does not, and a -0.0 equal to but not the same as 0.0
+        a = simulate(study_config(kappa=60.0), AttackSignal(0.322), 12).records
+        tail = a[-1][2:]
+        rows = [a[-1]] + [StepRecord(n, n * DT, *tail) for n in (13, 14)]
+        rows.append(a[-2]._replace(n=15, t_s=15 * DT))
+        rows += [StepRecord(16, 16 * DT, *a[-2][2:]),
+                 a[-2]._replace(n=17, t_s=17 * DT, dp_gov=-0.0),
+                 a[-2]._replace(n=18, t_s=18 * DT, dp_gov=0.0)]
+        trace = SimTrace(tuple(rows))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trace_csv(trace, got)
+        reference_write_trace_csv(trace, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_text().splitlines()[-2].split(",")[4] == "-0"
 
     def test_layout_and_events_column(self, tmp_path):
         cfg = study_config()

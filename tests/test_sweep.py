@@ -5,6 +5,7 @@ from dataclasses import astuple
 
 import pytest
 
+import frosim.sweep
 import frosim.synth
 from frosim import (
     AttackGoal,
@@ -239,6 +240,33 @@ class TestDynamicsMemo:
         assert set(replays) == set(lone_replays)
         assert set(replays.values()) == {1}
         assert sum(lone_replays.values()) >= 2 * len(replays)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_group_validation_equals_validating_each_combination(
+            self, monkeypatch, workers):
+        # the base capability's toi is out of range, but every combination
+        # replaces it; H = 0 and T below dt fail their whole group, the
+        # former before its out-of-range toi of 150%, which fails its own
+        # combinations in the valid group
+        spec = small_spec(
+            base=with_capability(study_config(kappa=2.0), toi=5.0),
+            h_values=(0.0, 2.0), t_values=(0.001, 0.2),
+            toi_pct_values=(2.0, 150.0))
+        expected = lone_records(spec)
+        assert Counter(row[0][-1] for row in expected) == {
+            "InvalidParameter": 10, "StabilityViolation": 4, "ok": 2}
+        grids = Counter()
+        validate_grid = frosim.sweep.validate_grid
+
+        def counted(config):
+            grids[config.params.h_inertia, config.params.governor_t] += 1
+            return validate_grid(config)
+
+        monkeypatch.setattr(frosim.sweep, "validate_grid", counted)
+        got = [(astuple(r), repr(r.min_dp_a)) for r in run_sweep(spec, workers)]
+        assert got == expected
+        if workers == 1:
+            assert len(grids) == 4 and set(grids.values()) == {1}
 
     def test_capability_check_is_kept_on_every_call(self):
         spec = memo_spec(TargetKind.ANY, Sign.POSITIVE)
