@@ -31,7 +31,14 @@ from pathlib import Path
 
 from . import __version__
 from .config import config_from_dict, load_config, require_json_type
-from .dynamics import AttackSignal, SimOptions, simulate, write_trace_csv
+from .dynamics import (
+    AttackSignal,
+    SimOptions,
+    _check_horizon,
+    _steps,
+    simulate,  # noqa: F401  (bench/tracer.py times cli.simulate)
+    write_trace_csv,
+)
 from .errors import FrosimError, InvalidParameter, NonMonotoneFeasibility
 from .sweep import (
     AttackType,
@@ -104,17 +111,19 @@ def cmd_simulate(args) -> int:
         if not math.isfinite(dp_a):
             raise InvalidParameter("--dp-a", "must be finite", dp_a)
         attack = AttackSignal(dp_a, args.attack_step)
-        trace = simulate(config, attack, args.horizon, _sim_options(args))
+        # the replay loop checks the horizon only once the writer steps it,
+        # after the output file exists
+        _check_horizon(config, args.horizon)
     except (FrosimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        write_trace_csv(trace, args.out)
+        rows, events = write_trace_csv(
+            _steps(config, attack, args.horizon, _sim_options(args)), args.out)
     except OSError as exc:
         print(f"error writing {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    log.info("trace written to %s (%d rows, %d events)",
-             args.out, len(trace), len(trace.events))
+    log.info("trace written to %s (%d rows, %d events)", args.out, rows, events)
     return EXIT_OK
 
 

@@ -38,10 +38,11 @@ from :func:`initial_state` for as long as its caller iterates.  Once the
 injection is on and a step leaves the state bit for bit as it found it (a
 settled steady state), the loop stops stepping and repeats that step's
 record with only ``n`` and ``t_s`` advanced, which is what stepping on
-would give.  :func:`simulate` keeps the records as a :class:`SimTrace`, and
-:func:`write_trace_csv` writes one CSV row per record, reusing a repeated
-record's value text; the search loops of :mod:`frosim.synth` stop at the
-first event that meets their goal.
+would give.  :func:`simulate` keeps the records as a :class:`SimTrace`;
+:func:`write_trace_csv` writes one CSV row per record of a trace or of the
+loop itself, so ``frosim simulate`` streams its records to the file and
+holds only a bounded buffer of rows, never the trace.  The search loops of
+:mod:`frosim.synth` stop at the first event that meets their goal.
 :func:`eval_ls_relays`, :func:`rocof`, :func:`eval_rocof_relays`,
 :func:`governor_step` and :func:`frequency_step` are the reference equations,
 one per stage; composed in the order above they give the kernel's states and
@@ -56,7 +57,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import GeneratorRelay, GridConfig, GridParams, LoadRelay
 from .errors import HorizonTooShort
@@ -470,8 +471,22 @@ def simulate(
     return SimTrace(tuple(_steps(config, attack, horizon, options)))
 
 
-def write_trace_csv(trace: SimTrace, path) -> None:
-    """Write the trace in the stable CSV layout, one row per step record.
+#: Rows :func:`write_trace_csv` joins into one ``write``: the writer's
+#: buffer, so a streamed trace's memory does not grow with its horizon.
+_TRACE_CHUNK_ROWS = 4096
+_TRACE_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
+_TRACE_ROW_NO_ROCOF = "%d,%.12g,%.12g,,%.12g,%.12g,%.12g,%s\n"
+
+
+def write_trace_csv(trace: SimTrace | Iterable[StepRecord],
+                    path) -> tuple[int, int]:
+    """Write a trace in the stable CSV layout, one row per step record, and
+    return the numbers of rows and events written.
+
+    *trace* is a :class:`SimTrace` or any iterable of step records, such as
+    :func:`_steps` itself, which the writer then steps as it writes: it
+    holds only the previous record and up to :data:`_TRACE_CHUNK_ROWS`
+    formatted rows, which it joins into one write.
 
     Numbers carry 12 significant digits.  The ROCOF column is empty while the
     measurement window is not yet full; the events column semicolon-joins
@@ -482,13 +497,19 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     previous record's, as the records after a fixed point of :func:`_steps`
     are, reuses that row's value text and formats only ``n`` and ``t_s``.
     """
+    records = trace.records if isinstance(trace, SimTrace) else trace
+    size = _TRACE_CHUNK_ROWS
+    rows = n_events = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_CSV_HEADER + "\n")
+        chunk = []
         prev = row = None
         values = None  # prev's row after its ``n,t_s,``, once a record repeats it
-        for r in trace.records:
+        for r in records:
             (n, t_s, _, f_hz, slope, dp_gov, dp_sh_cum, dp_tg_cum,
              events) = r
+            if events:
+                n_events += len(events)
             if (prev is not None and f_hz is prev[3] and slope is prev[4]
                     and dp_gov is prev[5] and dp_sh_cum is prev[6]
                     and dp_tg_cum is prev[7] and events is prev[8]):
@@ -497,12 +518,22 @@ def write_trace_csv(trace: SimTrace, path) -> None:
                 row = "%d,%.12g,%s" % (n, t_s, values)
             else:
                 values = None
+                event_text = (";".join([f"{ev.kind.name}:{ev.relay_id}"
+                                        for ev in events])
+                              if events else "")
                 # an unstable grid that no validation vetted can step into
                 # inf - inf, a NaN slope, which is written as missing
-                row = "%d,%.12g,%.12g,%s,%.12g,%.12g,%.12g,%s\n" % (
-                    n, t_s, f_hz,
-                    "" if slope is None or slope != slope else "%.12g" % slope,
-                    dp_gov, dp_sh_cum, dp_tg_cum,
-                    ";".join([f"{ev.kind.name}:{ev.relay_id}" for ev in events]))
-            fh.write(row)
+                if slope is None or slope != slope:
+                    row = _TRACE_ROW_NO_ROCOF % (n, t_s, f_hz, dp_gov, dp_sh_cum,
+                                                 dp_tg_cum, event_text)
+                else:
+                    row = _TRACE_ROW % (n, t_s, f_hz, slope, dp_gov, dp_sh_cum,
+                                        dp_tg_cum, event_text)
+            chunk.append(row)
+            if len(chunk) == size:
+                fh.write("".join(chunk))
+                rows += size
+                chunk.clear()
             prev = r
+        fh.write("".join(chunk))
+    return rows + len(chunk), n_events

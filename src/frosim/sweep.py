@@ -436,19 +436,28 @@ def _fmt(x: float) -> str:
     return format(x, f".{RECORD_DIGITS}g")
 
 
+_FLOAT = f"%.{RECORD_DIGITS}g"  # the text of _fmt, as a %-format
+_PARAMS = ",".join([_FLOAT] * 5)  # h_s, r_pu, t_s, toi_pct, ad_pct
+_RECORD_ROW = f"%s,{_PARAMS},%s,%s,{_FLOAT},%s,%s\n"
+_RECORD_ROW_NO_DP_A = f"%s,{_PARAMS},%s,%s,,%s,%s\n"
+
+
 def write_records_csv(records: Sequence[SweepRecord], path) -> None:
+    """Write the records in the stable CSV layout, one ``%``-format a row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
         for r in records:
-            fh.write(",".join([
-                str(r.combo_id),
-                _fmt(r.h), _fmt(r.r), _fmt(r.t), _fmt(r.toi_pct), _fmt(r.ad_pct),
-                "true" if r.success else "false",
-                r.attack_type.value,
-                "" if r.min_dp_a is None else _fmt(r.min_dp_a),
-                "" if r.trip_step is None else str(r.trip_step),
-                r.status,
-            ]) + "\n")
+            success = "true" if r.success else "false"
+            trip_step = "" if r.trip_step is None else r.trip_step
+            if r.min_dp_a is None:
+                row = _RECORD_ROW_NO_DP_A % (
+                    r.combo_id, r.h, r.r, r.t, r.toi_pct, r.ad_pct, success,
+                    r.attack_type.value, trip_step, r.status)
+            else:
+                row = _RECORD_ROW % (
+                    r.combo_id, r.h, r.r, r.t, r.toi_pct, r.ad_pct, success,
+                    r.attack_type.value, r.min_dp_a, trip_step, r.status)
+            fh.write(row)
 
 
 def _finite(text: str) -> float:

@@ -2,19 +2,28 @@
 
 import hashlib
 import json
+import logging
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import frosim
+import frosim.dynamics
 import frosim.sweep
+from frosim import AttackSignal, SimOptions, load_config, simulate
 from frosim.cli import run
 from frosim.dynamics import TRACE_CSV_HEADER
 from frosim.sweep import SWEEP_CSV_HEADER
+from test_dynamics import reference_write_trace_csv
+
+CASE_STUDY_GRID = (Path(__file__).resolve().parent.parent / "demos"
+                   / "case_study_grid.json")
+SWITCHES = ["--literal-accumulation", "--literal-signs", "--rescale-inertia"]
 
 
 def config_dict(h=2.0, r=0.2, t=0.2, toi=0.02, ad=0.2, kappa=60.0,
@@ -150,6 +159,81 @@ class TestSimulate:
                     "--dp-a", "19.32hz", "--horizon", "60",
                     "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+def switch_options(switch):
+    """The SimOptions of one modelling switch flag, or of none."""
+    return SimOptions(**({switch[2:].replace("-", "_"): True} if switch else {}))
+
+
+class TestSimulateStreams:
+    """``simulate`` writes the replay loop's records as it steps them."""
+
+    @pytest.mark.parametrize("switch", [None, *SWITCHES])
+    @pytest.mark.parametrize("horizon", ["3", "-1"])
+    def test_short_horizon_exits_2_before_the_file(self, tmp_path, capsys,
+                                                   switch, horizon):
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--config", str(CASE_STUDY_GRID),
+                    "--dp-a", "0.1", "--horizon", horizon, "--out", str(out),
+                    *([switch] if switch else [])])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: horizon {horizon} is shorter than one ROCOF window (M=6)\n")
+        assert not out.exists()
+
+    def check_against_the_reference(self, tmp_path, switch, horizons):
+        config = load_config(CASE_STUDY_GRID)
+        options = switch_options(switch)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        for horizon in horizons:
+            for dp_a in (0.322, -0.322):
+                assert run(["simulate", "--config", str(CASE_STUDY_GRID),
+                            f"--dp-a={dp_a!r}", "--horizon", str(horizon),
+                            "--out", str(got),
+                            *([switch] if switch else [])]) == 0
+                reference_write_trace_csv(
+                    simulate(config, AttackSignal(dp_a), horizon, options), want)
+                assert got.read_bytes() == want.read_bytes(), (horizon, dp_a)
+
+    @pytest.mark.parametrize("switch", [None, *SWITCHES])
+    def test_trace_equals_the_reference_writer(self, tmp_path, switch):
+        self.check_against_the_reference(tmp_path, switch, (3000, 40000))
+
+    def test_rows_around_one_chunk(self, tmp_path):
+        # horizon h writes h + 1 rows: one below, at and one above a chunk
+        chunk = frosim.dynamics._TRACE_CHUNK_ROWS
+        self.check_against_the_reference(tmp_path, None,
+                                         (chunk - 2, chunk - 1, chunk))
+
+    def test_info_line_counts_rows_and_events(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="frosim")
+        out = tmp_path / "trace.csv"
+        assert run(["simulate", "--config", str(CASE_STUDY_GRID),
+                    "--dp-a", "0.322", "--horizon", "600", "--out", str(out),
+                    "--literal-accumulation"]) == 0
+        trace = simulate(load_config(CASE_STUDY_GRID), AttackSignal(0.322), 600,
+                         SimOptions(literal_accumulation=True))
+        assert trace.events
+        assert [r.getMessage() for r in caplog.records] == [
+            f"trace written to {out} (601 rows, {len(trace.events)} events)"]
+
+    def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                assert run(["simulate", "--config", str(CASE_STUDY_GRID),
+                            "--dp-a", "0.322", "--horizon", str(horizon),
+                            "--out", str(tmp_path / "trace.csv"),
+                            "--literal-accumulation"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # the parser and logging set up once per process
+        short, long = peak(4000), peak(40000)
+        assert long < 3 * 2**20
+        assert long - short < 2**19
 
 
 class TestSynthesize:

@@ -38,6 +38,7 @@ from frosim.dynamics import (
     SimTrace,
     StepRecord,
     _same_state,
+    _steps,
 )
 from conftest import (
     C1_GENERATORS,
@@ -698,6 +699,24 @@ class TestTraceCsv:
         reference_write_trace_csv(trace, want)
         assert got.read_bytes() == want.read_bytes()
         assert got.read_text().splitlines()[-2].split(",")[4] == "-0"
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_streamed_records_at_every_chunk_boundary(
+            self, tmp_path, monkeypatch, options):
+        # 1,201 rows, past the default-mode fixed point, cut into chunks of
+        # every small size and of one below, at and one above the row count
+        cfg = study_config(kappa=60.0)
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        for attack in (AttackSignal(0.322), AttackSignal(-0.322, 30)):
+            trace = simulate(cfg, attack, 1200, options)
+            reference_write_trace_csv(trace, want)
+            assert write_trace_csv(trace, got) == (1201, len(trace.events))
+            assert got.read_bytes() == want.read_bytes()
+            for size in (1, 2, 3, 7, 1200, 1201, 1202):
+                monkeypatch.setattr(frosim.dynamics, "_TRACE_CHUNK_ROWS", size)
+                counts = write_trace_csv(_steps(cfg, attack, 1200, options), got)
+                assert counts == (1201, len(trace.events))
+                assert got.read_bytes() == want.read_bytes()
 
     def test_layout_and_events_column(self, tmp_path):
         cfg = study_config()

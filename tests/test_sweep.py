@@ -2,8 +2,10 @@
 
 from collections import Counter
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frosim.sweep
 import frosim.synth
@@ -34,7 +36,10 @@ from frosim.sweep import (
     trend_report_dict,
     write_trend_outputs,
 )
+from frosim.cli import _spec_from_file
 from conftest import study_config
+
+DEMO_SPEC = Path(__file__).resolve().parent.parent / "demos" / "sweep_spec.json"
 
 
 def small_spec(**kw):
@@ -379,6 +384,26 @@ class TestTrendReport:
         assert split[6.0].rocof == 1
 
 
+def reference_write_records_csv(records, path):
+    """Reference records writer, one ``format`` call per field joined by
+    commas; ``write_records_csv`` must write the same bytes."""
+    def fmt(x):
+        return format(x, ".12g")
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(SWEEP_CSV_HEADER + "\n")
+        for r in records:
+            fh.write(",".join([
+                str(r.combo_id),
+                fmt(r.h), fmt(r.r), fmt(r.t), fmt(r.toi_pct), fmt(r.ad_pct),
+                "true" if r.success else "false",
+                r.attack_type.value,
+                "" if r.min_dp_a is None else fmt(r.min_dp_a),
+                "" if r.trip_step is None else str(r.trip_step),
+                r.status,
+            ]) + "\n")
+
+
 class TestFiles:
     def test_csv_round_trip(self, tmp_path):
         spec = small_spec(mode=SweepMode.RANDOM, count=20, seed=2)
@@ -418,6 +443,23 @@ class TestFiles:
             assert out.success, rec
             assert classify_attack(out.vector) is rec.attack_type
             assert out.vector.outcome.trip_step == rec.trip_step
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_demo_spec_same_bytes_as_the_reference_writer(self, tmp_path, seed):
+        spec, _ = _spec_from_file(DEMO_SPEC, seed)
+        serial = run_sweep(spec, workers=1)
+        assert {r.success for r in serial} == {True, False}
+        want = tmp_path / "want.csv"
+        reference_write_records_csv(serial, want)
+        for workers, records in ((1, serial), (2, run_sweep(spec, workers=2))):
+            got = tmp_path / f"got{workers}.csv"
+            write_records_csv(records, got)
+            assert got.read_bytes() == want.read_bytes(), workers
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(st.floats(), st.integers(-10**20, 10**20)))
+    def test_percent_format_equals_format(self, x):
+        assert frosim.sweep._FLOAT % x == format(x, ".12g")
 
     def test_status_column_round_trips(self, tmp_path):
         records = run_sweep(small_spec(h_values=(0.0, 2.0)))
