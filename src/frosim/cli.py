@@ -7,10 +7,9 @@ Subcommands: ``simulate`` (run one injection, write the trace CSV),
 
 Exit codes are a stable contract: 0 success, 1 no attack exists, 2 bad
 configuration, spec or flag (including a ``--relay-id`` that names no relay
-of the grid and a ``--workers`` outside 1..cpu count), 3 output I/O failure,
-4 search declined (:class:`~frosim.errors.NonMonotoneFeasibility`).  Synthesis
-answers every goal exactly and no longer declines, so no command exits 4
-today; the code stays reserved for a search that gives up.
+of the grid, a ``--workers`` outside 1..cpu count and a sweep goal horizon
+shorter than one ROCOF window), 3 output I/O failure.  Synthesis answers
+every goal exactly and never declines, so no command exits 4.
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
 logging verbosity.
@@ -39,7 +38,7 @@ from .dynamics import (
     simulate,  # noqa: F401  (bench/tracer.py times cli.simulate)
     write_trace_csv,
 )
-from .errors import FrosimError, InvalidParameter, NonMonotoneFeasibility
+from .errors import FrosimError, InvalidParameter
 from .sweep import (
     AttackType,
     SweepMode,
@@ -66,7 +65,6 @@ EXIT_OK = 0
 EXIT_NO_ATTACK = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-EXIT_BACKEND = 4
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -145,9 +143,6 @@ def cmd_synthesize(args) -> int:
             outcome = exhaustive_min_attack(config, goal, tolerance)
         else:
             outcome = synthesize_min_attack(config, goal, tolerance)
-    except NonMonotoneFeasibility as exc:
-        print(f"error: {exc}; rerun with --exhaustive", file=sys.stderr)
-        return EXIT_BACKEND
     except FrosimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

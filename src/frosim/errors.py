@@ -36,7 +36,7 @@ class CapabilityExceeded(FrosimError, ValueError):
 class NonMonotoneFeasibility(FrosimError, RuntimeError):
     """A search declined because feasibility is not an up-set in magnitude.
 
-    Synthesis answers every goal exactly and no longer raises it; callers
-    that catch it fall back to the exhaustive scan.
+    Synthesis answers every goal exactly, and nothing in the package raises
+    it; it stays public for callers that name it.
     """
 

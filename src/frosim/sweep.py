@@ -5,9 +5,10 @@ attacker capability, runs minimal-attack synthesis, and records the outcome.
 Combinations that share (H, R, T) differ only in the capability bound, so
 they run together: their grid is validated once, each combination then
 checking only its capability, and they share one replay memo.  The ``ANY``
-goal's closed-form starts are computed once per (H, R, T), and a magnitude
-is replayed once per (H, R, T) however many bounds reach it.  The memo is
-dropped when its group ends.  A replay reads no capability, so every record
+goal's closed-form starts are computed once per (H, R, T), a magnitude's
+verdict is replayed once per (H, R, T) however many bounds reach it, and
+each distinct answer is replayed in full once.  The memo is dropped when
+its group ends.  A replay reads no capability, so every record
 is the one a lone synthesis gives.  Runs are reproducible because the
 random mode draws from a seeded generator and records are always ordered by
 combination id regardless of how many workers executed them.
@@ -35,7 +36,7 @@ from .config import (
     with_dynamics,
     with_valid_capability,
 )
-from .dynamics import EventKind
+from .dynamics import EventKind, _check_horizon
 from .errors import FrosimError, InvalidParameter
 from .synth import (
     RECORD_DIGITS,
@@ -96,7 +97,8 @@ class SweepSpec:
 
     The base config supplies everything not swept: rosters, the DER total
     and calibration factor, step size, window length, and nominal frequency.
-    A ``SPECIFIC`` goal must name one of its relays.
+    A ``SPECIFIC`` goal must name one of its relays, and the goal's horizon
+    must span one ROCOF window of it, since the window length is not swept.
     """
 
     base: GridConfig
@@ -134,6 +136,7 @@ class SweepSpec:
             raise InvalidParameter("tolerance", "must be finite and > 0",
                                    self.tolerance)
         check_relay_id(self.base, self.goal)
+        _check_horizon(self.base, self.goal.horizon)
 
 
 def generate_combinations(spec: SweepSpec) -> list[Combo]:

@@ -24,13 +24,15 @@ minimum depends on the goal:
 nothing.  :func:`probe_monotonicity` samples feasibility on a coarse grid, a
 diagnostic that synthesis does not use.
 
-Every answer is the outcome of a :func:`feasibility` replay.  A replay
-depends on the config only through its dynamics and relays, never on the
-capability, so a sweep's combinations of one (H, R, T) share their replays
-through :func:`synthesize_min_attack`'s private memo argument.  Every replay
-steps through the one loop of :mod:`frosim.dynamics`: the unit response is
-the replay of a relay-free copy of the config, and a search that needs only
-a verdict stops its replay at the first matching event.
+Every search decides on verdicts, as a constraint solver does on sat and
+unsat: a verdict replay stops at the first matching event.  Only the answer
+is replayed in full, once, by :func:`feasibility`, whose outcome carries the
+trace as its certificate.  A replay depends on the config only through its
+dynamics and relays, never on the capability, so a sweep's combinations of
+one (H, R, T) share their verdicts and certificates through
+:func:`synthesize_min_attack`'s private memo argument.  Every replay steps
+through the one loop of :mod:`frosim.dynamics`, and the unit response is the
+replay of a relay-free copy of the config.
 """
 
 from __future__ import annotations
@@ -214,20 +216,17 @@ def _is_feasible(
                for ev in record.events)
 
 
-# A replay memo maps a signed injection magnitude to the ``feasibility``
-# outcome replaying it gave.  Replays read neither the capability nor the
-# tolerance, so calls whose configs differ only in capability, with the same
-# goal and options, may share one memo.  The key keeps the sign of a zero
-# magnitude.
-
-def _replayed(config, dp_a, goal, options, replays: dict) -> FeasibilityOutcome:
-    """:func:`feasibility`, replayed only when *replays* lacks *dp_a*."""
+def _replayed(config, dp_a, goal, options, replays: dict) -> bool:
+    """:func:`_is_feasible`, replayed only when *replays* lacks the signed
+    *dp_a* (a zero keeps its sign).  Replays read neither the capability nor
+    the tolerance, so calls whose configs differ only in capability, with
+    the same goal and options, may share one memo."""
     _check_capability(config, dp_a)
-    key = ("outcome", dp_a, math.copysign(1.0, dp_a))
-    outcome = replays.get(key)
-    if outcome is None:
-        outcome = replays[key] = feasibility(config, dp_a, goal, options)
-    return outcome
+    key = ("verdict", dp_a, math.copysign(1.0, dp_a))
+    verdict = replays.get(key)
+    if verdict is None:
+        verdict = replays[key] = _is_feasible(config, dp_a, goal, options)
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -490,28 +489,22 @@ def _feasible_intervals(
     return merged, peak
 
 
-def _certify_upward(
-    config: GridConfig,
-    goal: AttackGoal,
-    direction: int,
-    start: Decimal,
-    options: SimOptions,
-    replays: dict,
-) -> tuple[FeasibilityOutcome, Decimal]:
-    """Certified outcome at the smallest record decimal >= *start* that meets
-    *goal* along *direction*, with that magnitude.
+def _certify_upward(config, goal, direction, start: Decimal, options,
+                    replays) -> Optional[Decimal]:
+    """The smallest record decimal >= *start* whose replay meets *goal*
+    along *direction*; ``None`` when none does within the capability bound.
 
     *start* is the rounded-up closed-form minimum, which normally replays at
     once, or the record decimal just below the rounded-up interval-pass
     minimum, which normally fails once.  A failing replay (the simulator's
     own rounding put the boundary a few units above) steps up 1, 2, 4, ...
     units in the last digit and then bisects back over record decimals.  A
-    decimal beyond the capability bound is replaced by the bound itself; the
-    outcome is unsuccessful only when the bound fails too.
+    decimal beyond the capability bound is replaced by the bound itself,
+    which must then replay.
     """
     bound = capability_bound(config.capability)
 
-    def replay(magnitude: Decimal) -> FeasibilityOutcome:
+    def meets(magnitude: Decimal) -> bool:
         return _replayed(config, direction * float(magnitude), goal, options,
                          replays)
 
@@ -519,12 +512,10 @@ def _certify_upward(
     while True:
         if magnitude > bound:
             magnitude = Decimal(bound)
-            outcome = replay(magnitude)
-            if not outcome.success:
-                return outcome, magnitude
+            if not meets(magnitude):
+                return None
             break
-        outcome = replay(magnitude)
-        if outcome.success:
+        if meets(magnitude):
             break
         failed = magnitude
         exponent = failed.adjusted() - RECORD_DIGITS + 1
@@ -534,59 +525,67 @@ def _certify_upward(
         mid = _RECORD.plus(_EXACT.divide(_EXACT.add(failed, magnitude), 2))
         if mid >= magnitude:
             break
-        trial = replay(mid)
-        if trial.success:
-            magnitude, outcome = mid, trial
+        if meets(mid):
+            magnitude = mid
         else:
             failed = mid
-    return outcome, magnitude
+    return magnitude
 
 
-def _smallest_first(
-    candidates: Iterable[tuple],
-    certify: Callable[..., tuple[FeasibilityOutcome, object]],
-) -> FeasibilityOutcome:
-    """The certified outcome of the winning ``(magnitude, direction)``
-    candidate: the smallest magnitude wins, ties go to the positive direction.
+def _smallest_first(candidates: Iterable[tuple[Decimal, int]],
+                    certify: Callable) -> Optional[tuple[Decimal, int]]:
+    """The winning ``(magnitude, direction)``: the smallest certified
+    magnitude wins, ties go to the positive direction; ``None`` when no
+    candidate certifies.
 
-    ``certify(magnitude, direction)`` replays a candidate with
-    :func:`feasibility` and returns the outcome with the magnitude it
-    certified, which is never below the candidate's; so candidates are
-    certified in order only until none left can beat the best so far.
+    ``certify(magnitude, direction)`` returns the magnitude it certified
+    from a candidate, never below the candidate's, or ``None``; so
+    candidates are certified in order only until none left can beat the
+    best so far.
     """
-    best, best_key = FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS), None
-    for magnitude, direction in sorted(candidates, key=lambda c: (c[0], -c[1])):
-        if best_key is not None and (magnitude, -direction) >= best_key:
+    best = None  # (magnitude, -direction)
+    for magnitude, rank in sorted((m, -d) for m, d in candidates):
+        if best is not None and (magnitude, rank) >= best:
             break
-        outcome, magnitude = certify(magnitude, direction)
-        key = (magnitude, -direction)
-        if outcome.success and (best_key is None or key < best_key):
-            best, best_key = outcome, key
-    return best
+        magnitude = certify(magnitude, -rank)
+        if magnitude is not None and (best is None or (magnitude, rank) < best):
+            best = (magnitude, rank)
+    return None if best is None else (best[0], -best[1])
 
 
-def _step_down(config, goal, direction, outcome, magnitude, options,
-               replays) -> tuple[FeasibilityOutcome, Decimal]:
+def _step_down(config, goal, direction, magnitude, options,
+               replays) -> Decimal:
     """Walk from a certified *magnitude* down one record decimal at a time
-    while the replay still meets *goal*; the last success and its magnitude.
+    while the replay still meets *goal*; the last magnitude that did.
 
     An interval-pass start is a float cut point, which can land a rounding
     error above the simulator's own boundary; then record decimals below
     the rounded-up start also replay."""
     while True:
         lower = _below(magnitude)
-        if lower == magnitude:
-            return outcome, magnitude
-        trial = _replayed(config, direction * float(lower), goal, options,
-                          replays)
-        if not trial.success:
-            return outcome, magnitude
-        outcome, magnitude = trial, lower
+        if lower == magnitude or not _replayed(
+                config, direction * float(lower), goal, options, replays):
+            return magnitude
+        magnitude = lower
 
 
 def _below(magnitude: Decimal) -> Decimal:
     """The record decimal one unit below a positive *magnitude*; zero stays."""
     return _RECORD.next_minus(magnitude) if magnitude > 0 else magnitude
+
+
+def _certificate(config, goal, winner, options, replays) -> FeasibilityOutcome:
+    """The :func:`feasibility` replay of the winning ``(magnitude,
+    direction)``, kept in *replays*; no attack for ``None``."""
+    if winner is None:
+        return FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS)
+    magnitude, direction = winner
+    dp_a = direction * float(magnitude)
+    key = ("certificate", dp_a, math.copysign(1.0, dp_a))
+    outcome = replays.get(key)
+    if outcome is None:
+        outcome = replays[key] = feasibility(config, dp_a, goal, options)
+    return outcome
 
 
 def _describe(outcome: FeasibilityOutcome) -> str:
@@ -621,12 +620,14 @@ def synthesize_min_attack(
     When the goal allows either direction both are searched and the smaller
     magnitude wins, ties broken toward the positive direction.
 
-    No magnitude is replayed twice in one call.  *_replays* lets calls share
-    that memory: a dict passed to calls with the same goal and options whose
-    configs differ only in capability (as the combinations of one (H, R, T)
-    in a sweep do).  It then also keeps the ``ANY`` goal's closed-form
-    starts, which read no capability, and each interval pass under its
-    direction and bound.  Every answer is the one an unshared call gives.
+    The search replays each magnitude once, for its verdict alone, and only
+    the answer is replayed in full.  *_replays* lets calls share those
+    verdicts and certificates: a dict passed to calls with the same goal and
+    options whose configs differ only in capability (as the combinations of
+    one (H, R, T) in a sweep do).  It then also keeps the ``ANY`` goal's
+    closed-form starts, which read no capability, and each interval pass
+    under its direction and bound.  Every answer is the one an unshared call
+    gives.
     """
     _check_step("tolerance", tolerance)
     replays = {} if _replays is None else _replays
@@ -656,19 +657,20 @@ def synthesize_min_attack(
     # each replay run adds one memo entry
     runs = {"certify": 0, "step-down": 0}
 
-    def certify(start: Decimal, direction: int):
+    def certify(start: Decimal, direction: int) -> Optional[Decimal]:
         before = len(replays)
-        outcome, magnitude = _certify_upward(config, goal, direction, start,
-                                             options, replays)
+        magnitude = _certify_upward(config, goal, direction, start, options,
+                                    replays)
         runs["certify"] += len(replays) - before
-        if passes is not None and outcome.success and start.is_finite():
+        if passes is not None and magnitude is not None and start.is_finite():
             before = len(replays)
-            outcome, magnitude = _step_down(config, goal, direction, outcome,
-                                            magnitude, options, replays)
+            magnitude = _step_down(config, goal, direction, magnitude, options,
+                                   replays)
             runs["step-down"] += len(replays) - before
-        return outcome, magnitude
+        return magnitude
 
-    best = _smallest_first(starts, certify)
+    best = _certificate(config, goal, _smallest_first(starts, certify),
+                        options, replays)
     if log.isEnabledFor(logging.DEBUG):
         if passes is None:
             found = "closed-form starts " + ", ".join(
@@ -697,28 +699,25 @@ def exhaustive_min_attack(
     """
     _check_step("resolution", resolution)
     bound = capability_bound(config.capability)
+
+    def grid():
+        k = 0
+        while k * resolution <= bound:
+            yield k * resolution
+            k += 1
+        if bound > (k - 1) * resolution:
+            yield bound
+
     candidates: list[tuple[float, int]] = []
     scanned = 0
     for direction in goal.directions():
-        k = 0
-        found = None
-        while True:
-            mag = k * resolution
-            if mag > bound:
-                if bound > (k - 1) * resolution:
-                    scanned += 1
-                    if _is_feasible(config, direction * bound, goal, options):
-                        found = bound
-                break
+        for mag in grid():
             scanned += 1
             if _is_feasible(config, direction * mag, goal, options):
-                found = mag
+                candidates.append((mag, direction))
                 break
-            k += 1
-        if found is not None:
-            candidates.append((found, direction))
-    best = _smallest_first(candidates, lambda m, d: (
-        feasibility(config, d * m, goal, options), m))
+    winner = min(candidates, key=lambda c: (c[0], -c[1]), default=None)
+    best = _certificate(config, goal, winner, options, {})
     if log.isEnabledFor(logging.DEBUG):
         log.debug("synthesis %s/%s by exhaustive scan at %r; scan replays %d, "
                   "certify replays %d; %s", goal.target_kind.value,

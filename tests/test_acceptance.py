@@ -16,12 +16,10 @@ from frosim import (
     AttackGoal,
     AttackSignal,
     GridParams,
-    NonMonotoneFeasibility,
     SweepMode,
     SweepSpec,
     capability_bound,
     eval_rocof_relays,
-    exhaustive_min_attack,
     feasibility,
     rocof,
     run_sweep,
@@ -207,8 +205,9 @@ def test_criterion_5_pre_event_linearity_and_odd_symmetry():
 
 
 def test_criterion_6_synthesizer_soundness():
-    """Bisection agrees with a plain smallest-first scan at 1e-4 resolution
-    on 50 random grids, and every success certificate replays identically."""
+    """Exact synthesis agrees with a plain smallest-first scan at 1e-4
+    resolution on 50 random grids, and every success certificate replays
+    identically."""
     resolution = 1e-4
     rng = random.Random(314)
     feasible_count = 0
@@ -226,10 +225,7 @@ def test_criterion_6_synthesizer_soundness():
                 break
             k += 1
 
-        try:
-            out = synthesize_min_attack(cfg, goal, tolerance=resolution)
-        except NonMonotoneFeasibility:
-            out = exhaustive_min_attack(cfg, goal, resolution=resolution)
+        out = synthesize_min_attack(cfg, goal, tolerance=resolution)
 
         if oracle is None:
             assert not out.success, f"search found {out.vector.dp_a}, oracle none"

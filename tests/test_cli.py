@@ -441,6 +441,22 @@ class TestSweep:
         assert "error: bad sweep spec" in err and "nosuch" in err
         assert not out.exists()
 
+    def test_horizon_shorter_than_the_rocof_window_exits_2(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "o.csv"
+        spec = self.spec_file(tmp_path, goal={"horizon": 3})
+        assert run(["sweep", "--spec", str(spec), "--workers", "1",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad sweep spec: HorizonTooShort('horizon 3 is shorter "
+            "than one ROCOF window (M=6)')\n")
+        assert not out.exists()
+        # a horizon of one window runs
+        spec = self.spec_file(tmp_path, goal={"horizon": 6})
+        assert run(["sweep", "--spec", str(spec), "--workers", "1",
+                    "--out", str(out)]) == 0
+        assert "HorizonTooShort" not in out.read_text()
+
     @pytest.mark.parametrize("workers", [
         0, -1, (os.cpu_count() or 1) + 1, 10 ** 9])
     def test_workers_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch,

@@ -1,0 +1,94 @@
+"""Byte-level pins of sweep and synthesis outputs.
+
+Each case runs one ``frosim`` command on a shipped demo input and compares
+the SHA-256 of every file it writes with ``output_digests.json``.  A
+synthesis result JSON is hashed with its ``trace_file`` path left out,
+since that names a temporary directory.  A change that is meant to alter
+an output re-records the file with::
+
+    PYTHONPATH=src python tests/test_output_digests.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from frosim.cli import run
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
+
+SWEEP_GOALS = {
+    "any-positive-12": {"horizon": 12, "target": "any", "sign": "positive"},
+    "rocof-either-60": {"horizon": 60, "target": "rocof", "sign": "either"},
+}
+SWEEP_CASES = [f"sweep/{goal}/seed{seed}"
+               for goal in SWEEP_GOALS for seed in (1, 2)]
+SYNTH_CASES = [f"synthesize/{target}-either-60"
+               for target in ("any", "rocof", "ls")]
+SYNTH_CASES.append("synthesize/rocof-either-60/exhaustive")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _sweep(case: str, tmp: Path) -> dict:
+    _, goal, seed = case.split("/")
+    spec = json.loads((DEMOS / "sweep_spec.json").read_text(encoding="utf-8"))
+    spec["goal"] = SWEEP_GOALS[goal]
+    spec_path = tmp / "spec.json"
+    spec_path.write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
+    out = tmp / "records.csv"
+    code = run(["sweep", "--spec", str(spec_path), "--out", str(out),
+                "--workers", "1", "--seed", seed.removeprefix("seed")])
+    return {
+        "exit": code,
+        "records.csv": _sha256(out.read_bytes()),
+        "records.csv.meta.json": _sha256(
+            Path(str(out) + ".meta.json").read_bytes()),
+    }
+
+
+def _synthesize(case: str, tmp: Path) -> dict:
+    target, sign, horizon = case.split("/")[1].split("-")
+    out, trace = tmp / "result.json", tmp / "trace.csv"
+    argv = ["synthesize", "--config", str(DEMOS / "case_study_grid.json"),
+            "--target", target, "--sign", sign, "--horizon", horizon,
+            "--out", str(out), "--trace-out", str(trace)]
+    if case.endswith("/exhaustive"):
+        argv.append("--exhaustive")
+    code = run(argv)
+    result = json.loads(out.read_text(encoding="utf-8"))
+    result.pop("trace_file", None)
+    return {
+        "exit": code,
+        "result.json": _sha256(json.dumps(result, indent=2).encode("utf-8")),
+        "trace.csv": _sha256(trace.read_bytes()),
+    }
+
+
+def outputs(case: str, tmp: Path) -> dict:
+    if case.startswith("sweep/"):
+        return _sweep(case, tmp)
+    return _synthesize(case, tmp)
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES + SYNTH_CASES)
+def test_outputs_match_recorded_digests(case, tmp_path):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert outputs(case, tmp_path) == recorded[case]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    digests = {}
+    for case in SWEEP_CASES + SYNTH_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[case] = outputs(case, Path(tmp))
+        print(case, digests[case]["exit"], file=sys.stderr)
+    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")

@@ -13,6 +13,7 @@ from frosim import (
     AttackGoal,
     AttackType,
     FrosimError,
+    HorizonTooShort,
     InvalidParameter,
     SweepMode,
     SweepRecord,
@@ -92,6 +93,13 @@ class TestGenerateCombinations:
     def test_random_requires_count(self):
         with pytest.raises(InvalidParameter):
             small_spec(mode=SweepMode.RANDOM, count=None)
+
+    def test_horizon_shorter_than_the_rocof_window_rejected(self):
+        # the window length M comes from the base grid and is never swept
+        with pytest.raises(HorizonTooShort, match=r"horizon 5 .*\(M=6\)"):
+            small_spec(goal=AttackGoal(horizon=5))
+        records = run_sweep(small_spec(goal=AttackGoal(horizon=6)))
+        assert {r.status for r in records} == {"ok"}
 
 
 class TestRunSweep:
@@ -220,31 +228,38 @@ class TestDynamicsMemo:
     @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.ROCOF_ONLY])
     def test_serial_sweep_replays_each_dynamics_and_magnitude_once(
             self, monkeypatch, target):
+        # a verdict replay once per (group, magnitude), and a full replay,
+        # the certificate, once per (group, answer)
         spec = memo_spec(target, Sign.EITHER, count=160)
         replays = Counter()
-        simulate, is_feasible = frosim.synth.simulate, frosim.synth._is_feasible
+        feasibility = frosim.synth.feasibility
+        is_feasible = frosim.synth._is_feasible
 
         def count(kind, config, dp_a):
             p = config.params
             replays[kind, p.h_inertia, p.droop_r, p.governor_t, repr(dp_a)] += 1
 
-        def counted_simulate(config, attack, horizon, options):
-            count("outcome", config, attack.dp_a)
-            return simulate(config, attack, horizon, options)
+        def counted_feasibility(config, dp_a, goal, options):
+            count("certificate", config, dp_a)
+            return feasibility(config, dp_a, goal, options)
 
         def counted_is_feasible(config, dp_a, goal, options):
             count("verdict", config, dp_a)
             return is_feasible(config, dp_a, goal, options)
 
-        monkeypatch.setattr(frosim.synth, "simulate", counted_simulate)
+        monkeypatch.setattr(frosim.synth, "feasibility", counted_feasibility)
         monkeypatch.setattr(frosim.synth, "_is_feasible", counted_is_feasible)
         lone = lone_records(spec)
         lone_replays, replays = replays, Counter()
-        assert [(astuple(r), repr(r.min_dp_a))
-                for r in run_sweep(spec, workers=1)] == lone
+        records = run_sweep(spec, workers=1)
+        assert [(astuple(r), repr(r.min_dp_a)) for r in records] == lone
         assert set(replays) == set(lone_replays)
         assert set(replays.values()) == {1}
         assert sum(lone_replays.values()) >= 2 * len(replays)
+        certificates = {key[1:] for key in replays if key[0] == "certificate"}
+        assert certificates == {(r.h, r.r, r.t, repr(r.min_dp_a))
+                                for r in records if r.success}
+        assert len(certificates) < sum(r.success for r in records)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_group_validation_equals_validating_each_combination(

@@ -16,6 +16,7 @@ from frosim import (
     AttackGoal,
     CapabilityExceeded,
     EventKind,
+    FeasibilityOutcome,
     FeasibilityStatus,
     GeneratorRelay,
     GridConfig,
@@ -409,14 +410,7 @@ class TestClosedFormAny:
             assert not feasibility(capped, direction * bound, goal).success
 
     def test_one_replay_on_success(self, monkeypatch):
-        replays = []
-        real = frosim.synth.feasibility
-
-        def counted(*args, **kwargs):
-            replays.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(frosim.synth, "feasibility", counted)
+        replays = count_full_replays(monkeypatch)
         cfg, goal, dp_a = self._answer()
         assert replays == [dp_a]
 
@@ -456,6 +450,70 @@ class TestExhaustiveMinAttack:
         oracle = exhaustive_scan_oracle(cfg, goal, 1e-3)
         out = exhaustive_min_attack(cfg, goal, resolution=1e-3)
         assert out.vector.dp_a == pytest.approx(oracle, abs=1e-12)
+
+
+def count_full_replays(monkeypatch):
+    """The magnitudes of every :func:`feasibility` replay synthesis runs
+    from now on, in order."""
+    calls = []
+    real = frosim.synth.feasibility
+
+    def counted(config, dp_a, goal, options=SimOptions()):
+        calls.append(dp_a)
+        return real(config, dp_a, goal, options)
+
+    monkeypatch.setattr(frosim.synth, "feasibility", counted)
+    return calls
+
+
+class TestOneFullReplayPerAnswer:
+    """Searches decide on verdicts; only the answer is replayed in full."""
+
+    @pytest.mark.parametrize("sign", list(Sign))
+    @pytest.mark.parametrize("target", list(TargetKind))
+    def test_each_search_certifies_its_answer_once(self, monkeypatch, target,
+                                                   sign):
+        cfg = study_config(kappa=60.0)
+        goal = AttackGoal(horizon=60, target_kind=target, sign=sign,
+                          specific_relay_id=(
+                              "g5" if target is TargetKind.SPECIFIC else None))
+        calls = count_full_replays(monkeypatch)
+        exact = synthesize_min_attack(cfg, goal)
+        assert exact.success and calls == [exact.vector.dp_a]
+        del calls[:]
+        scan = exhaustive_min_attack(cfg, goal, resolution=1e-3)
+        assert scan.success and calls == [scan.vector.dp_a]
+
+    @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.LS_ONLY])
+    def test_no_attack_replays_nothing_in_full(self, monkeypatch, target):
+        goal = AttackGoal(horizon=60, target_kind=target, sign=Sign.EITHER)
+        capped = study_config(kappa=60.0 * 0.03 / 0.36)  # bound 0.03
+        calls = count_full_replays(monkeypatch)
+        assert not synthesize_min_attack(capped, goal).success
+        assert not exhaustive_min_attack(capped, goal, resolution=1e-3).success
+        assert calls == []
+
+    @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.LS_ONLY])
+    def test_shared_memo_keeps_verdicts_and_one_certificate_per_answer(
+            self, monkeypatch, target):
+        goal = AttackGoal(horizon=60, target_kind=target, sign=Sign.EITHER)
+        calls = count_full_replays(monkeypatch)
+        replays: dict = {}
+        answers = []
+        # bounds 0.018 and 0.03 lie below the answer, the others above
+        for kappa in (3.0, 5.0, 60.0, 10.0, 30.0, 60.0):
+            out = synthesize_min_attack(study_config(kappa=kappa), goal,
+                                        _replays=replays)
+            answers.append(out.success and out.vector.dp_a)
+        assert answers[:2] == [False, False] and len(set(answers[2:])) == 1
+        assert calls == answers[2:3]
+        verdicts = [v for k, v in replays.items() if k[0] == "verdict"]
+        certificates = [v for v in replays.values()
+                        if isinstance(v, FeasibilityOutcome)]
+        assert len(verdicts) > 1 and all(type(v) is bool for v in verdicts)
+        assert [c.vector.dp_a for c in certificates] == answers[2:3]
+        assert len(verdicts) + len(certificates) + sum(
+            k == "starts" or k[0] == "intervals" for k in replays) == len(replays)
 
 
 class TestBackendAgreement:
