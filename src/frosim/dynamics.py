@@ -32,21 +32,29 @@ Per step ``n`` the evaluation order is fixed:
 
 :func:`simulate_step` is the fused kernel that every replay runs: one
 function with the relay loops and both recursions inlined, which allocates a
-new latch tuple or event only when a relay newly operates.  Every replay
-steps it through one loop, :func:`_steps`, which yields the step records
-from :func:`initial_state` for as long as its caller iterates.  Once the
-injection is on and a step leaves the state bit for bit as it found it (a
-settled steady state), the loop stops stepping and repeats that step's
-record with only ``n`` and ``t_s`` advanced, which is what stepping on
-would give.  :func:`simulate` keeps the records as a :class:`SimTrace`;
-:func:`write_trace_csv` writes one CSV row per record of a trace or of the
-loop itself, so ``frosim simulate`` streams its records to the file and
-holds only a bounded buffer of rows, never the trace.  The search loops of
-:mod:`frosim.synth` stop at the first event that meets their goal.
-:func:`eval_ls_relays`, :func:`rocof`, :func:`eval_rocof_relays`,
-:func:`governor_step` and :func:`frequency_step` are the reference equations,
-one per stage; composed in the order above they give the kernel's states and
-records bit for bit, and the tests hold the kernel to that.
+new latch tuple or event only when a relay newly operates.  What it reads of
+a grid, the recursions' per-grid factors and the rosters as plain tuples
+with their highest load-shedding and lowest ROCOF threshold, is built once
+per (params, rosters) by :func:`_step_constants` and kept on the config and
+its params, so the configs of a sweep group, which share both, share one
+build.  A roster whose extreme threshold the step's frequency or slope does
+not reach is skipped: no relay in it could operate, so the skip is exact.
+
+Every replay steps the kernel through one loop, :func:`_steps`, which
+yields the step records from :func:`initial_state` for as long as its
+caller iterates.  Once the injection is on and a step leaves the state bit
+for bit as it found it (a settled steady state), the loop stops stepping
+and repeats that step's record with only ``n`` and ``t_s`` advanced, which
+is what stepping on would give.  :func:`simulate` keeps the records as a
+:class:`SimTrace`; :func:`write_trace_csv` writes one CSV row per record of
+a trace or of the loop itself, so ``frosim simulate`` streams its records
+to the file and holds only a bounded buffer of rows, never the trace.  The
+search loops of :mod:`frosim.synth` stop at the first event that meets
+their goal.  :func:`eval_ls_relays`, :func:`rocof`,
+:func:`eval_rocof_relays`, :func:`governor_step` and :func:`frequency_step`
+are the reference equations, one per stage; composed in the order above
+they give the kernel's states and records bit for bit, and the tests hold
+the kernel to that.
 
 Identical inputs produce bit-identical traces.
 """
@@ -283,6 +291,57 @@ class StepRecord(NamedTuple):
 _new_tuple = tuple.__new__
 
 
+def _build_step_constants(params: GridParams,
+                          generators: Sequence[GeneratorRelay],
+                          loads: Sequence[LoadRelay]) -> tuple:
+    """What :func:`simulate_step` reads of a grid, in the order it unpacks
+    them: every per-grid factor of its recursions, computed as it would
+    compute them, and each roster as ``(threshold, block, id)`` tuples with
+    the highest load-shedding and the lowest ROCOF threshold.
+
+    A NaN threshold satisfies no comparison, so its relay never operates and
+    the extremes leave it out.  The extreme of a roster with no other
+    threshold is ``-inf`` (load shedding) or ``inf`` (ROCOF).
+    """
+    f_nominal, dt, m = params.f_nominal, params.dt, params.rocof_window_m
+    h, droop_r, governor_t = params.h_inertia, params.droop_r, params.governor_t
+    dt_rt = dt / (droop_r * governor_t)
+    load_roster = tuple((ld.underfreq_threshold, ld.p_sh, ld.id)
+                        for ld in loads)
+    gen_roster = tuple((g.rocof_threshold, g.p_tg, g.id) for g in generators)
+    return (
+        f_nominal, dt, m, m * dt, droop_r,
+        dt / governor_t, 2.0 - dt / governor_t,
+        dt / (4.0 * h), dt_rt - 4.0 * h / dt,
+        load_roster,
+        max((t for t, _, _ in load_roster if t == t), default=-math.inf),
+        gen_roster,
+        min((t for t, _, _ in gen_roster if t == t), default=math.inf),
+        h, dt_rt, sum(g.p_tg for g in generators),
+    )
+
+
+def _step_constants(config: GridConfig) -> tuple:
+    """The step constants of *config*, built once per (params, rosters).
+
+    They are kept on the config and on its ``params`` (with the rosters they
+    were built from, so a config sharing the params but not the rosters
+    builds its own), outside the dataclass fields: equality, hash and repr
+    never see them.  Configs are frozen, so what a kept build was computed
+    from cannot change under it.
+    """
+    params, generators, loads = config.params, config.generators, config.loads
+    kept = params.__dict__.get("_step_constants")
+    if kept is not None and kept[0] is generators and kept[1] is loads:
+        constants = kept[2]
+    else:
+        constants = _build_step_constants(params, generators, loads)
+        object.__setattr__(params, "_step_constants",
+                           (generators, loads, constants))
+    object.__setattr__(config, "_step_constants", constants)
+    return constants
+
+
 def simulate_step(
     state: SystemState,
     config: GridConfig,
@@ -298,66 +357,79 @@ def simulate_step(
     same order, so its states and records equal theirs bit for bit.  A step
     on which no relay newly operates shares the incoming latch tuples and
     records ``events=()``.
+
+    The grid's factors and rosters come from :func:`_step_constants`, built
+    once per (params, rosters) and kept on the config.  A roster's loop is
+    skipped when no relay in it can act: a load relay operates (or, under
+    ``literal_accumulation``, re-adds its block) only if ``f_hz <= its
+    threshold <= the highest``, a ROCOF relay only if ``|slope| >= its
+    threshold >= the lowest``.  So the skip changes nothing, under every
+    option and for NaN values.
     """
     (n, delta_f, dp_gov, dp_sh_cum, dp_tg_cum,
      history, gen_latches, load_latches) = state
-    params = config.params
-    f_nominal = params.f_nominal
-    dt = params.dt
-    m = params.rocof_window_m
-    accumulate = options.literal_accumulation
+    try:
+        constants = config._step_constants
+    except AttributeError:
+        constants = _step_constants(config)
+    (f_nominal, dt, m, m_dt, droop_r, dt_t, gov_scale, dt_4h, df_scale,
+     loads, ls_highest, generators, rocof_lowest,
+     h, dt_rt, total_generation) = constants
     events = ()
 
     # 1-2. load shedding against f[n]
     f_hz = f_nominal * (1.0 + delta_f)
     shed = 0.0
-    for i, relay in enumerate(config.loads):
-        if f_hz <= relay.underfreq_threshold:
-            if not load_latches[i]:
-                load_latches = load_latches[:i] + (True,) + load_latches[i + 1:]
-                events += (RelayEvent(n, relay.id, EventKind.LS_SHED),)
-                shed += relay.p_sh
-            elif accumulate:
-                shed += relay.p_sh
+    if f_hz <= ls_highest:
+        for i, (threshold, block, relay_id) in enumerate(loads):
+            if f_hz <= threshold:
+                if not load_latches[i]:
+                    load_latches = load_latches[:i] + (True,) + load_latches[i + 1:]
+                    events += (RelayEvent(n, relay_id, EventKind.LS_SHED),)
+                    shed += block
+                elif options.literal_accumulation:
+                    shed += block
     dp_sh_next = dp_sh_cum + shed
 
     # 3. ROCOF against the windowed slope, once M+1 samples exist
     tripped = 0.0
-    if len(history) < m + 1:
+    full = len(history) > m
+    if not full:
         slope = None
     else:
-        slope = (history[-1] - history[-1 - m]) * f_nominal / (m * dt)
-        magnitude = abs(slope)
-        for i, relay in enumerate(config.generators):
-            if magnitude >= relay.rocof_threshold:
-                if not gen_latches[i]:
-                    gen_latches = gen_latches[:i] + (True,) + gen_latches[i + 1:]
-                    events += (RelayEvent(n, relay.id, EventKind.ROCOF_TRIP),)
-                    tripped += relay.p_tg
-                elif accumulate:
-                    tripped += relay.p_tg
+        slope = (history[-1] - history[-1 - m]) * f_nominal / m_dt
+        # abs() but for the sign of a zero or NaN, which no comparison reads
+        magnitude = slope if slope >= 0.0 else -slope
+        if magnitude >= rocof_lowest:
+            for i, (threshold, block, relay_id) in enumerate(generators):
+                if magnitude >= threshold:
+                    if not gen_latches[i]:
+                        gen_latches = gen_latches[:i] + (True,) + gen_latches[i + 1:]
+                        events += (RelayEvent(n, relay_id, EventKind.ROCOF_TRIP),)
+                        tripped += block
+                    elif options.literal_accumulation:
+                        tripped += block
     dp_tg_next = dp_tg_cum + tripped
 
     # 4. governor and frequency recursions on the updated relay totals
-    h = params.h_inertia
-    if options.rescale_inertia:
-        total = sum(g.p_tg for g in config.generators)
-        share = (total - dp_tg_next) / total if total > 0 else 1.0
-        h = h * max(share, _H_RESCALE_FLOOR)
-    governor_t = params.governor_t
-    droop_r = params.droop_r
     dp_a = attack.dp_a if n >= attack.attack_step else 0.0
-    gov_next = dp_gov + (dt / governor_t) * (-delta_f / droop_r - dp_gov)
-    df_next = (dt / (4.0 * h)) * (
-        dp_gov * (2.0 - dt / governor_t)
+    gov_next = dp_gov + dt_t * (-delta_f / droop_r - dp_gov)
+    if options.rescale_inertia:
+        share = ((total_generation - dp_tg_next) / total_generation
+                 if total_generation > 0 else 1.0)
+        h = h * max(share, _H_RESCALE_FLOOR)
+        dt_4h = dt / (4.0 * h)
+        df_scale = dt_rt - 4.0 * h / dt
+    df_next = dt_4h * (
+        dp_gov * gov_scale
         - 2.0 * dp_a
-        - delta_f * (dt / (droop_r * governor_t) - 4.0 * h / dt)
+        - delta_f * df_scale
         - dp_tg_next
         + (-dp_sh_next if options.literal_signs else dp_sh_next)
     )
 
     # 5. keep the last M+1 deviations
-    if len(history) > m:
+    if full:
         history = history[-m:] + (df_next,)
     else:
         history = history + (df_next,)

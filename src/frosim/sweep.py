@@ -475,9 +475,11 @@ def read_records_csv(path) -> list[SweepRecord]:
 
     A file with the older header, which lacks the ``status`` column, reads
     with status ``ok`` on every record.  ``success`` must read ``true`` or
-    ``false``, and the parameter columns and a ``min_dp_a`` present must be
-    finite; a file that is not UTF-8 text or has any other malformed row
-    raises :class:`InvalidParameter`.
+    ``false``, the parameter columns and a ``min_dp_a`` present must be
+    finite, and ``status`` must not be blank.  A success names its attack
+    type, ``min_dp_a`` and a ``trip_step`` >= 0, and a failure none of them,
+    as :func:`write_records_csv` writes them.  A file that is not UTF-8 text
+    or has any other malformed row raises :class:`InvalidParameter`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -494,22 +496,32 @@ def read_records_csv(path) -> list[SweepRecord]:
     for ln in lines[1:]:
         parts = ln.split(",")
         status = parts[-1] if has_status else "ok"
-        if (len(parts) != 10 + has_status or not status
+        if (len(parts) != 10 + has_status or not status.strip()
                 or parts[6] not in ("true", "false")):
             raise InvalidParameter("records", "malformed row", ln)
+        success = parts[6] == "true"
         try:
-            records.append(SweepRecord(
+            record = SweepRecord(
                 combo_id=int(parts[0]),
                 h=_finite(parts[1]), r=_finite(parts[2]), t=_finite(parts[3]),
                 toi_pct=_finite(parts[4]), ad_pct=_finite(parts[5]),
-                success=parts[6] == "true",
+                success=success,
                 attack_type=AttackType(parts[7]),
                 min_dp_a=_finite(parts[8]) if parts[8] else None,
                 trip_step=int(parts[9]) if parts[9] else None,
                 status=status,
-            ))
+            )
         except (ValueError, KeyError) as exc:
             raise InvalidParameter("records", f"malformed row: {exc}", ln) from exc
+        if (record.attack_type is not AttackType.NONE,
+                record.min_dp_a is not None,
+                record.trip_step is not None) != (success,) * 3:
+            raise InvalidParameter(
+                "records", "malformed row: a success has an attack type, "
+                "min_dp_a and trip_step, a failure none of them", ln)
+        if success and record.trip_step < 0:
+            raise InvalidParameter("records", "malformed row: trip_step < 0", ln)
+        records.append(record)
     return records
 
 

@@ -210,10 +210,11 @@ def _is_feasible(
 ) -> bool:
     # simulate()'s replay, stopped at the first matching event; used by the
     # search loops where only the verdict is needed
-    return any(goal.matches(ev)
-               for record in _steps(config, AttackSignal(dp_a, goal.attack_step),
-                                    goal.horizon, options)
-               for ev in record.events)
+    for record in _steps(config, AttackSignal(dp_a, goal.attack_step),
+                         goal.horizon, options):
+        if record.events and any(map(goal.matches, record.events)):
+            return True
+    return False
 
 
 def _replayed(config, dp_a, goal, options, replays: dict) -> bool:

@@ -1,7 +1,9 @@
 """Dynamics engine: recursions, relay evaluation, stepping, traces."""
 
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -14,9 +16,11 @@ from frosim import (
     AttackGoal,
     AttackSignal,
     EventKind,
+    GeneratorRelay,
     GridConfig,
     GridParams,
     HorizonTooShort,
+    LoadRelay,
     NO_ATTACK,
     SimOptions,
     SystemState,
@@ -30,6 +34,7 @@ from frosim import (
     rocof,
     simulate,
     simulate_step,
+    with_dynamics,
     write_trace_csv,
 )
 from frosim.dynamics import (
@@ -518,6 +523,176 @@ class TestFixedPoint:
             assert not _same_state(state._replace(**{name: value}), state), name
         nan = state._replace(dp_gov=math.nan)
         assert not _same_state(nan, nan)
+
+
+def lockstep(cfg, attack, options=SimOptions(), steps=120):
+    """Step the kernel and the reference equations side by side, holding
+    each state and record to bit equality; return the kernel's records."""
+    ref = got = initial_state(cfg)
+    records = []
+    for _ in range(steps):
+        ref, ref_rec = reference_step(ref, cfg, attack, options)
+        got, rec = simulate_step(got, cfg, attack, options)
+        # repr tells -0.0 from 0.0 and matches NaN, which == does not
+        assert repr((got, rec)) == repr((ref, ref_rec)), rec.n
+        records.append(rec)
+    return records
+
+
+def unvalidated(cfg, generators, loads):
+    return GridConfig(cfg.params, generators, loads, cfg.capability)
+
+
+class TestRosterSkip:
+    """The kernel skips a roster when no relay in it can act; that may
+    change no state or record, on a threshold's boundary least of all."""
+
+    ATTACK = AttackSignal(0.3)
+    NEVER_TRIPS = (GeneratorRelay("g", "b", 1.0, math.inf),)
+    NEVER_SHEDS = (LoadRelay("l", "b", 0.5, 0.0),)
+
+    @classmethod
+    def free_run(cls):
+        # the relay-free trajectory the boundary thresholds are read from:
+        # a grid behaves exactly like it up to its first event
+        cfg = study_config()
+        return cfg, manual_records(unvalidated(cfg, (), ()), cls.ATTACK, 12)
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_frequency_on_the_highest_ls_threshold(self, options):
+        cfg, free = self.free_run()
+        on = free[10].f_hz
+        assert all(a.f_hz > b.f_hz for a, b in zip(free, free[1:]))
+        grid = unvalidated(cfg, self.NEVER_TRIPS, (
+            LoadRelay("low", "b", 0.5, on - 0.1), LoadRelay("top", "b", 0.5, on)))
+        fired = [r for r in lockstep(grid, self.ATTACK, options) if r.events]
+        # f_hz <= threshold operates, equality included
+        assert fired[0].f_hz == on
+        assert fired[0].events == (RelayEvent(10, "top", EventKind.LS_SHED),)
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_slope_on_the_lowest_rocof_threshold(self, options):
+        cfg, free = self.free_run()
+        m = cfg.params.rocof_window_m
+        on = abs(free[m].rocof_hz_per_s)  # the first slope measured
+        grid = unvalidated(cfg, (
+            GeneratorRelay("top", "b", 1.0, 2 * on),
+            GeneratorRelay("low", "b", 1.0, on)), self.NEVER_SHEDS)
+        fired = [r for r in lockstep(grid, self.ATTACK, options) if r.events]
+        # |slope| >= threshold operates, equality included
+        assert abs(fired[0].rocof_hz_per_s) == on
+        assert fired[0].events == (RelayEvent(m, "low", EventKind.ROCOF_TRIP),)
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_empty_rosters_and_nan_thresholds(self, options):
+        cfg, free = self.free_run()
+        f_on = free[10].f_hz
+        s_on = abs(free[cfg.params.rocof_window_m].rocof_hz_per_s)
+        nan = math.nan
+        rosters = [
+            ((), ()),
+            ((GeneratorRelay("gn", "b", 1.0, nan),),
+             (LoadRelay("ln", "b", 0.5, nan),)),
+            # a NaN first: max() and min() would then return the NaN
+            ((GeneratorRelay("gn", "b", 1.0, nan),
+              GeneratorRelay("g", "b", 1.0, s_on)),
+             (LoadRelay("ln", "b", 0.5, nan), LoadRelay("l", "b", 0.5, f_on))),
+        ]
+        events = []
+        for (gens, loads), attack in itertools.product(
+                rosters, (self.ATTACK, AttackSignal(-0.3), AttackSignal(nan))):
+            records = lockstep(unvalidated(cfg, gens, loads), attack, options)
+            events.append({ev.relay_id for r in records for ev in r.events})
+        # a NaN threshold never operates; the finite ones beside it do
+        assert events[:6] == [set()] * 6
+        assert events[6] == {"g", "l"}
+
+    @pytest.mark.parametrize("options", [
+        SimOptions(literal_accumulation=True),
+        SimOptions(literal_accumulation=True, rescale_inertia=True)], ids=repr)
+    def test_literal_accumulation_above_every_threshold(self, options):
+        # re-added blocks lift the frequency back above its threshold, with
+        # the slope below every ROCOF threshold: the latched relay stops
+        # re-adding
+        cfg, free = self.free_run()
+        on = free[10].f_hz
+        grid = unvalidated(
+            cfg, (GeneratorRelay("g", "b", 1.0, 100.0),),
+            (LoadRelay("l", "b", 0.2, on),))
+        records = lockstep(grid, self.ATTACK, options, steps=240)
+        shed = [r.n for r in records if r.f_hz <= on]
+        assert shed == list(range(10, 10 + len(shed))) and len(shed) > 1
+        quiet = records[shed[-1] + 1:]
+        assert quiet and all(r.f_hz > on and abs(r.rocof_hz_per_s) < 100.0
+                             for r in quiet)
+        assert {r.dp_sh_cum for r in quiet} == {records[shed[-1]].dp_sh_cum}
+
+
+class TestStepConstants:
+    """A grid's step constants are built once per (params, rosters) and kept
+    on the config and its params; no config may step with another's."""
+
+    ATTACK = AttackSignal(0.3)
+
+    @classmethod
+    def step_alike(cls, configs, steps=80, fresh=False):
+        """Step every config in turn, each against the reference equations;
+        with *fresh*, through a new equal config at every step, so each
+        step looks its constants up anew.  Return each one's last state."""
+        states = [(initial_state(c), initial_state(c)) for c in configs]
+        for _ in range(steps):
+            for i, cfg in enumerate(configs):
+                if fresh:
+                    cfg = GridConfig(cfg.params, cfg.generators, cfg.loads,
+                                     cfg.capability)
+                ref, got = states[i]
+                ref, ref_rec = reference_step(ref, cfg, cls.ATTACK)
+                got, rec = simulate_step(got, cfg, cls.ATTACK)
+                assert repr((got, rec)) == repr((ref, ref_rec)), (i, rec.n)
+                states[i] = ref, got
+        return [repr(got) for _, got in states]
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_configs_sharing_params_keep_their_rosters(self, fresh):
+        cfg = study_config()
+        configs = [
+            cfg,
+            dataclasses.replace(cfg, loads=cfg.loads[:1]),
+            dataclasses.replace(cfg, generators=tuple(
+                dataclasses.replace(g, p_tg=g.p_tg / 2)
+                for g in cfg.generators)),
+            unvalidated(cfg, (), ()),  # as the unit response replays it
+        ]
+        assert all(c.params is cfg.params for c in configs)
+        assert len(set(self.step_alike(configs, fresh=fresh))) == len(configs)
+
+    def test_replaced_params(self):
+        cfg = study_config()
+        simulate(cfg, self.ATTACK, 60)
+        heavier = dataclasses.replace(
+            cfg, params=dataclasses.replace(cfg.params, h_inertia=6.0))
+        slower = with_dynamics(cfg, governor_t=1.0)
+        assert heavier.generators is cfg.generators is slower.generators
+        assert len(set(self.step_alike([cfg, heavier, slower]))) == 3
+
+    def test_pickled_config(self):
+        cfg = study_config()
+        records = simulate(cfg, self.ATTACK, 60).records
+        for copy in (pickle.loads(pickle.dumps(cfg)),
+                     pickle.loads(pickle.dumps(study_config()))):
+            assert copy == cfg
+            self.step_alike([copy])
+            assert repr(simulate(copy, self.ATTACK, 60).records) == repr(records)
+
+    def test_equality_hash_and_repr_unchanged_by_a_replay(self):
+        cfg, twin = study_config(), study_config()
+        before = (repr(cfg), hash(cfg), repr(cfg.params), hash(cfg.params))
+        simulate(cfg, self.ATTACK, 60)
+        assert "_step_constants" in vars(cfg)
+        assert (repr(cfg), hash(cfg), repr(cfg.params),
+                hash(cfg.params)) == before
+        assert cfg == twin and twin == cfg and cfg.params == twin.params
+        assert dataclasses.astuple(cfg) == dataclasses.astuple(twin)
 
 
 class TestSimTrace:

@@ -8,7 +8,8 @@ code must be 2 ("bad configuration or spec") and nothing may be raised; exit
 1 would claim that no attack exists.  The numeric flags ``--dp-a``,
 ``--tolerance``, ``--horizon``, ``--attack-step`` and ``--workers`` are
 drawn from small ranges around their valid bounds: a valid set runs (exit 0,
-or 1 for a search), any other exits 2.
+or 1 for a search), any other exits 2.  A sweep records file whose row
+fields contradict each other makes ``report`` exit 2.
 """
 
 import copy
@@ -19,10 +20,12 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import frosim.sweep
 from frosim.cli import run
+from frosim.sweep import SWEEP_CSV_HEADER
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 GRID = json.loads((DEMOS / "case_study_grid.json").read_text(encoding="utf-8"))
@@ -180,3 +183,46 @@ def test_sweep_workers_out_of_range(workers):
     with mock.patch.object(frosim.sweep, "ProcessPoolExecutor", no_pool):
         assert exit_code("sweep", "--spec", {**SPEC, "count": 5},
                          "--workers", str(workers)) == 2
+
+
+# A sweep record row and its fields, as ``write_records_csv`` writes them.
+SUCCESS_ROW = "2,2,0.8,0.2,8,80,true,ROCOF,0.0333949284186,6,ok"
+FAILURE_ROW = "0,4,1,0.2,6,20,false,NONE,,,ok"
+
+
+def report_exit_code(*rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        records = Path(tmp) / "records.csv"
+        records.write_text("\n".join((SWEEP_CSV_HEADER,) + rows) + "\n",
+                           encoding="utf-8")
+        return run(["report", "--records", str(records),
+                    "--out", str(Path(tmp) / "trend.json")])
+
+
+def with_fields(row, **fields):
+    columns = SWEEP_CSV_HEADER.split(",")
+    parts = row.split(",")
+    for name, value in fields.items():
+        parts[columns.index(name)] = value
+    return ",".join(parts)
+
+
+def test_consistent_records_report():
+    assert report_exit_code(SUCCESS_ROW, FAILURE_ROW) == 0
+
+
+@pytest.mark.parametrize("row", [
+    with_fields(SUCCESS_ROW, min_dp_a_pu=""),
+    with_fields(SUCCESS_ROW, trip_step=""),
+    with_fields(SUCCESS_ROW, attack_type="NONE"),
+    with_fields(SUCCESS_ROW, trip_step="-1"),
+    with_fields(FAILURE_ROW, min_dp_a_pu="0.05"),
+    with_fields(FAILURE_ROW, trip_step="6"),
+    with_fields(FAILURE_ROW, attack_type="LS"),
+    with_fields(FAILURE_ROW, status=" "),
+    with_fields(SUCCESS_ROW, status="\t"),
+])
+def test_contradictory_record_exits_2(row):
+    # each row alone is well formed field by field; together its fields
+    # say what no sweep writes
+    assert report_exit_code(SUCCESS_ROW, row, FAILURE_ROW) == 2

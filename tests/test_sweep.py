@@ -1,5 +1,6 @@
 """Sweep harness: combination generation, execution, trends, file formats."""
 
+import dataclasses
 from collections import Counter
 from dataclasses import astuple
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frosim.dynamics
 import frosim.sweep
 import frosim.synth
 from frosim import (
@@ -224,6 +226,29 @@ class TestDynamicsMemo:
         else:
             assert statuses["ok"] > 0
             assert 0 < sum(row[0][6] for row in expected) < len(expected)
+
+    @pytest.mark.parametrize("goal", [
+        AttackGoal(horizon=12),
+        AttackGoal(horizon=60, target_kind=TargetKind.ROCOF_ONLY,
+                   sign=Sign.EITHER)], ids=["any", "rocof"])
+    def test_step_constants_built_at_most_twice_per_group(self, monkeypatch,
+                                                          goal):
+        # once for the unit response's relay-free copy and once for the
+        # grid, whose configs differ only in capability
+        spec, _ = _spec_from_file(DEMO_SPEC, 1)
+        spec = dataclasses.replace(spec, goal=goal)
+        builds = Counter()
+        build = frosim.dynamics._build_step_constants
+
+        def counted(params, generators, loads):
+            builds[params.h_inertia, params.droop_r, params.governor_t] += 1
+            return build(params, generators, loads)
+
+        monkeypatch.setattr(frosim.dynamics, "_build_step_constants", counted)
+        records = run_sweep(spec, workers=1)
+        assert set(builds) == {(r.h, r.r, r.t) for r in records}
+        assert len(records) > 10 * len(builds)
+        assert max(builds.values()) <= 2
 
     @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.ROCOF_ONLY])
     def test_serial_sweep_replays_each_dynamics_and_magnitude_once(
