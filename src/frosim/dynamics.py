@@ -42,19 +42,23 @@ not reach is skipped: no relay in it could operate, so the skip is exact.
 
 Every replay steps the kernel through one loop, :func:`_steps`, which
 yields the step records from :func:`initial_state` for as long as its
-caller iterates.  Once the injection is on and a step leaves the state bit
-for bit as it found it (a settled steady state), the loop stops stepping
-and repeats that step's record with only ``n`` and ``t_s`` advanced, which
-is what stepping on would give.  :func:`simulate` keeps the records as a
-:class:`SimTrace`; :func:`write_trace_csv` writes one CSV row per record of
-a trace or of the loop itself, so ``frosim simulate`` streams its records
-to the file and holds only a bounded buffer of rows, never the trace.  The
-search loops of :mod:`frosim.synth` stop at the first event that meets
-their goal.  :func:`eval_ls_relays`, :func:`rocof`,
-:func:`eval_rocof_relays`, :func:`governor_step` and :func:`frequency_step`
-are the reference equations, one per stage; composed in the order above
-they give the kernel's states and records bit for bit, and the tests hold
-the kernel to that.
+caller iterates.  The loop carries the state, and yields the records, as
+plain tuples in :class:`SystemState` and :class:`StepRecord` field order:
+a plain tuple costs a fraction of a named one to build, and most replays
+only read a field or two.  Once the injection is on and a step leaves the
+state bit for bit as it found it (a settled steady state), the loop stops
+stepping and repeats that step's record with only ``n`` and ``t_s``
+advanced, which is what stepping on would give.  :func:`simulate` builds
+a :class:`StepRecord` of each and keeps them as a :class:`SimTrace`;
+:func:`write_trace_csv` writes one CSV row per record of a trace or of the
+loop itself, so ``frosim simulate`` streams its records to the file and
+holds only a bounded buffer of rows, never the trace.  The search loops of
+:mod:`frosim.synth` stop at the first event that meets their goal.
+:func:`eval_ls_relays`, :func:`rocof`, :func:`eval_rocof_relays`,
+:func:`governor_step` and :func:`frequency_step` are the reference
+equations, one per stage; composed in the order above they give the
+kernel's states and records bit for bit, and the tests hold the kernel to
+that.
 
 Identical inputs produce bit-identical traces.
 """
@@ -288,9 +292,6 @@ class StepRecord(NamedTuple):
     events: tuple[RelayEvent, ...]
 
 
-_new_tuple = tuple.__new__
-
-
 def _build_step_constants(params: GridParams,
                           generators: Sequence[GeneratorRelay],
                           loads: Sequence[LoadRelay]) -> tuple:
@@ -357,6 +358,11 @@ def simulate_step(
     same order, so its states and records equal theirs bit for bit.  A step
     on which no relay newly operates shares the incoming latch tuples and
     records ``events=()``.
+
+    Given a :class:`SystemState`, it returns a ``SystemState`` and a
+    :class:`StepRecord`.  Given a plain tuple in ``SystemState`` field order,
+    as :func:`_steps` carries the state, it returns plain tuples in the same
+    field orders, with the same values.
 
     The grid's factors and rosters come from :func:`_step_constants`, built
     once per (params, rosters) and kept on the config.  A roster's loop is
@@ -434,14 +440,13 @@ def simulate_step(
     else:
         history = history + (df_next,)
 
-    # tuple.__new__ fills the named tuples without the frame of their
-    # generated __new__, as their _make does
-    return (
-        _new_tuple(SystemState, (n + 1, df_next, gov_next, dp_sh_next,
-                                 dp_tg_next, history, gen_latches, load_latches)),
-        _new_tuple(StepRecord, (n, n * dt, delta_f, f_hz, slope, dp_gov,
-                                dp_sh_next, dp_tg_next, events)),
-    )
+    nxt = (n + 1, df_next, gov_next, dp_sh_next, dp_tg_next, history,
+           gen_latches, load_latches)
+    record = (n, n * dt, delta_f, f_hz, slope, dp_gov, dp_sh_next, dp_tg_next,
+              events)
+    if type(state) is tuple:
+        return nxt, record
+    return SystemState._make(nxt), StepRecord._make(record)
 
 
 TRACE_CSV_HEADER = "n,t_s,f_hz,rocof_hz_per_s,dp_gov_pu,dp_sh_cum_pu,dp_tg_cum_pu,events"
@@ -484,13 +489,14 @@ def _same_float(a: float, b: float) -> bool:
     return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
-def _same_state(a: SystemState, b: SystemState) -> bool:
-    """Whether *a* and *b* agree bit for bit in every field but ``n``."""
+def _same_state(a: tuple, b: tuple) -> bool:
+    """Whether states *a* and *b*, plain or named tuples in
+    :class:`SystemState` field order, agree bit for bit in every field but
+    ``n``."""
     return (all(map(_same_float, a[1:5], b[1:5]))
-            and len(a.freq_history) == len(b.freq_history)
-            and all(map(_same_float, a.freq_history, b.freq_history))
-            and a.gen_latches == b.gen_latches
-            and a.load_latches == b.load_latches)
+            and len(a[5]) == len(b[5])
+            and all(map(_same_float, a[5], b[5]))
+            and a[6] == b[6] and a[7] == b[7])
 
 
 def _steps(
@@ -498,10 +504,11 @@ def _steps(
     attack: AttackSignal,
     horizon: int,
     options: SimOptions = DEFAULT_OPTIONS,
-) -> Iterator[StepRecord]:
+) -> Iterator[tuple]:
     """The replay loop: the records of steps 0..horizon from the balanced
     equilibrium, one :func:`simulate_step` each, stepped only as far as the
-    caller iterates.
+    caller iterates.  States and records are plain tuples in
+    :class:`SystemState` and :class:`StepRecord` field order.
 
     A step reads ``n`` only through the attack gate and its record's ``n``
     and ``t_s``.  So once the injection is on and a step leaves the rest of
@@ -511,7 +518,7 @@ def _steps(
     stepping the kernel.
     """
     _check_horizon(config, horizon)
-    state = initial_state(config)
+    state = tuple(initial_state(config))
     attack_step = attack.attack_step
     for n in range(horizon + 1):
         nxt, record = simulate_step(state, config, attack, options)
@@ -522,7 +529,7 @@ def _steps(
             dt = config.params.dt
             tail = record[2:]
             for k in range(n + 1, horizon + 1):
-                yield _new_tuple(StepRecord, (k, k * dt) + tail)
+                yield (k, k * dt) + tail
             return
         state = nxt
 
@@ -540,7 +547,8 @@ def simulate(
     recorded.  Raises :class:`HorizonTooShort` when the horizon does not
     cover one full ROCOF window.
     """
-    return SimTrace(tuple(_steps(config, attack, horizon, options)))
+    return SimTrace(tuple(map(StepRecord._make,
+                              _steps(config, attack, horizon, options))))
 
 
 #: Rows :func:`write_trace_csv` joins into one ``write``: the writer's
@@ -550,15 +558,16 @@ _TRACE_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
 _TRACE_ROW_NO_ROCOF = "%d,%.12g,%.12g,,%.12g,%.12g,%.12g,%s\n"
 
 
-def write_trace_csv(trace: SimTrace | Iterable[StepRecord],
+def write_trace_csv(trace: SimTrace | Iterable[tuple],
                     path) -> tuple[int, int]:
     """Write a trace in the stable CSV layout, one row per step record, and
     return the numbers of rows and events written.
 
-    *trace* is a :class:`SimTrace` or any iterable of step records, such as
-    :func:`_steps` itself, which the writer then steps as it writes: it
-    holds only the previous record and up to :data:`_TRACE_CHUNK_ROWS`
-    formatted rows, which it joins into one write.
+    *trace* is a :class:`SimTrace` or any iterable of step records, named or
+    plain tuples in :class:`StepRecord` field order, such as :func:`_steps`
+    itself, which the writer then steps as it writes: it holds only the
+    previous record and up to :data:`_TRACE_CHUNK_ROWS` formatted rows,
+    which it joins into one write.
 
     Numbers carry 12 significant digits.  The ROCOF column is empty while the
     measurement window is not yet full; the events column semicolon-joins

@@ -164,8 +164,7 @@ def generate_combinations(spec: SweepSpec) -> list[Combo]:
     ]
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     combo_id: int
     h: float
     r: float

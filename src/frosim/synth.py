@@ -212,7 +212,8 @@ def _is_feasible(
     # search loops where only the verdict is needed
     for record in _steps(config, AttackSignal(dp_a, goal.attack_step),
                          goal.horizon, options):
-        if record.events and any(map(goal.matches, record.events)):
+        events = record[8]
+        if events and any(map(goal.matches, events)):
             return True
     return False
 
@@ -306,7 +307,7 @@ def _unit_response(config: GridConfig, goal: AttackGoal) -> list[float]:
     the goal's attack step: the replay of *config* with no relays."""
     relay_free = GridConfig(config.params, (), (), config.capability)
     attack = AttackSignal(1.0, goal.attack_step)
-    return [record.delta_f for record in _steps(relay_free, attack, goal.horizon)]
+    return [record[2] for record in _steps(relay_free, attack, goal.horizon)]
 
 
 def _closed_form_minima(config: GridConfig, goal: AttackGoal) -> dict[int, float]:

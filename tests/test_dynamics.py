@@ -309,6 +309,17 @@ def reference_step(state, config, attack, options=SimOptions()):
     return next_state, record
 
 
+def plain_step(plain, named, cfg, attack, options):
+    """Step the kernel from the plain-tuple state *plain*, as the replay
+    loop does, and return the next one; both outputs must be plain tuples
+    of the values of the *named* ``(state, record)`` of the same step."""
+    nxt, rec = simulate_step(plain, cfg, attack, options)
+    assert type(nxt) is tuple and type(rec) is tuple
+    # repr tells -0.0 from 0.0 and matches NaN, which == does not
+    assert repr((nxt, rec)) == repr((tuple(named[0]), tuple(named[1])))
+    return nxt
+
+
 ALL_OPTIONS = [SimOptions(*flags)
                for flags in itertools.product((False, True), repeat=3)]
 
@@ -328,9 +339,11 @@ class TestFusedKernel:
                 self.grids(), (0, 5), (1, -1), (0.02, 0.3, 1.5)):
             attack = AttackSignal(sign * mag, attack_step)
             ref = got = initial_state(cfg)
+            plain = tuple(got)
             for _ in range(self.STEPS):
                 ref, ref_rec = reference_step(ref, cfg, attack, options)
                 got, rec = simulate_step(got, cfg, attack, options)
+                plain = plain_step(plain, (got, rec), cfg, attack, options)
                 for name in SystemState._fields:
                     assert getattr(got, name) == getattr(ref, name), name
                 for name in StepRecord._fields:
@@ -507,6 +520,22 @@ class TestFixedPoint:
         assert not frosim.synth._is_feasible(cfg, 0.001, goal)
         assert steps[0] < self.HORIZON + 1
 
+    def test_loop_yields_plain_tuples_and_traces_keep_step_records(
+            self, monkeypatch):
+        cfg = study_config(kappa=60.0)
+        attack = AttackSignal(0.25, attack_step=500)
+        steps = count_kernel_steps(monkeypatch)
+        records = list(_steps(cfg, attack, self.HORIZON))
+        # the fixed-point tail is among them
+        assert steps[0] < self.HORIZON + 1 == len(records)
+        assert {type(r) for r in records} == {tuple}
+        trace = simulate(cfg, attack, self.HORIZON)
+        assert {type(r) for r in trace.records} == {StepRecord}
+        assert record_reprs(map(tuple, trace.records)) == record_reprs(records)
+        goal = AttackGoal(horizon=self.HORIZON)
+        winner = feasibility(cfg, 0.322, goal).vector.trace
+        assert {type(r) for r in winner.records} == {StepRecord}
+
     def test_same_state_is_bit_equality_but_for_n(self):
         state = SystemState(
             n=9, delta_f=0.0, dp_gov=0.25, dp_sh_cum=0.0, dp_tg_cum=1.0,
@@ -527,12 +556,15 @@ class TestFixedPoint:
 
 def lockstep(cfg, attack, options=SimOptions(), steps=120):
     """Step the kernel and the reference equations side by side, holding
-    each state and record to bit equality; return the kernel's records."""
+    each state and record to bit equality, and the kernel from a plain-tuple
+    state too; return the kernel's records."""
     ref = got = initial_state(cfg)
+    plain = tuple(got)
     records = []
     for _ in range(steps):
         ref, ref_rec = reference_step(ref, cfg, attack, options)
         got, rec = simulate_step(got, cfg, attack, options)
+        plain = plain_step(plain, (got, rec), cfg, attack, options)
         # repr tells -0.0 from 0.0 and matches NaN, which == does not
         assert repr((got, rec)) == repr((ref, ref_rec)), rec.n
         records.append(rec)

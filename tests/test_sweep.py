@@ -2,7 +2,6 @@
 
 import dataclasses
 from collections import Counter
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -175,7 +174,7 @@ def lone_records(spec):
                               attack_type=classify_attack(vec),
                               min_dp_a=vec and vec.dp_a,
                               trip_step=vec and vec.outcome.trip_step)
-        rows.append((astuple(rec), repr(rec.min_dp_a)))
+        rows.append((tuple(rec), repr(rec.min_dp_a)))
     return rows
 
 
@@ -218,7 +217,7 @@ class TestDynamicsMemo:
     @pytest.mark.parametrize("spec", MEMO_SPECS)
     def test_records_equal_lone_syntheses(self, spec, workers):
         expected = lone_records(spec)
-        got = [(astuple(r), repr(r.min_dp_a)) for r in run_sweep(spec, workers)]
+        got = [(tuple(r), repr(r.min_dp_a)) for r in run_sweep(spec, workers)]
         assert got == expected
         statuses = Counter(row[0][-1] for row in expected)
         if spec.mode is SweepMode.CARTESIAN:
@@ -277,7 +276,7 @@ class TestDynamicsMemo:
         lone = lone_records(spec)
         lone_replays, replays = replays, Counter()
         records = run_sweep(spec, workers=1)
-        assert [(astuple(r), repr(r.min_dp_a)) for r in records] == lone
+        assert [(tuple(r), repr(r.min_dp_a)) for r in records] == lone
         assert set(replays) == set(lone_replays)
         assert set(replays.values()) == {1}
         assert sum(lone_replays.values()) >= 2 * len(replays)
@@ -308,7 +307,7 @@ class TestDynamicsMemo:
             return validate_grid(config)
 
         monkeypatch.setattr(frosim.sweep, "validate_grid", counted)
-        got = [(astuple(r), repr(r.min_dp_a)) for r in run_sweep(spec, workers)]
+        got = [(tuple(r), repr(r.min_dp_a)) for r in run_sweep(spec, workers)]
         assert got == expected
         if workers == 1:
             assert len(grids) == 4 and set(grids.values()) == {1}
