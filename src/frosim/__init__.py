@@ -14,7 +14,6 @@ from .config import (
     GridConfig,
     GridParams,
     LoadRelay,
-    ValidatedGridConfig,
     capability_bound,
     config_from_dict,
     load_config,

@@ -39,7 +39,7 @@ import json
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import InvalidParameter, StabilityViolation
 
@@ -140,37 +140,25 @@ class GridConfig:
             object.__setattr__(self, "loads", tuple(self.loads))
 
 
-@dataclass(frozen=True)
-class ValidatedGridConfig(GridConfig):
-    """A :class:`GridConfig` that passed :func:`validate_config`, or, from
-    :func:`validate_grid`, all of its checks but the capability's.
-
-    Carries the frequency-update coefficient as diagnostic metadata.
-    """
-
-    delta_f_coefficient: float = field(default=0.0)
-
-
 def _require(cond: bool, fld: str, message: str, value) -> None:
     if not cond:
         raise InvalidParameter(fld, message, value)
 
 
-def validate_config(config: GridConfig) -> ValidatedGridConfig:
-    """Check every invariant of *config* and return it as validated.
+def validate_config(config: GridConfig) -> GridConfig:
+    """Check every invariant of *config* and return an equal config.
 
     Raises :class:`InvalidParameter` naming the offending field, or
     :class:`StabilityViolation` when the step size is incompatible with the
-    governor time constant.  Validating an already-validated config returns
-    an equal value.  The dynamics and rosters are checked before the
+    governor time constant.  The dynamics and rosters are checked before the
     capability, so their error is the one raised when both are invalid.
     """
     return with_valid_capability(validate_grid(config), config.capability)
 
 
-def validate_grid(config: GridConfig) -> ValidatedGridConfig:
+def validate_grid(config: GridConfig) -> GridConfig:
     """Run the checks of :func:`validate_config` that do not read the
-    capability, and return *config* as validated, its capability unchecked.
+    capability, and return *config* itself, its capability unchecked.
 
     Configs that differ only in capability, as the combinations of one
     sweep (H, R, T) do, share one result and add each capability through
@@ -230,17 +218,11 @@ def validate_grid(config: GridConfig) -> ValidatedGridConfig:
         _require(l.id not in seen, f"loads[{i}].id", "must be unique", l.id)
         seen.add(l.id)
 
-    return ValidatedGridConfig(
-        params=p,
-        generators=config.generators,
-        loads=config.loads,
-        capability=config.capability,
-        delta_f_coefficient=coeff,
-    )
+    return config
 
 
-def with_valid_capability(grid: ValidatedGridConfig,
-                          cap: AttackerCapability) -> ValidatedGridConfig:
+def with_valid_capability(grid: GridConfig,
+                          cap: AttackerCapability) -> GridConfig:
     """*grid*, from :func:`validate_grid`, with capability *cap* after the
     capability checks of :func:`validate_config`."""
     _require(0 <= cap.toi <= 1, "capability.toi", "must lie in [0, 1]", cap.toi)
@@ -248,13 +230,7 @@ def with_valid_capability(grid: ValidatedGridConfig,
     _require(cap.der_total >= 0, "capability.der_total", "must be >= 0",
              cap.der_total)
     _require(cap.kappa >= 0, "capability.kappa", "must be >= 0", cap.kappa)
-    return ValidatedGridConfig(
-        params=grid.params,
-        generators=grid.generators,
-        loads=grid.loads,
-        capability=cap,
-        delta_f_coefficient=grid.delta_f_coefficient,
-    )
+    return GridConfig(grid.params, grid.generators, grid.loads, cap)
 
 
 def capability_bound(cap: AttackerCapability) -> float:
@@ -320,7 +296,7 @@ def _get(d: dict, key: str, where: str, kind: type):
     return require_json_type(d[key], f"{where}{key}", kind)
 
 
-def config_from_dict(data: dict) -> ValidatedGridConfig:
+def config_from_dict(data: dict) -> GridConfig:
     """Build and validate a config from a parsed JSON object.
 
     Every field must have its JSON type: numbers finite and not booleans
@@ -375,7 +351,7 @@ def config_from_dict(data: dict) -> ValidatedGridConfig:
     return validate_config(GridConfig(params, tuple(gens), tuple(loads), cap))
 
 
-def load_config(path) -> ValidatedGridConfig:
+def load_config(path) -> GridConfig:
     """Read, parse, and validate a JSON configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:

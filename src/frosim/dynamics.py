@@ -37,8 +37,11 @@ a grid, the recursions' per-grid factors and the rosters as plain tuples
 with their highest load-shedding and lowest ROCOF threshold, is built once
 per (params, rosters) by :func:`_step_constants` and kept on the config and
 its params, so the configs of a sweep group, which share both, share one
-build.  A roster whose extreme threshold the step's frequency or slope does
-not reach is skipped: no relay in it could operate, so the skip is exact.
+build.  These step constants are the one place a grid's derived quantities
+are computed: the kernel, the closed form of :mod:`frosim.synth` and its
+interval pass all read them.  A roster whose extreme threshold the step's
+frequency or slope does not reach is skipped: no relay in it could operate,
+so the skip is exact.
 
 Every replay steps the kernel through one loop, :func:`_steps`, which
 yields the step records from :func:`initial_state` for as long as its
@@ -298,7 +301,12 @@ def _build_step_constants(params: GridParams,
     """What :func:`simulate_step` reads of a grid, in the order it unpacks
     them: every per-grid factor of its recursions, computed as it would
     compute them, and each roster as ``(threshold, block, id)`` tuples with
-    the highest load-shedding and the lowest ROCOF threshold.
+    the highest load-shedding and the lowest ROCOF threshold.  It has three
+    readers: the kernel, the closed form of
+    :func:`frosim.synth._closed_form_minima` (``f_nominal``, ``M*dt`` and
+    the two extremes) and the interval pass of
+    :func:`frosim.synth._feasible_intervals` (the recursions' factors, R,
+    the total generation and both rosters).
 
     A NaN threshold satisfies no comparison, so its relay never operates and
     the extremes leave it out.  The extreme of a roster with no other
@@ -331,6 +339,9 @@ def _step_constants(config: GridConfig) -> tuple:
     never see them.  Configs are frozen, so what a kept build was computed
     from cannot change under it.
     """
+    constants = config.__dict__.get("_step_constants")
+    if constants is not None:
+        return constants
     params, generators, loads = config.params, config.generators, config.loads
     kept = params.__dict__.get("_step_constants")
     if kept is not None and kept[0] is generators and kept[1] is loads:

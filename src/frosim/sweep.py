@@ -30,7 +30,6 @@ from typing import NamedTuple, Optional, Sequence
 from .config import (
     AttackerCapability,
     GridConfig,
-    ValidatedGridConfig,
     is_finite_real,
     validate_grid,
     with_dynamics,
@@ -193,7 +192,7 @@ def _failed(combo_id: int, combo: Combo, exc: FrosimError) -> SweepRecord:
                        attack_type=AttackType.NONE, status=type(exc).__name__)
 
 
-def _run_combo(spec: SweepSpec, grid: ValidatedGridConfig, combo_id: int,
+def _run_combo(spec: SweepSpec, grid: GridConfig, combo_id: int,
                combo: Combo, replays: dict) -> SweepRecord:
     try:
         cap = spec.base.capability

@@ -54,6 +54,7 @@ from .dynamics import (
     DEFAULT_OPTIONS,
     SimTrace,
     _check_horizon,
+    _step_constants,
     _steps,
     simulate,
 )
@@ -321,24 +322,23 @@ def _closed_form_minima(config: GridConfig, goal: AttackGoal) -> dict[int, float
     minimum is the smallest threshold over coefficient; ``inf`` when no
     relay can operate within the horizon.  SimOptions act only after a first
     event, so this holds under every option.
+
+    The thresholds are the extremes of :func:`_step_constants`, which leave
+    out the NaN thresholds of relays that never operate.
     """
-    params = config.params
-    m = params.rocof_window_m
+    # before _step_constants(config): the relay-free replay replaces the
+    # constants kept on the shared params, so a sweep group builds twice
     u = _unit_response(config, goal)
-    ls_margin = min(
-        (1.0 - ld.underfreq_threshold / params.f_nominal for ld in config.loads),
-        default=math.inf,
-    )
-    rocof_threshold = min(
-        (g.rocof_threshold for g in config.generators), default=math.inf,
-    )
-    slope_per_pu = params.f_nominal / (m * params.dt)
+    (f_nominal, _, m, m_dt, _, _, _, _, _, _, ls_highest, _, rocof_lowest,
+     *_) = _step_constants(config)
+    ls_margin = 1.0 - ls_highest / f_nominal
+    slope_per_pu = f_nominal / m_dt
 
     def smallest(threshold: float, coefficients: list[float]) -> float:
         return min((threshold / c for c in coefficients if c > 0),
                    default=math.inf)
 
-    rocof_min = smallest(rocof_threshold, [
+    rocof_min = smallest(rocof_lowest, [
         abs(u[n] - u[n - m]) * slope_per_pu for n in range(m, len(u))
     ])
     return {
@@ -373,24 +373,24 @@ def _feasible_intervals(
     that are constant on a piece (the inertia rescale, the shed sign,
     re-accumulation).  The interval ends carry the float error of the cut
     points; a replay decides.
+
+    The per-grid factors and the rosters are the kernel's own, from
+    :func:`_step_constants`; only ``rescale_inertia`` recomputes ``dt/4H``
+    and the damping factor, per piece, from its tripped total.
     """
     _check_horizon(config, goal.horizon)
-    params = config.params
-    f_nominal, dt, m = params.f_nominal, params.dt, params.rocof_window_m
-    governor_t, droop_r = params.governor_t, params.droop_r
+    (f_nominal, dt, m, m_dt, droop_r, gain, gov_decay, scale, damping,
+     load_roster, _, gen_roster, _, h, dt_rt, total_tg) = _step_constants(config)
     accumulate = options.literal_accumulation
     literal_signs = options.literal_signs
     rescale = options.rescale_inertia
-    total_tg = sum(g.p_tg for g in config.generators)
-    slope_per_pu = f_nominal / (m * dt)
-    gain = dt / governor_t
-    gov_decay = 2.0 - dt / governor_t
-    loads = [(ld.underfreq_threshold, ld.underfreq_threshold / f_nominal - 1.0,
-              ld.p_sh, goal.matches(RelayEvent(0, ld.id, EventKind.LS_SHED)))
-             for ld in config.loads]
-    gens = [(g.rocof_threshold, g.p_tg,
-             goal.matches(RelayEvent(0, g.id, EventKind.ROCOF_TRIP)))
-            for g in config.generators]
+    slope_per_pu = f_nominal / m_dt
+    loads = [(thr, thr / f_nominal - 1.0, p_sh,
+              goal.matches(RelayEvent(0, relay_id, EventKind.LS_SHED)))
+             for thr, p_sh, relay_id in load_roster]
+    gens = [(thr, p_tg,
+             goal.matches(RelayEvent(0, relay_id, EventKind.ROCOF_TRIP)))
+            for thr, p_tg, relay_id in gen_roster]
 
     feasible: list[tuple[float, float]] = []
     # (lo, hi, delta_f c0, c1, dp_gov c0, c1, history c0s, c1s, shed total,
@@ -461,12 +461,11 @@ def _feasible_intervals(
                     advanced.append((group[0], key, d0, d1, g0, g1, w0, w1))
         pieces = []
         for ((lo, hi), (sh, tg, gl, ll), d0, d1, g0, g1, w0, w1) in advanced:
-            h = params.h_inertia
             if rescale:
                 share = (total_tg - tg) / total_tg if total_tg > 0 else 1.0
-                h = h * max(share, _H_RESCALE_FLOOR)
-            scale = dt / (4.0 * h)
-            damping = dt / (droop_r * governor_t) - 4.0 * h / dt
+                h_rescaled = h * max(share, _H_RESCALE_FLOOR)
+                scale = dt / (4.0 * h_rescaled)
+                damping = dt_rt - 4.0 * h_rescaled / dt
             nd0 = scale * (g0 * gov_decay - d0 * damping - tg
                            + (-sh if literal_signs else sh))
             nd1 = scale * (g1 * gov_decay + drive - d1 * damping)

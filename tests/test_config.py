@@ -39,7 +39,7 @@ class TestValidateConfig:
         assert cfg.params.h_inertia == 2.0
         # diagnostic metadata: 1 - dt^2/(4*H*R*T)
         expected = 1.0 - (1 / 60) ** 2 / (4 * 2.0 * 0.2 * 0.2)
-        assert cfg.delta_f_coefficient == pytest.approx(expected, rel=1e-15)
+        assert cfg.params.delta_f_coefficient == pytest.approx(expected, rel=1e-15)
 
     def test_zero_inertia_rejected(self):
         with pytest.raises(InvalidParameter) as exc:
@@ -199,5 +199,5 @@ class TestJsonLoading:
 
 def test_study_config_helper_is_shareable():
     cfg = study_config()
-    assert math.isfinite(cfg.delta_f_coefficient)
+    assert math.isfinite(cfg.params.delta_f_coefficient)
     assert len(cfg.generators) == 3 and len(cfg.loads) == 4

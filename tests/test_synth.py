@@ -1,6 +1,7 @@
 """Attack synthesis: feasibility oracle, probing, closed form, interval
 pass, exhaustive scan."""
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -36,7 +37,8 @@ from frosim import (
     validate_config,
     with_capability,
 )
-from conftest import random_small_config, study_config
+from conftest import (C1_GENERATORS, C1_LOADS, random_small_config,
+                      study_config)
 
 
 def exhaustive_scan_oracle(config, goal, resolution):
@@ -425,6 +427,84 @@ class TestClosedFormAny:
             lambda *a: {d: x * (1 - 1e-6) for d, x in real(*a).items()})
         out = synthesize_min_attack(cfg, goal)
         assert out.success and out.vector.dp_a == dp_a
+
+
+def _answer(out):
+    """What an answer is, trace included, for comparing two syntheses."""
+    if not out.success:
+        return out.status
+    v = out.vector
+    return repr(v.dp_a), v.outcome, repr(v.trace.records)
+
+
+GOALS_PER_TARGET = [
+    AttackGoal(horizon=60, target_kind=target, sign=Sign.EITHER,
+               specific_relay_id="g5" if target is TargetKind.SPECIFIC
+               else None)
+    for target in TargetKind
+]
+
+
+class TestGridConstants:
+    """Synthesis reads the kernel's step constants, kept per params."""
+
+    NAN_GENERATOR = GeneratorRelay("gN", "bN", 1.0, math.nan)
+    NAN_LOAD = LoadRelay("lN", "bN", 0.5, math.nan)
+
+    @pytest.mark.parametrize("goal", GOALS_PER_TARGET,
+                             ids=[t.value for t in TargetKind])
+    def test_nan_threshold_relay_changes_no_answer(self, goal):
+        # a NaN threshold meets no comparison, so its relay never operates,
+        # wherever the roster lists it; validation would reject the grid
+        params = GridParams(h_inertia=2.0, droop_r=0.2, governor_t=0.2)
+        cap = AttackerCapability(toi=0.02, ad=0.2, der_total=1.5, kappa=60.0)
+
+        def answer(generators, loads):
+            return _answer(synthesize_min_attack(
+                GridConfig(params, generators, loads, cap), goal))
+
+        expected = answer(C1_GENERATORS, C1_LOADS)
+        gen, load = (self.NAN_GENERATOR,), (self.NAN_LOAD,)
+        for generators, loads in [
+                (gen + C1_GENERATORS, C1_LOADS), (C1_GENERATORS + gen, C1_LOADS),
+                (C1_GENERATORS, load + C1_LOADS), (C1_GENERATORS, C1_LOADS + load)]:
+            assert answer(generators, loads) == expected
+        if goal.target_kind is TargetKind.ANY:
+            assert expected[0] == "0.0335807781047"
+
+    def test_configs_sharing_params_keep_their_own_constants(self,
+                                                             monkeypatch):
+        # the ANY goal's relay-free unit response replaces the constants kept
+        # on the shared params between calls
+        params = GridParams(h_inertia=2.0, droop_r=0.2, governor_t=0.2)
+        cap = AttackerCapability(toi=0.02, ad=0.2, der_total=1.5, kappa=60.0)
+        rosters = [
+            (C1_GENERATORS, C1_LOADS),
+            ((GeneratorRelay("g4", "bus4", 0.5, 0.9),
+              GeneratorRelay("g5", "bus5", 1.5, 0.7)),
+             (LoadRelay("l1", "bus1", 1.0, 59.7),)),
+        ]
+        goals = [AttackGoal(horizon=60, target_kind=target, sign=Sign.EITHER)
+                 for target in (TargetKind.ANY, TargetKind.ROCOF_ONLY)]
+        fresh = {
+            (i, goal): _answer(synthesize_min_attack(GridConfig(
+                dataclasses.replace(params), *roster, cap), goal))
+            for i, roster in enumerate(rosters) for goal in goals}
+        assert fresh[0, goals[0]] != fresh[1, goals[0]]
+        assert fresh[0, goals[1]] != fresh[1, goals[1]]
+        builds = []
+        build = frosim.dynamics._build_step_constants
+
+        def counted(params, generators, loads):
+            builds.append((generators, loads))
+            return build(params, generators, loads)
+
+        monkeypatch.setattr(frosim.dynamics, "_build_step_constants", counted)
+        shared = [GridConfig(params, *roster, cap) for roster in rosters]
+        for goal, i in itertools.product(goals + goals[::-1], (0, 1, 0)):
+            assert _answer(synthesize_min_attack(shared[i], goal)) == fresh[i, goal]
+        # each config builds once and then reads the constants kept on it
+        assert sorted(map(builds.count, rosters)) == [1, 1]
 
 
 class TestExhaustiveMinAttack:
