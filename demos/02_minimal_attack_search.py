@@ -3,11 +3,12 @@
 Shows the layers of the synthesizer: the exact closed-form answer for the
 "any relay" goal, the exact interval pass for goals that name a relay kind,
 and the replay certificate.  Ends with a grid whose feasible set has a hole,
-which the interval pass maps in full and answers exactly; the exhaustive
-scan, which assumes nothing, agrees.
+shown by replays across the capability range; the interval pass answers it
+exactly, and the exhaustive scan, which assumes nothing, agrees.
 """
 
 import warnings
+from decimal import Context, Decimal
 
 from frosim import (
     AttackerCapability,
@@ -16,7 +17,6 @@ from frosim import (
     GridConfig,
     GridParams,
     LoadRelay,
-    SimOptions,
     TargetKind,
     capability_bound,
     exhaustive_min_attack,
@@ -24,8 +24,6 @@ from frosim import (
     synthesize_min_attack,
     validate_config,
 )
-# the pass synthesize_min_attack runs for goals other than "any relay"
-from frosim.synth import _feasible_intervals
 
 config = validate_config(GridConfig(
     params=GridParams(h_inertia=2.0, droop_r=0.2, governor_t=0.2),
@@ -55,10 +53,13 @@ print(f"certificate replay reproduces the outcome: "
       f"{replay.vector.outcome == vec.outcome}")
 
 
-def show_intervals(grid, goal):
-    intervals, peak = _feasible_intervals(grid, goal, 1, SimOptions())
-    spans = ", ".join(f"[{lo:.6f}, {hi:.6f}]" for lo, hi in intervals)
-    print(f"feasible magnitudes: {spans}  (at most {peak} intervals live)")
+def show_replays(grid, goal, samples=36):
+    """One replay per evenly spaced magnitude in [0, capability bound]."""
+    bound = capability_bound(grid.capability)
+    marks = "".join(
+        "#" if feasibility(grid, bound * k / (samples - 1), goal).success
+        else "." for k in range(samples))
+    print(f"replays over [0, {bound:.3f}] pu (# meets the goal): {marks}")
 
 
 print()
@@ -68,13 +69,17 @@ print("=" * 64)
 # Within 12 steps load is shed only after the ROCOF trips have steepened the
 # fall, which breaks linearity.  With the earlier relay outcomes fixed, every
 # relay condition is linear in the magnitude again, so one pass over
-# intervals of it finds the whole feasible set.
+# intervals of it finds the smallest feasible magnitude, as a constraint
+# solver would.
 ls_goal = AttackGoal(horizon=12, target_kind=TargetKind.LS_ONLY)
-show_intervals(config, ls_goal)
 exact = synthesize_min_attack(config, ls_goal)
 print(f"load shedding only, exact: {exact.vector.dp_a!r} pu "
       f"sheds {exact.vector.outcome.relay_id} at step "
       f"{exact.vector.outcome.trip_step}")
+# the answer is a 12-significant-digit decimal; one unit lower fails
+lower = float(Context(prec=12).next_minus(Decimal(repr(exact.vector.dp_a))))
+print(f"one record decimal lower, {lower!r} pu, meets the goal: "
+      f"{feasibility(config, lower, ls_goal).success}")
 
 print()
 print("=" * 64)
@@ -93,7 +98,7 @@ with warnings.catch_warnings():
                                       kappa=0.35 / 1.5),
     ))
 holey_goal = AttackGoal(horizon=600, target_kind=TargetKind.ROCOF_ONLY)
-show_intervals(holey, holey_goal)
+show_replays(holey, holey_goal)
 answer = synthesize_min_attack(holey, holey_goal)
 print(f"exact minimum: {answer.vector.dp_a!r} pu trips "
       f"{answer.vector.outcome.relay_id} at step "

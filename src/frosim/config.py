@@ -230,6 +230,9 @@ def with_valid_capability(grid: GridConfig,
     _require(cap.der_total >= 0, "capability.der_total", "must be >= 0",
              cap.der_total)
     _require(cap.kappa >= 0, "capability.kappa", "must be >= 0", cap.kappa)
+    bound = capability_bound(cap)
+    _require(is_finite_real(bound), "capability",
+             "bound kappa*toi*ad*der_total must be finite", bound)
     return GridConfig(grid.params, grid.generators, grid.loads, cap)
 
 

@@ -305,7 +305,7 @@ def _build_step_constants(params: GridParams,
     readers: the kernel, the closed form of
     :func:`frosim.synth._closed_form_minima` (``f_nominal``, ``M*dt`` and
     the two extremes) and the interval pass of
-    :func:`frosim.synth._feasible_intervals` (the recursions' factors, R,
+    :func:`frosim.synth._smallest_feasible_start` (the recursions' factors, R,
     the total generation and both rosters).
 
     A NaN threshold satisfies no comparison, so its relay never operates and

@@ -15,10 +15,10 @@ minimum depends on the goal:
   non-matching events have broken linearity, and their feasible set need
   not be an up-set in magnitude.  Once the earlier relay outcomes are fixed,
   every relay condition is linear in the magnitude, so one pass of the
-  model over intervals of it (:func:`_feasible_intervals`) finds the whole
-  feasible set, as a constraint solver would; its smallest start, rounded
-  up to a record decimal, is certified by replay, and a replay one record
-  decimal lower must fail.
+  model over intervals of it (:func:`_smallest_feasible_start`) finds the
+  smallest feasible magnitude, as a constraint solver finds one model; that
+  start, rounded up to a record decimal, is certified by replay, and a
+  replay one record decimal lower must fail.
 
 :func:`exhaustive_min_attack` scans a magnitude grid instead and assumes
 nothing.  :func:`probe_monotonicity` samples feasibility on a coarse grid, a
@@ -287,8 +287,7 @@ def probe_monotonicity(
     Reports, per direction in the goal, whether the observed success set is an
     up-set (everything above the smallest success also succeeds).  A
     diagnostic: synthesis does not call it, and a gap narrower than the
-    sample spacing goes unseen; :func:`_feasible_intervals` gives the whole
-    feasible set.
+    sample spacing goes unseen.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
@@ -347,15 +346,15 @@ def _closed_form_minima(config: GridConfig, goal: AttackGoal) -> dict[int, float
     }
 
 
-def _feasible_intervals(
+def _smallest_feasible_start(
     config: GridConfig,
     goal: AttackGoal,
     direction: int,
     options: SimOptions,
-) -> tuple[list[tuple[float, float]], int]:
-    """Magnitudes ``x`` in [0, capability bound] at which injecting
-    ``direction * x`` meets *goal*, as sorted disjoint ``(lo, hi)``
-    intervals, with the peak number of pieces live at one step.
+) -> tuple[float, int]:
+    """The smallest magnitude ``x`` in [0, capability bound] at which
+    injecting ``direction * x`` meets *goal*, ``inf`` when none does, with
+    the peak number of pieces live at one step.
 
     One pass of the model over pieces of [0, bound].  On a piece the relay
     totals and latches are fixed values, so the deviation, the governor
@@ -371,8 +370,14 @@ def _feasible_intervals(
     different parents never merge, since equal latches set at different
     steps leave different constant terms.  The options change only terms
     that are constant on a piece (the inertia rescale, the shed sign,
-    re-accumulation).  The interval ends carry the float error of the cut
-    points; a replay decides.
+    re-accumulation).  The start carries the float error of a cut point; a
+    replay decides.
+
+    A piece at or above the smallest feasible start so far can only add
+    larger starts and is dropped when next visited.  No live piece
+    straddles that start and pieces step independently, so the kept ones
+    step exactly as if none were dropped; none is cut at it, which would
+    move a later midpoint.
 
     The per-grid factors and the rosters are the kernel's own, from
     :func:`_step_constants`; only ``rescale_inertia`` recomputes ``dt/4H``
@@ -392,7 +397,7 @@ def _feasible_intervals(
              goal.matches(RelayEvent(0, relay_id, EventKind.ROCOF_TRIP)))
             for thr, p_tg, relay_id in gen_roster]
 
-    feasible: list[tuple[float, float]] = []
+    first = math.inf
     # (lo, hi, delta_f c0, c1, dp_gov c0, c1, history c0s, c1s, shed total,
     #  tripped total, generator latches, load latches)
     pieces = [(0.0, capability_bound(config.capability), 0.0, 0.0, 0.0, 0.0,
@@ -404,6 +409,8 @@ def _feasible_intervals(
         advanced = []
         for (lo, hi, d0, d1, g0, g1, w0, w1, sh, tg,
              gen_latches, load_latches) in pieces:
+            if lo >= first:
+                continue
             windowed = len(w0) > m
             if windowed:
                 s0 = (w0[-1] - w0[-1 - m]) * slope_per_pu
@@ -450,7 +457,7 @@ def _feasible_intervals(
                             elif accumulate:
                                 tripped += p_tg
                 if met:
-                    feasible.append((a, b))
+                    first = min(first, a)
                     group = None
                     continue
                 key = (sh + shed, tg + tripped, gl, ll)
@@ -469,10 +476,7 @@ def _feasible_intervals(
             nd0 = scale * (g0 * gov_decay - d0 * damping - tg
                            + (-sh if literal_signs else sh))
             nd1 = scale * (g1 * gov_decay + drive - d1 * damping)
-            if len(w0) > m:
-                w0, w1 = w0[-m:] + (nd0,), w1[-m:] + (nd1,)
-            else:
-                w0, w1 = w0 + (nd0,), w1 + (nd1,)
+            w0, w1 = w0[-m:] + (nd0,), w1[-m:] + (nd1,)
             pieces.append((lo, hi, nd0, nd1,
                            g0 + gain * (-d0 / droop_r - g0),
                            g1 + gain * (-d1 / droop_r - g1),
@@ -480,14 +484,7 @@ def _feasible_intervals(
         peak = max(peak, len(pieces))
         if not pieces:
             break
-    feasible.sort()
-    merged: list[tuple[float, float]] = []
-    for lo, hi in feasible:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged, peak
+    return first, peak
 
 
 def _certify_upward(config, goal, direction, start: Decimal, options,
@@ -609,12 +606,11 @@ def synthesize_min_attack(
 
     The answer is the smallest :data:`RECORD_DIGITS`-digit decimal that
     replays, certified by a :func:`feasibility` replay.  An ``ANY`` goal
-    starts from :func:`_closed_form_minima`; other goals start from the
-    smallest feasible magnitude of :func:`_feasible_intervals`, and a replay
-    one record decimal below the answer must then fail (see
-    :func:`_step_down`).  With
-    nothing feasible in a direction the capability bound itself is replayed,
-    and the answer is no attack only when it fails.  *tolerance* is
+    starts from :func:`_closed_form_minima`; other goals start from
+    :func:`_smallest_feasible_start`, and a replay one record decimal below
+    the answer must then fail (see :func:`_step_down`).  With nothing
+    feasible in a direction the capability bound itself is replayed, and
+    the answer is no attack only when it fails.  *tolerance* is
     validated but does not affect the answer; it is the resolution of
     :func:`exhaustive_min_attack`.
 
@@ -626,8 +622,8 @@ def synthesize_min_attack(
     verdicts and certificates: a dict passed to calls with the same goal and
     options whose configs differ only in capability (as the combinations of
     one (H, R, T) in a sweep do).  It then also keeps the ``ANY`` goal's
-    closed-form starts, which read no capability, and each interval pass
-    under its direction and bound.  Every answer is the one an unshared call
+    closed-form starts, which read no capability, and each interval pass's
+    start and peak under its direction and bound.  Every answer is the one an unshared call
     gives.
     """
     _check_step("tolerance", tolerance)
@@ -644,17 +640,17 @@ def synthesize_min_attack(
         bound = capability_bound(config.capability)
         passes = {}
         for d in goal.directions():
-            key = ("intervals", d, bound)
+            key = ("interval pass", d, bound)
             if key not in replays:
-                replays[key] = _feasible_intervals(config, goal, d, options)
+                replays[key] = _smallest_feasible_start(config, goal, d,
+                                                        options)
             passes[d] = replays[key]
         # Certified from one record decimal below the rounded-up start: a
         # cut point's float error is far below one unit, so no certified
         # magnitude falls under its candidate, as _smallest_first's early
         # stop requires, even after the step-down.
-        starts = [(_below(_RECORD.plus(Decimal(intervals[0][0])))
-                   if intervals else _RECORD.plus(Decimal(math.inf)), d)
-                  for d, (intervals, _) in passes.items()]
+        starts = [(_below(_RECORD.plus(Decimal(start))) if start < math.inf
+                   else Decimal(start), d) for d, (start, _) in passes.items()]
     # each replay run adds one memo entry
     runs = {"certify": 0, "step-down": 0}
 
@@ -678,8 +674,8 @@ def synthesize_min_attack(
                 f"{d:+d}: {m}" for m, d in starts)
         else:
             found = "interval pass, " + "; ".join(
-                f"{d:+d}: feasible {intervals}, peak {peak} live pieces"
-                for d, (intervals, peak) in passes.items())
+                f"{d:+d}: smallest feasible start {start!r}, peak {peak} "
+                "live pieces" for d, (start, peak) in passes.items())
         log.debug("synthesis %s/%s by %s; certify replays %d, step-down "
                   "replays %d; %s", goal.target_kind.value, goal.sign.value,
                   found, runs["certify"], runs["step-down"], _describe(best))

@@ -271,6 +271,28 @@ class TestSynthesize:
         assert code == 1
         assert json.loads(out.read_text()) == {"status": "no_attack"}
 
+    @pytest.mark.parametrize("target", ["any", "rocof"])
+    def test_overflowing_capability_bound_exits_2(self, tmp_path, target):
+        # each attacker field is finite, but kappa*toi*ad*der_total is not;
+        # in a subprocess with a timeout, so a search that never ends fails
+        data = json.loads(CASE_STUDY_GRID.read_text())
+        data["attacker"].update(kappa=1e308, der_total_pu=1e308)
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(frosim.__file__).parents[1]),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "frosim.cli", "synthesize",
+             "--config", str(cfg), "--horizon", "12", "--attack-step", "50",
+             "--target", target, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: capability: bound" in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--tolerance", "0"), ("--tolerance", "-1"), ("--tolerance", "nan"),
         ("--tolerance", "inf"), ("--tolerance", "nanhz"),

@@ -110,6 +110,21 @@ class TestValidateConfig:
             ))
 
 
+    @pytest.mark.parametrize("kappa,der_total,toi", [
+        (1e308, 1e308, 1.0),     # the product overflows to inf
+        (math.inf, 1.5, 0.0),    # inf * 0 is nan
+    ])
+    def test_capability_bound_must_be_finite(self, kappa, der_total, toi):
+        # each field passes its own check; synthesis could replay no magnitude
+        # at an infinite bound
+        with pytest.raises(InvalidParameter, match="capability: bound"):
+            validate_config(GridConfig(
+                GridParams(2, 0.2, 0.2), C1_GENERATORS, C1_LOADS,
+                AttackerCapability(toi=toi, ad=1.0, der_total=der_total,
+                                   kappa=kappa),
+            ))
+
+
 class TestCapabilityBound:
     def test_default_mapping(self):
         assert capability_bound(AttackerCapability(0.02, 0.2, 1.5)) == \

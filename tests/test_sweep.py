@@ -142,6 +142,16 @@ class TestRunSweep:
         assert all(not r.success for r in bad)
         assert all(r.status == "ok" for r in good)
 
+    def test_overflowing_capability_bound_lands_in_status(self):
+        # the base capability is valid at toi 0; every other toi overflows
+        # kappa*toi*ad*der_total
+        base = validate_config(with_capability(
+            study_config(), toi=0.0, der_total=1e308, kappa=1e308))
+        records = run_sweep(small_spec(base=base, toi_pct_values=(0.0, 2.0)))
+        assert {(r.toi_pct, r.status) for r in records} == {
+            (0.0, "ok"), (2.0, "InvalidParameter")}
+        assert not any(r.success for r in records)
+
     def test_records_ordered_by_combo_id(self):
         spec = small_spec(mode=SweepMode.RANDOM, count=12, seed=5)
         records = run_sweep(spec, workers=2)
