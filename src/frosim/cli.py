@@ -171,7 +171,11 @@ def cmd_synthesize(args) -> int:
 def _spec_from_file(path, seed_override=None) -> tuple[SweepSpec, str]:
     """The spec in the JSON file at *path*, and the sha256 of its bytes."""
     raw = Path(path).read_bytes()
-    data = require_json_type(json.loads(raw.decode("utf-8")), "spec", dict)
+    try:
+        parsed = json.loads(raw.decode("utf-8"))
+    except RecursionError as exc:
+        raise InvalidParameter("spec", "nested too deeply") from exc
+    data = require_json_type(parsed, "spec", dict)
     if "base_config_file" in data:
         name = require_json_type(data["base_config_file"], "base_config_file", str)
         base = load_config(Path(path).parent / name)

@@ -36,6 +36,7 @@ default is given):
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 import warnings
@@ -174,13 +175,28 @@ def validate_grid(config: GridConfig) -> GridConfig:
         "rocof_window_m", "must be an integer >= 1", p.rocof_window_m,
     )
     _require(p.f_nominal > 0, "f_nominal", "must be > 0", p.f_nominal)
+    # the quotients the step kernel derives from the params, each finite
+    # (a zero divisor is an underflowed product), or every replay steps
+    # into inf and NaN and reads as no attack
+    four_h = 4.0 * p.h_inertia
+    for name, numerator, divisor in (
+            ("4*h_inertia/dt", four_h, p.dt),
+            ("dt/(4*h_inertia)", p.dt, four_h),
+            ("dt/(droop_r*governor_t)", p.dt, p.droop_r * p.governor_t),
+            ("f_nominal/(rocof_window_m*dt)", p.f_nominal,
+             p.rocof_window_m * p.dt)):
+        factor = numerator / divisor if divisor else math.inf
+        _require(is_finite_real(factor), name, "must be finite", factor)
 
     if p.dt > p.governor_t:
         raise StabilityViolation(
             f"dt={p.dt} exceeds governor_t={p.governor_t}; "
             "the explicit governor update would overshoot",
         )
-    coeff = p.delta_f_coefficient
+    try:
+        coeff = p.delta_f_coefficient
+    except ZeroDivisionError:  # 4*H*R*T underflows to 0
+        coeff = -math.inf
     if not (-1.0 < coeff <= 1.0):
         raise StabilityViolation(
             f"frequency-update coefficient {coeff} outside (-1, 1]; "
@@ -361,6 +377,8 @@ def load_config(path) -> GridConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParameter("config", f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidParameter("config", "nested too deeply") from exc
     return config_from_dict(data)
 
 

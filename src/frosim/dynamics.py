@@ -55,8 +55,10 @@ advanced, which is what stepping on would give.  :func:`simulate` builds
 a :class:`StepRecord` of each and keeps them as a :class:`SimTrace`;
 :func:`write_trace_csv` writes one CSV row per record of a trace or of the
 loop itself, so ``frosim simulate`` streams its records to the file and
-holds only a bounded buffer of rows, never the trace.  The search loops of
-:mod:`frosim.synth` stop at the first event that meets their goal.
+holds only a bounded buffer of rows, never the trace.  A search replay of
+:mod:`frosim.synth` (:func:`frosim.synth.feasibility`) runs the loop to the
+horizon once and builds the trace as :func:`simulate` does only when the
+replay meets its goal.
 :func:`eval_ls_relays`, :func:`rocof`, :func:`eval_rocof_relays`,
 :func:`governor_step` and :func:`frequency_step` are the reference
 equations, one per stage; composed in the order above they give the

@@ -5,11 +5,11 @@ attacker capability, runs minimal-attack synthesis, and records the outcome.
 Combinations that share (H, R, T) differ only in the capability bound, so
 they run together: their grid is validated once, each combination then
 checking only its capability, and they share one replay memo.  The ``ANY``
-goal's closed-form starts are computed once per (H, R, T), a magnitude's
-verdict is replayed once per (H, R, T) however many bounds reach it, and
-each distinct answer is replayed in full once.  The memo is dropped when
-its group ends.  A replay reads no capability, so every record
-is the one a lone synthesis gives.  Runs are reproducible because the
+goal's closed-form starts are computed once per (H, R, T), and a magnitude
+is replayed once per (H, R, T) however many bounds reach it; an answer is
+the replay that found it.  The memo is dropped when its group ends.  A
+replay reads no capability, so every record is the one a lone synthesis
+gives.  Runs are reproducible because the
 random mode draws from a seeded generator and records are always ordered by
 combination id regardless of how many workers executed them.
 """

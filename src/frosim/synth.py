@@ -24,15 +24,17 @@ minimum depends on the goal:
 nothing.  :func:`probe_monotonicity` samples feasibility on a coarse grid, a
 diagnostic that synthesis does not use.
 
-Every search decides on verdicts, as a constraint solver does on sat and
-unsat: a verdict replay stops at the first matching event.  Only the answer
-is replayed in full, once, by :func:`feasibility`, whose outcome carries the
-trace as its certificate.  A replay depends on the config only through its
+Every search replays a candidate magnitude through :func:`feasibility`, as
+a constraint solver answers sat together with the model that witnesses it:
+one replay gives the verdict and, on a success, the trace as its
+certificate.  The exact search keeps each outcome under its signed
+magnitude, so no magnitude is replayed twice and the answer is the outcome
+the search already holds.  A replay depends on the config only through its
 dynamics and relays, never on the capability, so a sweep's combinations of
-one (H, R, T) share their verdicts and certificates through
-:func:`synthesize_min_attack`'s private memo argument.  Every replay steps
-through the one loop of :mod:`frosim.dynamics`, and the unit response is the
-replay of a relay-free copy of the config.
+one (H, R, T) share their replays through :func:`synthesize_min_attack`'s
+private memo argument.  Every replay steps through the one loop of
+:mod:`frosim.dynamics`, and the unit response is the replay of a relay-free
+copy of the config.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ from .dynamics import (
     SimOptions,
     DEFAULT_OPTIONS,
     SimTrace,
+    StepRecord,
     _check_horizon,
     _step_constants,
     _steps,
-    simulate,
 )
 # Unused here, but bench/tracer.py wraps them under these names.
-from .dynamics import initial_state, simulate_step  # noqa: F401
+from .dynamics import initial_state, simulate, simulate_step  # noqa: F401
 from .errors import CapabilityExceeded, InvalidParameter
 
 log = logging.getLogger(__name__)
@@ -178,6 +180,10 @@ def _check_capability(config: GridConfig, dp_a: float) -> None:
         )
 
 
+#: The outcome of every replay that meets no goal, shared.
+_NO_ATTACK = FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS)
+
+
 def feasibility(
     config: GridConfig,
     dp_a: float,
@@ -186,50 +192,38 @@ def feasibility(
 ) -> FeasibilityOutcome:
     """Decide whether injecting *dp_a* meets *goal* within its horizon.
 
+    One replay to the horizon; on a success its trace, as
+    :func:`~frosim.dynamics.simulate` builds it, is the certificate.
     Raises :class:`CapabilityExceeded` when the magnitude is outside the
     attacker's bound; that is a caller bug, not an unsuccessful attack.
     """
     _check_capability(config, dp_a)
-    trace = simulate(config, AttackSignal(dp_a, goal.attack_step), goal.horizon, options)
-    event = next((ev for ev in trace.events if goal.matches(ev)), None)
+    records = list(_steps(config, AttackSignal(dp_a, goal.attack_step),
+                          goal.horizon, options))
+    event = next((ev for record in records if record[8]
+                  for ev in record[8] if goal.matches(ev)), None)
     if event is None:
-        return FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS)
+        return _NO_ATTACK
     vector = AttackVector(
         dp_a=dp_a,
         attack_step=goal.attack_step,
         outcome=AttackOutcome(event.relay_id, event.kind, event.step),
-        trace=trace,
+        trace=SimTrace(tuple(map(StepRecord._make, records))),
     )
     return FeasibilityOutcome(FeasibilityStatus.SUCCESS, vector)
 
 
-def _is_feasible(
-    config: GridConfig,
-    dp_a: float,
-    goal: AttackGoal,
-    options: SimOptions = DEFAULT_OPTIONS,
-) -> bool:
-    # simulate()'s replay, stopped at the first matching event; used by the
-    # search loops where only the verdict is needed
-    for record in _steps(config, AttackSignal(dp_a, goal.attack_step),
-                         goal.horizon, options):
-        events = record[8]
-        if events and any(map(goal.matches, events)):
-            return True
-    return False
-
-
-def _replayed(config, dp_a, goal, options, replays: dict) -> bool:
-    """:func:`_is_feasible`, replayed only when *replays* lacks the signed
+def _replayed(config, dp_a, goal, options, replays: dict) -> FeasibilityOutcome:
+    """:func:`feasibility`, replayed only when *replays* lacks the signed
     *dp_a* (a zero keeps its sign).  Replays read neither the capability nor
     the tolerance, so calls whose configs differ only in capability, with
     the same goal and options, may share one memo."""
     _check_capability(config, dp_a)
-    key = ("verdict", dp_a, math.copysign(1.0, dp_a))
-    verdict = replays.get(key)
-    if verdict is None:
-        verdict = replays[key] = _is_feasible(config, dp_a, goal, options)
-    return verdict
+    key = (dp_a, math.copysign(1.0, dp_a))
+    outcome = replays.get(key)
+    if outcome is None:
+        outcome = replays[key] = feasibility(config, dp_a, goal, options)
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -264,8 +258,10 @@ def _probe_direction(
     options: SimOptions,
 ) -> DirectionProbe:
     bound = capability_bound(config.capability)
-    magnitudes = tuple(bound * i / (samples - 1) for i in range(samples))
-    feasible = [_is_feasible(config, direction * mag, goal, options)
+    # the last sample is the bound itself: bound*i/i can round above it
+    magnitudes = tuple(bound * i / (samples - 1)
+                       for i in range(samples - 1)) + (bound,)
+    feasible = [feasibility(config, direction * mag, goal, options).success
                 for mag in magnitudes]
     first = next((i for i, ok in enumerate(feasible) if ok), None)
     monotone = first is None or all(feasible[first:])
@@ -504,7 +500,7 @@ def _certify_upward(config, goal, direction, start: Decimal, options,
 
     def meets(magnitude: Decimal) -> bool:
         return _replayed(config, direction * float(magnitude), goal, options,
-                         replays)
+                         replays).success
 
     failed, magnitude, units = None, start, 1
     while True:
@@ -562,7 +558,8 @@ def _step_down(config, goal, direction, magnitude, options,
     while True:
         lower = _below(magnitude)
         if lower == magnitude or not _replayed(
-                config, direction * float(lower), goal, options, replays):
+                config, direction * float(lower), goal, options,
+                replays).success:
             return magnitude
         magnitude = lower
 
@@ -570,20 +567,6 @@ def _step_down(config, goal, direction, magnitude, options,
 def _below(magnitude: Decimal) -> Decimal:
     """The record decimal one unit below a positive *magnitude*; zero stays."""
     return _RECORD.next_minus(magnitude) if magnitude > 0 else magnitude
-
-
-def _certificate(config, goal, winner, options, replays) -> FeasibilityOutcome:
-    """The :func:`feasibility` replay of the winning ``(magnitude,
-    direction)``, kept in *replays*; no attack for ``None``."""
-    if winner is None:
-        return FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS)
-    magnitude, direction = winner
-    dp_a = direction * float(magnitude)
-    key = ("certificate", dp_a, math.copysign(1.0, dp_a))
-    outcome = replays.get(key)
-    if outcome is None:
-        outcome = replays[key] = feasibility(config, dp_a, goal, options)
-    return outcome
 
 
 def _describe(outcome: FeasibilityOutcome) -> str:
@@ -605,7 +588,7 @@ def synthesize_min_attack(
     """Find the smallest-magnitude injection meeting *goal*, exactly.
 
     The answer is the smallest :data:`RECORD_DIGITS`-digit decimal that
-    replays, certified by a :func:`feasibility` replay.  An ``ANY`` goal
+    replays, certified by its own :func:`feasibility` replay.  An ``ANY`` goal
     starts from :func:`_closed_form_minima`; other goals start from
     :func:`_smallest_feasible_start`, and a replay one record decimal below
     the answer must then fail (see :func:`_step_down`).  With nothing
@@ -617,14 +600,13 @@ def synthesize_min_attack(
     When the goal allows either direction both are searched and the smaller
     magnitude wins, ties broken toward the positive direction.
 
-    The search replays each magnitude once, for its verdict alone, and only
-    the answer is replayed in full.  *_replays* lets calls share those
-    verdicts and certificates: a dict passed to calls with the same goal and
-    options whose configs differ only in capability (as the combinations of
-    one (H, R, T) in a sweep do).  It then also keeps the ``ANY`` goal's
-    closed-form starts, which read no capability, and each interval pass's
-    start and peak under its direction and bound.  Every answer is the one an unshared call
-    gives.
+    The search replays each magnitude once and returns the outcome of the
+    answer's replay.  *_replays* lets calls share those outcomes: a dict
+    passed to calls with the same goal and options whose configs differ
+    only in capability (as the combinations of one (H, R, T) in a sweep
+    do).  It then also keeps the ``ANY`` goal's closed-form starts, which
+    read no capability, and each interval pass's start and peak under its
+    direction and bound.  Every answer is the one an unshared call gives.
     """
     _check_step("tolerance", tolerance)
     replays = {} if _replays is None else _replays
@@ -666,8 +648,9 @@ def synthesize_min_attack(
             runs["step-down"] += len(replays) - before
         return magnitude
 
-    best = _certificate(config, goal, _smallest_first(starts, certify),
-                        options, replays)
+    winner = _smallest_first(starts, certify)
+    best = _NO_ATTACK if winner is None else _replayed(
+        config, winner[1] * float(winner[0]), goal, options, replays)
     if log.isEnabledFor(logging.DEBUG):
         if passes is None:
             found = "closed-form starts " + ", ".join(
@@ -691,7 +674,8 @@ def exhaustive_min_attack(
     """Scan every magnitude on a *resolution* grid, smallest first.
 
     Needs no monotonicity assumption; the first feasible grid point per
-    direction is its minimum.  The capability bound itself is always tested
+    direction is its minimum, and the winner's :func:`feasibility` replay is
+    the outcome returned.  The capability bound itself is always tested
     even when it is not a grid multiple.
     """
     _check_step("resolution", resolution)
@@ -705,21 +689,21 @@ def exhaustive_min_attack(
         if bound > (k - 1) * resolution:
             yield bound
 
-    candidates: list[tuple[float, int]] = []
+    # (magnitude, -direction, outcome): ties go to the positive direction
+    found = [(math.inf, 0, _NO_ATTACK)]
     scanned = 0
     for direction in goal.directions():
         for mag in grid():
             scanned += 1
-            if _is_feasible(config, direction * mag, goal, options):
-                candidates.append((mag, direction))
+            outcome = feasibility(config, direction * mag, goal, options)
+            if outcome.success:
+                found.append((mag, -direction, outcome))
                 break
-    winner = min(candidates, key=lambda c: (c[0], -c[1]), default=None)
-    best = _certificate(config, goal, winner, options, {})
+    best = min(found, key=lambda c: c[:2])[2]
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("synthesis %s/%s by exhaustive scan at %r; scan replays %d, "
-                  "certify replays %d; %s", goal.target_kind.value,
-                  goal.sign.value, resolution, scanned, int(bool(candidates)),
-                  _describe(best))
+        log.debug("synthesis %s/%s by exhaustive scan at %r; scan replays %d; "
+                  "%s", goal.target_kind.value, goal.sign.value, resolution,
+                  scanned, _describe(best))
     return best
 
 

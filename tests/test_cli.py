@@ -135,6 +135,25 @@ class TestSimulate:
         assert code == 2
         assert "h_inertia" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("inertia_h_s", 1e306),
+                                           ("dt_s", 1e-309)])
+    @pytest.mark.parametrize("command", ["simulate", "synthesize"])
+    def test_overflowing_step_factor_exits_2(self, tmp_path, capsys, command,
+                                             key, value):
+        # the value is finite and > 0, but the kernel's 4H/dt is not: exit
+        # 1 would claim no attack exists, and a trace would hold NaN
+        data = json.loads(CASE_STUDY_GRID.read_text())
+        data[key] = value
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        flags = (["--dp-a", "0.1"] if command == "simulate" else [])
+        code = run([command, "--config", str(cfg), *flags, "--horizon", "12",
+                    "--out", str(out)])
+        assert code == 2
+        assert "4*h_inertia/dt: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_exits_3(self, tmp_path, config_file, capsys):
         code = run(["simulate", "--config", str(config_file),
                     "--dp-a", "0.1", "--horizon", "60",

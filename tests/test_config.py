@@ -57,6 +57,28 @@ class TestValidateConfig:
                                         governor_t=0.2, dt=0.1))
         assert exc.value.coefficient is not None
 
+    @pytest.mark.parametrize("field,kw", [
+        ("4*h_inertia/dt", dict(h_inertia=1e306)),
+        ("4*h_inertia/dt", dict(dt=1e-309)),
+        ("dt/(4*h_inertia)", dict(h_inertia=1e-320, dt=1e-5)),
+        ("dt/(droop_r*governor_t)",
+         dict(droop_r=1e-200, governor_t=1e-200, dt=1e-201)),
+        ("f_nominal/(rocof_window_m*dt)", dict(f_nominal=1e300, dt=1e-10)),
+    ])
+    def test_overflowing_step_factor_rejected(self, field, kw):
+        # each value is finite and > 0, but a quotient the step kernel
+        # derives from the params is not finite
+        with pytest.raises(InvalidParameter) as exc:
+            validate_config(make_config(**kw))
+        assert exc.value.field == field
+
+    def test_underflowing_coefficient_divisor_rejected(self):
+        # every step factor is finite, but 4*H*R*T underflows to zero
+        with pytest.raises(StabilityViolation) as exc:
+            validate_config(make_config(h_inertia=1e-310, droop_r=1e-20,
+                                        governor_t=1.0, dt=1e-300))
+        assert exc.value.coefficient == -math.inf
+
     def test_idempotent(self):
         once = validate_config(make_config())
         twice = validate_config(once)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import frosim.dynamics
-import frosim.synth
 from frosim import (
     AttackGoal,
     AttackSignal,
@@ -508,17 +507,13 @@ class TestFixedPoint:
                  SimOptions(literal_accumulation=True))
         assert steps[0] == horizon + 1
 
-    def test_is_feasible_steps_to_the_trip(self, monkeypatch):
+    def test_weak_replay_stops_stepping_once_settled(self, monkeypatch):
         cfg = study_config(kappa=60.0)
         goal = AttackGoal(horizon=self.HORIZON)
-        trip_step = feasibility(cfg, 0.322, goal).vector.outcome.trip_step
         steps = count_kernel_steps(monkeypatch)
-        assert frosim.synth._is_feasible(cfg, 0.322, goal)
-        assert steps[0] == trip_step + 1
-        steps[0] = 0
         # too weak to operate any relay: settles, then stops stepping
-        assert not frosim.synth._is_feasible(cfg, 0.001, goal)
-        assert steps[0] < self.HORIZON + 1
+        assert not feasibility(cfg, 0.001, goal).success
+        assert 0 < steps[0] < self.HORIZON + 1
 
     def test_loop_yields_plain_tuples_and_traces_keep_step_records(
             self, monkeypatch):
@@ -751,10 +746,9 @@ class TestSimTrace:
         assert trace.first_event.step == 6
 
     def test_replays_check_the_horizon_first(self):
-        cfg = study_config()
+        cfg = study_config(kappa=60.0)
         for call in (lambda: simulate(cfg, AttackSignal(0.1), 5),
-                     lambda: frosim.synth._is_feasible(
-                         cfg, 0.1, AttackGoal(horizon=5))):
+                     lambda: feasibility(cfg, 0.1, AttackGoal(horizon=5))):
             with pytest.raises(HorizonTooShort):
                 call()
 

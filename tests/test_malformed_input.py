@@ -126,6 +126,26 @@ def test_unmutated_inputs_are_valid():
     assert exit_code("sweep", "--spec", {**SPEC, "count": 5}) == 0
 
 
+@pytest.mark.parametrize("command,flag,extra", [
+    ("simulate", "--config", ["--dp-a", "0.1", "--horizon", "12"]),
+    ("synthesize", "--config", ["--horizon", "12"]),
+    ("sweep", "--spec", ["--workers", "1"]),
+])
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"a":' * 200_000 + "1" + "}" * 200_000,
+], ids=["arrays", "objects"])
+def test_deeply_nested_input_exits_2(command, flag, extra, text, capsys):
+    # valid JSON that the parser cannot descend into
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "input.json"
+        src.write_text(text, encoding="utf-8")
+        out = Path(tmp) / "out"
+        assert run([command, flag, str(src), *extra, "--out", str(out)]) == 2
+        assert not out.exists()
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 # The case-study grid's ROCOF window; a shorter horizon exits 2.
 WINDOW = GRID["rocof_window_m"]
 NUMBERS = settings(max_examples=40, derandomize=True, database=None,

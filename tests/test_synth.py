@@ -17,7 +17,6 @@ from frosim import (
     AttackGoal,
     CapabilityExceeded,
     EventKind,
-    FeasibilityOutcome,
     FeasibilityStatus,
     GeneratorRelay,
     GridConfig,
@@ -115,25 +114,6 @@ class TestFeasibility:
         with pytest.raises(CapabilityExceeded):
             feasibility(cfg, 0.01, AttackGoal(horizon=12))
 
-    @pytest.mark.parametrize("target", list(TargetKind), ids=str)
-    def test_verdict_replay_stops_at_the_matching_event(self, monkeypatch,
-                                                        target):
-        cfg = study_config(kappa=60.0)
-        goal = AttackGoal(horizon=200, target_kind=target,
-                          specific_relay_id="l1")
-        trip_step = feasibility(cfg, 0.322, goal).vector.outcome.trip_step
-        steps = 0
-        real = frosim.dynamics.simulate_step
-
-        def counted(*args):
-            nonlocal steps
-            steps += 1
-            return real(*args)
-
-        monkeypatch.setattr(frosim.dynamics, "simulate_step", counted)
-        assert frosim.synth._is_feasible(cfg, 0.322, goal)
-        assert steps == trip_step + 1 < 201
-
     def test_goal_filtering_by_kind(self):
         cfg = study_config(kappa=60.0)
         rocof_goal = AttackGoal(horizon=12, target_kind=TargetKind.ROCOF_ONLY)
@@ -183,6 +163,16 @@ class TestProbeMonotonicity:
         report = probe_monotonicity(cfg, AttackGoal(
             horizon=600, target_kind=TargetKind.ROCOF_ONLY), samples=17)
         assert not report.monotone
+
+    @pytest.mark.parametrize("samples", [4, 7, 13])
+    def test_last_sample_is_the_bound(self, samples):
+        # 0.36 * (samples - 1) / (samples - 1) rounds above 0.36, and a
+        # replay above the bound raises CapabilityExceeded
+        cfg = study_config(kappa=60.0)
+        bound = capability_bound(cfg.capability)
+        probe = probe_monotonicity(cfg, AttackGoal(horizon=12),
+                                   samples=samples).directions[1]
+        assert probe.magnitudes[-1] == bound and probe.feasible[-1]
 
     def test_samples_precondition(self):
         with pytest.raises(ValueError):
@@ -412,9 +402,9 @@ class TestClosedFormAny:
             assert not feasibility(capped, direction * bound, goal).success
 
     def test_one_replay_on_success(self, monkeypatch):
-        replays = count_full_replays(monkeypatch)
+        replays = count_replays(monkeypatch)
         cfg, goal, dp_a = self._answer()
-        assert replays == [dp_a]
+        assert [x for x, _ in replays] == [dp_a]
 
     def test_low_start_climbs_back_to_the_same_answer(self, monkeypatch):
         # a start below the simulator's boundary (here forced far lower than
@@ -553,68 +543,80 @@ class TestExhaustiveMinAttack:
         assert out.vector.dp_a == pytest.approx(oracle, abs=1e-12)
 
 
-def count_full_replays(monkeypatch):
-    """The magnitudes of every :func:`feasibility` replay synthesis runs
-    from now on, in order."""
+def count_replays(monkeypatch):
+    """Every :func:`feasibility` replay synthesis runs from now on, in
+    order, as ``(dp_a, outcome)``."""
     calls = []
     real = frosim.synth.feasibility
 
     def counted(config, dp_a, goal, options=SimOptions()):
-        calls.append(dp_a)
-        return real(config, dp_a, goal, options)
+        outcome = real(config, dp_a, goal, options)
+        calls.append((dp_a, outcome))
+        return outcome
 
     monkeypatch.setattr(frosim.synth, "feasibility", counted)
     return calls
 
 
-class TestOneFullReplayPerAnswer:
-    """Searches decide on verdicts; only the answer is replayed in full."""
+def replayed_once(calls) -> bool:
+    """Whether no signed magnitude among *calls* was replayed twice."""
+    magnitudes = [repr(dp_a) for dp_a, _ in calls]
+    return len(set(magnitudes)) == len(magnitudes)
+
+
+class TestOneReplayPerMagnitude:
+    """Every search replay is a :func:`feasibility` replay, no magnitude is
+    replayed twice, and the answer is the search's own replay of it."""
 
     @pytest.mark.parametrize("sign", list(Sign))
     @pytest.mark.parametrize("target", list(TargetKind))
-    def test_each_search_certifies_its_answer_once(self, monkeypatch, target,
-                                                   sign):
+    def test_answer_is_the_search_replay_of_it(self, monkeypatch, target,
+                                               sign):
         cfg = study_config(kappa=60.0)
         goal = AttackGoal(horizon=60, target_kind=target, sign=sign,
                           specific_relay_id=(
                               "g5" if target is TargetKind.SPECIFIC else None))
-        calls = count_full_replays(monkeypatch)
-        exact = synthesize_min_attack(cfg, goal)
-        assert exact.success and calls == [exact.vector.dp_a]
-        del calls[:]
-        scan = exhaustive_min_attack(cfg, goal, resolution=1e-3)
-        assert scan.success and calls == [scan.vector.dp_a]
+        calls = count_replays(monkeypatch)
+        for search in (lambda: synthesize_min_attack(cfg, goal),
+                       lambda: exhaustive_min_attack(cfg, goal,
+                                                     resolution=1e-3)):
+            del calls[:]
+            out = search()
+            assert out.success and replayed_once(calls)
+            assert [x for x, o in calls if o is out] == [out.vector.dp_a]
 
     @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.LS_ONLY])
-    def test_no_attack_replays_nothing_in_full(self, monkeypatch, target):
+    def test_failing_replays_share_the_no_attack_outcome(self, monkeypatch,
+                                                         target):
         goal = AttackGoal(horizon=60, target_kind=target, sign=Sign.EITHER)
         capped = study_config(kappa=60.0 * 0.03 / 0.36)  # bound 0.03
-        calls = count_full_replays(monkeypatch)
-        assert not synthesize_min_attack(capped, goal).success
-        assert not exhaustive_min_attack(capped, goal, resolution=1e-3).success
-        assert calls == []
+        calls = count_replays(monkeypatch)
+        exact = synthesize_min_attack(capped, goal)
+        scan = exhaustive_min_attack(capped, goal, resolution=1e-3)
+        assert exact.status is FeasibilityStatus.NO_ATTACK_EXISTS
+        # no failing replay builds a trace or an outcome of its own
+        assert calls and all(out is exact for _, out in calls)
+        assert scan is exact
 
     @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.LS_ONLY])
-    def test_shared_memo_keeps_verdicts_and_one_certificate_per_answer(
-            self, monkeypatch, target):
+    def test_shared_memo_replays_each_magnitude_once(self, monkeypatch,
+                                                     target):
         goal = AttackGoal(horizon=60, target_kind=target, sign=Sign.EITHER)
-        calls = count_full_replays(monkeypatch)
+        calls = count_replays(monkeypatch)
         replays: dict = {}
-        answers = []
         # bounds 0.018 and 0.03 lie below the answer, the others above
-        for kappa in (3.0, 5.0, 60.0, 10.0, 30.0, 60.0):
-            out = synthesize_min_attack(study_config(kappa=kappa), goal,
-                                        _replays=replays)
-            answers.append(out.success and out.vector.dp_a)
-        assert answers[:2] == [False, False] and len(set(answers[2:])) == 1
-        assert calls == answers[2:3]
-        verdicts = [v for k, v in replays.items() if k[0] == "verdict"]
-        certificates = [v for v in replays.values()
-                        if isinstance(v, FeasibilityOutcome)]
-        assert len(verdicts) > 1 and all(type(v) is bool for v in verdicts)
-        assert [c.vector.dp_a for c in certificates] == answers[2:3]
-        assert len(verdicts) + len(certificates) + sum(
-            k == "starts" or k[0] == "interval pass" for k in replays) == len(replays)
+        outcomes = [synthesize_min_attack(study_config(kappa=kappa), goal,
+                                          _replays=replays)
+                    for kappa in (3.0, 5.0, 60.0, 10.0, 30.0, 60.0)]
+        assert [out.success for out in outcomes] == [False] * 2 + [True] * 4
+        assert all(out is outcomes[2] for out in outcomes[2:])
+        assert len(calls) > 1 and replayed_once(calls)
+        # the memo keeps each replay's outcome once, in replay order
+        kept = [v for k, v in replays.items()
+                if k != "starts" and k[0] != "interval pass"]
+        assert len(kept) == len(calls)
+        assert all(v is out for v, (_, out) in zip(kept, calls))
+        assert any(v is outcomes[2] for v in kept)
 
 
 class TestBackendAgreement:
@@ -694,8 +696,8 @@ class TestIntervalPass:
                     cfg, goal, direction, options)
 
                 def replays(x):
-                    return frosim.synth._is_feasible(
-                        cfg, direction * x, goal, options)
+                    return feasibility(cfg, direction * x, goal,
+                                       options).success
 
                 below = bound if start == math.inf else start
                 assert 0 <= below <= bound
@@ -733,7 +735,7 @@ class TestIntervalPass:
         assert start == pytest.approx(expected, rel=1e-11)
 
         def replays(x):
-            return frosim.synth._is_feasible(cfg, x, goal, options)
+            return feasibility(cfg, x, goal, options).success
 
         assert replays(start + 1e-9 * start)
         below = start - 1e-9 * start
