@@ -25,6 +25,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -92,14 +93,20 @@ def _sim_options(args) -> SimOptions:
     )
 
 
+def _goal(horizon, target, sign, relay_id, attack_step) -> AttackGoal:
+    """The goal of a flag set or spec; a relay id that only a ``specific``
+    target reads is ignored with a warning under any other target."""
+    goal = AttackGoal(horizon, TargetKind(target), Sign(sign), relay_id,
+                      attack_step)
+    if relay_id is not None and goal.target_kind is not TargetKind.SPECIFIC:
+        warnings.warn(f"ignoring relay_id {relay_id!r}: target is "
+                      f"{target!r}, not 'specific'", stacklevel=3)
+    return goal
+
+
 def _goal_from_args(args) -> AttackGoal:
-    return AttackGoal(
-        horizon=args.horizon,
-        target_kind=TargetKind(args.target),
-        sign=Sign(args.sign),
-        specific_relay_id=args.relay_id,
-        attack_step=args.attack_step,
-    )
+    return _goal(args.horizon, args.target, args.sign, args.relay_id,
+                 args.attack_step)
 
 
 def cmd_simulate(args) -> int:
@@ -168,35 +175,49 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+#: The swept parameters: spec key and :class:`SweepSpec` field.
+_SWEPT = (("h_s", "h_values"), ("r_pu", "r_values"), ("t_s", "t_values"),
+          ("toi_pct", "toi_pct_values"), ("ad_pct", "ad_pct_values"))
+_SPEC_KEYS = {"base_config", "base_config_file", "goal", "mode", "count",
+              "seed", "tolerance", *(key for key, _ in _SWEPT)}
+_GOAL_KEYS = {"horizon", "target", "sign", "relay_id", "attack_step"}
+
+
+def _warn_unknown(where: str, data: dict, known: set) -> None:
+    unknown = set(data) - known
+    if unknown:
+        warnings.warn(f"ignoring unknown {where} keys: {sorted(unknown)}",
+                      stacklevel=3)
+
+
 def _spec_from_file(path, seed_override=None) -> tuple[SweepSpec, str]:
-    """The spec in the JSON file at *path*, and the sha256 of its bytes."""
+    """The spec in the JSON file at *path*, and the sha256 of its bytes.
+
+    Unknown top-level and ``goal`` keys are ignored with a warning, as
+    :func:`~frosim.config.config_from_dict` ignores unknown config keys.
+    """
     raw = Path(path).read_bytes()
     try:
         parsed = json.loads(raw.decode("utf-8"))
     except RecursionError as exc:
         raise InvalidParameter("spec", "nested too deeply") from exc
     data = require_json_type(parsed, "spec", dict)
+    _warn_unknown("spec", data, _SPEC_KEYS)
     if "base_config_file" in data:
         name = require_json_type(data["base_config_file"], "base_config_file", str)
         base = load_config(Path(path).parent / name)
     else:
         base = config_from_dict(data["base_config"])
     g = require_json_type(data["goal"], "goal", dict)
+    _warn_unknown("goal", g, _GOAL_KEYS)
     for key, kind in (("horizon", int), ("attack_step", int), ("relay_id", str)):
         if key in g:
             require_json_type(g[key], f"goal.{key}", kind)
-    goal = AttackGoal(
-        horizon=g["horizon"],
-        target_kind=TargetKind(g.get("target", "any")),
-        sign=Sign(g.get("sign", "positive")),
-        specific_relay_id=g.get("relay_id"),
-        attack_step=g.get("attack_step", 0),
-    )
+    goal = _goal(g["horizon"], g.get("target", "any"),
+                 g.get("sign", "positive"), g.get("relay_id"),
+                 g.get("attack_step", 0))
     kwargs = {}
-    for json_key, field_name in [
-        ("h_s", "h_values"), ("r_pu", "r_values"), ("t_s", "t_values"),
-        ("toi_pct", "toi_pct_values"), ("ad_pct", "ad_pct_values"),
-    ]:
+    for json_key, field_name in _SWEPT:
         if json_key in data:
             values = require_json_type(data[json_key], json_key, list)
             kwargs[field_name] = [require_json_type(v, f"{json_key}[{i}]", float)

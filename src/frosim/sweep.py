@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -367,28 +368,24 @@ def trend_report(records: Sequence[SweepRecord], slack: float = 0.02) -> TrendRe
     }
     parameters = {}
     for name, get in getters.items():
-        grouped: dict[float, list[SweepRecord]] = {}
-        for rec in counted:
-            grouped.setdefault(get(rec), []).append(rec)
-        buckets = tuple(
-            TrendBucket(v, len(rs), sum(1 for r in rs if r.success))
-            for v, rs in sorted(grouped.items())
-        )
+        # a Counter keeps the first-seen key object, as the report prints it
+        seen = Counter(map(get, counted))
+        won = Counter(get(r) for r in counted if r.success)
+        buckets = tuple(TrendBucket(v, n, won[v])
+                        for v, n in sorted(seen.items()))
         rates = [b.success_rate for b in buckets]
         verdict = _direction_verdict(rates, slack)
         expected = EXPECTED_DIRECTIONS[name]
         matches = verdict in (expected, "both")
         parameters[name] = ParameterTrend(name, expected, buckets, verdict, matches)
 
-    split = []
-    for h in sorted({r.h for r in counted}):
-        rs = [r for r in counted if r.h == h]
-        split.append(HTypeSplit(
-            h=h,
-            rocof=sum(1 for r in rs if r.attack_type is AttackType.ROCOF),
-            ls=sum(1 for r in rs if r.attack_type is AttackType.LS),
-            none=sum(1 for r in rs if r.attack_type is AttackType.NONE),
-        ))
+    types = Counter((r.h, r.attack_type) for r in counted)
+    split = [
+        HTypeSplit(h=b.value, rocof=types[b.value, AttackType.ROCOF],
+                   ls=types[b.value, AttackType.LS],
+                   none=types[b.value, AttackType.NONE])
+        for b in parameters["h_s"].buckets
+    ]
     return TrendReport(
         total_records=len(records),
         total_successes=sum(1 for r in records if r.success),

@@ -20,6 +20,11 @@ minimum depends on the goal:
   start, rounded up to a record decimal, is certified by replay, and a
   replay one record decimal lower must fail.
 
+Either start is certified by one walk per direction, :func:`_certify`: a
+failing replay climbs and bisects back over record decimals, and for the
+goals other than ``ANY`` a start that replays at once steps down until a
+replay fails, as a solver's proof that nothing smaller exists.
+
 :func:`exhaustive_min_attack` scans a magnitude grid instead and assumes
 nothing.  :func:`probe_monotonicity` samples feasibility on a coarse grid, a
 diagnostic that synthesis does not use.
@@ -42,9 +47,9 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, Context, Decimal
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .config import GridConfig, capability_bound
 from .dynamics import (
@@ -300,8 +305,9 @@ def _check_step(name: str, value: float) -> None:
 
 def _unit_response(config: GridConfig, goal: AttackGoal) -> list[float]:
     """Relay-free deviation trace, steps 0..horizon, for ``dp_a = 1`` from
-    the goal's attack step: the replay of *config* with no relays."""
-    relay_free = GridConfig(config.params, (), (), config.capability)
+    the goal's attack step: the replay of *config* with no relays, on a copy
+    of its params, so the step constants kept on them stay the grid's."""
+    relay_free = GridConfig(replace(config.params), (), (), config.capability)
     attack = AttackSignal(1.0, goal.attack_step)
     return [record[2] for record in _steps(relay_free, attack, goal.horizon)]
 
@@ -321,8 +327,6 @@ def _closed_form_minima(config: GridConfig, goal: AttackGoal) -> dict[int, float
     The thresholds are the extremes of :func:`_step_constants`, which leave
     out the NaN thresholds of relays that never operate.
     """
-    # before _step_constants(config): the relay-free replay replaces the
-    # constants kept on the shared params, so a sweep group builds twice
     u = _unit_response(config, goal)
     (f_nominal, _, m, m_dt, _, _, _, _, _, _, ls_highest, _, rocof_lowest,
      *_) = _step_constants(config)
@@ -483,10 +487,11 @@ def _smallest_feasible_start(
     return first, peak
 
 
-def _certify_upward(config, goal, direction, start: Decimal, options,
-                    replays) -> Optional[Decimal]:
-    """The smallest record decimal >= *start* whose replay meets *goal*
-    along *direction*; ``None`` when none does within the capability bound.
+def _certify(config, goal, direction, start: Decimal, options, replays,
+             step_down: bool) -> tuple[Optional[Decimal], int]:
+    """The certified record decimal from *start* along *direction*, ``None``
+    when none replays within the capability bound, and the number of
+    step-down replays.
 
     *start* is the rounded-up closed-form minimum, which normally replays at
     once, or the record decimal just below the rounded-up interval-pass
@@ -495,6 +500,13 @@ def _certify_upward(config, goal, direction, start: Decimal, options,
     units in the last digit and then bisects back over record decimals.  A
     decimal beyond the capability bound is replaced by the bound itself,
     which must then replay.
+
+    With *step_down* the answer then walks down one record decimal at a time
+    while the replay still meets *goal*, as an interval-pass start is a float
+    cut point that can lie a rounding error above the simulator's boundary.
+    The walk ends at once on the bisection's last failure, the decimal below
+    its answer except across a power of ten, where a rounded-up midpoint can
+    skip decimals; so only a start that replays at once normally walks.
     """
     bound = capability_bound(config.capability)
 
@@ -507,7 +519,7 @@ def _certify_upward(config, goal, direction, start: Decimal, options,
         if magnitude > bound:
             magnitude = Decimal(bound)
             if not meets(magnitude):
-                return None
+                return None, 0
             break
         if meets(magnitude):
             break
@@ -523,45 +535,11 @@ def _certify_upward(config, goal, direction, start: Decimal, options,
             magnitude = mid
         else:
             failed = mid
-    return magnitude
-
-
-def _smallest_first(candidates: Iterable[tuple[Decimal, int]],
-                    certify: Callable) -> Optional[tuple[Decimal, int]]:
-    """The winning ``(magnitude, direction)``: the smallest certified
-    magnitude wins, ties go to the positive direction; ``None`` when no
-    candidate certifies.
-
-    ``certify(magnitude, direction)`` returns the magnitude it certified
-    from a candidate, never below the candidate's, or ``None``; so
-    candidates are certified in order only until none left can beat the
-    best so far.
-    """
-    best = None  # (magnitude, -direction)
-    for magnitude, rank in sorted((m, -d) for m, d in candidates):
-        if best is not None and (magnitude, rank) >= best:
-            break
-        magnitude = certify(magnitude, -rank)
-        if magnitude is not None and (best is None or (magnitude, rank) < best):
-            best = (magnitude, rank)
-    return None if best is None else (best[0], -best[1])
-
-
-def _step_down(config, goal, direction, magnitude, options,
-               replays) -> Decimal:
-    """Walk from a certified *magnitude* down one record decimal at a time
-    while the replay still meets *goal*; the last magnitude that did.
-
-    An interval-pass start is a float cut point, which can land a rounding
-    error above the simulator's own boundary; then record decimals below
-    the rounded-up start also replay."""
-    while True:
-        lower = _below(magnitude)
-        if lower == magnitude or not _replayed(
-                config, direction * float(lower), goal, options,
-                replays).success:
-            return magnitude
-        magnitude = lower
+    before = len(replays)
+    lower = _below(magnitude)
+    while step_down and lower not in (magnitude, failed) and meets(lower):
+        magnitude, lower = lower, _below(lower)
+    return magnitude, len(replays) - before
 
 
 def _below(magnitude: Decimal) -> Decimal:
@@ -591,14 +569,15 @@ def synthesize_min_attack(
     replays, certified by its own :func:`feasibility` replay.  An ``ANY`` goal
     starts from :func:`_closed_form_minima`; other goals start from
     :func:`_smallest_feasible_start`, and a replay one record decimal below
-    the answer must then fail (see :func:`_step_down`).  With nothing
-    feasible in a direction the capability bound itself is replayed, and
-    the answer is no attack only when it fails.  *tolerance* is
-    validated but does not affect the answer; it is the resolution of
-    :func:`exhaustive_min_attack`.
+    the answer must then fail.  Each direction's start is certified by one
+    walk, :func:`_certify`.  With nothing feasible in a direction the
+    capability bound itself is replayed, and the answer is no attack only
+    when it fails.  *tolerance* is validated but does not affect the answer;
+    it is the resolution of :func:`exhaustive_min_attack`.
 
-    When the goal allows either direction both are searched and the smaller
-    magnitude wins, ties broken toward the positive direction.
+    When the goal allows either direction, the starts are certified smallest
+    first, and the second only when it could still win: the smaller
+    certified magnitude wins, ties broken toward the positive direction.
 
     The search replays each magnitude once and returns the outcome of the
     answer's replay.  *_replays* lets calls share those outcomes: a dict
@@ -629,28 +608,24 @@ def synthesize_min_attack(
             passes[d] = replays[key]
         # Certified from one record decimal below the rounded-up start: a
         # cut point's float error is far below one unit, so no certified
-        # magnitude falls under its candidate, as _smallest_first's early
-        # stop requires, even after the step-down.
+        # magnitude falls under its start, as the early stop below requires,
+        # even after the step-down.
         starts = [(_below(_RECORD.plus(Decimal(start))) if start < math.inf
                    else Decimal(start), d) for d, (start, _) in passes.items()]
     # each replay run adds one memo entry
-    runs = {"certify": 0, "step-down": 0}
-
-    def certify(start: Decimal, direction: int) -> Optional[Decimal]:
-        before = len(replays)
-        magnitude = _certify_upward(config, goal, direction, start, options,
-                                    replays)
-        runs["certify"] += len(replays) - before
-        if passes is not None and magnitude is not None and start.is_finite():
-            before = len(replays)
-            magnitude = _step_down(config, goal, direction, magnitude, options,
-                                   replays)
-            runs["step-down"] += len(replays) - before
-        return magnitude
-
-    winner = _smallest_first(starts, certify)
-    best = _NO_ATTACK if winner is None else _replayed(
-        config, winner[1] * float(winner[0]), goal, options, replays)
+    before, stepped = len(replays), 0
+    best = None  # (magnitude, -direction): ties go to the positive one
+    for start, rank in sorted((m, -d) for m, d in starts):
+        if best is not None and (start, rank) >= best:
+            break
+        magnitude, walked = _certify(
+            config, goal, -rank, start, options, replays,
+            step_down=passes is not None and start.is_finite())
+        stepped += walked
+        if magnitude is not None and (best is None or (magnitude, rank) < best):
+            best = (magnitude, rank)
+    outcome = _NO_ATTACK if best is None else _replayed(
+        config, -best[1] * float(best[0]), goal, options, replays)
     if log.isEnabledFor(logging.DEBUG):
         if passes is None:
             found = "closed-form starts " + ", ".join(
@@ -661,8 +636,9 @@ def synthesize_min_attack(
                 "live pieces" for d, (start, peak) in passes.items())
         log.debug("synthesis %s/%s by %s; certify replays %d, step-down "
                   "replays %d; %s", goal.target_kind.value, goal.sign.value,
-                  found, runs["certify"], runs["step-down"], _describe(best))
-    return best
+                  found, len(replays) - before - stepped, stepped,
+                  _describe(outcome))
+    return outcome
 
 
 def exhaustive_min_attack(

@@ -16,7 +16,7 @@ import frosim
 import frosim.dynamics
 import frosim.sweep
 from frosim import AttackSignal, SimOptions, load_config, simulate
-from frosim.cli import run
+from frosim.cli import _spec_from_file, run
 from frosim.dynamics import TRACE_CSV_HEADER
 from frosim.sweep import SWEEP_CSV_HEADER
 from test_dynamics import reference_write_trace_csv
@@ -24,6 +24,18 @@ from test_dynamics import reference_write_trace_csv
 CASE_STUDY_GRID = (Path(__file__).resolve().parent.parent / "demos"
                    / "case_study_grid.json")
 SWITCHES = ["--literal-accumulation", "--literal-signs", "--rescale-inertia"]
+
+
+def run_in_subprocess(*argv, timeout=60):
+    """``frosim`` with *argv* in a fresh interpreter, which prints warnings
+    to its stderr as a user sees them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(frosim.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "frosim.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def config_dict(h=2.0, r=0.2, t=0.2, toi=0.02, ad=0.2, kappa=60.0,
@@ -364,6 +376,19 @@ class TestSynthesize:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_relay_id_of_another_target_warns(self, tmp_path, config_file):
+        # the id is ignored, not checked, and the search runs as without it
+        args = ["synthesize", "--config", str(config_file), "--target",
+                "rocof", "--horizon", "12"]
+        plain = run_in_subprocess(*args, "--out", str(tmp_path / "a.json"))
+        named = run_in_subprocess(*args, "--relay-id", "nosuch",
+                                  "--out", str(tmp_path / "b.json"))
+        assert plain.returncode == named.returncode == 0
+        assert "ignoring relay_id" not in plain.stderr
+        assert ("UserWarning: ignoring relay_id 'nosuch': target is 'rocof', "
+                "not 'specific'") in named.stderr
+        assert named.stdout == plain.stdout
+
     @pytest.mark.parametrize("relay_id", ["g1", "l2"])
     def test_relay_ids_of_both_rosters_are_searched(self, tmp_path, config_file,
                                                     relay_id):
@@ -431,6 +456,36 @@ class TestSweep:
         assert meta["frosim_version"] == frosim.__version__
         assert meta["spec_sha256"] == hashlib.sha256(spec.read_bytes()).hexdigest()
         assert meta["status_counts"] == {"ok": 8}
+
+    def test_unknown_spec_and_goal_keys_warn(self, tmp_path):
+        # misspelled keys are ignored, so the spec runs on the defaults
+        spec = self.spec_file(tmp_path, toi_pc=[4.0],
+                              goal={"horizon": 12, "targt": "rocof"})
+        with pytest.warns(UserWarning) as caught:
+            parsed, _ = _spec_from_file(spec)
+        assert [str(w.message) for w in caught] == [
+            "ignoring unknown spec keys: ['toi_pc']",
+            "ignoring unknown goal keys: ['targt']"]
+        assert parsed.goal.target_kind.value == "any"
+        assert parsed.toi_pct_values == (2.0, 10.0)
+        proc = run_in_subprocess("sweep", "--spec", str(spec), "--out",
+                                 str(tmp_path / "records.csv"), "--workers", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "UserWarning: ignoring unknown spec keys: ['toi_pc']" in proc.stderr
+        assert "UserWarning: ignoring unknown goal keys: ['targt']" in proc.stderr
+
+    @pytest.mark.parametrize("target", ["any", "rocof", "ls", "specific"])
+    def test_spec_relay_id_warns_unless_specific(self, tmp_path, recwarn,
+                                                 target):
+        spec = self.spec_file(tmp_path, goal={
+            "horizon": 12, "target": target, "relay_id": "g4"})
+        _spec_from_file(spec)
+        messages = [str(w.message) for w in recwarn]
+        if target == "specific":
+            assert messages == []
+        else:
+            assert messages == [f"ignoring relay_id 'g4': target is "
+                                f"'{target}', not 'specific'"]
 
     def test_random_reruns_identical(self, tmp_path):
         spec = self.spec_file(tmp_path, mode="random", count=40, seed=1)

@@ -6,6 +6,7 @@ import itertools
 import logging
 import math
 import random
+import re
 from decimal import Context, Decimal
 
 import pytest
@@ -743,10 +744,11 @@ class TestIntervalPass:
 
     @pytest.mark.parametrize("factor", [1 + 5e-12, 1 - 1e-6])
     def test_misplaced_start_walks_back_to_the_same_answer(
-            self, monkeypatch, factor):
-        # a start some record decimals too high must step down, and one too
-        # low (here far lower than a cut point's rounding could put it) must
-        # climb and bisect back, to the smallest record decimal that replays
+            self, monkeypatch, caplog, factor):
+        # a start some record decimals too high replays at once and must
+        # step down, and one too low (here far lower than a cut point's
+        # rounding could put it) must climb and bisect back, with no
+        # step-down, to the smallest record decimal that replays
         cfg = study_config(kappa=60.0)
         goal = AttackGoal(horizon=12, target_kind=TargetKind.LS_ONLY)
         exact = synthesize_min_attack(cfg, goal).vector.dp_a
@@ -758,7 +760,88 @@ class TestIntervalPass:
 
         monkeypatch.setattr(frosim.synth, "_smallest_feasible_start",
                             misplaced)
+        caplog.set_level(logging.DEBUG, logger="frosim")
         assert synthesize_min_attack(cfg, goal).vector.dp_a == exact
+        line, = [r.getMessage() for r in caplog.records
+                 if r.name == "frosim.synth"]
+        certify, walked = map(int, re.search(
+            r"certify replays (\d+), step-down replays (\d+)", line).groups())
+        if factor > 1:
+            assert certify == 1 and walked >= 1
+        else:
+            assert certify > 1 and walked == 0
+
+    @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
+    def test_the_decimal_below_an_answer_is_a_failed_replay(self, option):
+        # the search has always replayed the record decimal just below its
+        # answer, and it failed: the bisection ends on it or the step-down
+        # stops at it.  Capped between an answer and that decimal, the same
+        # search answers the bound itself or nothing, and the decimal below
+        # the bound has failed too.
+        options = ALL_OPTIONS[option]
+        rng = random.Random(4000 + option)
+        below = Context(prec=12).next_minus
+
+        def lower_failed(cfg, goal, magnitude):
+            memo = {}
+            out = synthesize_min_attack(cfg, goal, options=options,
+                                        _replays=memo)
+            if out.success:
+                dp_a = out.vector.dp_a
+                assert abs(dp_a) == float(magnitude or abs(dp_a))
+                magnitude = magnitude or Decimal(repr(abs(dp_a)))
+                lower = math.copysign(float(below(magnitude)), dp_a)
+                assert not memo[lower, math.copysign(1.0, dp_a)].success
+            return out
+
+        answers = capped_answers = 0
+        for _ in range(60):
+            cfg = random_small_config(rng)
+            target = rng.choice([TargetKind.ROCOF_ONLY, TargetKind.LS_ONLY,
+                                 TargetKind.SPECIFIC])
+            goal = AttackGoal(
+                horizon=rng.choice([12, 60, 120]), target_kind=target,
+                sign=rng.choice(list(Sign)),
+                specific_relay_id=rng.choice(["gA", "gB", "lA"])
+                if target is TargetKind.SPECIFIC else None)
+            out = lower_failed(cfg, goal, None)
+            if not out.success:
+                continue
+            answers += 1
+            answer = Decimal(repr(abs(out.vector.dp_a)))
+            cap = float((below(answer) + answer) / 2)
+            capped = validate_config(with_capability(
+                cfg, kappa=cfg.capability.kappa * cap
+                / capability_bound(cfg.capability)))
+            bound = capability_bound(capped.capability)
+            assert float(below(answer)) < bound < float(answer)
+            capped_answers += lower_failed(capped, goal, Decimal(bound)).success
+        assert answers >= 10 and capped_answers >= 4
+
+    def test_step_down_walks_what_a_bisection_skips_at_a_power_of_ten(self):
+        # across 0.1 the bisection's rounded-up midpoint reaches its answer
+        # while record decimals between it and its last failure are untried;
+        # the step-down then walks them.  Every magnitude on the way is in
+        # the memo: those from 0.0999999999997 up replay, the others fail.
+        cfg = study_config(kappa=60.0)
+        goal = AttackGoal(horizon=12, target_kind=TargetKind.LS_ONLY)
+        success = synthesize_min_attack(cfg, goal)
+        boundary = Decimal("0.0999999999997")
+        decimals = ([Decimal("0.0999999999900") + k * Decimal("1e-13")
+                     for k in range(100)]
+                    + [Decimal("0.1") + k * Decimal("1e-12") for k in range(100)])
+
+        def certify(step_down):
+            memo = {(float(m), 1.0): success if m >= boundary
+                    else frosim.synth._NO_ATTACK for m in decimals}
+            found = frosim.synth._certify(
+                cfg, goal, 1, Decimal("0.0999999999989"), SimOptions(), memo,
+                step_down)
+            assert len(memo) == len(decimals)
+            return found
+
+        assert certify(False) == (Decimal("0.100000000001"), 0)
+        assert certify(True) == (boundary, 0)
 
     def test_one_debug_line_per_answer(self, caplog, monkeypatch):
         cfg = study_config(kappa=60.0)
