@@ -37,12 +37,19 @@ config = validate_config(GridConfig(
 ))
 goal = AttackGoal(horizon=12)
 
+
+def record_below(dp_a):
+    """The 12-significant-digit decimal one unit below *dp_a*."""
+    return float(Context(prec=12).next_minus(Decimal(repr(dp_a))))
+
+
 print("=" * 64)
 print("1. The minimal injection: closed form")
 print("=" * 64)
 print(f"capability bound: {capability_bound(config.capability):.3f} pu")
 # Any relay counts: the pre-event trace is linear in dp_a, so one relay-free
-# unit response gives the exact minimum, certified by one replay.
+# unit response gives the exact minimum.  Its replay certifies the answer,
+# and a replay one record decimal lower must fail.
 outcome = synthesize_min_attack(config, goal)
 vec = outcome.vector
 print(f"any relay, closed form: {vec.dp_a!r} pu")
@@ -51,6 +58,9 @@ print(f"first false operation: {vec.outcome.kind.name} on "
 replay = feasibility(config, vec.dp_a, goal)
 print(f"certificate replay reproduces the outcome: "
       f"{replay.vector.outcome == vec.outcome}")
+lower = record_below(vec.dp_a)
+print(f"one record decimal lower, {lower!r} pu, meets the goal: "
+      f"{feasibility(config, lower, goal).success}")
 
 
 def show_replays(grid, goal, samples=36):
@@ -77,7 +87,7 @@ print(f"load shedding only, exact: {exact.vector.dp_a!r} pu "
       f"sheds {exact.vector.outcome.relay_id} at step "
       f"{exact.vector.outcome.trip_step}")
 # the answer is a 12-significant-digit decimal; one unit lower fails
-lower = float(Context(prec=12).next_minus(Decimal(repr(exact.vector.dp_a))))
+lower = record_below(exact.vector.dp_a)
 print(f"one record decimal lower, {lower!r} pu, meets the goal: "
       f"{feasibility(config, lower, ls_goal).success}")
 

@@ -29,12 +29,7 @@ from .dynamics import (
     SimOptions,
     SimTrace,
     SystemState,
-    eval_ls_relays,
-    eval_rocof_relays,
-    frequency_step,
-    governor_step,
     initial_state,
-    rocof,
     simulate,
     simulate_step,
     write_trace_csv,

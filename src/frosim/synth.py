@@ -8,22 +8,21 @@ minimum depends on the goal:
 - ``ANY`` (any relay operates) is answered in closed form.  Until the first
   relay event the deviation trace is linear and odd in ``dp_a``, and under
   this goal every event counts, so the minimum is the smallest
-  threshold-over-coefficient of one relay-free unit response.  The answer is
-  the smallest :data:`RECORD_DIGITS`-significant-digit decimal at or above
-  that minimum which replays, so it also replays from a written record.
+  threshold-over-coefficient of one relay-free unit response.
 - ``ROCOF_ONLY``, ``LS_ONLY`` and ``SPECIFIC`` can be met only after earlier
   non-matching events have broken linearity, and their feasible set need
   not be an up-set in magnitude.  Once the earlier relay outcomes are fixed,
   every relay condition is linear in the magnitude, so one pass of the
   model over intervals of it (:func:`_smallest_feasible_start`) finds the
-  smallest feasible magnitude, as a constraint solver finds one model; that
-  start, rounded up to a record decimal, is certified by replay, and a
-  replay one record decimal lower must fail.
+  smallest feasible magnitude, as a constraint solver finds one model.
 
-Either start is certified by one walk per direction, :func:`_certify`: a
-failing replay climbs and bisects back over record decimals, and for the
-goals other than ``ANY`` a start that replays at once steps down until a
-replay fails, as a solver's proof that nothing smaller exists.
+Every goal's answer is the smallest :data:`RECORD_DIGITS`-significant-digit
+decimal that replays, so it also replays from a written record, and one
+record decimal lower fails in every allowed direction.  Either minimum,
+rounded up to a record decimal, is certified by one walk per direction,
+:func:`_certify`: a failing replay climbs and bisects back over record
+decimals, and the answer then steps down until a replay fails, as a
+solver's proof that nothing smaller exists.
 
 :func:`exhaustive_min_attack` scans a magnitude grid instead and assumes
 nothing.  :func:`probe_monotonicity` samples feasibility on a coarse grid, a
@@ -487,26 +486,25 @@ def _smallest_feasible_start(
     return first, peak
 
 
-def _certify(config, goal, direction, start: Decimal, options, replays,
-             step_down: bool) -> tuple[Optional[Decimal], int]:
+def _certify(config, goal, direction, start: Decimal, options,
+             replays) -> tuple[Optional[Decimal], int]:
     """The certified record decimal from *start* along *direction*, ``None``
     when none replays within the capability bound, and the number of
     step-down replays.
 
-    *start* is the rounded-up closed-form minimum, which normally replays at
-    once, or the record decimal just below the rounded-up interval-pass
-    minimum, which normally fails once.  A failing replay (the simulator's
+    *start* is a rounded-up minimum, of the closed form or of the interval
+    pass, which normally replays at once.  A failing replay (the simulator's
     own rounding put the boundary a few units above) steps up 1, 2, 4, ...
     units in the last digit and then bisects back over record decimals.  A
     decimal beyond the capability bound is replaced by the bound itself,
     which must then replay.
 
-    With *step_down* the answer then walks down one record decimal at a time
-    while the replay still meets *goal*, as an interval-pass start is a float
-    cut point that can lie a rounding error above the simulator's boundary.
-    The walk ends at once on the bisection's last failure, the decimal below
-    its answer except across a power of ten, where a rounded-up midpoint can
-    skip decimals; so only a start that replays at once normally walks.
+    The answer then walks down one record decimal at a time until a replay
+    fails, since the simulator's boundary can lie a rounding error below
+    the start; so the decimal below every answer is a failed replay.  The
+    walk ends at once on the bisection's last failure, which is the decimal
+    below its answer except across a power of ten, where a rounded-up
+    midpoint can skip decimals.
     """
     bound = capability_bound(config.capability)
 
@@ -537,7 +535,7 @@ def _certify(config, goal, direction, start: Decimal, options, replays,
             failed = mid
     before = len(replays)
     lower = _below(magnitude)
-    while step_down and lower not in (magnitude, failed) and meets(lower):
+    while lower not in (magnitude, failed) and meets(lower):
         magnitude, lower = lower, _below(lower)
     return magnitude, len(replays) - before
 
@@ -566,18 +564,21 @@ def synthesize_min_attack(
     """Find the smallest-magnitude injection meeting *goal*, exactly.
 
     The answer is the smallest :data:`RECORD_DIGITS`-digit decimal that
-    replays, certified by its own :func:`feasibility` replay.  An ``ANY`` goal
-    starts from :func:`_closed_form_minima`; other goals start from
-    :func:`_smallest_feasible_start`, and a replay one record decimal below
-    the answer must then fail.  Each direction's start is certified by one
+    replays, certified by its own :func:`feasibility` replay, and a replay
+    one record decimal below it fails in every allowed direction.  Each
+    direction starts from its minimum rounded up to a record decimal, of
+    :func:`_closed_form_minima` for an ``ANY`` goal and of
+    :func:`_smallest_feasible_start` for the others, and is certified by one
     walk, :func:`_certify`.  With nothing feasible in a direction the
     capability bound itself is replayed, and the answer is no attack only
     when it fails.  *tolerance* is validated but does not affect the answer;
     it is the resolution of :func:`exhaustive_min_attack`.
 
     When the goal allows either direction, the starts are certified smallest
-    first, and the second only when it could still win: the smaller
-    certified magnitude wins, ties broken toward the positive direction.
+    first, and the second only when it could still win: a start's float
+    error is far below one record unit, so its walk certifies nothing below
+    the record decimal under it.  The smaller certified magnitude wins, ties
+    broken toward the positive direction.
 
     The search replays each magnitude once and returns the outcome of the
     answer's replay.  *_replays* lets calls share those outcomes: a dict
@@ -606,21 +607,18 @@ def synthesize_min_attack(
                 replays[key] = _smallest_feasible_start(config, goal, d,
                                                         options)
             passes[d] = replays[key]
-        # Certified from one record decimal below the rounded-up start: a
-        # cut point's float error is far below one unit, so no certified
-        # magnitude falls under its start, as the early stop below requires,
-        # even after the step-down.
-        starts = [(_below(_RECORD.plus(Decimal(start))) if start < math.inf
-                   else Decimal(start), d) for d, (start, _) in passes.items()]
+        starts = [(_RECORD.plus(Decimal(start)), d)
+                  for d, (start, _) in passes.items()]
     # each replay run adds one memo entry
     before, stepped = len(replays), 0
     best = None  # (magnitude, -direction): ties go to the positive one
     for start, rank in sorted((m, -d) for m, d in starts):
-        if best is not None and (start, rank) >= best:
+        # a start's float error is far below one record unit, so no
+        # certified magnitude falls under the decimal below it
+        if best is not None and (_below(start), rank) >= best:
             break
-        magnitude, walked = _certify(
-            config, goal, -rank, start, options, replays,
-            step_down=passes is not None and start.is_finite())
+        magnitude, walked = _certify(config, goal, -rank, start, options,
+                                     replays)
         stepped += walked
         if magnitude is not None and (best is None or (magnitude, rank) < best):
             best = (magnitude, rank)

@@ -19,9 +19,7 @@ from frosim import (
     SweepMode,
     SweepSpec,
     capability_bound,
-    eval_rocof_relays,
     feasibility,
-    rocof,
     run_sweep,
     simulate,
     synthesize_min_attack,
@@ -34,6 +32,7 @@ from conftest import (
     relays_disabled_config,
     study_config,
 )
+from reference import eval_rocof_relays, rocof
 
 # Case-study frequency tables (Hz) and the reported slope magnitudes (Hz/s)
 # for steps 6..12 at M=6, dt=1/60 s.

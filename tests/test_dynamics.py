@@ -23,14 +23,9 @@ from frosim import (
     NO_ATTACK,
     SimOptions,
     SystemState,
-    eval_ls_relays,
-    eval_rocof_relays,
     feasibility,
-    frequency_step,
-    governor_step,
     initial_state,
     load_config,
-    rocof,
     simulate,
     simulate_step,
     with_dynamics,
@@ -51,6 +46,13 @@ from conftest import (
     random_small_config,
     relays_disabled_config,
     study_config,
+)
+from reference import (
+    eval_ls_relays,
+    eval_rocof_relays,
+    frequency_step,
+    governor_step,
+    rocof,
 )
 
 DT = 1.0 / 60.0

@@ -7,7 +7,7 @@ import logging
 import math
 import random
 import re
-from decimal import Context, Decimal
+from decimal import ROUND_CEILING, Context, Decimal
 
 import pytest
 
@@ -30,8 +30,6 @@ from frosim import (
     capability_bound,
     exhaustive_min_attack,
     feasibility,
-    frequency_step,
-    governor_step,
     probe_monotonicity,
     synthesize_min_attack,
     validate_config,
@@ -39,6 +37,7 @@ from frosim import (
 )
 from conftest import (C1_GENERATORS, C1_LOADS, random_small_config,
                       study_config)
+from reference import frequency_step, governor_step
 
 
 def exhaustive_scan_oracle(config, goal, resolution):
@@ -403,9 +402,13 @@ class TestClosedFormAny:
             assert not feasibility(capped, direction * bound, goal).success
 
     def test_one_replay_on_success(self, monkeypatch):
+        # the rounded-up closed form replays at once, and the record decimal
+        # below it fails
         replays = count_replays(monkeypatch)
-        cfg, goal, dp_a = self._answer()
-        assert [x for x, _ in replays] == [dp_a]
+        cfg, goal, dp_a = self._answer(Sign.POSITIVE)
+        lower = float(Context(prec=12).next_minus(Decimal(repr(dp_a))))
+        assert [(x, out.success) for x, out in replays] == [
+            (dp_a, True), (lower, False)]
 
     def test_low_start_climbs_back_to_the_same_answer(self, monkeypatch):
         # a start below the simulator's boundary (here forced far lower than
@@ -419,11 +422,9 @@ class TestClosedFormAny:
         out = synthesize_min_attack(cfg, goal)
         assert out.success and out.vector.dp_a == dp_a
 
-    @pytest.mark.xfail(strict=True, reason="an any answer is the smallest "
-                       "record decimal at or above the closed form that "
-                       "replays, and the kernel's own boundary can lie a few "
-                       "ulps below the closed form (ROADMAP item 6)")
     def test_a_replay_one_record_decimal_below_fails(self):
+        # the kernel's own boundary lies a few ulps below the closed form
+        # here, so the rounded-up closed form is one decimal too high
         cfg = validate_config(GridConfig(
             GridParams(3.491897525014603, 0.2948836201927981,
                        0.9674008806010068),
@@ -435,10 +436,10 @@ class TestClosedFormAny:
                                0.4571905703996091)))
         goal = AttackGoal(horizon=120, sign=Sign.EITHER)
         out = synthesize_min_attack(cfg, goal)
-        # 0.0503416754042 today, while 0.0503416754041 replays
-        assert out.success and 0 < out.vector.dp_a <= 0.0503416754042
-        below = Context(prec=12).next_minus(Decimal(repr(out.vector.dp_a)))
-        assert not feasibility(cfg, float(below), goal).success
+        assert out.success and out.vector.dp_a == 0.0503416754041
+        below = float(Context(prec=12).next_minus(Decimal("0.0503416754041")))
+        for direction in goal.directions():
+            assert not feasibility(cfg, direction * below, goal).success
 
 
 def _answer(out):
@@ -773,11 +774,12 @@ class TestIntervalPass:
 
     @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
     def test_the_decimal_below_an_answer_is_a_failed_replay(self, option):
-        # the search has always replayed the record decimal just below its
-        # answer, and it failed: the bisection ends on it or the step-down
-        # stops at it.  Capped between an answer and that decimal, the same
-        # search answers the bound itself or nothing, and the decimal below
-        # the bound has failed too.
+        # for every target the search has replayed the record decimal just
+        # below its answer, and it failed: the bisection ends on it or the
+        # step-down stops at it.  It fails in every other allowed direction
+        # too.  Capped between an answer and that decimal, the same search
+        # answers the bound itself or nothing, and the decimal below the
+        # bound has failed too.
         options = ALL_OPTIONS[option]
         rng = random.Random(4000 + option)
         below = Context(prec=12).next_minus
@@ -790,24 +792,38 @@ class TestIntervalPass:
                 dp_a = out.vector.dp_a
                 assert abs(dp_a) == float(magnitude or abs(dp_a))
                 magnitude = magnitude or Decimal(repr(abs(dp_a)))
-                lower = math.copysign(float(below(magnitude)), dp_a)
-                assert not memo[lower, math.copysign(1.0, dp_a)].success
+                lower = float(below(magnitude))
+                sign = math.copysign(1.0, dp_a)
+                assert not memo[sign * lower, sign].success
+                for direction in goal.directions():
+                    replay = memo.get((direction * lower, float(direction)))
+                    assert not (replay or feasibility(
+                        cfg, direction * lower, goal, options)).success
             return out
 
-        answers = capped_answers = 0
-        for _ in range(60):
-            cfg = random_small_config(rng)
-            target = rng.choice([TargetKind.ROCOF_ONLY, TargetKind.LS_ONLY,
-                                 TargetKind.SPECIFIC])
-            goal = AttackGoal(
-                horizon=rng.choice([12, 60, 120]), target_kind=target,
-                sign=rng.choice(list(Sign)),
-                specific_relay_id=rng.choice(["gA", "gB", "lA"])
-                if target is TargetKind.SPECIFIC else None)
+        def goals():
+            for _ in range(60):
+                cfg = random_small_config(rng)
+                target = rng.choice([TargetKind.ROCOF_ONLY,
+                                     TargetKind.LS_ONLY, TargetKind.SPECIFIC])
+                yield cfg, AttackGoal(
+                    horizon=rng.choice([12, 60, 120]), target_kind=target,
+                    sign=rng.choice(list(Sign)),
+                    specific_relay_id=rng.choice(["gA", "gB", "lA"])
+                    if target is TargetKind.SPECIFIC else None)
+            for _ in range(60):
+                cfg = random_small_config(rng)
+                yield cfg, AttackGoal(horizon=rng.choice([12, 60, 120]),
+                                      sign=rng.choice(list(Sign)))
+
+        answers = {False: 0, True: 0}  # by whether the goal is ANY
+        capped_answers = {False: 0, True: 0}
+        for cfg, goal in goals():
             out = lower_failed(cfg, goal, None)
             if not out.success:
                 continue
-            answers += 1
+            any_goal = goal.target_kind is TargetKind.ANY
+            answers[any_goal] += 1
             answer = Decimal(repr(abs(out.vector.dp_a)))
             cap = float((below(answer) + answer) / 2)
             capped = validate_config(with_capability(
@@ -815,33 +831,72 @@ class TestIntervalPass:
                 / capability_bound(cfg.capability)))
             bound = capability_bound(capped.capability)
             assert float(below(answer)) < bound < float(answer)
-            capped_answers += lower_failed(capped, goal, Decimal(bound)).success
-        assert answers >= 10 and capped_answers >= 4
+            capped_answers[any_goal] += lower_failed(
+                capped, goal, Decimal(bound)).success
+        assert min(answers.values()) >= 10
+        assert min(capped_answers.values()) >= 4
 
-    def test_step_down_walks_what_a_bisection_skips_at_a_power_of_ten(self):
+    @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
+    def test_no_answer_falls_below_the_decimal_under_its_start(self, option):
+        # synthesize_min_attack skips a direction once the decimal below its
+        # rounded-up start cannot beat the best answer so far.  That holds
+        # while a start's float error stays below one record unit: the walk
+        # from a rounded-up closed-form or interval-pass start never
+        # certifies under the decimal below it, so it steps down at most
+        # once before its failing replay.
+        options = ALL_OPTIONS[option]
+        rng = random.Random(5000 + option)
+        rounded_up = Context(prec=12, rounding=ROUND_CEILING).plus
+        below = Context(prec=12).next_minus
+        certified = 0
+        for _ in range(60):
+            cfg = random_small_config(rng)
+            horizon = rng.choice([12, 60, 120])
+            attack_step = rng.choice([0, 3])
+            for target in TargetKind:
+                goal = AttackGoal(
+                    horizon=horizon, target_kind=target, sign=Sign.EITHER,
+                    attack_step=attack_step,
+                    specific_relay_id=rng.choice(["gA", "gB", "lA"])
+                    if target is TargetKind.SPECIFIC else None)
+                if target is TargetKind.ANY:
+                    minima = frosim.synth._closed_form_minima(cfg, goal)
+                else:
+                    minima = {d: frosim.synth._smallest_feasible_start(
+                        cfg, goal, d, options)[0] for d in (1, -1)}
+                for direction, x in minima.items():
+                    if x == math.inf:
+                        continue
+                    start = rounded_up(Decimal(x))
+                    magnitude, walked = frosim.synth._certify(
+                        cfg, goal, direction, start, options, {})
+                    if magnitude is None:
+                        continue
+                    assert magnitude >= below(start) and walked <= 2
+                    certified += 1
+        assert certified >= 80
+
+    @pytest.mark.parametrize("target", [TargetKind.LS_ONLY, TargetKind.ANY])
+    def test_step_down_walks_what_a_bisection_skips_at_a_power_of_ten(
+            self, target):
         # across 0.1 the bisection's rounded-up midpoint reaches its answer
         # while record decimals between it and its last failure are untried;
-        # the step-down then walks them.  Every magnitude on the way is in
-        # the memo: those from 0.0999999999997 up replay, the others fail.
+        # the step-down then walks them, for every goal.  Every magnitude on
+        # the way is in the memo: those from 0.0999999999997 up replay, the
+        # others fail.
         cfg = study_config(kappa=60.0)
-        goal = AttackGoal(horizon=12, target_kind=TargetKind.LS_ONLY)
+        goal = AttackGoal(horizon=12, target_kind=target)
         success = synthesize_min_attack(cfg, goal)
         boundary = Decimal("0.0999999999997")
         decimals = ([Decimal("0.0999999999900") + k * Decimal("1e-13")
                      for k in range(100)]
                     + [Decimal("0.1") + k * Decimal("1e-12") for k in range(100)])
-
-        def certify(step_down):
-            memo = {(float(m), 1.0): success if m >= boundary
-                    else frosim.synth._NO_ATTACK for m in decimals}
-            found = frosim.synth._certify(
-                cfg, goal, 1, Decimal("0.0999999999989"), SimOptions(), memo,
-                step_down)
-            assert len(memo) == len(decimals)
-            return found
-
-        assert certify(False) == (Decimal("0.100000000001"), 0)
-        assert certify(True) == (boundary, 0)
+        memo = {(float(m), 1.0): success if m >= boundary
+                else frosim.synth._NO_ATTACK for m in decimals}
+        found = frosim.synth._certify(
+            cfg, goal, 1, Decimal("0.0999999999989"), SimOptions(), memo)
+        assert len(memo) == len(decimals)
+        assert found == (boundary, 0)
 
     def test_one_debug_line_per_answer(self, caplog, monkeypatch):
         cfg = study_config(kappa=60.0)
@@ -858,14 +913,13 @@ class TestIntervalPass:
         assert "by interval pass, +1: smallest feasible start 0." in interval
         assert "-1: smallest feasible start 0." in interval
         assert "peak 1 live pieces" in interval
-        # each direction is certified from one record decimal below its
-        # rounded-up start, which fails, then at the start; the directions'
-        # starts tie, so the negative one could still step below the
-        # positive answer and is certified too
-        assert "certify replays 4, step-down replays 0" in interval
+        # each direction's rounded-up start replays, and the record decimal
+        # below it fails; the directions' starts tie, so the negative one
+        # could still step below the positive answer and is certified too
+        assert "certify replays 2, step-down replays 2" in interval
         assert repr(answers[0].vector.dp_a) in interval
         assert "by closed-form starts +1:" in closed
-        assert "certify replays 1, step-down replays 0" in closed
+        assert "certify replays 1, step-down replays 1" in closed
         assert "by exhaustive scan at 0.001; scan replays " in scan
         assert repr(answers[2].vector.dp_a) in scan
 
