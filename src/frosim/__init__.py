@@ -60,7 +60,6 @@ from .synth import (
     AttackOutcome,
     AttackVector,
     FeasibilityOutcome,
-    FeasibilityStatus,
     MonotonicityReport,
     Sign,
     TargetKind,

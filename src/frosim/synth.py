@@ -20,9 +20,9 @@ Every goal's answer is the smallest :data:`RECORD_DIGITS`-significant-digit
 decimal that replays, so it also replays from a written record, and one
 record decimal lower fails in every allowed direction.  Either minimum,
 rounded up to a record decimal, is certified by one walk per direction,
-:func:`_certify`: a failing replay climbs and bisects back over record
-decimals, and the answer then steps down until a replay fails, as a
-solver's proof that nothing smaller exists.
+:func:`_certify`, which gallops away from the start's verdict and bisects
+back over record decimals to a failure just below a success, as a solver's
+proof that nothing smaller exists.
 
 :func:`exhaustive_min_attack` scans a magnitude grid instead and assumes
 nothing.  :func:`probe_monotonicity` samples feasibility on a coarse grid, a
@@ -157,23 +157,13 @@ class AttackVector:
     trace: SimTrace
 
 
-class FeasibilityStatus(enum.Enum):
-    SUCCESS = "success"
-    NO_ATTACK_EXISTS = "no_attack"
-
-
 @dataclass(frozen=True)
 class FeasibilityOutcome:
-    status: FeasibilityStatus
     vector: Optional[AttackVector] = None
-
-    def __post_init__(self):
-        if (self.status is FeasibilityStatus.SUCCESS) != (self.vector is not None):
-            raise ValueError("vector must be present exactly on SUCCESS")
 
     @property
     def success(self) -> bool:
-        return self.status is FeasibilityStatus.SUCCESS
+        return self.vector is not None
 
 
 def _check_capability(config: GridConfig, dp_a: float) -> None:
@@ -185,7 +175,7 @@ def _check_capability(config: GridConfig, dp_a: float) -> None:
 
 
 #: The outcome of every replay that meets no goal, shared.
-_NO_ATTACK = FeasibilityOutcome(FeasibilityStatus.NO_ATTACK_EXISTS)
+_NO_ATTACK = FeasibilityOutcome()
 
 
 def feasibility(
@@ -214,7 +204,7 @@ def feasibility(
         outcome=AttackOutcome(event.relay_id, event.kind, event.step),
         trace=SimTrace(tuple(map(StepRecord._make, records))),
     )
-    return FeasibilityOutcome(FeasibilityStatus.SUCCESS, vector)
+    return FeasibilityOutcome(vector)
 
 
 def _replayed(config, dp_a, goal, options, replays: dict) -> FeasibilityOutcome:
@@ -487,57 +477,54 @@ def _smallest_feasible_start(
 
 
 def _certify(config, goal, direction, start: Decimal, options,
-             replays) -> tuple[Optional[Decimal], int]:
+             replays) -> Optional[Decimal]:
     """The certified record decimal from *start* along *direction*, ``None``
-    when none replays within the capability bound, and the number of
-    step-down replays.
+    when none replays within the capability bound.
 
     *start* is a rounded-up minimum, of the closed form or of the interval
-    pass, which normally replays at once.  A failing replay (the simulator's
-    own rounding put the boundary a few units above) steps up 1, 2, 4, ...
-    units in the last digit and then bisects back over record decimals.  A
-    decimal beyond the capability bound is replaced by the bound itself,
-    which must then replay.
-
-    The answer then walks down one record decimal at a time until a replay
-    fails, since the simulator's boundary can lie a rounding error below
-    the start; so the decimal below every answer is a failed replay.  The
-    walk ends at once on the bisection's last failure, which is the decimal
-    below its answer except across a power of ten, where a rounded-up
-    midpoint can skip decimals.
+    pass, and its float error can put the boundary a few units of the last
+    digit to either side.  The walk gallops 1, 2, 4, ... units away from the
+    start's verdict: up while replays fail, replaying the capability bound
+    itself once past it; down from the decimal below the start while
+    replays succeed, to zero at the lowest.  It then bisects between its
+    last failure and success, never past the decimal below the success, so
+    it ends only when the decimal below its answer is a failed replay.
     """
-    bound = capability_bound(config.capability)
+    bound = Decimal(capability_bound(config.capability))
 
     def meets(magnitude: Decimal) -> bool:
         return _replayed(config, direction * float(magnitude), goal, options,
                          replays).success
 
-    failed, magnitude, units = None, start, 1
-    while True:
-        if magnitude > bound:
-            magnitude = Decimal(bound)
-            if not meets(magnitude):
-                return None, 0
-            break
+    def moved(magnitude: Decimal, units: int) -> Decimal:
+        exponent = magnitude.adjusted() - RECORD_DIGITS + 1
+        return _RECORD.add(magnitude, Decimal(units).scaleb(exponent, _EXACT))
+
+    failed = found = None
+    magnitude, units = min(start, bound), 1
+    while found is None:
         if meets(magnitude):
-            break
-        failed = magnitude
-        exponent = failed.adjusted() - RECORD_DIGITS + 1
-        step = Decimal(units).scaleb(exponent, _EXACT)
-        magnitude, units = _RECORD.add(failed, step), 2 * units
-    while failed is not None:
-        mid = _RECORD.plus(_EXACT.divide(_EXACT.add(failed, magnitude), 2))
-        if mid >= magnitude:
-            break
-        if meets(mid):
-            magnitude = mid
+            found = magnitude
+        elif magnitude == bound:
+            return None
         else:
-            failed = mid
-    before = len(replays)
-    lower = _below(magnitude)
-    while lower not in (magnitude, failed) and meets(lower):
-        magnitude, lower = lower, _below(lower)
-    return magnitude, len(replays) - before
+            failed = magnitude
+            magnitude, units = min(moved(failed, units), bound), 2 * units
+    magnitude, units = _below(found), -2
+    while failed is None and found > 0:
+        if meets(magnitude):
+            found = magnitude
+            magnitude, units = max(moved(found, units), Decimal(0)), 2 * units
+        else:
+            failed = magnitude
+    while failed is not None and _below(found) > failed:
+        magnitude = min(_below(found), _RECORD.plus(
+            _EXACT.divide(_EXACT.add(failed, found), 2)))
+        if meets(magnitude):
+            found = magnitude
+        else:
+            failed = magnitude
+    return found
 
 
 def _below(magnitude: Decimal) -> Decimal:
@@ -569,7 +556,8 @@ def synthesize_min_attack(
     direction starts from its minimum rounded up to a record decimal, of
     :func:`_closed_form_minima` for an ``ANY`` goal and of
     :func:`_smallest_feasible_start` for the others, and is certified by one
-    walk, :func:`_certify`.  With nothing feasible in a direction the
+    walk, :func:`_certify`: a gallop away from the start's verdict, then one
+    bisection.  With nothing feasible in a direction the
     capability bound itself is replayed, and the answer is no attack only
     when it fails.  *tolerance* is validated but does not affect the answer;
     it is the resolution of :func:`exhaustive_min_attack`.
@@ -610,16 +598,14 @@ def synthesize_min_attack(
         starts = [(_RECORD.plus(Decimal(start)), d)
                   for d, (start, _) in passes.items()]
     # each replay run adds one memo entry
-    before, stepped = len(replays), 0
+    before = len(replays)
     best = None  # (magnitude, -direction): ties go to the positive one
     for start, rank in sorted((m, -d) for m, d in starts):
         # a start's float error is far below one record unit, so no
         # certified magnitude falls under the decimal below it
         if best is not None and (_below(start), rank) >= best:
             break
-        magnitude, walked = _certify(config, goal, -rank, start, options,
-                                     replays)
-        stepped += walked
+        magnitude = _certify(config, goal, -rank, start, options, replays)
         if magnitude is not None and (best is None or (magnitude, rank) < best):
             best = (magnitude, rank)
     outcome = _NO_ATTACK if best is None else _replayed(
@@ -632,10 +618,9 @@ def synthesize_min_attack(
             found = "interval pass, " + "; ".join(
                 f"{d:+d}: smallest feasible start {start!r}, peak {peak} "
                 "live pieces" for d, (start, peak) in passes.items())
-        log.debug("synthesis %s/%s by %s; certify replays %d, step-down "
-                  "replays %d; %s", goal.target_kind.value, goal.sign.value,
-                  found, len(replays) - before - stepped, stepped,
-                  _describe(outcome))
+        log.debug("synthesis %s/%s by %s; certify replays %d; %s",
+                  goal.target_kind.value, goal.sign.value, found,
+                  len(replays) - before, _describe(outcome))
     return outcome
 
 
@@ -684,10 +669,10 @@ def exhaustive_min_attack(
 def synthesis_result_dict(outcome: FeasibilityOutcome, trace_file: Optional[str]) -> dict:
     """JSON-ready summary of a synthesis outcome."""
     if not outcome.success:
-        return {"status": FeasibilityStatus.NO_ATTACK_EXISTS.value}
+        return {"status": "no_attack"}
     v = outcome.vector
     return {
-        "status": FeasibilityStatus.SUCCESS.value,
+        "status": "success",
         "dp_a_pu": v.dp_a,
         "attack_step": v.attack_step,
         "relay_id": v.outcome.relay_id,

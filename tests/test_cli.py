@@ -26,15 +26,16 @@ CASE_STUDY_GRID = (Path(__file__).resolve().parent.parent / "demos"
 SWITCHES = ["--literal-accumulation", "--literal-signs", "--rescale-inertia"]
 
 
-def run_in_subprocess(*argv, timeout=60):
-    """``frosim`` with *argv* in a fresh interpreter, which prints warnings
-    to its stderr as a user sees them."""
+def run_in_subprocess(*argv, timeout=60, cwd=None):
+    """``frosim`` with *argv* in a fresh interpreter started in *cwd*, which
+    imports this checkout's package and prints warnings to its stderr as a
+    user sees them."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(frosim.__file__).parents[1]),
                     env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "frosim.cli", *argv],
-                          env=env, capture_output=True, text=True,
+                          cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=timeout)
 
 
@@ -311,15 +312,9 @@ class TestSynthesize:
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(data))
         out = tmp_path / "r.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(frosim.__file__).parents[1]),
-                        env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "frosim.cli", "synthesize",
-             "--config", str(cfg), "--horizon", "12", "--attack-step", "50",
-             "--target", target, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=60)
+        proc = run_in_subprocess(
+            "synthesize", "--config", str(cfg), "--horizon", "12",
+            "--attack-step", "50", "--target", target, "--out", str(out))
         assert proc.returncode == 2, proc.stderr
         assert "error: capability: bound" in proc.stderr
         assert not out.exists()
@@ -728,13 +723,7 @@ def test_one_parser_serves_every_command(tmp_path, monkeypatch):
 
     alone = tmp_path / "alone"
     alone.mkdir()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(frosim.__file__).parents[1]),
-                    env.get("PYTHONPATH")) if p)
-    codes = [subprocess.run([sys.executable, "-m", "frosim.cli", *argv],
-                            cwd=alone, env=env, capture_output=True,
-                            timeout=120).returncode
+    codes = [run_in_subprocess(*argv, timeout=120, cwd=alone).returncode
              for argv in commands]
     together = tmp_path / "together"
     together.mkdir()
@@ -753,12 +742,9 @@ def test_console_entry_point_smoke(tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(config_dict()))
     out = tmp_path / "trace.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "frosim.cli", "simulate",
-         "--config", str(cfg), "--dp-a", "0.05", "--horizon", "30",
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_in_subprocess("simulate", "--config", str(cfg), "--dp-a",
+                             "0.05", "--horizon", "30", "--out", str(out),
+                             timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 

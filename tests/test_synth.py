@@ -18,7 +18,6 @@ from frosim import (
     AttackGoal,
     CapabilityExceeded,
     EventKind,
-    FeasibilityStatus,
     GeneratorRelay,
     GridConfig,
     GridParams,
@@ -89,7 +88,7 @@ def reference_unit_response(config, goal):
 class TestFeasibility:
     def test_zero_injection_never_succeeds(self):
         out = feasibility(study_config(), 0.0, AttackGoal(horizon=100))
-        assert out.status is FeasibilityStatus.NO_ATTACK_EXISTS
+        assert not out.success
         assert out.vector is None
 
     def test_case_study_injection_succeeds_on_lowest_threshold(self):
@@ -201,7 +200,7 @@ class TestSynthesizeMinAttack:
     def test_zero_capability(self):
         cfg = study_config(toi=0.0)
         out = synthesize_min_attack(cfg, AttackGoal(horizon=12))
-        assert out.status is FeasibilityStatus.NO_ATTACK_EXISTS
+        assert not out.success
 
     def test_unreachable_goal_is_no_attack(self):
         # high inertia and a tiny capability: nothing in range sheds load
@@ -209,7 +208,7 @@ class TestSynthesizeMinAttack:
         goal = AttackGoal(horizon=60, target_kind=TargetKind.LS_ONLY)
         assert exhaustive_scan_oracle(cfg, goal, 1e-4) is None
         out = synthesize_min_attack(cfg, goal)
-        assert out.status is FeasibilityStatus.NO_ATTACK_EXISTS
+        assert not out.success
 
     def test_case_study_minimum_trips_lowest_relay(self):
         cfg = study_config(kappa=60.0)
@@ -396,7 +395,7 @@ class TestClosedFormAny:
             cfg, kappa=cfg.capability.kappa * scale * abs(dp_a) / bound)
         assert capability_bound(capped.capability) < abs(dp_a)
         out = synthesize_min_attack(capped, goal)
-        assert out.status is FeasibilityStatus.NO_ATTACK_EXISTS
+        assert not out.success
         bound = capability_bound(capped.capability)
         for direction in goal.directions():
             assert not feasibility(capped, direction * bound, goal).success
@@ -445,7 +444,7 @@ class TestClosedFormAny:
 def _answer(out):
     """What an answer is, trace included, for comparing two syntheses."""
     if not out.success:
-        return out.status
+        return None
     v = out.vector
     return repr(v.dp_a), v.outcome, repr(v.trace.records)
 
@@ -595,7 +594,7 @@ class TestOneReplayPerMagnitude:
         calls = count_replays(monkeypatch)
         exact = synthesize_min_attack(capped, goal)
         scan = exhaustive_min_attack(capped, goal, resolution=1e-3)
-        assert exact.status is FeasibilityStatus.NO_ATTACK_EXISTS
+        assert not exact.success
         # no failing replay builds a trace or an outcome of its own
         assert calls and all(out is exact for _, out in calls)
         assert scan is exact
@@ -747,9 +746,9 @@ class TestIntervalPass:
     def test_misplaced_start_walks_back_to_the_same_answer(
             self, monkeypatch, caplog, factor):
         # a start some record decimals too high replays at once and must
-        # step down, and one too low (here far lower than a cut point's
-        # rounding could put it) must climb and bisect back, with no
-        # step-down, to the smallest record decimal that replays
+        # gallop down, and one too low (here far lower than a cut point's
+        # rounding could put it) must gallop up; either bisects back to the
+        # smallest record decimal that replays
         cfg = study_config(kappa=60.0)
         goal = AttackGoal(horizon=12, target_kind=TargetKind.LS_ONLY)
         exact = synthesize_min_attack(cfg, goal).vector.dp_a
@@ -765,12 +764,15 @@ class TestIntervalPass:
         assert synthesize_min_attack(cfg, goal).vector.dp_a == exact
         line, = [r.getMessage() for r in caplog.records
                  if r.name == "frosim.synth"]
-        certify, walked = map(int, re.search(
-            r"certify replays (\d+), step-down replays (\d+)", line).groups())
+        certify = int(re.search(r"certify replays (\d+);", line).group(1))
         if factor > 1:
-            assert certify == 1 and walked >= 1
+            # two units high: the start and the decimal below it replay,
+            # the gallop's next decimal, two units lower, fails, and the
+            # bisection replays the one between
+            assert certify == 4
         else:
-            assert certify > 1 and walked == 0
+            # about 3e5 units low: 19 gallop replays up and as many bisecting
+            assert 2 < certify <= 40
 
     @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
     def test_the_decimal_below_an_answer_is_a_failed_replay(self, option):
@@ -842,8 +844,8 @@ class TestIntervalPass:
         # rounded-up start cannot beat the best answer so far.  That holds
         # while a start's float error stays below one record unit: the walk
         # from a rounded-up closed-form or interval-pass start never
-        # certifies under the decimal below it, so it steps down at most
-        # once before its failing replay.
+        # certifies under the decimal below it, and it replays a few
+        # decimals around the start at most.
         options = ALL_OPTIONS[option]
         rng = random.Random(5000 + option)
         rounded_up = Context(prec=12, rounding=ROUND_CEILING).plus
@@ -868,21 +870,69 @@ class TestIntervalPass:
                     if x == math.inf:
                         continue
                     start = rounded_up(Decimal(x))
-                    magnitude, walked = frosim.synth._certify(
-                        cfg, goal, direction, start, options, {})
+                    memo = {}
+                    magnitude = frosim.synth._certify(
+                        cfg, goal, direction, start, options, memo)
                     if magnitude is None:
                         continue
-                    assert magnitude >= below(start) and walked <= 2
+                    assert magnitude >= below(start) and len(memo) <= 4
                     certified += 1
         assert certified >= 80
 
+    @pytest.mark.parametrize("factor", [1 + 1e-7, 1 - 1e-7])
+    def test_a_start_far_off_walks_back_in_few_replays(self, monkeypatch,
+                                                       factor):
+        # a start off by 1e-7 of itself, about 1e5 record units, gallops
+        # and bisects back to the unscaled answer, from above as from below;
+        # one decimal per replay would take about 1e5 replays
+        rng = random.Random(3)
+        cases = []
+        for _ in range(8):
+            cfg = random_small_config(rng)
+            for target, sign in itertools.product(
+                    TargetKind, (Sign.POSITIVE, Sign.NEGATIVE)):
+                goal = AttackGoal(
+                    horizon=60, target_kind=target, sign=sign,
+                    specific_relay_id="lA"
+                    if target is TargetKind.SPECIFIC else None)
+                cases.append((cfg, goal, synthesize_min_attack(cfg, goal)))
+        real_start = frosim.synth._smallest_feasible_start
+        real_minima = frosim.synth._closed_form_minima
+        real_replay = frosim.synth.feasibility
+        replays = 0
+
+        def scaled_start(*args):
+            start, peak = real_start(*args)
+            return start * factor, peak
+
+        def scaled_minima(*args):
+            return {d: x * factor for d, x in real_minima(*args).items()}
+
+        def counted(*args):
+            nonlocal replays
+            replays += 1
+            assert replays <= 64, "more than 64 replays in one synthesis"
+            return real_replay(*args)
+
+        monkeypatch.setattr(frosim.synth, "_smallest_feasible_start",
+                            scaled_start)
+        monkeypatch.setattr(frosim.synth, "_closed_form_minima",
+                            scaled_minima)
+        monkeypatch.setattr(frosim.synth, "feasibility", counted)
+        for cfg, goal, exact in cases:
+            replays = 0
+            assert _answer(synthesize_min_attack(cfg, goal)) == _answer(exact)
+        assert sum(exact.success for _, _, exact in cases) >= 30
+
+    @pytest.mark.parametrize("start", ["0.0999999999989", "0.100000000005"])
     @pytest.mark.parametrize("target", [TargetKind.LS_ONLY, TargetKind.ANY])
-    def test_step_down_walks_what_a_bisection_skips_at_a_power_of_ten(
-            self, target):
-        # across 0.1 the bisection's rounded-up midpoint reaches its answer
-        # while record decimals between it and its last failure are untried;
-        # the step-down then walks them, for every goal.  Every magnitude on
-        # the way is in the memo: those from 0.0999999999997 up replay, the
+    def test_bisection_skips_no_decimal_at_a_power_of_ten(self, target,
+                                                          start):
+        # across 0.1 a rounded-up midpoint can reach the answer while record
+        # decimals between it and the last failure are untried; the
+        # bisection then tries the decimal below its answer instead, from a
+        # start below the boundary or above 0.1.  Every magnitude on the
+        # way is in the memo: those from 0.0999999999997 up replay, the
         # others fail.
         cfg = study_config(kappa=60.0)
         goal = AttackGoal(horizon=12, target_kind=target)
@@ -894,9 +944,28 @@ class TestIntervalPass:
         memo = {(float(m), 1.0): success if m >= boundary
                 else frosim.synth._NO_ATTACK for m in decimals}
         found = frosim.synth._certify(
-            cfg, goal, 1, Decimal("0.0999999999989"), SimOptions(), memo)
+            cfg, goal, 1, Decimal(start), SimOptions(), memo)
         assert len(memo) == len(decimals)
-        assert found == (boundary, 0)
+        assert found == boundary
+
+    def test_a_walk_down_ends_at_zero_when_zero_replays(self, monkeypatch):
+        # when every magnitude meets the goal, zero included, the gallop
+        # down stops at zero, which is the answer, after about 40 replays
+        cfg = study_config(kappa=60.0)
+        goal = AttackGoal(horizon=12)
+        success = synthesize_min_attack(cfg, goal)
+        replayed = []
+
+        def always(config, dp_a, *args):
+            replayed.append(dp_a)
+            assert len(replayed) <= 64, "more than 64 replays"
+            return success
+
+        monkeypatch.setattr(frosim.synth, "feasibility", always)
+        found = frosim.synth._certify(cfg, goal, -1, Decimal("0.0335807781047"),
+                                      SimOptions(), {})
+        assert found == 0
+        assert replayed[-1] == 0.0 and math.copysign(1.0, replayed[-1]) == -1.0
 
     def test_one_debug_line_per_answer(self, caplog, monkeypatch):
         cfg = study_config(kappa=60.0)
@@ -915,11 +984,11 @@ class TestIntervalPass:
         assert "peak 1 live pieces" in interval
         # each direction's rounded-up start replays, and the record decimal
         # below it fails; the directions' starts tie, so the negative one
-        # could still step below the positive answer and is certified too
-        assert "certify replays 2, step-down replays 2" in interval
+        # could still walk below the positive answer and is certified too
+        assert "certify replays 4;" in interval
         assert repr(answers[0].vector.dp_a) in interval
         assert "by closed-form starts +1:" in closed
-        assert "certify replays 1, step-down replays 1" in closed
+        assert "certify replays 2;" in closed
         assert "by exhaustive scan at 0.001; scan replays " in scan
         assert repr(answers[2].vector.dp_a) in scan
 
