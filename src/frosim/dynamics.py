@@ -71,7 +71,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import GeneratorRelay, GridConfig, GridParams, LoadRelay
@@ -180,6 +180,12 @@ class StepRecord(NamedTuple):
     dp_sh_cum: float
     dp_tg_cum: float
     events: tuple[RelayEvent, ...]
+
+
+#: A :class:`StepRecord` of a plain tuple in its field order, without the
+#: checks of ``StepRecord._make``, which cost about a third of a record's
+#: construction time in a kept trace.
+_step_record = partial(tuple.__new__, StepRecord)
 
 
 def _build_step_constants(params: GridParams,
@@ -444,7 +450,7 @@ def simulate(
     recorded.  Raises :class:`HorizonTooShort` when the horizon does not
     cover one full ROCOF window.
     """
-    return SimTrace(tuple(map(StepRecord._make,
+    return SimTrace(tuple(map(_step_record,
                               _steps(config, attack, horizon, options))))
 
 

@@ -4,14 +4,17 @@ Each combination instantiates the base grid with its dynamic parameters and
 attacker capability, runs minimal-attack synthesis, and records the outcome.
 Combinations that share (H, R, T) differ only in the capability bound, so
 they run together: their grid is validated once, each combination then
-checking only its capability, and they share one replay memo.  The ``ANY``
-goal's closed-form starts are computed once per (H, R, T), and a magnitude
+checking only its capability, and they share one replay memo.  A magnitude
 is replayed once per (H, R, T) however many bounds reach it; an answer is
-the replay that found it.  The memo is dropped when its group ends.  A
-replay reads no capability, so every record is the one a lone synthesis
-gives.  Runs are reproducible because the
-random mode draws from a seeded generator and records are always ordered by
-combination id regardless of how many workers executed them.
+the replay that found it.  For the ``ANY`` goal the group also shares its
+closed-form starts and, per direction, its certified answer and largest
+failed replay: a bound at or above the answer takes it, and a bound at or
+below the failure is no attack, with no replay.  The memo is dropped when
+its group ends, and a process pool never splits a group.  A replay reads
+no capability, so every record is the one a lone synthesis gives.  Runs are
+reproducible because the random mode draws from a seeded generator and
+records are always ordered by combination id regardless of how many
+workers executed them.
 """
 
 from __future__ import annotations
@@ -254,19 +257,27 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
 
     Combinations run sorted (stably) by (H, R, T), and those of one (H, R, T)
     share one replay memo (see the module docstring), which changes no
-    record.  A process pool takes contiguous slices of that order, so a
-    group's repeats mostly share one worker.  Per-combination failures are
-    folded into the record's status field; the sweep itself never aborts.
-    Results are ordered by combination id no matter how many workers ran
-    them.
+    record.  A process pool takes contiguous slices of that order, cut only
+    between groups, so each group runs in one worker.  Per-combination
+    failures are folded into the record's status field; the sweep itself
+    never aborts.  Results are ordered by combination id no matter how many
+    workers ran them.
     """
     order = sorted(enumerate(generate_combinations(spec)), key=_dynamics)
     if workers <= 1 or len(order) < 2:
         records = _run_chunk((spec, order))
     else:
-        chunk = max(1, len(order) // (workers * 8))
-        tasks = [(spec, order[start:start + chunk])
-                 for start in range(0, len(order), chunk)]
+        # a chunk ends at the first group end past its size, so no group's
+        # memo is built in two workers
+        size = max(1, len(order) // (workers * 8))
+        tasks, chunk = [], []
+        for _, group in itertools.groupby(order, key=_dynamics):
+            chunk.extend(group)
+            if len(chunk) >= size:
+                tasks.append((spec, chunk))
+                chunk = []
+        if chunk:
+            tasks.append((spec, chunk))
         records = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_chunk, tasks):

@@ -36,7 +36,11 @@ magnitude, so no magnitude is replayed twice and the answer is the outcome
 the search already holds.  A replay depends on the config only through its
 dynamics and relays, never on the capability, so a sweep's combinations of
 one (H, R, T) share their replays through :func:`synthesize_min_attack`'s
-private memo argument.  Every replay steps through the one loop of
+private memo argument.  An ``ANY`` goal's feasible set is an up-set in
+magnitude, so for it the memo also keeps, per direction, the largest
+magnitude that failed and the certified answer: a bound at or below the one
+is no attack, and a bound at or above the other takes that answer, with no
+walk and no replay.  Every replay steps through the one loop of
 :mod:`frosim.dynamics`, and the unit response is the replay of a relay-free
 copy of the config.
 """
@@ -59,9 +63,9 @@ from .dynamics import (
     SimOptions,
     DEFAULT_OPTIONS,
     SimTrace,
-    StepRecord,
     _check_horizon,
     _step_constants,
+    _step_record,
     _steps,
 )
 # Unused here, but bench/tracer.py wraps them under these names.
@@ -202,7 +206,7 @@ def feasibility(
         dp_a=dp_a,
         attack_step=goal.attack_step,
         outcome=AttackOutcome(event.relay_id, event.kind, event.step),
-        trace=SimTrace(tuple(map(StepRecord._make, records))),
+        trace=SimTrace(tuple(map(_step_record, records))),
     )
     return FeasibilityOutcome(vector)
 
@@ -476,8 +480,29 @@ def _smallest_feasible_start(
     return first, peak
 
 
-def _certify(config, goal, direction, start: Decimal, options,
-             replays) -> Optional[Decimal]:
+class _Bracket:
+    """What the walks of an ``ANY`` goal have proved in one direction, for
+    every capability bound of configs that share a replay memo.
+
+    The feasible set is an up-set in magnitude (see
+    :func:`_closed_form_minima`), so every magnitude at or below *failed*,
+    the largest that failed a replay, fails, and *answer*, a certified
+    record decimal whose decimal below failed, is the smallest record
+    decimal that replays.  *start* is the direction's rounded-up closed
+    form.  (A plain class: a dataclass would add most of a millisecond to
+    ``import frosim``.)
+    """
+
+    __slots__ = ("start", "failed", "answer")
+
+    def __init__(self, start: Decimal):
+        self.start = start
+        self.failed = Decimal("-Infinity")
+        self.answer: Optional[Decimal] = None
+
+
+def _certify(config, goal, direction, start: Decimal, options, replays,
+             known: Optional[_Bracket] = None) -> Optional[Decimal]:
     """The certified record decimal from *start* along *direction*, ``None``
     when none replays within the capability bound.
 
@@ -489,12 +514,26 @@ def _certify(config, goal, direction, start: Decimal, options,
     replays succeed, to zero at the lowest.  It then bisects between its
     last failure and success, never past the decimal below the success, so
     it ends only when the decimal below its answer is a failed replay.
+
+    With *known*, an ``ANY`` goal's :class:`_Bracket` for *direction*, a
+    bound at or above its answer is answered by it and a bound at or below
+    its largest failure by ``None``, with no replay; only a bound between
+    them walks, and the walk adds its failures and its answer to *known*.
     """
     bound = Decimal(capability_bound(config.capability))
+    if known is not None:
+        if known.answer is not None and bound >= known.answer:
+            return known.answer
+        if bound <= known.failed:
+            return None
 
     def meets(magnitude: Decimal) -> bool:
-        return _replayed(config, direction * float(magnitude), goal, options,
-                         replays).success
+        if _replayed(config, direction * float(magnitude), goal, options,
+                     replays).success:
+            return True
+        if known is not None and magnitude > known.failed:
+            known.failed = magnitude
+        return False
 
     def moved(magnitude: Decimal, units: int) -> Decimal:
         exponent = magnitude.adjusted() - RECORD_DIGITS + 1
@@ -524,6 +563,10 @@ def _certify(config, goal, direction, start: Decimal, options,
             found = magnitude
         else:
             failed = magnitude
+    # the decimal below *found* failed, so a record decimal is every larger
+    # bound's answer; an off-grid bound that replays is no other bound's
+    if known is not None and found == _RECORD.plus(found):
+        known.answer = found
     return found
 
 
@@ -557,10 +600,11 @@ def synthesize_min_attack(
     :func:`_closed_form_minima` for an ``ANY`` goal and of
     :func:`_smallest_feasible_start` for the others, and is certified by one
     walk, :func:`_certify`: a gallop away from the start's verdict, then one
-    bisection.  With nothing feasible in a direction the
-    capability bound itself is replayed, and the answer is no attack only
-    when it fails.  *tolerance* is validated but does not affect the answer;
-    it is the resolution of :func:`exhaustive_min_attack`.
+    bisection.  A direction answers no attack only when a replay at or above
+    the capability bound fails: the bound's own replay, or, for an ``ANY``
+    goal, any failed replay in the memo.  *tolerance* is validated but does
+    not affect the answer; it is the resolution of
+    :func:`exhaustive_min_attack`.
 
     When the goal allows either direction, the starts are certified smallest
     first, and the second only when it could still win: a start's float
@@ -572,23 +616,28 @@ def synthesize_min_attack(
     answer's replay.  *_replays* lets calls share those outcomes: a dict
     passed to calls with the same goal and options whose configs differ
     only in capability (as the combinations of one (H, R, T) in a sweep
-    do).  It then also keeps the ``ANY`` goal's closed-form starts, which
-    read no capability, and each interval pass's start and peak under its
-    direction and bound.  Every answer is the one an unshared call gives.
+    do).  It then also keeps each interval pass's start and peak under its
+    direction and bound, and, for an ``ANY`` goal, one :class:`_Bracket`
+    per direction: the closed-form start, which reads no capability, the
+    largest failed magnitude and the certified answer.  A bound at or above
+    that answer takes it, outcome and all, and a bound at or below that
+    failure is no attack, with no replay.  Every answer is the one an
+    unshared call gives.
     """
     _check_step("tolerance", tolerance)
     replays = {} if _replays is None else _replays
     if goal.target_kind is TargetKind.ANY:
         passes = None
-        starts = replays.get("starts")
-        if starts is None:
-            starts = replays["starts"] = [
-                (_RECORD.plus(Decimal(x)), d)
+        brackets = replays.get("starts")
+        if brackets is None:
+            brackets = replays["starts"] = {
+                d: _Bracket(_RECORD.plus(Decimal(x)))
                 for d, x in _closed_form_minima(config, goal).items()
-            ]
+            }
+        starts = [(known.start, d) for d, known in brackets.items()]
     else:
         bound = capability_bound(config.capability)
-        passes = {}
+        passes, brackets = {}, {}
         for d in goal.directions():
             key = ("interval pass", d, bound)
             if key not in replays:
@@ -597,7 +646,8 @@ def synthesize_min_attack(
             passes[d] = replays[key]
         starts = [(_RECORD.plus(Decimal(start)), d)
                   for d, (start, _) in passes.items()]
-    # each replay run adds one memo entry
+    # each replay run adds one memo entry and nothing else does, so the
+    # difference counts the replays this call ran
     before = len(replays)
     best = None  # (magnitude, -direction): ties go to the positive one
     for start, rank in sorted((m, -d) for m, d in starts):
@@ -605,7 +655,8 @@ def synthesize_min_attack(
         # certified magnitude falls under the decimal below it
         if best is not None and (_below(start), rank) >= best:
             break
-        magnitude = _certify(config, goal, -rank, start, options, replays)
+        magnitude = _certify(config, goal, -rank, start, options, replays,
+                             brackets.get(-rank))
         if magnitude is not None and (best is None or (magnitude, rank) < best):
             best = (magnitude, rank)
     outcome = _NO_ATTACK if best is None else _replayed(

@@ -11,6 +11,7 @@ an output re-records the file with::
 
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _sweep(case: str, tmp: Path) -> dict:
+def _sweep(case: str, tmp: Path, workers: int = 1) -> dict:
     _, goal, seed = case.split("/")
     spec = json.loads((DEMOS / "sweep_spec.json").read_text(encoding="utf-8"))
     spec["goal"] = SWEEP_GOALS[goal]
@@ -44,7 +45,7 @@ def _sweep(case: str, tmp: Path) -> dict:
     spec_path.write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
     out = tmp / "records.csv"
     code = run(["sweep", "--spec", str(spec_path), "--out", str(out),
-                "--workers", "1", "--seed", seed.removeprefix("seed")])
+                "--workers", str(workers), "--seed", seed.removeprefix("seed")])
     return {
         "exit": code,
         "records.csv": _sha256(out.read_bytes()),
@@ -81,6 +82,18 @@ def outputs(case: str, tmp: Path) -> dict:
 def test_outputs_match_recorded_digests(case, tmp_path):
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert outputs(case, tmp_path) == recorded[case]
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_pool_records_match_the_serial_digests(case, tmp_path, monkeypatch):
+    # the .meta.json names the worker count, so only the records compare;
+    # a one-CPU host would refuse --workers 2, which runs a pool anyway
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(2, cpus))
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    got = _sweep(case, tmp_path, workers=2)
+    assert got["exit"] == 0
+    assert got["records.csv"] == recorded[case]["records.csv"]
 
 
 if __name__ == "__main__":

@@ -646,6 +646,140 @@ INTERVAL_CASES = list(itertools.product(
 ))
 
 
+def with_bound(config, bound):
+    """*config* with capability bound *bound* exactly."""
+    return with_capability(config, toi=1.0, ad=1.0, der_total=1.0,
+                           kappa=bound)
+
+
+class TestAnyGroupBracket:
+    """Configs that share a memo share what an ``ANY`` goal's walks proved:
+    its feasible set is an up-set in magnitude, so a failed replay answers
+    every bound at or below it, and a certified answer every bound above."""
+
+    goal = AttackGoal(horizon=12, sign=Sign.EITHER)
+
+    def test_a_bound_at_or_below_a_failure_replays_nothing(self,
+                                                           monkeypatch):
+        cfg = study_config(kappa=60.0)
+        calls = count_replays(monkeypatch)
+        memo = {}
+        # 0.03 lies below the answer, 0.0335807781047
+        assert not synthesize_min_attack(with_bound(cfg, 0.03), self.goal,
+                                         _replays=memo).success
+        assert sorted(x for x, _ in calls) == [-0.03, 0.03]
+        del calls[:]
+        for bound in (0.03, 0.02, 1e-9, 0.0):
+            capped = with_bound(cfg, bound)
+            assert not synthesize_min_attack(capped, self.goal,
+                                             _replays=memo).success
+            assert not calls
+            assert not synthesize_min_attack(capped, self.goal).success
+            del calls[:]
+
+    def test_a_bound_at_or_above_the_answer_takes_its_outcome(self,
+                                                              monkeypatch):
+        cfg = study_config(kappa=60.0)
+        memo = {}
+        first = synthesize_min_attack(cfg, self.goal, _replays=memo)
+        answer = Decimal(repr(first.vector.dp_a))
+        assert answer == Decimal("0.0335807781047")
+        calls = count_replays(monkeypatch)
+        # the float of the answer lies just below it and walks, but its
+        # replay is the answer's; one ulp and a fraction of a record unit
+        # above the answer, and bounds far above, take the answer
+        bounds = (float(answer), math.nextafter(float(answer), 1.0),
+                  float(answer) * (1 + 1e-14), 0.06, 0.36, 5.0)
+        assert [Decimal(bound) >= answer for bound in bounds] == (
+            [False] + [True] * 5)
+        for bound in bounds:
+            capped = with_bound(cfg, bound)
+            assert synthesize_min_attack(capped, self.goal,
+                                         _replays=memo) is first
+            assert not calls
+            assert _answer(synthesize_min_attack(capped, self.goal)) == (
+                _answer(first))
+            del calls[:]
+
+    def test_a_bound_just_below_the_answer_is_its_own_replay(self,
+                                                             monkeypatch):
+        # between the answer and the record decimal below it, an off-grid
+        # bound at or above the kernel's boundary replays; it is then the
+        # answer, by its own replay, as a lone call answers it
+        cfg = study_config(kappa=60.0)
+        memo = {}
+        answer = Decimal(repr(synthesize_min_attack(
+            cfg, self.goal, _replays=memo).vector.dp_a))
+        lower = Context(prec=12).next_minus(answer)
+        calls = count_replays(monkeypatch)
+        for fraction, replays in ((Decimal("0.75"), True),
+                                  (Decimal("0.5"), False)):
+            bound = float(lower + (answer - lower) * fraction)
+            capped = with_bound(cfg, bound)
+            shared = synthesize_min_attack(capped, self.goal, _replays=memo)
+            # the bound is replayed, once per direction at most, and
+            # nothing else is
+            assert calls and {abs(x) for x, _ in calls} == {bound}
+            assert shared.success is replays
+            if replays:
+                assert shared.vector.dp_a == bound
+                assert [o for x, o in calls if o is shared] == [shared]
+            assert _answer(shared) == _answer(
+                synthesize_min_attack(capped, self.goal))
+            del calls[:]
+
+    def test_a_shared_answer_reads_certify_replays_0(self, caplog):
+        cfg = study_config(kappa=60.0)
+        memo = {}
+        caplog.set_level(logging.DEBUG, logger="frosim")
+        # 0.06 lies above the answer, 0.03 below a failed replay, and the
+        # last bound between the answer and the decimal below it replays
+        for bound in (0.36, 0.06, 0.03, 0.033580778104675):
+            synthesize_min_attack(with_bound(cfg, bound), self.goal,
+                                  _replays=memo)
+        counts = [int(re.search(r"certify replays (\d+);", r.getMessage())
+                      .group(1)) for r in caplog.records
+                  if r.name == "frosim.synth"]
+        # both directions certify: each replays its start and the failing
+        # decimal below it; the last bound is replayed in both directions
+        assert counts == [4, 0, 0, 2]
+
+    @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
+    def test_a_shared_memo_answers_as_lone_calls(self, option):
+        # bounds at the answer, at the decimal below it, between the two,
+        # around them and far off, shuffled, one memo per grid and goal
+        options = ALL_OPTIONS[option]
+        rng = random.Random(6000 + option)
+        below = Context(prec=12).next_minus
+        answers = {False: 0, True: 0}
+        for _ in range(30):
+            cfg = random_small_config(rng)
+            goal = AttackGoal(horizon=rng.choice([12, 60, 120]),
+                              sign=rng.choice(list(Sign)),
+                              attack_step=rng.choice([0, 3]))
+            bound = 4 * capability_bound(cfg.capability)
+            full = synthesize_min_attack(with_bound(cfg, bound), goal,
+                                         options=options)
+            bounds = [bound, 0.0, bound * rng.random(), bound * rng.random()]
+            if full.success:
+                a = Decimal(repr(abs(full.vector.dp_a)))
+                bounds += [float(a), float(below(a)),
+                           float((a + below(a)) / 2),
+                           float(below(a) + (a - below(a)) * 7 / 8),
+                           float(a) * (1 - 1e-13), float(a) * (1 + 1e-13),
+                           float(a) * (1 - 1e-9), float(a) * (1 + 1e-9)]
+            rng.shuffle(bounds)
+            memo = {}
+            for b in bounds:
+                capped = with_bound(cfg, b)
+                shared = synthesize_min_attack(capped, goal, options=options,
+                                               _replays=memo)
+                lone = synthesize_min_attack(capped, goal, options=options)
+                assert _answer(shared) == _answer(lone)
+                answers[lone.success] += 1
+        assert min(answers.values()) >= 100
+
+
 class TestIntervalPass:
     @pytest.mark.parametrize("case", range(len(INTERVAL_CASES)))
     def test_exact_against_the_scan(self, case):
