@@ -1,10 +1,11 @@
 """Find the weakest injection that still causes a false relay operation.
 
-Shows the layers of the synthesizer: the exact closed-form answer for the
-"any relay" goal, the exact interval pass for goals that name a relay kind,
-and the replay certificate.  Ends with a grid whose feasible set has a hole,
-shown by replays across the capability range; the interval pass answers it
-exactly, and the exhaustive scan, which assumes nothing, agrees.
+Shows the layers of the synthesizer: one exact pass of the model over
+intervals of the injection magnitude, which answers every goal, from "any
+relay" to one relay kind, and the replay certificate.  Ends with a grid
+whose feasible set has a hole, shown by replays across the capability
+range; the interval pass answers it exactly, and the exhaustive scan, which
+assumes nothing, agrees.
 """
 
 import warnings
@@ -44,15 +45,17 @@ def record_below(dp_a):
 
 
 print("=" * 64)
-print("1. The minimal injection: closed form")
+print("1. The minimal injection: the interval pass")
 print("=" * 64)
 print(f"capability bound: {capability_bound(config.capability):.3f} pu")
-# Any relay counts: the pre-event trace is linear in dp_a, so one relay-free
-# unit response gives the exact minimum.  Its replay certifies the answer,
-# and a replay one record decimal lower must fail.
+# Any relay counts.  Until the first relay event the trace is linear in
+# dp_a, so every relay condition is linear in the magnitude, and one pass of
+# the model over intervals of it finds the exact minimum, as a constraint
+# solver finds one model.  Its replay certifies the answer, and a replay one
+# record decimal lower must fail.
 outcome = synthesize_min_attack(config, goal)
 vec = outcome.vector
-print(f"any relay, closed form: {vec.dp_a!r} pu")
+print(f"any relay, exact: {vec.dp_a!r} pu")
 print(f"first false operation: {vec.outcome.kind.name} on "
       f"{vec.outcome.relay_id} at step {vec.outcome.trip_step}")
 replay = feasibility(config, vec.dp_a, goal)
@@ -74,13 +77,13 @@ def show_replays(grid, goal, samples=36):
 
 print()
 print("=" * 64)
-print("2. A goal that names the relay kind: the interval pass")
+print("2. A goal that names the relay kind: the same pass")
 print("=" * 64)
 # Within 12 steps load is shed only after the ROCOF trips have steepened the
 # fall, which breaks linearity.  With the earlier relay outcomes fixed, every
-# relay condition is linear in the magnitude again, so one pass over
-# intervals of it finds the smallest feasible magnitude, as a constraint
-# solver would.
+# relay condition is linear in the magnitude again, so the same pass cuts
+# its intervals where a condition changes truth and finds the smallest
+# feasible magnitude.
 ls_goal = AttackGoal(horizon=12, target_kind=TargetKind.LS_ONLY)
 exact = synthesize_min_attack(config, ls_goal)
 print(f"load shedding only, exact: {exact.vector.dp_a!r} pu "

@@ -194,12 +194,10 @@ def _build_step_constants(params: GridParams,
     """What :func:`simulate_step` reads of a grid, in the order it unpacks
     them: every per-grid factor of its recursions, computed as it would
     compute them, and each roster as ``(threshold, block, id)`` tuples with
-    the highest load-shedding and the lowest ROCOF threshold.  It has three
-    readers: the kernel, the closed form of
-    :func:`frosim.synth._closed_form_minima` (``f_nominal``, ``M*dt`` and
-    the two extremes) and the interval pass of
-    :func:`frosim.synth._smallest_feasible_start` (the recursions' factors, R,
-    the total generation and both rosters).
+    the highest load-shedding and the lowest ROCOF threshold.  It has two
+    readers: the kernel, which skips a roster with the extremes, and the
+    interval pass of :func:`frosim.synth._smallest_feasible_start` (the
+    recursions' factors, R, the total generation and both rosters).
 
     A NaN threshold satisfies no comparison, so its relay never operates and
     the extremes leave it out.  The extreme of a roster with no other

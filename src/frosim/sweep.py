@@ -4,17 +4,18 @@ Each combination instantiates the base grid with its dynamic parameters and
 attacker capability, runs minimal-attack synthesis, and records the outcome.
 Combinations that share (H, R, T) differ only in the capability bound, so
 they run together: their grid is validated once, each combination then
-checking only its capability, and they share one replay memo.  A magnitude
-is replayed once per (H, R, T) however many bounds reach it; an answer is
-the replay that found it.  For the ``ANY`` goal the group also shares its
-closed-form starts and, per direction, its certified answer and largest
-failed replay: a bound at or above the answer takes it, and a bound at or
-below the failure is no attack, with no replay.  The memo is dropped when
-its group ends, and a process pool never splits a group.  A replay reads
-no capability, so every record is the one a lone synthesis gives.  Runs are
-reproducible because the random mode draws from a seeded generator and
-records are always ordered by combination id regardless of how many
-workers executed them.
+checking only its capability, and they share one replay memo.  A group
+runs its largest bound first, whose interval pass per direction then
+serves every bound of the group.  A magnitude is replayed once per
+(H, R, T) however many bounds reach it; an answer is the replay that found
+it.  For the ``ANY`` goal the group also shares, per direction, its
+certified answer and largest failed replay: a bound at or above the answer
+takes it, and a bound at or below the failure is no attack, with no
+replay.  The memo is dropped when its group ends, and a process pool never
+splits a group.  A replay reads no capability, so every record is the one
+a lone synthesis gives.  Runs are reproducible because the random mode
+draws from a seeded generator and records are always ordered by
+combination id regardless of how many workers executed them.
 """
 
 from __future__ import annotations
@@ -229,8 +230,13 @@ def _dynamics(item: tuple[int, Combo]) -> tuple:
     return h, r, t, type(h).__name__, type(r).__name__, type(t).__name__
 
 
+def _largest_first(item: tuple[int, Combo]) -> tuple:
+    # a group's first interval pass then covers each of its bounds
+    return _dynamics(item), -item[1].toi_pct * item[1].ad_pct
+
+
 def _run_chunk(args) -> list[SweepRecord]:
-    """Records of ``(combo_id, combo)`` items sorted by :func:`_dynamics`.
+    """Records of ``(combo_id, combo)`` items sorted by :func:`_largest_first`.
 
     Each run of one (H, R, T) validates its grid once, each combination
     adding only the capability checks, and shares one replay memo.  An
@@ -255,15 +261,16 @@ def _run_chunk(args) -> list[SweepRecord]:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Synthesize the minimal attack for every combination.
 
-    Combinations run sorted (stably) by (H, R, T), and those of one (H, R, T)
-    share one replay memo (see the module docstring), which changes no
-    record.  A process pool takes contiguous slices of that order, cut only
-    between groups, so each group runs in one worker.  Per-combination
+    Combinations run sorted by (H, R, T) and, within one, by falling ToI x
+    AD, and those of one (H, R, T) share one replay memo (see the module
+    docstring), which changes no record.  A process pool takes contiguous
+    slices of that order, cut only between groups, so each group runs in
+    one worker.  Per-combination
     failures are folded into the record's status field; the sweep itself
     never aborts.  Results are ordered by combination id no matter how many
     workers ran them.
     """
-    order = sorted(enumerate(generate_combinations(spec)), key=_dynamics)
+    order = sorted(enumerate(generate_combinations(spec)), key=_largest_first)
     if workers <= 1 or len(order) < 2:
         records = _run_chunk((spec, order))
     else:

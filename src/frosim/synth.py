@@ -2,23 +2,20 @@
 
 Feasibility of a candidate injection is decided by replaying it through the
 deterministic simulator and checking the event log against the goal.  The
-single free variable is the injection magnitude, and which path finds its
-minimum depends on the goal:
-
-- ``ANY`` (any relay operates) is answered in closed form.  Until the first
-  relay event the deviation trace is linear and odd in ``dp_a``, and under
-  this goal every event counts, so the minimum is the smallest
-  threshold-over-coefficient of one relay-free unit response.
-- ``ROCOF_ONLY``, ``LS_ONLY`` and ``SPECIFIC`` can be met only after earlier
-  non-matching events have broken linearity, and their feasible set need
-  not be an up-set in magnitude.  Once the earlier relay outcomes are fixed,
-  every relay condition is linear in the magnitude, so one pass of the
-  model over intervals of it (:func:`_smallest_feasible_start`) finds the
-  smallest feasible magnitude, as a constraint solver finds one model.
+single free variable is the injection magnitude, and every goal finds its
+minimum the same way, as a constraint solver finds one model.  Once the
+earlier relay outcomes are fixed, every relay condition is linear in the
+magnitude, so one pass of the model over intervals of it
+(:func:`_smallest_feasible_start`) finds the smallest feasible magnitude
+per direction.  ``ROCOF_ONLY``, ``LS_ONLY`` and ``SPECIFIC`` can be met
+only after earlier non-matching events have broken linearity, so their
+feasible set need not be an up-set in magnitude.  Under ``ANY`` every event
+counts, and until the first one the deviation trace is linear and odd in
+``dp_a``, so its feasible set is an up-set.
 
 Every goal's answer is the smallest :data:`RECORD_DIGITS`-significant-digit
 decimal that replays, so it also replays from a written record, and one
-record decimal lower fails in every allowed direction.  Either minimum,
+record decimal lower fails in every allowed direction.  The pass's minimum,
 rounded up to a record decimal, is certified by one walk per direction,
 :func:`_certify`, which gallops away from the start's verdict and bisects
 back over record decimals to a failure just below a success, as a solver's
@@ -36,13 +33,13 @@ magnitude, so no magnitude is replayed twice and the answer is the outcome
 the search already holds.  A replay depends on the config only through its
 dynamics and relays, never on the capability, so a sweep's combinations of
 one (H, R, T) share their replays through :func:`synthesize_min_attack`'s
-private memo argument.  An ``ANY`` goal's feasible set is an up-set in
-magnitude, so for it the memo also keeps, per direction, the largest
-magnitude that failed and the certified answer: a bound at or below the one
-is no attack, and a bound at or above the other takes that answer, with no
-walk and no replay.  Every replay steps through the one loop of
-:mod:`frosim.dynamics`, and the unit response is the replay of a relay-free
-copy of the config.
+private memo argument, and one interval pass per direction serves every
+bound of them.  An ``ANY`` goal's feasible set is an up-set in magnitude,
+so for it the memo also keeps, per direction, the largest magnitude that
+failed and the certified answer: a bound at or below the one is no attack,
+and a bound at or above the other takes that answer, with no walk and no
+replay.  Every replay steps through the one loop of
+:mod:`frosim.dynamics`.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
 from typing import NamedTuple, Optional
 
@@ -75,7 +72,7 @@ from .errors import CapabilityExceeded, InvalidParameter
 log = logging.getLogger(__name__)
 
 #: Significant digits of a recorded injection magnitude (the sweep records
-#: CSV).  Closed-form answers are decimals of this many digits, so the value a
+#: CSV).  Every exact answer is a decimal of this many digits, so the value a
 #: record holds is the value that was certified.
 RECORD_DIGITS = 12
 
@@ -296,49 +293,6 @@ def _check_step(name: str, value: float) -> None:
         raise InvalidParameter(name, "must be finite and > 0", value)
 
 
-def _unit_response(config: GridConfig, goal: AttackGoal) -> list[float]:
-    """Relay-free deviation trace, steps 0..horizon, for ``dp_a = 1`` from
-    the goal's attack step: the replay of *config* with no relays, on a copy
-    of its params, so the step constants kept on them stay the grid's."""
-    relay_free = GridConfig(replace(config.params), (), (), config.capability)
-    attack = AttackSignal(1.0, goal.attack_step)
-    return [record[2] for record in _steps(relay_free, attack, goal.horizon)]
-
-
-def _closed_form_minima(config: GridConfig, goal: AttackGoal) -> dict[int, float]:
-    """Smallest magnitude at which some relay operates, per allowed direction.
-
-    Before the first event the trace at ``dp_a = d*x`` is ``d*x*u`` for the
-    relay-free unit response ``u``.  Load-shedding relay ``i`` operates at
-    step ``n`` once ``x*(-d*u[n]) >= 1 - threshold_i/f0``, which only a
-    falling deviation can meet; ROCOF relay ``j`` once
-    ``x*|u[n] - u[n-M]|*f0/(M*dt) >= threshold_j`` for ``n >= M``.  The
-    minimum is the smallest threshold over coefficient; ``inf`` when no
-    relay can operate within the horizon.  SimOptions act only after a first
-    event, so this holds under every option.
-
-    The thresholds are the extremes of :func:`_step_constants`, which leave
-    out the NaN thresholds of relays that never operate.
-    """
-    u = _unit_response(config, goal)
-    (f_nominal, _, m, m_dt, _, _, _, _, _, _, ls_highest, _, rocof_lowest,
-     *_) = _step_constants(config)
-    ls_margin = 1.0 - ls_highest / f_nominal
-    slope_per_pu = f_nominal / m_dt
-
-    def smallest(threshold: float, coefficients: list[float]) -> float:
-        return min((threshold / c for c in coefficients if c > 0),
-                   default=math.inf)
-
-    rocof_min = smallest(rocof_lowest, [
-        abs(u[n] - u[n - m]) * slope_per_pu for n in range(m, len(u))
-    ])
-    return {
-        d: min(rocof_min, smallest(ls_margin, [-d * x for x in u]))
-        for d in goal.directions()
-    }
-
-
 def _smallest_feasible_start(
     config: GridConfig,
     goal: AttackGoal,
@@ -484,21 +438,32 @@ class _Bracket:
     """What the walks of an ``ANY`` goal have proved in one direction, for
     every capability bound of configs that share a replay memo.
 
-    The feasible set is an up-set in magnitude (see
-    :func:`_closed_form_minima`), so every magnitude at or below *failed*,
-    the largest that failed a replay, fails, and *answer*, a certified
-    record decimal whose decimal below failed, is the smallest record
-    decimal that replays.  *start* is the direction's rounded-up closed
-    form.  (A plain class: a dataclass would add most of a millisecond to
+    Under this goal every relay event counts, and until the first one the
+    deviation is linear and odd in the injection, so the feasible set is an
+    up-set in magnitude: every magnitude at or below *failed*, the largest
+    that failed a replay, fails, and *answer*, a certified record decimal
+    whose decimal below failed, is the smallest record decimal that
+    replays.  (A plain class: a dataclass would add most of a millisecond to
     ``import frosim``.)
     """
 
-    __slots__ = ("start", "failed", "answer")
+    __slots__ = ("failed", "answer")
 
-    def __init__(self, start: Decimal):
-        self.start = start
+    def __init__(self):
         self.failed = Decimal("-Infinity")
         self.answer: Optional[Decimal] = None
+
+
+class _Pass(NamedTuple):
+    """One direction's interval pass, as calls that share a replay memo
+    share it: the smallest feasible start rounded up to a record decimal,
+    the peak live pieces, the capability bound the pass covered, and an
+    ``ANY`` goal's :class:`_Bracket`."""
+
+    start: Decimal
+    peak: int
+    covered: float
+    bracket: Optional[_Bracket]
 
 
 def _certify(config, goal, direction, start: Decimal, options, replays,
@@ -506,14 +471,14 @@ def _certify(config, goal, direction, start: Decimal, options, replays,
     """The certified record decimal from *start* along *direction*, ``None``
     when none replays within the capability bound.
 
-    *start* is a rounded-up minimum, of the closed form or of the interval
-    pass, and its float error can put the boundary a few units of the last
-    digit to either side.  The walk gallops 1, 2, 4, ... units away from the
-    start's verdict: up while replays fail, replaying the capability bound
-    itself once past it; down from the decimal below the start while
-    replays succeed, to zero at the lowest.  It then bisects between its
-    last failure and success, never past the decimal below the success, so
-    it ends only when the decimal below its answer is a failed replay.
+    *start* is the interval pass's rounded-up minimum, and its float error
+    can put the boundary a few units of the last digit to either side.  The
+    walk gallops 1, 2, 4, ... units away from the start's verdict: up while
+    replays fail, replaying the capability bound itself once past it; down
+    from the decimal below the start while replays succeed, to zero at the
+    lowest.  It then bisects between its last failure and success, never
+    past the decimal below the success, so it ends only when the decimal
+    below its answer is a failed replay.
 
     With *known*, an ``ANY`` goal's :class:`_Bracket` for *direction*, a
     bound at or above its answer is answered by it and a bound at or below
@@ -596,15 +561,13 @@ def synthesize_min_attack(
     The answer is the smallest :data:`RECORD_DIGITS`-digit decimal that
     replays, certified by its own :func:`feasibility` replay, and a replay
     one record decimal below it fails in every allowed direction.  Each
-    direction starts from its minimum rounded up to a record decimal, of
-    :func:`_closed_form_minima` for an ``ANY`` goal and of
-    :func:`_smallest_feasible_start` for the others, and is certified by one
-    walk, :func:`_certify`: a gallop away from the start's verdict, then one
-    bisection.  A direction answers no attack only when a replay at or above
-    the capability bound fails: the bound's own replay, or, for an ``ANY``
-    goal, any failed replay in the memo.  *tolerance* is validated but does
-    not affect the answer; it is the resolution of
-    :func:`exhaustive_min_attack`.
+    direction starts from its :func:`_smallest_feasible_start` rounded up to
+    a record decimal and is certified by one walk, :func:`_certify`: a
+    gallop away from the start's verdict, then one bisection.  A direction
+    answers no attack only when a replay at or above the capability bound
+    fails: the bound's own replay, or, for an ``ANY`` goal, any failed
+    replay in the memo.  *tolerance* is validated but does not affect the
+    answer; it is the resolution of :func:`exhaustive_min_attack`.
 
     When the goal allows either direction, the starts are certified smallest
     first, and the second only when it could still win: a start's float
@@ -616,61 +579,51 @@ def synthesize_min_attack(
     answer's replay.  *_replays* lets calls share those outcomes: a dict
     passed to calls with the same goal and options whose configs differ
     only in capability (as the combinations of one (H, R, T) in a sweep
-    do).  It then also keeps each interval pass's start and peak under its
-    direction and bound, and, for an ``ANY`` goal, one :class:`_Bracket`
-    per direction: the closed-form start, which reads no capability, the
-    largest failed magnitude and the certified answer.  A bound at or above
-    that answer takes it, outcome and all, and a bound at or below that
-    failure is no attack, with no replay.  Every answer is the one an
-    unshared call gives.
+    do).  It then also keeps one :class:`_Pass` per direction, which every
+    bound takes: a start found at or below the bound a pass covered is the
+    smallest start under every larger bound, and a bound below the start
+    walks from itself, as a lone call that finds no start does.  Only a
+    pass that found no start runs again, over a larger bound.  For an
+    ``ANY`` goal the pass also keeps the direction's :class:`_Bracket`: a
+    bound at or above its answer takes it, outcome and all, and a bound at
+    or below its largest failure is no attack, with no replay.  Every answer
+    is the one an unshared call gives.
     """
     _check_step("tolerance", tolerance)
     replays = {} if _replays is None else _replays
-    if goal.target_kind is TargetKind.ANY:
-        passes = None
-        brackets = replays.get("starts")
-        if brackets is None:
-            brackets = replays["starts"] = {
-                d: _Bracket(_RECORD.plus(Decimal(x)))
-                for d, x in _closed_form_minima(config, goal).items()
-            }
-        starts = [(known.start, d) for d, known in brackets.items()]
-    else:
-        bound = capability_bound(config.capability)
-        passes, brackets = {}, {}
-        for d in goal.directions():
-            key = ("interval pass", d, bound)
-            if key not in replays:
-                replays[key] = _smallest_feasible_start(config, goal, d,
-                                                        options)
-            passes[d] = replays[key]
-        starts = [(_RECORD.plus(Decimal(start)), d)
-                  for d, (start, _) in passes.items()]
+    bound = capability_bound(config.capability)
+    passes = {}
+    for d in goal.directions():
+        key = ("interval pass", d)
+        # a new entry has found no start under any bound, so its pass runs
+        entry = replays.get(key) or _Pass(
+            Decimal("Infinity"), 0, -math.inf,
+            _Bracket() if goal.target_kind is TargetKind.ANY else None)
+        if entry.start.is_infinite() and bound > entry.covered:
+            start, peak = _smallest_feasible_start(config, goal, d, options)
+            entry = replays[key] = entry._replace(
+                start=_RECORD.plus(Decimal(start)), peak=peak, covered=bound)
+        passes[d] = entry
     # each replay run adds one memo entry and nothing else does, so the
     # difference counts the replays this call ran
     before = len(replays)
     best = None  # (magnitude, -direction): ties go to the positive one
-    for start, rank in sorted((m, -d) for m, d in starts):
+    for start, rank in sorted((p.start, -d) for d, p in passes.items()):
         # a start's float error is far below one record unit, so no
         # certified magnitude falls under the decimal below it
         if best is not None and (_below(start), rank) >= best:
             break
         magnitude = _certify(config, goal, -rank, start, options, replays,
-                             brackets.get(-rank))
+                             passes[-rank].bracket)
         if magnitude is not None and (best is None or (magnitude, rank) < best):
             best = (magnitude, rank)
     outcome = _NO_ATTACK if best is None else _replayed(
         config, -best[1] * float(best[0]), goal, options, replays)
     if log.isEnabledFor(logging.DEBUG):
-        if passes is None:
-            found = "closed-form starts " + ", ".join(
-                f"{d:+d}: {m}" for m, d in starts)
-        else:
-            found = "interval pass, " + "; ".join(
-                f"{d:+d}: smallest feasible start {start!r}, peak {peak} "
-                "live pieces" for d, (start, peak) in passes.items())
-        log.debug("synthesis %s/%s by %s; certify replays %d; %s",
-                  goal.target_kind.value, goal.sign.value, found,
+        log.debug("synthesis %s/%s by interval pass, %s; certify replays %d; "
+                  "%s", goal.target_kind.value, goal.sign.value, "; ".join(
+                      f"{d:+d}: smallest feasible start {p.start}, peak "
+                      f"{p.peak} live pieces" for d, p in passes.items()),
                   len(replays) - before, _describe(outcome))
     return outcome
 

@@ -25,6 +25,7 @@ DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
 SWEEP_GOALS = {
     "any-positive-12": {"horizon": 12, "target": "any", "sign": "positive"},
     "rocof-either-60": {"horizon": 60, "target": "rocof", "sign": "either"},
+    "ls-negative-60": {"horizon": 60, "target": "ls", "sign": "negative"},
 }
 SWEEP_CASES = [f"sweep/{goal}/seed{seed}"
                for goal in SWEEP_GOALS for seed in (1, 2)]

@@ -247,10 +247,8 @@ class TestDynamicsMemo:
         AttackGoal(horizon=12),
         AttackGoal(horizon=60, target_kind=TargetKind.ROCOF_ONLY,
                    sign=Sign.EITHER)], ids=["any", "rocof"])
-    def test_step_constants_built_at_most_twice_per_group(self, monkeypatch,
-                                                          goal):
-        # once for the unit response's relay-free copy and once for the
-        # grid, whose configs differ only in capability
+    def test_step_constants_built_once_per_group(self, monkeypatch, goal):
+        # the group's configs differ only in capability
         spec, _ = _spec_from_file(DEMO_SPEC, 1)
         spec = dataclasses.replace(spec, goal=goal)
         builds = Counter()
@@ -264,7 +262,7 @@ class TestDynamicsMemo:
         records = run_sweep(spec, workers=1)
         assert set(builds) == {(r.h, r.r, r.t) for r in records}
         assert len(records) > 10 * len(builds)
-        assert max(builds.values()) <= 2
+        assert set(builds.values()) == {1}
 
     @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.ROCOF_ONLY])
     def test_serial_sweep_replays_each_dynamics_and_magnitude_once(
@@ -297,6 +295,33 @@ class TestDynamicsMemo:
                    for r in records if r.success}
         assert answers <= set(replays)
         assert len(answers) < sum(r.success for r in records)
+
+    @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.ROCOF_ONLY])
+    def test_one_interval_pass_per_group_and_direction(self, monkeypatch,
+                                                       target):
+        # every ToI x AD product is distinct, so a group's largest bound
+        # runs first, and its pass covers every bound of the group
+        spec = memo_spec(target, Sign.EITHER, toi_pct_values=(2.0, 5.0, 9.0),
+                         ad_pct_values=(20.0, 60.0, 100.0))
+        products = [t * a for t in spec.toi_pct_values
+                    for a in spec.ad_pct_values]
+        assert len(set(products)) == len(products)
+        passes = Counter()
+        real = frosim.synth._smallest_feasible_start
+
+        def counted(config, goal, direction, options):
+            p = config.params
+            passes[p.h_inertia, p.droop_r, p.governor_t, direction] += 1
+            return real(config, goal, direction, options)
+
+        monkeypatch.setattr(frosim.synth, "_smallest_feasible_start", counted)
+        records = run_sweep(spec, workers=1)
+        groups = {(r.h, r.r, r.t) for r in records}
+        assert set(passes) == {(*g, d) for g in groups for d in (1, -1)}
+        assert set(passes.values()) == {1}
+        assert 0 < sum(r.success for r in records) < len(records)
+        assert [(tuple(r), repr(r.min_dp_a)) for r in records] == (
+            lone_records(spec))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_group_validation_equals_validating_each_combination(

@@ -1,5 +1,5 @@
-"""Attack synthesis: feasibility oracle, probing, closed form, interval
-pass, exhaustive scan."""
+"""Attack synthesis: feasibility oracle, probing, the interval pass for
+every goal, certify walks, exhaustive scan."""
 
 import dataclasses
 import itertools
@@ -16,6 +16,7 @@ import frosim.synth
 from frosim import (
     AttackerCapability,
     AttackGoal,
+    AttackSignal,
     CapabilityExceeded,
     EventKind,
     GeneratorRelay,
@@ -67,8 +68,8 @@ def nonmonotone_config():
 
 def reference_unit_response(config, goal):
     """The relay-free response to ``dp_a = 1`` stepped by the reference
-    recursions, steps 0..horizon; ``synth._unit_response`` must equal it
-    bit for bit."""
+    recursions, steps 0..horizon; the ``delta_f`` of a relay-free
+    :func:`frosim.dynamics.simulate` must equal it bit for bit."""
     params = config.params
     # the update equations read only delta_f and dp_gov
     state = SystemState(0, 0.0, 0.0, 0.0, 0.0, (), (), ())
@@ -325,17 +326,20 @@ class TestSynthesizeMinAttack:
                 tolerance=tolerance)
 
 
-CLOSED_FORM_CASES = list(itertools.product(
+ANY_CASES = list(itertools.product(
     Sign, (0, 5),
     (SimOptions(), SimOptions(literal_accumulation=True),
      SimOptions(literal_signs=True), SimOptions(rescale_inertia=True)),
 ))
 
 
-class TestClosedFormAny:
-    @pytest.mark.parametrize("case", range(len(CLOSED_FORM_CASES)))
+class TestAnyGoal:
+    """The ``ANY`` goal, whose start comes from the interval pass as every
+    other goal's does."""
+
+    @pytest.mark.parametrize("case", range(len(ANY_CASES)))
     def test_exact_and_within_one_scan_step(self, case):
-        sign, attack_step, options = CLOSED_FORM_CASES[case]
+        sign, attack_step, options = ANY_CASES[case]
         goal = AttackGoal(horizon=60, sign=sign, attack_step=attack_step)
         rng = random.Random(1000 + case)
         # draw until a grid admits an attack; every refusal on the way must
@@ -361,7 +365,7 @@ class TestClosedFormAny:
         assert abs(dp_a) <= abs(scan.vector.dp_a) < abs(dp_a) + 1e-4
         assert float(format(dp_a, ".12g")) == dp_a
 
-    def test_unit_response_matches_the_reference_recursion(self):
+    def test_relay_free_response_matches_the_reference_recursion(self):
         rng = random.Random(808)
         for _ in range(150):
             base = random_small_config(rng)
@@ -371,12 +375,13 @@ class TestClosedFormAny:
                 governor_t=rng.uniform(0.2, 1.0),
                 dt=rng.choice((1.0 / 60.0, 0.02, 0.01)),
                 rocof_window_m=rng.randint(1, 12))
-            cfg = GridConfig(params, base.generators, base.loads,
-                             base.capability)
+            cfg = GridConfig(params, (), (), base.capability)
             m = params.rocof_window_m
             goal = AttackGoal(horizon=rng.randint(m, 200),
                               attack_step=rng.randint(0, 30))
-            got = frosim.synth._unit_response(cfg, goal)
+            trace = frosim.dynamics.simulate(
+                cfg, AttackSignal(1.0, goal.attack_step), goal.horizon)
+            got = [record.delta_f for record in trace.records]
             # repr tells -0.0 from 0.0, which == does not
             assert repr(got) == repr(reference_unit_response(cfg, goal))
 
@@ -401,8 +406,8 @@ class TestClosedFormAny:
             assert not feasibility(capped, direction * bound, goal).success
 
     def test_one_replay_on_success(self, monkeypatch):
-        # the rounded-up closed form replays at once, and the record decimal
-        # below it fails
+        # the rounded-up start replays at once, and the record decimal below
+        # it fails
         replays = count_replays(monkeypatch)
         cfg, goal, dp_a = self._answer(Sign.POSITIVE)
         lower = float(Context(prec=12).next_minus(Decimal(repr(dp_a))))
@@ -414,16 +419,19 @@ class TestClosedFormAny:
         # rounding could put it) must climb and bisect back to the smallest
         # record decimal that replays
         cfg, goal, dp_a = self._answer(Sign.POSITIVE)
-        real = frosim.synth._closed_form_minima
-        monkeypatch.setattr(
-            frosim.synth, "_closed_form_minima",
-            lambda *a: {d: x * (1 - 1e-6) for d, x in real(*a).items()})
+        real = frosim.synth._smallest_feasible_start
+
+        def low(*args):
+            start, peak = real(*args)
+            return start * (1 - 1e-6), peak
+
+        monkeypatch.setattr(frosim.synth, "_smallest_feasible_start", low)
         out = synthesize_min_attack(cfg, goal)
         assert out.success and out.vector.dp_a == dp_a
 
     def test_a_replay_one_record_decimal_below_fails(self):
-        # the kernel's own boundary lies a few ulps below the closed form
-        # here, so the rounded-up closed form is one decimal too high
+        # the kernel's own boundary lies a few ulps below the pass's start
+        # here, so the rounded-up start is one decimal too high
         cfg = validate_config(GridConfig(
             GridParams(3.491897525014603, 0.2948836201927981,
                        0.9674008806010068),
@@ -780,6 +788,142 @@ class TestAnyGroupBracket:
         assert min(answers.values()) >= 100
 
 
+def count_passes(monkeypatch):
+    """Every interval pass synthesis runs from now on, in order, as
+    ``(direction, capability bound, start)``."""
+    passes = []
+    real = frosim.synth._smallest_feasible_start
+
+    def counted(config, goal, direction, options):
+        start, peak = real(config, goal, direction, options)
+        passes.append((direction, capability_bound(config.capability), start))
+        return start, peak
+
+    monkeypatch.setattr(frosim.synth, "_smallest_feasible_start", counted)
+    return passes
+
+
+class TestOnePassPerDirection:
+    """Configs that share a memo share each direction's interval pass: a
+    start found at or below the bound a pass covered is the smallest start
+    under every larger bound, and a bound below it walks from itself, as a
+    lone call that finds no start does.  Only a pass that found no start
+    runs again, over a larger bound."""
+
+    @pytest.mark.parametrize("goal", GOALS_PER_TARGET,
+                             ids=[t.value for t in TargetKind])
+    def test_descending_bounds_run_one_pass_per_direction(self, monkeypatch,
+                                                          goal):
+        cfg = study_config(kappa=60.0)
+        memo = {}
+        passes = count_passes(monkeypatch)
+        bounds = (0.36, 0.2, 0.06, 0.04, 0.03, 0.018, 0.0)
+        shared = [synthesize_min_attack(with_bound(cfg, b), goal,
+                                        _replays=memo) for b in bounds]
+        assert sorted(d for d, _, _ in passes) == [-1, 1]
+        assert {b for _, b, _ in passes} == {0.36}
+        assert any(out.success for out in shared)
+        assert not shared[-1].success
+        for bound, out in zip(bounds, shared):
+            assert _answer(out) == _answer(
+                synthesize_min_attack(with_bound(cfg, bound), goal))
+
+    @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.LS_ONLY])
+    def test_a_pass_that_found_no_start_runs_again_over_a_larger_bound(
+            self, monkeypatch, target):
+        # 0.03 lies below both goals' starts; the equal bound takes the
+        # first pass, a larger one runs its own, which found a start, and
+        # the bounds after it, smaller or larger, take that
+        cfg = study_config(kappa=60.0)
+        goal = AttackGoal(horizon=60, target_kind=target)
+        memo = {}
+        passes = count_passes(monkeypatch)
+        bounds = (0.03, 0.03, 0.36, 0.03, 0.06, 0.5)
+        shared = [synthesize_min_attack(with_bound(cfg, b), goal,
+                                        _replays=memo) for b in bounds]
+        assert [(d, b) for d, b, _ in passes] == [(1, 0.03), (1, 0.36)]
+        assert passes[0][2] == math.inf and passes[1][2] < 0.06
+        assert [out.success for out in shared] == [False] * 2 + [True] + [
+            False, True, True]
+        for bound, out in zip(bounds, shared):
+            assert _answer(out) == _answer(
+                synthesize_min_attack(with_bound(cfg, bound), goal))
+
+    @pytest.mark.parametrize("goal", GOALS_PER_TARGET,
+                             ids=[t.value for t in TargetKind])
+    def test_bounds_at_the_start_one_ulp_above_it_and_zero(self, monkeypatch,
+                                                           goal):
+        # a bound at the start or one ulp above it may find no start of its
+        # own, whose rounded-up start lies at or above the bound; shared or
+        # lone, the walk then starts from the bound
+        cfg = study_config(kappa=60.0)
+        starts = [frosim.synth._smallest_feasible_start(
+            cfg, goal, d, SimOptions())[0] for d in (1, -1)]
+        assert all(0 < x < 0.36 for x in starts)
+        # a pass to the start itself finds none: the start is its top
+        assert frosim.synth._smallest_feasible_start(
+            with_bound(cfg, starts[0]), goal, 1, SimOptions())[0] == math.inf
+        bounds = [0.0]
+        for x in starts:
+            bounds += [x, math.nextafter(x, math.inf),
+                       math.nextafter(x, 0.0)]
+        memo = {}
+        synthesize_min_attack(cfg, goal, _replays=memo)
+        passes = count_passes(monkeypatch)
+        for bound in sorted(bounds, reverse=True):
+            capped = with_bound(cfg, bound)
+            shared = synthesize_min_attack(capped, goal, _replays=memo)
+            assert not passes
+            assert _answer(shared) == _answer(
+                synthesize_min_attack(capped, goal))
+            del passes[:]  # the lone call's
+
+    @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
+    def test_shuffled_bounds_on_one_memo_answer_as_lone_calls(self, option):
+        # per grid and goal, bounds at each direction's start, one ulp above
+        # and below it, at the answer and the decimal below it, and far
+        # off, shuffled; every target and sign
+        options = ALL_OPTIONS[option]
+        rng = random.Random(7000 + option)
+        below = Context(prec=12).next_minus
+        answers = {False: 0, True: 0}
+        for _ in range(3):
+            cfg = random_small_config(rng)
+            horizon = rng.choice([12, 60, 120])
+            attack_step = rng.choice([0, 3])
+            for target, sign in itertools.product(TargetKind, Sign):
+                goal = AttackGoal(
+                    horizon=horizon, target_kind=target, sign=sign,
+                    attack_step=attack_step,
+                    specific_relay_id=rng.choice(["gA", "gB", "lA"])
+                    if target is TargetKind.SPECIFIC else None)
+                bound = 4 * capability_bound(cfg.capability)
+                wide = with_bound(cfg, bound)
+                bounds = [bound, 0.0, bound * rng.random()]
+                for d in goal.directions():
+                    x = frosim.synth._smallest_feasible_start(
+                        wide, goal, d, options)[0]
+                    if x < math.inf:
+                        bounds += [x, math.nextafter(x, math.inf),
+                                   math.nextafter(x, 0.0)]
+                full = synthesize_min_attack(wide, goal, options=options)
+                if full.success:
+                    a = Decimal(repr(abs(full.vector.dp_a)))
+                    bounds += [float(a), float(below(a)),
+                               float((a + below(a)) / 2)]
+                rng.shuffle(bounds)
+                memo = {}
+                for b in bounds:
+                    capped = with_bound(cfg, b)
+                    shared = synthesize_min_attack(
+                        capped, goal, options=options, _replays=memo)
+                    lone = synthesize_min_attack(capped, goal,
+                                                 options=options)
+                    assert _answer(shared) == _answer(lone)
+                    answers[lone.success] += 1
+        assert min(answers.values()) >= 60
+
+
 class TestIntervalPass:
     @pytest.mark.parametrize("case", range(len(INTERVAL_CASES)))
     def test_exact_against_the_scan(self, case):
@@ -977,7 +1121,7 @@ class TestIntervalPass:
         # synthesize_min_attack skips a direction once the decimal below its
         # rounded-up start cannot beat the best answer so far.  That holds
         # while a start's float error stays below one record unit: the walk
-        # from a rounded-up closed-form or interval-pass start never
+        # from a rounded-up interval-pass start never
         # certifies under the decimal below it, and it replays a few
         # decimals around the start at most.
         options = ALL_OPTIONS[option]
@@ -995,11 +1139,8 @@ class TestIntervalPass:
                     attack_step=attack_step,
                     specific_relay_id=rng.choice(["gA", "gB", "lA"])
                     if target is TargetKind.SPECIFIC else None)
-                if target is TargetKind.ANY:
-                    minima = frosim.synth._closed_form_minima(cfg, goal)
-                else:
-                    minima = {d: frosim.synth._smallest_feasible_start(
-                        cfg, goal, d, options)[0] for d in (1, -1)}
+                minima = {d: frosim.synth._smallest_feasible_start(
+                    cfg, goal, d, options)[0] for d in (1, -1)}
                 for direction, x in minima.items():
                     if x == math.inf:
                         continue
@@ -1031,16 +1172,12 @@ class TestIntervalPass:
                     if target is TargetKind.SPECIFIC else None)
                 cases.append((cfg, goal, synthesize_min_attack(cfg, goal)))
         real_start = frosim.synth._smallest_feasible_start
-        real_minima = frosim.synth._closed_form_minima
         real_replay = frosim.synth.feasibility
         replays = 0
 
         def scaled_start(*args):
             start, peak = real_start(*args)
             return start * factor, peak
-
-        def scaled_minima(*args):
-            return {d: x * factor for d, x in real_minima(*args).items()}
 
         def counted(*args):
             nonlocal replays
@@ -1050,8 +1187,6 @@ class TestIntervalPass:
 
         monkeypatch.setattr(frosim.synth, "_smallest_feasible_start",
                             scaled_start)
-        monkeypatch.setattr(frosim.synth, "_closed_form_minima",
-                            scaled_minima)
         monkeypatch.setattr(frosim.synth, "feasibility", counted)
         for cfg, goal, exact in cases:
             replays = 0
@@ -1112,7 +1247,7 @@ class TestIntervalPass:
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "frosim.synth"]
         assert len(lines) == 3
-        interval, closed, scan = lines
+        interval, any_line, scan = lines
         assert "by interval pass, +1: smallest feasible start 0." in interval
         assert "-1: smallest feasible start 0." in interval
         assert "peak 1 live pieces" in interval
@@ -1121,8 +1256,9 @@ class TestIntervalPass:
         # could still walk below the positive answer and is certified too
         assert "certify replays 4;" in interval
         assert repr(answers[0].vector.dp_a) in interval
-        assert "by closed-form starts +1:" in closed
-        assert "certify replays 2;" in closed
+        assert "by interval pass, +1: smallest feasible start 0." in any_line
+        assert "certify replays 2;" in any_line
+        assert repr(answers[1].vector.dp_a) in any_line
         assert "by exhaustive scan at 0.001; scan replays " in scan
         assert repr(answers[2].vector.dp_a) in scan
 
