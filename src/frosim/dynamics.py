@@ -38,10 +38,10 @@ with their highest load-shedding and lowest ROCOF threshold, is built once
 per (params, rosters) by :func:`_step_constants` and kept on the config and
 its params, so the configs of a sweep group, which share both, share one
 build.  These step constants are the one place a grid's derived quantities
-are computed: the kernel, the closed form of :mod:`frosim.synth` and its
-interval pass all read them.  A roster whose extreme threshold the step's
-frequency or slope does not reach is skipped: no relay in it could operate,
-so the skip is exact.
+are computed: the kernel and the interval pass of :mod:`frosim.synth` both
+read them.  A roster whose extreme threshold the step's frequency or slope
+does not reach is skipped: no relay in it could operate, so the skip is
+exact.
 
 Every replay steps the kernel through one loop, :func:`_steps`, which
 yields the step records from :func:`initial_state` for as long as its

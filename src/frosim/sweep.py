@@ -3,17 +3,13 @@
 Each combination instantiates the base grid with its dynamic parameters and
 attacker capability, runs minimal-attack synthesis, and records the outcome.
 Combinations that share (H, R, T) differ only in the capability bound, so
-they run together: their grid is validated once, each combination then
-checking only its capability, and they share one replay memo.  A group
-runs its largest bound first, whose interval pass per direction then
-serves every bound of the group.  A magnitude is replayed once per
-(H, R, T) however many bounds reach it; an answer is the replay that found
-it.  For the ``ANY`` goal the group also shares, per direction, its
-certified answer and largest failed replay: a bound at or above the answer
-takes it, and a bound at or below the failure is no attack, with no
-replay.  The memo is dropped when its group ends, and a process pool never
-splits a group.  A replay reads no capability, so every record is the one
-a lone synthesis gives.  Runs are reproducible because the random mode
+they run together as one group and one task of a process pool: their grid
+is validated once, each combination then checking only its capability, and
+they share one memo of :func:`~frosim.synth.synthesize_min_attack`, which
+states what it keeps.  A group runs its largest bound first, whose interval
+pass then serves every bound of the group.  The memo is dropped when its
+group ends.  A replay reads no capability, so every record is the one a
+lone synthesis gives.  Runs are reproducible because the random mode
 draws from a seeded generator and records are always ordered by
 combination id regardless of how many workers executed them.
 """
@@ -235,62 +231,47 @@ def _largest_first(item: tuple[int, Combo]) -> tuple:
     return _dynamics(item), -item[1].toi_pct * item[1].ad_pct
 
 
-def _run_chunk(args) -> list[SweepRecord]:
-    """Records of ``(combo_id, combo)`` items sorted by :func:`_largest_first`.
+def _run_group(args) -> list[SweepRecord]:
+    """Records of one (H, R, T) group's ``(combo_id, combo)`` items, sorted
+    by :func:`_largest_first`.
 
-    Each run of one (H, R, T) validates its grid once, each combination
-    adding only the capability checks, and shares one replay memo.  An
-    invalid grid fails every record of its run, as validating each
-    combination's config would.
+    The group validates its grid once, each combination adding only the
+    capability checks, and shares one memo through
+    :func:`synthesize_min_attack`.  An invalid grid fails every record of
+    the group, as validating each combination's config would.
     """
-    spec, items = args
-    records = []
-    for key, group in itertools.groupby(items, key=_dynamics):
-        h, r, t = key[:3]
-        try:
-            grid = validate_grid(with_dynamics(
-                spec.base, h_inertia=h, droop_r=r, governor_t=t))
-        except FrosimError as exc:
-            records.extend(_failed(i, c, exc) for i, c in group)
-            continue
-        replays: dict = {}
-        records.extend(_run_combo(spec, grid, i, c, replays) for i, c in group)
-    return records
+    spec, group = args
+    h, r, t = group[0][1][:3]
+    try:
+        grid = validate_grid(with_dynamics(
+            spec.base, h_inertia=h, droop_r=r, governor_t=t))
+    except FrosimError as exc:
+        return [_failed(i, c, exc) for i, c in group]
+    replays: dict = {}
+    return [_run_combo(spec, grid, i, c, replays) for i, c in group]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Synthesize the minimal attack for every combination.
 
-    Combinations run sorted by (H, R, T) and, within one, by falling ToI x
-    AD, and those of one (H, R, T) share one replay memo (see the module
-    docstring), which changes no record.  A process pool takes contiguous
-    slices of that order, cut only between groups, so each group runs in
-    one worker.  Per-combination
+    Combinations run in (H, R, T) groups, each by falling ToI x AD and
+    sharing one memo of :func:`synthesize_min_attack`, which changes no
+    record.  A process pool takes each group as one task.  Per-combination
     failures are folded into the record's status field; the sweep itself
     never aborts.  Results are ordered by combination id no matter how many
     workers ran them.
     """
     order = sorted(enumerate(generate_combinations(spec)), key=_largest_first)
-    if workers <= 1 or len(order) < 2:
-        records = _run_chunk((spec, order))
+    tasks = [(spec, list(group))
+             for _, group in itertools.groupby(order, key=_dynamics)]
+    if workers <= 1 or len(tasks) < 2:
+        parts = list(map(_run_group, tasks))
     else:
-        # a chunk ends at the first group end past its size, so no group's
-        # memo is built in two workers
-        size = max(1, len(order) // (workers * 8))
-        tasks, chunk = [], []
-        for _, group in itertools.groupby(order, key=_dynamics):
-            chunk.extend(group)
-            if len(chunk) >= size:
-                tasks.append((spec, chunk))
-                chunk = []
-        if chunk:
-            tasks.append((spec, chunk))
-        records = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, tasks):
-                records.extend(part)
-    records.sort(key=lambda r: r.combo_id)
-    return records
+            parts = list(pool.map(_run_group, tasks, chunksize=max(
+                1, len(tasks) // (workers * 8))))
+    return sorted(itertools.chain.from_iterable(parts),
+                  key=lambda r: r.combo_id)
 
 
 # ---------------------------------------------------------------------------
@@ -454,26 +435,33 @@ def _fmt(x: float) -> str:
 
 _FLOAT = f"%.{RECORD_DIGITS}g"  # the text of _fmt, as a %-format
 _PARAMS = ",".join([_FLOAT] * 5)  # h_s, r_pu, t_s, toi_pct, ad_pct
-_RECORD_ROW = f"%s,{_PARAMS},%s,%s,{_FLOAT},%s,%s\n"
-_RECORD_ROW_NO_DP_A = f"%s,{_PARAMS},%s,%s,,%s,%s\n"
+_RECORD_ROW = f"%s,{_PARAMS},%s,%s,%s,%s,%s\n"
+
+
+def _dp_a_text(x: Optional[float]) -> str:
+    if x is None:
+        return ""
+    # an answer capped by an off-grid bound is the bound itself, which 12
+    # digits can round above the bound or below the boundary
+    text = _FLOAT % x
+    return text if float(text) == x else repr(x)
 
 
 def write_records_csv(records: Sequence[SweepRecord], path) -> None:
-    """Write the records in the stable CSV layout, one ``%``-format a row."""
+    """Write the records in the stable CSV layout, one ``%``-format a row.
+
+    ``min_dp_a`` is written to :data:`~frosim.synth.RECORD_DIGITS`
+    significant digits, or in full when those digits do not give back the
+    answer, so every written answer replays within its own bound.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
         for r in records:
-            success = "true" if r.success else "false"
-            trip_step = "" if r.trip_step is None else r.trip_step
-            if r.min_dp_a is None:
-                row = _RECORD_ROW_NO_DP_A % (
-                    r.combo_id, r.h, r.r, r.t, r.toi_pct, r.ad_pct, success,
-                    r.attack_type.value, trip_step, r.status)
-            else:
-                row = _RECORD_ROW % (
-                    r.combo_id, r.h, r.r, r.t, r.toi_pct, r.ad_pct, success,
-                    r.attack_type.value, r.min_dp_a, trip_step, r.status)
-            fh.write(row)
+            fh.write(_RECORD_ROW % (
+                r.combo_id, r.h, r.r, r.t, r.toi_pct, r.ad_pct,
+                "true" if r.success else "false", r.attack_type.value,
+                _dp_a_text(r.min_dp_a),
+                "" if r.trip_step is None else r.trip_step, r.status))
 
 
 def _finite(text: str) -> float:

@@ -15,11 +15,13 @@ counts, and until the first one the deviation trace is linear and odd in
 
 Every goal's answer is the smallest :data:`RECORD_DIGITS`-significant-digit
 decimal that replays, so it also replays from a written record, and one
-record decimal lower fails in every allowed direction.  The pass's minimum,
-rounded up to a record decimal, is certified by one walk per direction,
-:func:`_certify`, which gallops away from the start's verdict and bisects
-back over record decimals to a failure just below a success, as a solver's
-proof that nothing smaller exists.
+record decimal lower fails in every allowed direction.  The one exception
+is a capability bound between the boundary and the next record decimal:
+the bound itself replays and is the answer, and a record writes it in
+full.  The pass's minimum, rounded up to a record decimal, is certified by
+one walk per direction, :func:`_certify`, which gallops away from the
+start's verdict and bisects back over record decimals to a failure just
+below a success, as a solver's proof that nothing smaller exists.
 
 :func:`exhaustive_min_attack` scans a magnitude grid instead and assumes
 nothing.  :func:`probe_monotonicity` samples feasibility on a coarse grid, a
@@ -28,18 +30,15 @@ diagnostic that synthesis does not use.
 Every search replays a candidate magnitude through :func:`feasibility`, as
 a constraint solver answers sat together with the model that witnesses it:
 one replay gives the verdict and, on a success, the trace as its
-certificate.  The exact search keeps each outcome under its signed
+certificate.  The exact search keeps each outcome under its direction and
 magnitude, so no magnitude is replayed twice and the answer is the outcome
 the search already holds.  A replay depends on the config only through its
 dynamics and relays, never on the capability, so a sweep's combinations of
-one (H, R, T) share their replays through :func:`synthesize_min_attack`'s
-private memo argument, and one interval pass per direction serves every
-bound of them.  An ``ANY`` goal's feasible set is an up-set in magnitude,
-so for it the memo also keeps, per direction, the largest magnitude that
-failed and the certified answer: a bound at or below the one is no attack,
-and a bound at or above the other takes that answer, with no walk and no
-replay.  Every replay steps through the one loop of
-:mod:`frosim.dynamics`.
+one (H, R, T) share one :class:`_Direction` per direction through
+:func:`synthesize_min_attack`'s private memo argument: its replays, its
+interval pass, which serves every bound of them, and, for an ``ANY`` goal,
+its largest failed magnitude and certified answer.  Every replay steps
+through the one loop of :mod:`frosim.dynamics`.
 """
 
 from __future__ import annotations
@@ -208,16 +207,18 @@ def feasibility(
     return FeasibilityOutcome(vector)
 
 
-def _replayed(config, dp_a, goal, options, replays: dict) -> FeasibilityOutcome:
-    """:func:`feasibility`, replayed only when *replays* lacks the signed
-    *dp_a* (a zero keeps its sign).  Replays read neither the capability nor
-    the tolerance, so calls whose configs differ only in capability, with
-    the same goal and options, may share one memo."""
+def _replayed(config, direction, magnitude, goal, options,
+              outcomes: dict) -> FeasibilityOutcome:
+    """:func:`feasibility` of ``direction * magnitude``, replayed only when
+    *outcomes*, one direction's memo, lacks *magnitude* (a zero keeps the
+    direction's sign).  Replays read neither the capability nor the
+    tolerance, so calls whose configs differ only in capability, with the
+    same goal and options, may share one memo."""
+    dp_a = direction * magnitude
     _check_capability(config, dp_a)
-    key = (dp_a, math.copysign(1.0, dp_a))
-    outcome = replays.get(key)
+    outcome = outcomes.get(magnitude)
     if outcome is None:
-        outcome = replays[key] = feasibility(config, dp_a, goal, options)
+        outcome = outcomes[magnitude] = feasibility(config, dp_a, goal, options)
     return outcome
 
 
@@ -434,40 +435,29 @@ def _smallest_feasible_start(
     return first, peak
 
 
-class _Bracket:
-    """What the walks of an ``ANY`` goal have proved in one direction, for
-    every capability bound of configs that share a replay memo.
-
-    Under this goal every relay event counts, and until the first one the
-    deviation is linear and odd in the injection, so the feasible set is an
-    up-set in magnitude: every magnitude at or below *failed*, the largest
-    that failed a replay, fails, and *answer*, a certified record decimal
-    whose decimal below failed, is the smallest record decimal that
-    replays.  (A plain class: a dataclass would add most of a millisecond to
-    ``import frosim``.)
+class _Direction:
+    """One direction's share of a memo: every replay's *outcomes* under
+    their unsigned float magnitude; the interval pass's *start*, rounded up
+    to a record decimal (``Infinity`` when it found none under the bound it
+    *covered*), and its *peak* live pieces; and, for an ``ANY`` goal, the
+    largest magnitude that *failed* a replay and the certified record
+    decimal *answer*.  (A plain class: a dataclass would add most of a
+    millisecond to ``import frosim``.)
     """
 
-    __slots__ = ("failed", "answer")
+    __slots__ = ("outcomes", "start", "peak", "covered", "failed", "answer")
 
     def __init__(self):
+        self.outcomes: dict = {}
+        self.start = Decimal("Infinity")
+        self.peak = 0
+        self.covered = -math.inf
         self.failed = Decimal("-Infinity")
         self.answer: Optional[Decimal] = None
 
 
-class _Pass(NamedTuple):
-    """One direction's interval pass, as calls that share a replay memo
-    share it: the smallest feasible start rounded up to a record decimal,
-    the peak live pieces, the capability bound the pass covered, and an
-    ``ANY`` goal's :class:`_Bracket`."""
-
-    start: Decimal
-    peak: int
-    covered: float
-    bracket: Optional[_Bracket]
-
-
-def _certify(config, goal, direction, start: Decimal, options, replays,
-             known: Optional[_Bracket] = None) -> Optional[Decimal]:
+def _certify(config, goal, direction, start: Decimal, options,
+             memo: _Direction) -> Optional[Decimal]:
     """The certified record decimal from *start* along *direction*, ``None``
     when none replays within the capability bound.
 
@@ -480,24 +470,25 @@ def _certify(config, goal, direction, start: Decimal, options, replays,
     past the decimal below the success, so it ends only when the decimal
     below its answer is a failed replay.
 
-    With *known*, an ``ANY`` goal's :class:`_Bracket` for *direction*, a
+    *memo* is the direction's :class:`_Direction`.  For an ``ANY`` goal a
     bound at or above its answer is answered by it and a bound at or below
     its largest failure by ``None``, with no replay; only a bound between
-    them walks, and the walk adds its failures and its answer to *known*.
+    them walks, and the walk adds its failures and its answer to *memo*.
     """
     bound = Decimal(capability_bound(config.capability))
-    if known is not None:
-        if known.answer is not None and bound >= known.answer:
-            return known.answer
-        if bound <= known.failed:
+    up_set = goal.target_kind is TargetKind.ANY
+    if up_set:
+        if memo.answer is not None and bound >= memo.answer:
+            return memo.answer
+        if bound <= memo.failed:
             return None
 
     def meets(magnitude: Decimal) -> bool:
-        if _replayed(config, direction * float(magnitude), goal, options,
-                     replays).success:
+        if _replayed(config, direction, float(magnitude), goal, options,
+                     memo.outcomes).success:
             return True
-        if known is not None and magnitude > known.failed:
-            known.failed = magnitude
+        if up_set and magnitude > memo.failed:
+            memo.failed = magnitude
         return False
 
     def moved(magnitude: Decimal, units: int) -> Decimal:
@@ -530,8 +521,8 @@ def _certify(config, goal, direction, start: Decimal, options, replays,
             failed = magnitude
     # the decimal below *found* failed, so a record decimal is every larger
     # bound's answer; an off-grid bound that replays is no other bound's
-    if known is not None and found == _RECORD.plus(found):
-        known.answer = found
+    if up_set and found == _RECORD.plus(found):
+        memo.answer = found
     return found
 
 
@@ -579,52 +570,53 @@ def synthesize_min_attack(
     answer's replay.  *_replays* lets calls share those outcomes: a dict
     passed to calls with the same goal and options whose configs differ
     only in capability (as the combinations of one (H, R, T) in a sweep
-    do).  It then also keeps one :class:`_Pass` per direction, which every
-    bound takes: a start found at or below the bound a pass covered is the
-    smallest start under every larger bound, and a bound below the start
-    walks from itself, as a lone call that finds no start does.  Only a
-    pass that found no start runs again, over a larger bound.  For an
-    ``ANY`` goal the pass also keeps the direction's :class:`_Bracket`: a
-    bound at or above its answer takes it, outcome and all, and a bound at
-    or below its largest failure is no attack, with no replay.  Every answer
-    is the one an unshared call gives.
+    do).  It keeps one :class:`_Direction` per direction, whose interval
+    pass every bound takes: a start found at or below the bound a pass
+    covered is the smallest start under every larger bound, and a bound
+    below the start walks from itself, as a lone call that finds no start
+    does.  Only a pass that found no start runs again, over a larger bound.
+    For an ``ANY`` goal a bound at or above the direction's certified
+    answer takes it, outcome and all, and a bound at or below its largest
+    failed replay is no attack, with no replay.  Every answer is the one an
+    unshared call gives.
     """
     _check_step("tolerance", tolerance)
-    replays = {} if _replays is None else _replays
+    memo = {} if _replays is None else _replays
     bound = capability_bound(config.capability)
-    passes = {}
-    for d in goal.directions():
-        key = ("interval pass", d)
+    directions = goal.directions()
+    for d in directions:
+        entry = memo.get(d)
+        if entry is None:
+            entry = memo[d] = _Direction()
         # a new entry has found no start under any bound, so its pass runs
-        entry = replays.get(key) or _Pass(
-            Decimal("Infinity"), 0, -math.inf,
-            _Bracket() if goal.target_kind is TargetKind.ANY else None)
         if entry.start.is_infinite() and bound > entry.covered:
-            start, peak = _smallest_feasible_start(config, goal, d, options)
-            entry = replays[key] = entry._replace(
-                start=_RECORD.plus(Decimal(start)), peak=peak, covered=bound)
-        passes[d] = entry
-    # each replay run adds one memo entry and nothing else does, so the
-    # difference counts the replays this call ran
-    before = len(replays)
+            start, entry.peak = _smallest_feasible_start(config, goal, d,
+                                                         options)
+            entry.start, entry.covered = _RECORD.plus(Decimal(start)), bound
+    debug = log.isEnabledFor(logging.DEBUG)
+    if debug:
+        # each replay adds one outcome and nothing else does, so the
+        # difference counts the replays this call ran
+        before = sum(len(memo[d].outcomes) for d in directions)
     best = None  # (magnitude, -direction): ties go to the positive one
-    for start, rank in sorted((p.start, -d) for d, p in passes.items()):
+    for start, rank in sorted((memo[d].start, -d) for d in directions):
         # a start's float error is far below one record unit, so no
         # certified magnitude falls under the decimal below it
         if best is not None and (_below(start), rank) >= best:
             break
-        magnitude = _certify(config, goal, -rank, start, options, replays,
-                             passes[-rank].bracket)
+        magnitude = _certify(config, goal, -rank, start, options, memo[-rank])
         if magnitude is not None and (best is None or (magnitude, rank) < best):
             best = (magnitude, rank)
     outcome = _NO_ATTACK if best is None else _replayed(
-        config, -best[1] * float(best[0]), goal, options, replays)
-    if log.isEnabledFor(logging.DEBUG):
+        config, -best[1], float(best[0]), goal, options,
+        memo[-best[1]].outcomes)
+    if debug:
         log.debug("synthesis %s/%s by interval pass, %s; certify replays %d; "
                   "%s", goal.target_kind.value, goal.sign.value, "; ".join(
-                      f"{d:+d}: smallest feasible start {p.start}, peak "
-                      f"{p.peak} live pieces" for d, p in passes.items()),
-                  len(replays) - before, _describe(outcome))
+                      f"{d:+d}: smallest feasible start {memo[d].start}, "
+                      f"peak {memo[d].peak} live pieces" for d in directions),
+                  sum(len(memo[d].outcomes) for d in directions) - before,
+                  _describe(outcome))
     return outcome
 
 

@@ -24,8 +24,11 @@ DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
 
 SWEEP_GOALS = {
     "any-positive-12": {"horizon": 12, "target": "any", "sign": "positive"},
+    "any-either-60": {"horizon": 60, "target": "any", "sign": "either"},
     "rocof-either-60": {"horizon": 60, "target": "rocof", "sign": "either"},
     "ls-negative-60": {"horizon": 60, "target": "ls", "sign": "negative"},
+    "specific-g5-positive-60": {"horizon": 60, "target": "specific",
+                                "sign": "positive", "relay_id": "g5"},
 }
 SWEEP_CASES = [f"sweep/{goal}/seed{seed}"
                for goal in SWEEP_GOALS for seed in (1, 2)]

@@ -1,6 +1,7 @@
 """Sweep harness: combination generation, execution, trends, file formats."""
 
 import dataclasses
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -350,11 +351,11 @@ class TestDynamicsMemo:
         if workers == 1:
             assert len(grids) == 4 and set(grids.values()) == {1}
 
-    def test_pool_chunks_end_at_group_ends(self, monkeypatch):
-        # no (H, R, T) group is split between two chunks, so none certifies
-        # its answers twice; the pool runs in process here to see its chunks
+    def test_each_pool_task_is_one_group(self, monkeypatch):
+        # no (H, R, T) group is split between two tasks, so none certifies
+        # its answers twice; the pool runs in process here to see its tasks
         spec, _ = _spec_from_file(DEMO_SPEC, 1)
-        chunks = []
+        tasks, chunksizes = [], []
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -366,20 +367,24 @@ class TestDynamicsMemo:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                for task in tasks:
-                    chunks.append(task[1])
+            def map(self, fn, items, chunksize):
+                chunksizes.append(chunksize)
+                for task in items:
+                    tasks.append(task[1])
                     yield fn(task)
 
         monkeypatch.setattr(frosim.sweep, "ProcessPoolExecutor",
                             InProcessPool)
         records = run_sweep(spec, workers=2)
         assert records == run_sweep(spec, workers=1)
-        assert sum(map(len, chunks)) == len(records)
-        groups = [{frosim.sweep._dynamics(item) for item in chunk}
-                  for chunk in chunks]
-        assert sum(map(len, groups)) == len(set().union(*groups)) == 125
-        assert len(chunks) >= 8
+        assert sum(map(len, tasks)) == len(records)
+        groups = [{frosim.sweep._dynamics(item) for item in task}
+                  for task in tasks]
+        assert all(len(group) == 1 for group in groups)
+        assert len(groups) == len(set().union(*groups)) == 125
+        # the pool still sends at least eight chunks of tasks
+        chunksize, = chunksizes
+        assert math.ceil(len(tasks) / chunksize) >= 8
 
     def test_capability_check_is_kept_on_every_call(self):
         spec = memo_spec(TargetKind.ANY, Sign.POSITIVE)
@@ -393,8 +398,8 @@ class TestDynamicsMemo:
         assert big.success and abs(big.vector.dp_a) > capability_bound(
             narrow.capability)
         with pytest.raises(frosim.CapabilityExceeded):
-            frosim.synth._replayed(narrow, big.vector.dp_a, spec.goal,
-                                   frosim.SimOptions(), replays)
+            frosim.synth._replayed(narrow, 1, big.vector.dp_a, spec.goal,
+                                   frosim.SimOptions(), replays[1].outcomes)
         assert not synthesize_min_attack(narrow, spec.goal,
                                          _replays=replays).success
 
@@ -551,6 +556,24 @@ class TestFiles:
             assert out.success, rec
             assert classify_attack(out.vector) is rec.attack_type
             assert out.vector.outcome.trip_step == rec.trip_step
+
+    def test_an_off_grid_answer_replays_within_its_bound(self, tmp_path):
+        # the bound lies between the kernel's boundary and the next record
+        # decimal, 0.0335807781047, so the answer is the bound itself, and
+        # its 12-digit text would lie above the bound
+        goal = AttackGoal(horizon=12)
+        base = with_capability(study_config(kappa=60.0), der_total=1.0,
+                               kappa=0.033580778104675)
+        spec = SweepSpec(base=base, goal=goal, h_values=(2.0,),
+                         r_values=(0.2,), t_values=(0.2,),
+                         toi_pct_values=(100.0,), ad_pct_values=(100.0,))
+        path = tmp_path / "records.csv"
+        write_records_csv(run_sweep(spec), path)
+        rec, = read_records_csv(path)
+        config = validate_config(with_capability(base, toi=1.0, ad=1.0))
+        assert rec.min_dp_a == capability_bound(config.capability)
+        out = feasibility(config, rec.min_dp_a, goal)
+        assert out.success and out.vector.outcome.trip_step == rec.trip_step
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_demo_spec_same_bytes_as_the_reference_writer(self, tmp_path, seed):
