@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import logging
 import math
@@ -234,6 +233,9 @@ def _spec_from_file(path, seed_override=None) -> tuple[SweepSpec, str]:
                                     float),
         **kwargs,
     )
+    # imported here so that only `sweep`, the one command that hashes a
+    # spec, pays for loading hashlib
+    import hashlib
     return spec, hashlib.sha256(raw).hexdigest()
 
 

@@ -9,7 +9,9 @@ they share one memo of :func:`~frosim.synth.synthesize_min_attack`, which
 states what it keeps.  A group runs its largest bound first, whose interval
 pass then serves every bound of the group.  The memo is dropped when its
 group ends.  A replay reads no capability, so every record is the one a
-lone synthesis gives.  Runs are reproducible because the random mode
+lone synthesis gives.  A sweep of fewer than two groups runs serially
+whatever the worker count, and only a sweep that starts a pool imports the
+process-pool modules.  Runs are reproducible because the random mode
 draws from a seeded generator and records are always ordered by
 combination id regardless of how many workers executed them.
 """
@@ -23,7 +25,6 @@ import math
 import numbers
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -267,6 +268,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     if workers <= 1 or len(tasks) < 2:
         parts = list(map(_run_group, tasks))
     else:
+        # imported here: the pool stack (multiprocessing, pickle, socket,
+        # subprocess, ...) is loaded only by a sweep that starts a pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_group, tasks, chunksize=max(
                 1, len(tasks) // (workers * 8))))

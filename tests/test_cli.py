@@ -14,7 +14,6 @@ import pytest
 
 import frosim
 import frosim.dynamics
-import frosim.sweep
 from frosim import AttackSignal, SimOptions, load_config, simulate
 from frosim.cli import _spec_from_file, run
 from frosim.dynamics import TRACE_CSV_HEADER
@@ -555,7 +554,8 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(frosim.sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            no_pool)
         out = tmp_path / "o.csv"
         assert run(["sweep", "--spec", str(self.spec_file(tmp_path)),
                     "--workers", str(workers), "--out", str(out)]) == 2

@@ -23,7 +23,6 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import frosim.sweep
 from frosim.cli import run
 from frosim.sweep import SWEEP_CSV_HEADER
 
@@ -200,7 +199,7 @@ def test_sweep_workers_out_of_range(workers):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    with mock.patch.object(frosim.sweep, "ProcessPoolExecutor", no_pool):
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", no_pool):
         assert exit_code("sweep", "--spec", {**SPEC, "count": 5},
                          "--workers", str(workers)) == 2
 

@@ -1,6 +1,8 @@
 """frosim needs only the standard library: importing it loads no numpy, and
 every CLI command gives the same exit code, printed output and files with
-numpy imports blocked as in a normal run."""
+numpy imports blocked as in a normal run.  Its cold start stays small: only
+a sweep that starts a pool loads the process-pool modules, and only a sweep
+loads hashlib."""
 
 import json
 import os
@@ -58,6 +60,42 @@ def test_import_loads_no_numpy():
          "import sys, frosim, frosim.cli; "
          "assert 'numpy' not in sys.modules, 'numpy was imported'"],
         env=_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# argv: a JSON list of frosim command lines, then a serial sweep's; each runs
+# in-process after `import frosim, frosim.cli`
+COLD_START = """
+import json, sys
+import frosim, frosim.cli
+
+def check_absent(names, after):
+    loaded = [name for name in names if name in sys.modules]
+    assert not loaded, (after, loaded)
+
+POOL = ("concurrent.futures", "multiprocessing")
+check_absent(POOL + ("hashlib",), "import")
+for argv in json.loads(sys.argv[1]):
+    assert frosim.cli.run(argv) == 0, argv
+    check_absent(POOL + ("hashlib",), argv)
+serial_sweep = json.loads(sys.argv[2])
+assert frosim.cli.run(serial_sweep) == 0
+check_absent(POOL, serial_sweep)
+"""
+
+
+def test_commands_load_no_pool_and_no_hashlib(tmp_path):
+    """Only a sweep that starts a pool loads the pool modules, and only a
+    sweep hashes its spec."""
+    serial_sweep = SWEEP[:-1] + ["1"]
+    _run_case([serial_sweep], "normal", tmp_path / "run")  # writes records
+    steps = [SIMULATE, SYNTHESIZE, SYNTHESIZE + ["--exhaustive"], REPORT]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(steps),
+         json.dumps(serial_sweep)],
+        cwd=tmp_path / "run", env=_env(), capture_output=True, text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
 

@@ -134,6 +134,24 @@ class TestRunSweep:
         spec = small_spec(mode=SweepMode.RANDOM, count=16, seed=3)
         assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
 
+    def test_one_dynamics_group_runs_serially_at_any_workers(
+            self, monkeypatch):
+        # every combination shares (H, R, T), so the sweep is one pool task
+        # and starts no pool for it
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        spec = small_spec(h_values=(2.0,), toi_pct_values=(2.0, 6.0, 10.0),
+                          ad_pct_values=(20.0, 60.0, 100.0))
+        serial = run_sweep(spec, workers=1)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        assert run_sweep(spec, workers=2) == serial
+        assert len(serial) == 9
+        assert {(r.h, r.r, r.t) for r in serial} == {(2.0, 0.2, 0.2)}
+        # two groups do reach the pool
+        with pytest.raises(AssertionError, match="pool was started"):
+            run_sweep(small_spec(), workers=2)
+
     def test_per_combo_errors_land_in_status(self):
         spec = small_spec(h_values=(0.0, 2.0))  # H=0 is invalid per combo
         records = run_sweep(spec)
@@ -373,7 +391,7 @@ class TestDynamicsMemo:
                     tasks.append(task[1])
                     yield fn(task)
 
-        monkeypatch.setattr(frosim.sweep, "ProcessPoolExecutor",
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             InProcessPool)
         records = run_sweep(spec, workers=2)
         assert records == run_sweep(spec, workers=1)
