@@ -40,8 +40,9 @@ its params, so the configs of a sweep group, which share both, share one
 build.  These step constants are the one place a grid's derived quantities
 are computed: the kernel and the interval pass of :mod:`frosim.synth` both
 read them.  A roster whose extreme threshold the step's frequency or slope
-does not reach is skipped: no relay in it could operate, so the skip is
-exact.
+does not reach is skipped, and so is one whose relays have all latched
+unless ``literal_accumulation`` is on: no relay in it could operate, so the
+skip is exact.
 
 Every replay steps the kernel through one loop, :func:`_steps`, which
 yields the step records from :func:`initial_state` for as long as its
@@ -270,8 +271,10 @@ def simulate_step(
     skipped when no relay in it can act: a load relay operates (or, under
     ``literal_accumulation``, re-adds its block) only if ``f_hz <= its
     threshold <= the highest``, a ROCOF relay only if ``|slope| >= its
-    threshold >= the lowest``.  So the skip changes nothing, under every
-    option and for NaN values.
+    threshold >= the lowest``, and without ``literal_accumulation`` a
+    latched relay adds nothing, so a roster whose relays have all latched
+    is skipped too.  So the skips change nothing, under every option and
+    for NaN values.
     """
     (n, delta_f, dp_gov, dp_sh_cum, dp_tg_cum,
      history, gen_latches, load_latches) = state
@@ -288,14 +291,17 @@ def simulate_step(
     f_hz = f_nominal * (1.0 + delta_f)
     shed = 0.0
     if f_hz <= ls_highest:
-        for i, (threshold, block, relay_id) in enumerate(loads):
-            if f_hz <= threshold:
-                if not load_latches[i]:
-                    load_latches = load_latches[:i] + (True,) + load_latches[i + 1:]
-                    events += (RelayEvent(n, relay_id, EventKind.LS_SHED),)
-                    shed += block
-                elif options.literal_accumulation:
-                    shed += block
+        accumulate = options.literal_accumulation
+        if accumulate or False in load_latches:
+            for i, (threshold, block, relay_id) in enumerate(loads):
+                if f_hz <= threshold:
+                    if not load_latches[i]:
+                        load_latches = (load_latches[:i] + (True,)
+                                        + load_latches[i + 1:])
+                        events += (RelayEvent(n, relay_id, EventKind.LS_SHED),)
+                        shed += block
+                    elif accumulate:
+                        shed += block
     dp_sh_next = dp_sh_cum + shed
 
     # 3. ROCOF against the windowed slope, once M+1 samples exist
@@ -308,14 +314,18 @@ def simulate_step(
         # abs() but for the sign of a zero or NaN, which no comparison reads
         magnitude = slope if slope >= 0.0 else -slope
         if magnitude >= rocof_lowest:
-            for i, (threshold, block, relay_id) in enumerate(generators):
-                if magnitude >= threshold:
-                    if not gen_latches[i]:
-                        gen_latches = gen_latches[:i] + (True,) + gen_latches[i + 1:]
-                        events += (RelayEvent(n, relay_id, EventKind.ROCOF_TRIP),)
-                        tripped += block
-                    elif options.literal_accumulation:
-                        tripped += block
+            accumulate = options.literal_accumulation
+            if accumulate or False in gen_latches:
+                for i, (threshold, block, relay_id) in enumerate(generators):
+                    if magnitude >= threshold:
+                        if not gen_latches[i]:
+                            gen_latches = (gen_latches[:i] + (True,)
+                                           + gen_latches[i + 1:])
+                            events += (RelayEvent(n, relay_id,
+                                                  EventKind.ROCOF_TRIP),)
+                            tripped += block
+                        elif accumulate:
+                            tripped += block
     dp_tg_next = dp_tg_cum + tripped
 
     # 4. governor and frequency recursions on the updated relay totals

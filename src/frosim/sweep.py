@@ -6,14 +6,18 @@ Combinations that share (H, R, T) differ only in the capability bound, so
 they run together as one group and one task of a process pool: their grid
 is validated once, each combination then checking only its capability, and
 they share one memo of :func:`~frosim.synth.synthesize_min_attack`, which
-states what it keeps.  A group runs its largest bound first, whose interval
-pass then serves every bound of the group.  The memo is dropped when its
-group ends.  A replay reads no capability, so every record is the one a
-lone synthesis gives.  A sweep of fewer than two groups runs serially
-whatever the worker count, and only a sweep that starts a pool imports the
-process-pool modules.  Runs are reproducible because the random mode
-draws from a seeded generator and records are always ordered by
-combination id regardless of how many workers executed them.
+states what it keeps.  One pass over the combinations groups them; a group
+runs by falling ToI x AD, so its largest bound runs first and its interval
+pass then serves every bound of the group.  A combination whose ToI and AD
+(in value, type and sign of a zero) its group already ran builds the same
+config, so it takes that record with only its id changed, with no second
+validation or synthesis.  The memo is dropped when its group ends.  A
+replay reads no capability, so every record is the one a lone synthesis
+gives.  A sweep of fewer than two groups runs serially whatever the worker
+count, and only a sweep that starts a pool imports the process-pool
+modules.  Runs are reproducible because the random mode draws from a
+seeded generator and each record lands in its combination id's slot
+regardless of how many workers executed it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numbers
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -189,9 +194,14 @@ def classify_attack(vector: Optional[AttackVector]) -> AttackType:
     return AttackType.ROCOF if first.kind is EventKind.ROCOF_TRIP else AttackType.LS
 
 
-def _failed(combo_id: int, combo: Combo, exc: FrosimError) -> SweepRecord:
-    return SweepRecord(combo_id, *combo, success=False,
-                       attack_type=AttackType.NONE, status=type(exc).__name__)
+#: A :class:`SweepRecord` of a plain tuple in its field order, without the
+#: argument handling of ``SweepRecord(...)``.
+_record = partial(tuple.__new__, SweepRecord)
+
+
+def _no_attack(combo_id: int, combo: Combo, status: str = "ok") -> SweepRecord:
+    return _record((combo_id, *combo, False, AttackType.NONE, None, None,
+                    status))
 
 
 def _run_combo(spec: SweepSpec, grid: GridConfig, combo_id: int,
@@ -206,50 +216,49 @@ def _run_combo(spec: SweepSpec, grid: GridConfig, combo_id: int,
             config, spec.goal, spec.tolerance, _replays=replays,
         )
     except FrosimError as exc:
-        return _failed(combo_id, combo, exc)
+        return _no_attack(combo_id, combo, type(exc).__name__)
     if not outcome.success:
-        return SweepRecord(combo_id, *combo, success=False,
-                           attack_type=AttackType.NONE)
+        return _no_attack(combo_id, combo)
     vec = outcome.vector
-    return SweepRecord(
-        combo_id, *combo,
-        success=True,
-        attack_type=classify_attack(vec),
-        min_dp_a=vec.dp_a,
-        trip_step=vec.outcome.trip_step,
-    )
-
-
-def _dynamics(item: tuple[int, Combo]) -> tuple:
-    # 2 and 2.0 compare equal, but configs built from them need not step bit
-    # for bit alike (integer products are exact), so the types count too.
-    h, r, t = item[1][:3]
-    return h, r, t, type(h).__name__, type(r).__name__, type(t).__name__
-
-
-def _largest_first(item: tuple[int, Combo]) -> tuple:
-    # a group's first interval pass then covers each of its bounds
-    return _dynamics(item), -item[1].toi_pct * item[1].ad_pct
+    return _record((combo_id, *combo, True, classify_attack(vec), vec.dp_a,
+                    vec.outcome.trip_step, "ok"))
 
 
 def _run_group(args) -> list[SweepRecord]:
-    """Records of one (H, R, T) group's ``(combo_id, combo)`` items, sorted
-    by :func:`_largest_first`.
+    """Records of one (H, R, T) group's ``(-ToI x AD, combo_id, combo)``
+    items, in that order.
 
     The group validates its grid once, each combination adding only the
     capability checks, and shares one memo through
     :func:`synthesize_min_attack`.  An invalid grid fails every record of
-    the group, as validating each combination's config would.
+    the group, as validating each combination's config would.  A
+    combination whose ToI and AD the group already ran builds the same
+    config, so it takes that record with only its ``combo_id`` changed.
     """
     spec, group = args
-    h, r, t = group[0][1][:3]
+    h, r, t = group[0][2][:3]
     try:
         grid = validate_grid(with_dynamics(
             spec.base, h_inertia=h, droop_r=r, governor_t=t))
     except FrosimError as exc:
-        return [_failed(i, c, exc) for i, c in group]
+        return [_no_attack(i, c, type(exc).__name__) for _, i, c in group]
     replays: dict = {}
-    return [_run_combo(spec, grid, i, c, replays) for i, c in group]
+    ran: dict = {}
+    records = []
+    for _, i, combo in group:
+        toi, ad = combo[3:]
+        # 2 and 2.0 compare equal, but configs built from them need not step
+        # bit for bit alike (integer products are exact), and 0.0 and -0.0
+        # are written apart, so the type and the sign of a zero count too
+        key = (toi, ad, type(toi), type(ad), math.copysign(1.0, toi),
+               math.copysign(1.0, ad))
+        done = ran.get(key)
+        if done is None:
+            done = ran[key] = _run_combo(spec, grid, i, combo, replays)
+            records.append(done)
+        else:
+            records.append(_record((i, *done[1:])))
+    return records
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
@@ -262,11 +271,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     never aborts.  Results are ordered by combination id no matter how many
     workers ran them.
     """
-    order = sorted(enumerate(generate_combinations(spec)), key=_largest_first)
-    tasks = [(spec, list(group))
-             for _, group in itertools.groupby(order, key=_dynamics)]
+    combos = generate_combinations(spec)
+    groups: dict = {}
+    for i, combo in enumerate(combos):
+        h, r, t, toi, ad = combo
+        # 2 and 2.0 group apart, as in _run_group; a zero H, R or T fails
+        # validation whatever its sign
+        key = (h, r, t, type(h), type(r), type(t))
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = []
+        group.append((-toi * ad, i, combo))
+    # ids rise within a group, so they break ties as a stable sort would
+    tasks = [(spec, sorted(group)) for group in groups.values()]
     if workers <= 1 or len(tasks) < 2:
-        parts = list(map(_run_group, tasks))
+        parts = map(_run_group, tasks)
     else:
         # imported here: the pool stack (multiprocessing, pickle, socket,
         # subprocess, ...) is loaded only by a sweep that starts a pool
@@ -274,8 +293,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_group, tasks, chunksize=max(
                 1, len(tasks) // (workers * 8))))
-    return sorted(itertools.chain.from_iterable(parts),
-                  key=lambda r: r.combo_id)
+    records: list = [None] * len(combos)
+    for part in parts:
+        for record in part:
+            records[record[0]] = record
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +383,17 @@ def trend_report(records: Sequence[SweepRecord], slack: float = 0.02) -> TrendRe
     """
     if not records:
         raise InvalidParameter("records", "must be nonempty", 0)
-    counted = [r for r in records if r.status == "ok"]
-    getters = {
-        "h_s": lambda r: r.h,
-        "r_pu": lambda r: r.r,
-        "t_s": lambda r: r.t,
-        "toi_pct": lambda r: r.toi_pct,
-        "ad_pct": lambda r: r.ad_pct,
-    }
+    # one pass over the records, into columns; each count below runs in C
+    # and keeps its first-seen key object, as the report prints it
+    (_, hs, rs, ts, tois, ads, successes, attack_types,
+     _, _, statuses) = zip(*records)
+    ok = [status == "ok" for status in statuses]
+    won = [good and success for good, success in zip(ok, successes)]
     parameters = {}
-    for name, get in getters.items():
-        # a Counter keeps the first-seen key object, as the report prints it
-        seen = Counter(map(get, counted))
-        won = Counter(get(r) for r in counted if r.success)
-        buckets = tuple(TrendBucket(v, n, won[v])
+    for name, column in zip(EXPECTED_DIRECTIONS, (hs, rs, ts, tois, ads)):
+        seen = Counter(itertools.compress(column, ok))
+        wins = Counter(itertools.compress(column, won))
+        buckets = tuple(TrendBucket(v, n, wins[v])
                         for v, n in sorted(seen.items()))
         rates = [b.success_rate for b in buckets]
         verdict = _direction_verdict(rates, slack)
@@ -382,7 +401,7 @@ def trend_report(records: Sequence[SweepRecord], slack: float = 0.02) -> TrendRe
         matches = verdict in (expected, "both")
         parameters[name] = ParameterTrend(name, expected, buckets, verdict, matches)
 
-    types = Counter((r.h, r.attack_type) for r in counted)
+    types = Counter(itertools.compress(zip(hs, attack_types), ok))
     split = [
         HTypeSplit(h=b.value, rocof=types[b.value, AttackType.ROCOF],
                    ls=types[b.value, AttackType.LS],
@@ -391,11 +410,11 @@ def trend_report(records: Sequence[SweepRecord], slack: float = 0.02) -> TrendRe
     ]
     return TrendReport(
         total_records=len(records),
-        total_successes=sum(1 for r in records if r.success),
+        total_successes=sum(map(bool, successes)),
         slack=slack,
         parameters=parameters,
         h_type_split=tuple(split),
-        excluded_records=len(records) - len(counted),
+        excluded_records=len(records) - sum(ok),
     )
 
 
@@ -475,6 +494,9 @@ def _finite(text: str) -> float:
     return value
 
 
+_ATTACK_TYPES = {t.value: t for t in AttackType}
+
+
 def read_records_csv(path) -> list[SweepRecord]:
     """Parse a sweep CSV back into records (for the report stage).
 
@@ -506,16 +528,17 @@ def read_records_csv(path) -> list[SweepRecord]:
             raise InvalidParameter("records", "malformed row", ln)
         success = parts[6] == "true"
         try:
-            record = SweepRecord(
-                combo_id=int(parts[0]),
-                h=_finite(parts[1]), r=_finite(parts[2]), t=_finite(parts[3]),
-                toi_pct=_finite(parts[4]), ad_pct=_finite(parts[5]),
-                success=success,
-                attack_type=AttackType(parts[7]),
-                min_dp_a=_finite(parts[8]) if parts[8] else None,
-                trip_step=int(parts[9]) if parts[9] else None,
-                status=status,
-            )
+            record = _record((
+                int(parts[0]),
+                _finite(parts[1]), _finite(parts[2]), _finite(parts[3]),
+                _finite(parts[4]), _finite(parts[5]),
+                success,
+                # the enum call only for a miss, for its error text
+                _ATTACK_TYPES.get(parts[7]) or AttackType(parts[7]),
+                _finite(parts[8]) if parts[8] else None,
+                int(parts[9]) if parts[9] else None,
+                status,
+            ))
         except (ValueError, KeyError) as exc:
             raise InvalidParameter("records", f"malformed row: {exc}", ln) from exc
         if (record.attack_type is not AttackType.NONE,

@@ -656,6 +656,23 @@ class TestRosterSkip:
                              for r in quiet)
         assert {r.dp_sh_cum for r in quiet} == {records[shed[-1]].dp_sh_cum}
 
+    @pytest.mark.parametrize("options", [
+        SimOptions(rescale_inertia=True),
+        SimOptions(literal_accumulation=True, rescale_inertia=True)], ids=repr)
+    def test_rosters_reached_after_every_relay_latched(self, options):
+        # rescaled inertia diverges once the generators trip, so both
+        # rosters stay within reach long after their last relay latched;
+        # without literal accumulation the kernel then skips them
+        cfg = study_config()
+        records = lockstep(cfg, self.ATTACK, options, steps=2000)
+        events = [ev for r in records for ev in r.events]
+        assert len(events) == len(cfg.generators) + len(cfg.loads)
+        last = events[-1].step
+        assert last < 20
+        reached = [r for r in records[last + 1:]
+                   if r.f_hz <= 59.5 or abs(r.rocof_hz_per_s) >= 0.5]
+        assert len(reached) > 1000
+
 
 class TestStepConstants:
     """A grid's step constants are built once per (params, rosters) and kept

@@ -245,3 +245,12 @@ def test_contradictory_record_exits_2(row):
     # each row alone is well formed field by field; together its fields
     # say what no sweep writes
     assert report_exit_code(SUCCESS_ROW, row, FAILURE_ROW) == 2
+
+
+@pytest.mark.parametrize("attack_type", ["FOO", "rocof", ""])
+def test_unknown_attack_type_names_itself(attack_type, capsys):
+    row = with_fields(SUCCESS_ROW, attack_type=attack_type)
+    assert report_exit_code(SUCCESS_ROW, row, FAILURE_ROW) == 2
+    assert capsys.readouterr().err == (
+        f"error: records: malformed row: {attack_type!r} is not a valid "
+        f"AttackType (got {row!r})\n")

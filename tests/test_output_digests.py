@@ -1,7 +1,9 @@
-"""Byte-level pins of sweep and synthesis outputs.
+"""Byte-level pins of sweep, report and synthesis outputs.
 
 Each case runs one ``frosim`` command on a shipped demo input and compares
-the SHA-256 of every file it writes with ``output_digests.json``.  A
+the SHA-256 of every file it writes with ``output_digests.json``.  A report
+case first runs the serial sweep of its goal and seed, then ``report`` on
+its records, and pins the trend JSON and the five ``trend_*.csv`` files.  A
 synthesis result JSON is hashed with its ``trace_file`` path left out,
 since that names a temporary directory.  A change that is meant to alter
 an output re-records the file with::
@@ -32,6 +34,9 @@ SWEEP_GOALS = {
 }
 SWEEP_CASES = [f"sweep/{goal}/seed{seed}"
                for goal in SWEEP_GOALS for seed in (1, 2)]
+REPORT_CASES = [f"report/{goal}/seed{seed}"
+                for goal in ("any-positive-12", "rocof-either-60")
+                for seed in (1, 2)]
 SYNTH_CASES = [f"synthesize/{target}-either-60"
                for target in ("any", "rocof", "ls")]
 SYNTH_CASES.append("synthesize/rocof-either-60/exhaustive")
@@ -58,6 +63,17 @@ def _sweep(case: str, tmp: Path, workers: int = 1) -> dict:
     }
 
 
+def _report(case: str, tmp: Path) -> dict:
+    _sweep(case.replace("report/", "sweep/", 1), tmp)
+    out, csv_dir = tmp / "trend.json", tmp / "trend"
+    code = run(["report", "--records", str(tmp / "records.csv"),
+                "--out", str(out), "--csv-dir", str(csv_dir)])
+    digests = {"exit": code, "trend.json": _sha256(out.read_bytes())}
+    for path in sorted(csv_dir.iterdir()):
+        digests[path.name] = _sha256(path.read_bytes())
+    return digests
+
+
 def _synthesize(case: str, tmp: Path) -> dict:
     target, sign, horizon = case.split("/")[1].split("-")
     out, trace = tmp / "result.json", tmp / "trace.csv"
@@ -79,10 +95,12 @@ def _synthesize(case: str, tmp: Path) -> dict:
 def outputs(case: str, tmp: Path) -> dict:
     if case.startswith("sweep/"):
         return _sweep(case, tmp)
+    if case.startswith("report/"):
+        return _report(case, tmp)
     return _synthesize(case, tmp)
 
 
-@pytest.mark.parametrize("case", SWEEP_CASES + SYNTH_CASES)
+@pytest.mark.parametrize("case", SWEEP_CASES + REPORT_CASES + SYNTH_CASES)
 def test_outputs_match_recorded_digests(case, tmp_path):
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert outputs(case, tmp_path) == recorded[case]
@@ -104,7 +122,7 @@ if __name__ == "__main__":
     import tempfile
 
     digests = {}
-    for case in SWEEP_CASES + SYNTH_CASES:
+    for case in SWEEP_CASES + REPORT_CASES + SYNTH_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             digests[case] = outputs(case, Path(tmp))
         print(case, digests[case]["exit"], file=sys.stderr)

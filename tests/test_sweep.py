@@ -1,6 +1,7 @@
 """Sweep harness: combination generation, execution, trends, file formats."""
 
 import dataclasses
+import functools
 import math
 from collections import Counter
 from pathlib import Path
@@ -396,8 +397,7 @@ class TestDynamicsMemo:
         records = run_sweep(spec, workers=2)
         assert records == run_sweep(spec, workers=1)
         assert sum(map(len, tasks)) == len(records)
-        groups = [{frosim.sweep._dynamics(item) for item in task}
-                  for task in tasks]
+        groups = [{combo[:3] for _, _, combo in task} for task in tasks]
         assert all(len(group) == 1 for group in groups)
         assert len(groups) == len(set().union(*groups)) == 125
         # the pool still sends at least eight chunks of tasks
@@ -420,6 +420,78 @@ class TestDynamicsMemo:
                                    frosim.SimOptions(), replays[1].outcomes)
         assert not synthesize_min_attack(narrow, spec.goal,
                                          _replays=replays).success
+
+
+def record_reprs(records):
+    # repr tells -0.0 from 0.0 and 2 from 2.0, which == does not
+    return [repr(tuple(r)) for r in records]
+
+
+def lone_reprs(spec):
+    return [repr(fields) for fields, _ in lone_records(spec)]
+
+
+@functools.cache
+def demo_spec_and_lone_reprs():
+    spec, _ = _spec_from_file(DEMO_SPEC, 1)
+    return spec, lone_reprs(spec)
+
+
+class TestDuplicateReuse:
+    """A combination whose ToI and AD its group already ran takes that
+    record, with only its id changed; no record may change."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_demo_spec_equals_lone_syntheses(self, workers):
+        spec, expected = demo_spec_and_lone_reprs()
+        combos = generate_combinations(spec)
+        assert len(set(combos)) < 0.8 * len(combos)
+        assert record_reprs(run_sweep(spec, workers)) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_value_of_another_type_or_zero_sign_runs_again(self,
+                                                                workers):
+        # 150% fails its capability check; 0.0 and -0.0, and 2 and 2.0,
+        # are equal but are written apart
+        spec = small_spec(
+            mode=SweepMode.RANDOM, count=120, seed=3, h_values=(2.0, 6.0),
+            toi_pct_values=(0.0, -0.0, 2, 2.0, 10.0, 150.0),
+            ad_pct_values=(20.0, 100.0))
+        combos = generate_combinations(spec)
+        for toi in (150.0, 0.0, -0.0, 2):
+            cells = [c for c in combos if repr(c.toi_pct) == repr(toi)]
+            assert len(cells) > len(set(map(repr, cells))), toi
+        records = run_sweep(spec, workers)
+        assert record_reprs(records) == lone_reprs(spec)
+        statuses = Counter(r.status for r in records)
+        assert statuses["InvalidParameter"] == sum(
+            c.toi_pct == 150.0 for c in combos)
+        assert 0 < sum(r.success for r in records) < len(combos)
+
+    @pytest.mark.parametrize("cartesian", [False, True],
+                             ids=["random", "cartesian"])
+    def test_one_synthesis_per_distinct_combination(self, monkeypatch,
+                                                    cartesian):
+        spec, _ = _spec_from_file(DEMO_SPEC, 1)
+        if cartesian:
+            spec = dataclasses.replace(spec, mode=SweepMode.CARTESIAN,
+                                       toi_pct_values=(2.0, 10.0),
+                                       ad_pct_values=(20.0, 100.0))
+        calls = Counter()
+        synthesize = frosim.sweep.synthesize_min_attack
+
+        def counted(config, goal, *args, **kwargs):
+            p, cap = config.params, config.capability
+            calls[p.h_inertia, p.droop_r, p.governor_t, cap.toi, cap.ad] += 1
+            return synthesize(config, goal, *args, **kwargs)
+
+        monkeypatch.setattr(frosim.sweep, "synthesize_min_attack", counted)
+        records = run_sweep(spec, workers=1)
+        combos = generate_combinations(spec)
+        assert set(calls.values()) == {1}
+        assert sum(calls.values()) == len(set(combos))
+        assert (len(set(combos)) == len(combos)) == cartesian
+        assert records == run_sweep(spec, workers=2)
 
 
 class TestClassify:
@@ -507,6 +579,35 @@ class TestTrendReport:
             assert sum(b.records for b in trend.buckets) == len(records) - bad
         assert [s.h for s in report.h_type_split] == [2.0]
         assert trend_report_dict(report)["excluded_records"] == bad
+
+    def test_no_ok_record_leaves_every_bucket_empty(self):
+        records = run_sweep(small_spec(h_values=(0.0,)))
+        assert {r.status for r in records} == {"InvalidParameter"}
+        report = trend_report(records)
+        assert (report.total_records, report.total_successes,
+                report.excluded_records) == (len(records), 0, len(records))
+        assert report.h_type_split == ()
+        for name, trend in report.parameters.items():
+            assert trend == frosim.sweep.ParameterTrend(
+                name, frosim.sweep.EXPECTED_DIRECTIONS[name], (),
+                "insufficient buckets", False)
+
+    def test_equal_values_share_the_first_seen_bucket(self):
+        # h 2 and 2.0, toi 2.0 and 2; the excluded record's h 6 is no key
+        records = synthetic_records({2: [True, False, True, False],
+                                     6.0: [False]})
+        records[1] = records[1]._replace(toi_pct=2)
+        records[2] = records[2]._replace(h=2.0)
+        records[3] = records[3]._replace(h=6, status="InvalidParameter")
+        report = trend_report(records)
+        h = report.parameters["h_s"].buckets
+        assert [(repr(b.value), b.records, b.successes) for b in h] == [
+            ("2", 3, 2), ("6.0", 1, 0)]
+        toi, = report.parameters["toi_pct"].buckets
+        assert (repr(toi.value), toi.records, toi.successes) == ("2.0", 4, 2)
+        assert [(repr(s.h), s.rocof, s.none) for s in report.h_type_split] == [
+            ("2", 2, 1), ("6.0", 0, 1)]
+        assert (report.total_successes, report.excluded_records) == (2, 1)
 
     def test_h_type_split_counts(self):
         records = synthetic_records({2.0: [True, False], 6.0: [True]})
