@@ -148,7 +148,7 @@ def cmd_synthesize(args) -> int:
         if args.exhaustive:
             outcome = exhaustive_min_attack(config, goal, tolerance)
         else:
-            outcome = synthesize_min_attack(config, goal, tolerance)
+            outcome = synthesize_min_attack(config, goal)
     except FrosimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

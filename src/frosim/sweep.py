@@ -1,23 +1,24 @@
 """Parameter sweeps over (H, R, T, ToI, AD) and trend aggregation.
 
 Each combination instantiates the base grid with its dynamic parameters and
-attacker capability, runs minimal-attack synthesis, and records the outcome.
-Combinations that share (H, R, T) differ only in the capability bound, so
-they run together as one group and one task of a process pool: their grid
-is validated once, each combination then checking only its capability, and
+attacker capability, runs minimal-attack synthesis, and records the
+outcome.  One pass over the combinations decides each one's identity: its
+five values, their types and the signs of their zeros.  A repeat of an
+identity builds the same config, so it takes its first occurrence's record
+with only its id changed and never reaches a worker.  First occurrences
+that share (H, R, T) differ only in the capability bound, so they run
+together as one group and one task of a process pool: their grid is
+validated once, each combination then checking only its capability, and
 they share one memo of :func:`~frosim.synth.synthesize_min_attack`, which
-states what it keeps.  One pass over the combinations groups them; a group
-runs by falling ToI x AD, so its largest bound runs first and its interval
-pass then serves every bound of the group.  A combination whose ToI and AD
-(in value, type and sign of a zero) its group already ran builds the same
-config, so it takes that record with only its id changed, with no second
-validation or synthesis.  The memo is dropped when its group ends.  A
-replay reads no capability, so every record is the one a lone synthesis
-gives.  A sweep of fewer than two groups runs serially whatever the worker
-count, and only a sweep that starts a pool imports the process-pool
-modules.  Runs are reproducible because the random mode draws from a
-seeded generator and each record lands in its combination id's slot
-regardless of how many workers executed it.
+states what it keeps.  A group runs by falling ToI x AD, so its largest
+bound runs first and its interval pass then serves every bound of the
+group.  The memo is dropped when its group ends.  A replay reads no
+capability, so every record is the one a lone synthesis gives.  A sweep of
+fewer than two groups runs serially whatever the worker count, and only a
+sweep that starts a pool imports the process-pool modules.  Runs are
+reproducible because the random mode draws from a seeded generator and each
+record lands in its combination id's slot regardless of how many workers
+executed it.
 """
 
 from __future__ import annotations
@@ -204,26 +205,6 @@ def _no_attack(combo_id: int, combo: Combo, status: str = "ok") -> SweepRecord:
                     status))
 
 
-def _run_combo(spec: SweepSpec, grid: GridConfig, combo_id: int,
-               combo: Combo, replays: dict) -> SweepRecord:
-    try:
-        cap = spec.base.capability
-        config = with_valid_capability(grid, AttackerCapability(
-            toi=combo.toi_pct / 100.0, ad=combo.ad_pct / 100.0,
-            der_total=cap.der_total, kappa=cap.kappa,
-        ))
-        outcome = synthesize_min_attack(
-            config, spec.goal, spec.tolerance, _replays=replays,
-        )
-    except FrosimError as exc:
-        return _no_attack(combo_id, combo, type(exc).__name__)
-    if not outcome.success:
-        return _no_attack(combo_id, combo)
-    vec = outcome.vector
-    return _record((combo_id, *combo, True, classify_attack(vec), vec.dp_a,
-                    vec.outcome.trip_step, "ok"))
-
-
 def _run_group(args) -> list[SweepRecord]:
     """Records of one (H, R, T) group's ``(-ToI x AD, combo_id, combo)``
     items, in that order.
@@ -231,9 +212,7 @@ def _run_group(args) -> list[SweepRecord]:
     The group validates its grid once, each combination adding only the
     capability checks, and shares one memo through
     :func:`synthesize_min_attack`.  An invalid grid fails every record of
-    the group, as validating each combination's config would.  A
-    combination whose ToI and AD the group already ran builds the same
-    config, so it takes that record with only its ``combo_id`` changed.
+    the group, as validating each combination's config would.
     """
     spec, group = args
     h, r, t = group[0][2][:3]
@@ -242,46 +221,63 @@ def _run_group(args) -> list[SweepRecord]:
             spec.base, h_inertia=h, droop_r=r, governor_t=t))
     except FrosimError as exc:
         return [_no_attack(i, c, type(exc).__name__) for _, i, c in group]
+    cap = spec.base.capability
     replays: dict = {}
-    ran: dict = {}
     records = []
     for _, i, combo in group:
-        toi, ad = combo[3:]
-        # 2 and 2.0 compare equal, but configs built from them need not step
-        # bit for bit alike (integer products are exact), and 0.0 and -0.0
-        # are written apart, so the type and the sign of a zero count too
-        key = (toi, ad, type(toi), type(ad), math.copysign(1.0, toi),
-               math.copysign(1.0, ad))
-        done = ran.get(key)
-        if done is None:
-            done = ran[key] = _run_combo(spec, grid, i, combo, replays)
-            records.append(done)
-        else:
-            records.append(_record((i, *done[1:])))
+        try:
+            config = with_valid_capability(grid, AttackerCapability(
+                toi=combo.toi_pct / 100.0, ad=combo.ad_pct / 100.0,
+                der_total=cap.der_total, kappa=cap.kappa,
+            ))
+            outcome = synthesize_min_attack(config, spec.goal,
+                                            _replays=replays)
+        except FrosimError as exc:
+            records.append(_no_attack(i, combo, type(exc).__name__))
+            continue
+        vec = outcome.vector
+        records.append(_record((
+            i, *combo, True, classify_attack(vec), vec.dp_a,
+            vec.outcome.trip_step, "ok",
+        )) if outcome.success else _no_attack(i, combo))
     return records
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Synthesize the minimal attack for every combination.
 
-    Combinations run in (H, R, T) groups, each by falling ToI x AD and
-    sharing one memo of :func:`synthesize_min_attack`, which changes no
-    record.  A process pool takes each group as one task.  Per-combination
-    failures are folded into the record's status field; the sweep itself
-    never aborts.  Results are ordered by combination id no matter how many
-    workers ran them.
+    A combination's identity is its five values, their types and the signs
+    of their zeros: 2 and 2.0 compare equal, but configs built from them
+    need not step bit for bit alike (integer products are exact), and 0.0
+    and -0.0 are written apart.  Only the first occurrence of an identity
+    runs; each repeat takes its record with only ``combo_id`` changed.  The
+    first occurrences run in (H, R, T) groups (the H, R and T part of the
+    identity), each by falling ToI x AD and sharing one memo of
+    :func:`synthesize_min_attack`, which changes no record.  A process pool
+    takes each group as one task, so a repeat never reaches a worker.
+    Per-combination failures are folded into the record's status field;
+    the sweep itself never aborts.  Results are ordered by combination id
+    no matter how many workers ran them.
     """
     combos = generate_combinations(spec)
+    sign = math.copysign
+    firsts: dict = {}
     groups: dict = {}
+    repeats = []
     for i, combo in enumerate(combos):
         h, r, t, toi, ad = combo
-        # 2 and 2.0 group apart, as in _run_group; a zero H, R or T fails
-        # validation whatever its sign
-        key = (h, r, t, type(h), type(r), type(t))
-        group = groups.get(key)
+        key = (h, r, t, type(h), type(r), type(t), sign(1.0, h), sign(1.0, r),
+               sign(1.0, t), toi, ad, type(toi), type(ad), sign(1.0, toi),
+               sign(1.0, ad))
+        first = firsts.setdefault(key, i)
+        if first != i:
+            repeats.append((i, first))
+            continue
+        group = groups.get(key[:9])
         if group is None:
-            group = groups[key] = []
+            group = groups[key[:9]] = []
         group.append((-toi * ad, i, combo))
+    del firsts  # freed before the groups run, so it adds nothing to the peak
     # ids rise within a group, so they break ties as a stable sort would
     tasks = [(spec, sorted(group)) for group in groups.values()]
     if workers <= 1 or len(tasks) < 2:
@@ -297,6 +293,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     for part in parts:
         for record in part:
             records[record[0]] = record
+    for i, first in repeats:
+        records[i] = _record((i, *records[first][1:]))
     return records
 
 
@@ -452,11 +450,7 @@ def trend_report_dict(report: TrendReport) -> dict:
 # File formats
 
 
-def _fmt(x: float) -> str:
-    return format(x, f".{RECORD_DIGITS}g")
-
-
-_FLOAT = f"%.{RECORD_DIGITS}g"  # the text of _fmt, as a %-format
+_FLOAT = f"%.{RECORD_DIGITS}g"
 _PARAMS = ",".join([_FLOAT] * 5)  # h_s, r_pu, t_s, toi_pct, ad_pct
 _RECORD_ROW = f"%s,{_PARAMS},%s,%s,%s,%s,%s\n"
 
@@ -567,6 +561,6 @@ def write_trend_outputs(report: TrendReport, json_path, csv_dir) -> list[Path]:
         with open(p, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"{name},successes\n")
             for b in trend.buckets:
-                fh.write(f"{_fmt(b.value)},{b.successes}\n")
+                fh.write(f"{_FLOAT % b.value},{b.successes}\n")
         written.append(p)
     return written

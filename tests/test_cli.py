@@ -370,6 +370,32 @@ class TestSynthesize:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+    def test_output_path_that_is_a_directory_exits_3(self, tmp_path,
+                                                     config_file, capsys,
+                                                     flag):
+        paths = {"--out": tmp_path / "r.json", "--trace-out": tmp_path / "t.csv"}
+        paths[flag] = tmp_path
+        args = ["synthesize", "--config", str(config_file), "--horizon", "12"]
+        for name, path in paths.items():
+            args += [name, str(path)]
+        assert run(args) == 3
+        assert "error writing results: " in capsys.readouterr().err
+        # the trace is written before the result, so none is left behind
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_specific_target_without_relay_id_exits_2(self, tmp_path,
+                                                      config_file, capsys,
+                                                      exhaustive):
+        out = tmp_path / "r.json"
+        args = ["synthesize", "--config", str(config_file),
+                "--target", "specific", "--horizon", "12", "--out", str(out)]
+        assert run(args + ["--exhaustive"] * exhaustive) == 2
+        assert capsys.readouterr().err == (
+            "error: SPECIFIC goal requires specific_relay_id\n")
+        assert not out.exists()
+
     def test_relay_id_of_another_target_warns(self, tmp_path, config_file):
         # the id is ignored, not checked, and the search runs as without it
         args = ["synthesize", "--config", str(config_file), "--target",
@@ -521,6 +547,49 @@ class TestSweep:
                         "--out", str(tmp_path / "o.csv")]) == 2, over
             assert "error: bad sweep spec" in capsys.readouterr().err, over
 
+    def test_base_config_file_is_read_beside_the_spec(self, tmp_path,
+                                                      monkeypatch):
+        # the working directory holds another grid of the same name
+        inline = self.spec_file(tmp_path, mode="random", count=40, seed=1)
+        study, work = tmp_path / "study", tmp_path / "work"
+        study.mkdir()
+        work.mkdir()
+        data = json.loads(inline.read_text())
+        (study / "grid.json").write_text(json.dumps(data.pop("base_config")))
+        data["base_config_file"] = "grid.json"
+        (study / "spec.json").write_text(json.dumps(data))
+        (work / "grid.json").write_text(json.dumps(config_dict(kappa=60.0)))
+        monkeypatch.chdir(work)
+        for spec, out in ((inline, "inline.csv"), ("../study/spec.json",
+                                                   "named.csv")):
+            assert run(["sweep", "--spec", str(spec), "--out", out,
+                        "--workers", "1"]) == 0
+        assert (work / "named.csv").read_bytes() == (
+            work / "inline.csv").read_bytes()
+
+    @pytest.mark.parametrize("name,message", [
+        (3, "base_config_file: must be a string"),
+        ("nosuch.json", "No such file or directory"),
+    ], ids=["not-a-string", "missing"])
+    def test_bad_base_config_file_exits_2(self, tmp_path, capsys, name,
+                                          message):
+        spec = self.spec_file(tmp_path, base_config_file=name)
+        out = tmp_path / "o.csv"
+        assert run(["sweep", "--spec", str(spec), "--workers", "1",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad sweep spec" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tolerance", [0, 0.0, -1e-4])
+    def test_nonpositive_tolerance_exits_2(self, tmp_path, capsys, tolerance):
+        spec = self.spec_file(tmp_path, tolerance=tolerance)
+        out = tmp_path / "o.csv"
+        assert run(["sweep", "--spec", str(spec), "--workers", "1",
+                    "--out", str(out)]) == 2
+        assert "tolerance: must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_relay_id_exits_2(self, tmp_path, capsys):
         spec = self.spec_file(tmp_path, goal={
             "horizon": 12, "target": "specific", "relay_id": "nosuch"})
@@ -641,6 +710,17 @@ class TestReport:
         assert run(["report", "--records", str(p), "--out", str(out)]) == 2
         assert "error: records: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["out", "csv-dir"])
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, blocked):
+        records = self.records_file(tmp_path)
+        # --out a directory, or --csv-dir a file
+        out, csv_dir = ((tmp_path, tmp_path / "csv") if blocked == "out"
+                        else (tmp_path / "trend.json", records))
+        capsys.readouterr()
+        assert run(["report", "--records", str(records), "--out", str(out),
+                    "--csv-dir", str(csv_dir)]) == 3
+        assert "error writing report: " in capsys.readouterr().err
 
     def test_empty_records_exits_2(self, tmp_path):
         p = tmp_path / "records.csv"

@@ -396,7 +396,9 @@ class TestDynamicsMemo:
                             InProcessPool)
         records = run_sweep(spec, workers=2)
         assert records == run_sweep(spec, workers=1)
-        assert sum(map(len, tasks)) == len(records)
+        # the tasks carry each distinct combination exactly once
+        carried = [combo for task in tasks for _, _, combo in task]
+        assert sorted(carried) == sorted(set(generate_combinations(spec)))
         groups = [{combo[:3] for _, _, combo in task} for task in tasks]
         assert all(len(group) == 1 for group in groups)
         assert len(groups) == len(set().union(*groups)) == 125
@@ -438,8 +440,9 @@ def demo_spec_and_lone_reprs():
 
 
 class TestDuplicateReuse:
-    """A combination whose ToI and AD its group already ran takes that
-    record, with only its id changed; no record may change."""
+    """A combination whose five values an earlier one had, in value, type
+    and sign of a zero, takes that record with only its id changed; no
+    record may change."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_demo_spec_equals_lone_syntheses(self, workers):
@@ -467,6 +470,33 @@ class TestDuplicateReuse:
         assert statuses["InvalidParameter"] == sum(
             c.toi_pct == 150.0 for c in combos)
         assert 0 < sum(r.success for r in records) < len(combos)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("column,values", [
+        (0, (0.0, -0.0, 2.0)), (1, (0.0, -0.0, 0.2)), (2, (0.0, -0.0, 0.2)),
+        (0, (2, 2.0, 6.0)),
+    ], ids=["h-zero-sign", "r-zero-sign", "t-zero-sign", "h-2-and-2.0"])
+    def test_repeats_apart_only_in_h_r_or_t_run_apart(self, tmp_path, column,
+                                                      values, workers):
+        # equal H, R or T values that are written apart: a zero fails its
+        # grid, and 2 and 2.0 both run
+        field = ("h_values", "r_values", "t_values")[column]
+        spec = small_spec(mode=SweepMode.RANDOM, count=80, seed=2,
+                          **{field: values})
+        combos = generate_combinations(spec)
+        for value in values[:2]:
+            cells = [c for c in combos if repr(c[column]) == repr(value)]
+            assert len(cells) > len(set(map(repr, cells))), value
+        records = run_sweep(spec, workers)
+        assert record_reprs(records) == lone_reprs(spec)
+        assert {r.status == "ok" for r in records} == (
+            {True} if values[0] == 2 else {True, False})
+        # each record writes its own values, -0 apart from 0
+        out = tmp_path / "records.csv"
+        write_records_csv(records, out)
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1:6] for row in rows] == [
+            [frosim.sweep._FLOAT % v for v in combo] for combo in combos]
 
     @pytest.mark.parametrize("cartesian", [False, True],
                              ids=["random", "cartesian"])
