@@ -8,8 +8,10 @@ Subcommands: ``simulate`` (run one injection, write the trace CSV),
 Exit codes are a stable contract: 0 success, 1 no attack exists, 2 bad
 configuration, spec or flag (including a ``--relay-id`` that names no relay
 of the grid, a ``--workers`` outside 1..cpu count and a sweep goal horizon
-shorter than one ROCOF window), 3 output I/O failure.  Synthesis answers
-every goal exactly and never declines, so no command exits 4.
+shorter than one ROCOF window, and a ``--trace-out`` that names the
+``--out`` file), 3 output I/O failure.  A command that exits 3 removes
+every output file it created.  Synthesis answers every goal exactly and
+never declines, so no command exits 4.
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
 logging verbosity.
@@ -45,6 +47,7 @@ from .sweep import (
     SweepSpec,
     run_sweep,
     read_records_csv,
+    trend_csv_path,
     trend_report,
     write_records_csv,
     write_trend_outputs,
@@ -84,6 +87,24 @@ def parse_quantity(text: str, f_nominal: float) -> float:
     return float(t)
 
 
+def _absent(*paths) -> list[Path]:
+    """Those of *paths* that do not exist yet: the outputs a command creates."""
+    return [Path(p) for p in paths if not os.path.lexists(p)]
+
+
+def _remove(paths: list[Path]) -> None:
+    """Remove what a failed command created of *paths*, in order: files,
+    then a directory once it is empty."""
+    for path in paths:
+        try:
+            if path.is_dir():
+                path.rmdir()
+            else:
+                path.unlink(missing_ok=True)
+        except OSError:
+            pass
+
+
 def _sim_options(args) -> SimOptions:
     return SimOptions(
         literal_accumulation=args.literal_accumulation,
@@ -121,10 +142,12 @@ def cmd_simulate(args) -> int:
     except (FrosimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    created = _absent(args.out)
     try:
         rows, events = write_trace_csv(
             _steps(config, attack, args.horizon, _sim_options(args)), args.out)
     except OSError as exc:
+        _remove(created)
         print(f"error writing {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     log.info("trace written to %s (%d rows, %d events)", args.out, rows, events)
@@ -140,6 +163,14 @@ def cmd_synthesize(args) -> int:
         if not 0 < tolerance < math.inf:
             raise InvalidParameter("--tolerance", "must be finite and > 0",
                                    tolerance)
+        # the result would overwrite the trace it names
+        trace_out, out = args.trace_out, args.out
+        if trace_out is not None and (
+                os.path.abspath(trace_out) == os.path.abspath(out)
+                or os.path.exists(trace_out) and os.path.exists(out)
+                and os.path.samefile(trace_out, out)):
+            raise InvalidParameter("--trace-out", "names the same file as --out",
+                                   trace_out)
     except (FrosimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -154,14 +185,17 @@ def cmd_synthesize(args) -> int:
         return EXIT_CONFIG
 
     trace_file = None
+    if outcome.success:
+        trace_file = args.trace_out or str(args.out) + ".trace.csv"
+    created = _absent(*filter(None, (trace_file, args.out)))
     try:
         if outcome.success:
-            trace_file = args.trace_out or str(args.out) + ".trace.csv"
             write_trace_csv(outcome.vector.trace, trace_file)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(synthesis_result_dict(outcome, trace_file), fh, indent=2)
             fh.write("\n")
     except OSError as exc:
+        _remove(created)
         print(f"error writing results: {exc}", file=sys.stderr)
         return EXIT_IO
 
@@ -252,9 +286,11 @@ def cmd_sweep(args) -> int:
         return EXIT_CONFIG
     records = run_sweep(spec, workers=args.workers)
     status_counts = Counter(r.status for r in records)
+    meta = str(args.out) + ".meta.json"
+    created = _absent(args.out, meta)
     try:
         write_records_csv(records, args.out)
-        with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as fh:
+        with open(meta, "w", encoding="utf-8") as fh:
             json.dump({
                 "mode": spec.mode.value,
                 "count": len(records),
@@ -267,6 +303,7 @@ def cmd_sweep(args) -> int:
             }, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
+        _remove(created)
         print(f"error writing {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     successes = sum(1 for r in records if r.success)
@@ -284,10 +321,13 @@ def cmd_report(args) -> int:
     except (FrosimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    csv_dir = args.csv_dir or Path(args.out).parent
+    csv_dir = Path(args.csv_dir or Path(args.out).parent)
+    created = _absent(args.out, *(trend_csv_path(csv_dir, name)
+                                  for name in report.parameters), csv_dir)
     try:
         write_trend_outputs(report, args.out, csv_dir)
     except OSError as exc:
+        _remove(created)
         print(f"error writing report: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"{report.total_records} records, {report.total_successes} successes, "

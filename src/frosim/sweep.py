@@ -547,6 +547,11 @@ def read_records_csv(path) -> list[SweepRecord]:
     return records
 
 
+def trend_csv_path(csv_dir, name: str) -> Path:
+    """The trend CSV of parameter *name* under *csv_dir*."""
+    return Path(csv_dir) / f"trend_{name}.csv"
+
+
 def write_trend_outputs(report: TrendReport, json_path, csv_dir) -> list[Path]:
     """Write the report JSON plus one two-column CSV per parameter."""
     json_path = Path(json_path)
@@ -557,7 +562,7 @@ def write_trend_outputs(report: TrendReport, json_path, csv_dir) -> list[Path]:
     csv_dir = Path(csv_dir)
     csv_dir.mkdir(parents=True, exist_ok=True)
     for name, trend in report.parameters.items():
-        p = csv_dir / f"trend_{name}.csv"
+        p = trend_csv_path(csv_dir, name)
         with open(p, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"{name},successes\n")
             for b in trend.buckets:

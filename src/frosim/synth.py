@@ -37,8 +37,9 @@ dynamics and relays, never on the capability, so a sweep's combinations of
 one (H, R, T) share one :class:`_Direction` per direction through
 :func:`synthesize_min_attack`'s private memo argument: its replays, its
 interval pass, which serves every bound of them, and, for an ``ANY`` goal,
-its largest failed magnitude and certified answer.  Every replay steps
-through the one loop of :mod:`frosim.dynamics`.
+its largest failed magnitude.  A bound at or above an answer walks over
+replays the memo already holds.  Every replay steps through the one loop
+of :mod:`frosim.dynamics`.
 """
 
 from __future__ import annotations
@@ -440,12 +441,11 @@ class _Direction:
     their unsigned float magnitude; the interval pass's *start*, rounded up
     to a record decimal (``Infinity`` when it found none under the bound it
     *covered*), and its *peak* live pieces; and, for an ``ANY`` goal, the
-    largest magnitude that *failed* a replay and the certified record
-    decimal *answer*.  (A plain class: a dataclass would add most of a
-    millisecond to ``import frosim``.)
+    largest magnitude that *failed* a replay.  (A plain class: a dataclass
+    would add most of a millisecond to ``import frosim``.)
     """
 
-    __slots__ = ("outcomes", "start", "peak", "covered", "failed", "answer")
+    __slots__ = ("outcomes", "start", "peak", "covered", "failed")
 
     def __init__(self):
         self.outcomes: dict = {}
@@ -453,7 +453,6 @@ class _Direction:
         self.peak = 0
         self.covered = -math.inf
         self.failed = Decimal("-Infinity")
-        self.answer: Optional[Decimal] = None
 
 
 def _certify(config, goal, direction, start: Decimal, options,
@@ -471,17 +470,14 @@ def _certify(config, goal, direction, start: Decimal, options,
     below its answer is a failed replay.
 
     *memo* is the direction's :class:`_Direction`.  For an ``ANY`` goal a
-    bound at or above its answer is answered by it and a bound at or below
-    its largest failure by ``None``, with no replay; only a bound between
-    them walks, and the walk adds its failures and its answer to *memo*.
+    bound at or below its largest failed replay is answered by ``None``
+    with no replay, and every walk raises that failure.  Any other bound
+    walks; at or above an answer, over replays the memo already holds.
     """
     bound = Decimal(capability_bound(config.capability))
     up_set = goal.target_kind is TargetKind.ANY
-    if up_set:
-        if memo.answer is not None and bound >= memo.answer:
-            return memo.answer
-        if bound <= memo.failed:
-            return None
+    if up_set and bound <= memo.failed:
+        return None
 
     def meets(magnitude: Decimal) -> bool:
         if _replayed(config, direction, float(magnitude), goal, options,
@@ -519,10 +515,6 @@ def _certify(config, goal, direction, start: Decimal, options,
             found = magnitude
         else:
             failed = magnitude
-    # the decimal below *found* failed, so a record decimal is every larger
-    # bound's answer; an off-grid bound that replays is no other bound's
-    if up_set and found == _RECORD.plus(found):
-        memo.answer = found
     return found
 
 
@@ -575,10 +567,11 @@ def synthesize_min_attack(
     covered is the smallest start under every larger bound, and a bound
     below the start walks from itself, as a lone call that finds no start
     does.  Only a pass that found no start runs again, over a larger bound.
-    For an ``ANY`` goal a bound at or above the direction's certified
-    answer takes it, outcome and all, and a bound at or below its largest
-    failed replay is no attack, with no replay.  Every answer is the one an
-    unshared call gives.
+    For an ``ANY`` goal the memo keeps the direction's largest failed
+    replay, and a bound at or below it is no attack, with no replay; a
+    bound at or above an answer walks over replays the memo already holds,
+    and takes that answer's outcome.  Every answer is the one an unshared
+    call gives.
     """
     _check_step("tolerance", tolerance)
     memo = {} if _replays is None else _replays

@@ -370,19 +370,53 @@ class TestSynthesize:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+    @pytest.mark.parametrize("flag", ["--out", "--trace-out", "--out-only"])
     def test_output_path_that_is_a_directory_exits_3(self, tmp_path,
                                                      config_file, capsys,
                                                      flag):
         paths = {"--out": tmp_path / "r.json", "--trace-out": tmp_path / "t.csv"}
+        if flag == "--out-only":
+            # the trace goes to OUT.trace.csv, beside the directory
+            del paths["--trace-out"]
+            flag = "--out"
         paths[flag] = tmp_path
         args = ["synthesize", "--config", str(config_file), "--horizon", "12"]
         for name, path in paths.items():
             args += [name, str(path)]
+
+        def listing():
+            return sorted([*tmp_path.parent.iterdir(), *tmp_path.rglob("*")])
+
+        before = listing()
         assert run(args) == 3
         assert "error writing results: " in capsys.readouterr().err
-        # the trace is written before the result, so none is left behind
+        # the trace is written before the result, and removed when it fails
         assert not (tmp_path / "r.json").exists()
+        assert listing() == before
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    @pytest.mark.parametrize("trace_out", ["./r.json", "link.json"])
+    def test_trace_out_naming_the_out_file_exits_2(self, tmp_path,
+                                                   config_file, capsys,
+                                                   monkeypatch, trace_out,
+                                                   exhaustive):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+        monkeypatch.setattr("frosim.cli.synthesize_min_attack", no_search)
+        monkeypatch.setattr("frosim.cli.exhaustive_min_attack", no_search)
+        monkeypatch.chdir(tmp_path)
+        if trace_out == "link.json":
+            # another name of an existing result
+            Path("r.json").write_text("{}")
+            Path("link.json").symlink_to("r.json")
+        listing = sorted(tmp_path.iterdir())
+        args = ["synthesize", "--config", str(config_file), "--horizon", "12",
+                "--out", "r.json", "--trace-out", trace_out]
+        assert run(args + ["--exhaustive"] * exhaustive) == 2
+        assert capsys.readouterr().err == (
+            f"error: --trace-out: names the same file as --out "
+            f"(got {trace_out!r})\n")
+        assert sorted(tmp_path.iterdir()) == listing
 
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_specific_target_without_relay_id_exits_2(self, tmp_path,
@@ -642,8 +676,21 @@ class TestSweep:
 
     def test_unwritable_out_exits_3(self, tmp_path):
         spec = self.spec_file(tmp_path)
+        listing = sorted(tmp_path.iterdir())
         assert run(["sweep", "--spec", str(spec), "--out", str(tmp_path),
                     "--workers", "1"]) == 3
+        assert sorted(tmp_path.iterdir()) == listing
+
+    def test_unwritable_meta_leaves_no_records(self, tmp_path, capsys):
+        # the records are written, then the .meta.json fails on a directory
+        spec = self.spec_file(tmp_path)
+        (tmp_path / "r.csv.meta.json").mkdir()
+        listing = sorted(tmp_path.iterdir())
+        out = tmp_path / "r.csv"
+        assert run(["sweep", "--spec", str(spec), "--out", str(out),
+                    "--workers", "1"]) == 3
+        assert f"error writing {out}: " in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == listing
 
 
 class TestReport:
@@ -718,9 +765,11 @@ class TestReport:
         out, csv_dir = ((tmp_path, tmp_path / "csv") if blocked == "out"
                         else (tmp_path / "trend.json", records))
         capsys.readouterr()
+        listing = sorted(tmp_path.rglob("*"))
         assert run(["report", "--records", str(records), "--out", str(out),
                     "--csv-dir", str(csv_dir)]) == 3
         assert "error writing report: " in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == listing
 
     def test_empty_records_exits_2(self, tmp_path):
         p = tmp_path / "records.csv"

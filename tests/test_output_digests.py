@@ -4,6 +4,9 @@ Each case runs one ``frosim`` command on a shipped demo input and compares
 the SHA-256 of every file it writes with ``output_digests.json``.  A report
 case first runs the serial sweep of its goal and seed, then ``report`` on
 its records, and pins the trend JSON and the five ``trend_*.csv`` files.  A
+serial sweep case also pins how many times the sweep called
+:func:`frosim.synth.feasibility`, which a memo that stops answering bounds
+without replays changes although every byte stays the same.  A
 synthesis result JSON is hashed with its ``trace_file`` path left out,
 since that names a temporary directory.  A change that is meant to alter
 an output re-records the file with::
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from frosim import synth
 from frosim.cli import run
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -53,14 +57,31 @@ def _sweep(case: str, tmp: Path, workers: int = 1) -> dict:
     spec_path = tmp / "spec.json"
     spec_path.write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
     out = tmp / "records.csv"
-    code = run(["sweep", "--spec", str(spec_path), "--out", str(out),
-                "--workers", str(workers), "--seed", seed.removeprefix("seed")])
-    return {
+    feasibility, calls = synth.feasibility, 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return feasibility(*args, **kwargs)
+
+    # pool workers replay in other processes, so only a serial sweep counts
+    if workers == 1:
+        synth.feasibility = counted
+    try:
+        code = run(["sweep", "--spec", str(spec_path), "--out", str(out),
+                    "--workers", str(workers),
+                    "--seed", seed.removeprefix("seed")])
+    finally:
+        synth.feasibility = feasibility
+    digests = {
         "exit": code,
         "records.csv": _sha256(out.read_bytes()),
         "records.csv.meta.json": _sha256(
             Path(str(out) + ".meta.json").read_bytes()),
     }
+    if workers == 1:
+        digests["feasibility_calls"] = calls
+    return digests
 
 
 def _report(case: str, tmp: Path) -> dict:

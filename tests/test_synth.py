@@ -668,8 +668,10 @@ def with_bound(config, bound):
 
 class TestAnyGroupBracket:
     """Configs that share a memo share what an ``ANY`` goal's walks proved:
-    its feasible set is an up-set in magnitude, so a failed replay answers
-    every bound at or below it, and a certified answer every bound above."""
+    its feasible set is an up-set in magnitude, so the memo keeps its
+    largest failed replay, which answers every bound at or below it, and a
+    bound at or above an answer walks over replays the memo already
+    holds."""
 
     goal = AttackGoal(horizon=12, sign=Sign.EITHER)
 
@@ -714,6 +716,34 @@ class TestAnyGroupBracket:
             assert _answer(synthesize_min_attack(capped, self.goal)) == (
                 _answer(first))
             del calls[:]
+
+    def test_a_misplaced_start_walks_to_each_bound_s_answer(self,
+                                                           monkeypatch):
+        # a start two record units high replays at once, so each falling
+        # bound walks down, from the start or from itself, to the answer
+        # that an unshared call from the exact start gives
+        cfg = study_config(kappa=60.0)
+        answer, unit = Decimal("0.0335807781047"), Decimal("1e-13")
+        bounds = (capability_bound(cfg.capability),
+                  float(answer + unit * Decimal("1.5")), float(answer),
+                  float(answer - unit), 0.0)
+        exact = [_answer(synthesize_min_attack(with_bound(cfg, bound),
+                                               self.goal))
+                 for bound in bounds]
+        assert [a is not None for a in exact] == [True] * 3 + [False] * 2
+        real = frosim.synth._smallest_feasible_start
+
+        def misplaced(*args):
+            start, peak = real(*args)
+            return start * (1 + 5e-12), peak
+
+        monkeypatch.setattr(frosim.synth, "_smallest_feasible_start",
+                            misplaced)
+        memo = {}
+        for bound, expected in zip(bounds, exact):
+            assert _answer(synthesize_min_attack(
+                with_bound(cfg, bound), self.goal, _replays=memo)) == expected
+            assert [memo[d].start for d in (1, -1)] == [answer + 2 * unit] * 2
 
     def test_a_bound_just_below_the_answer_is_its_own_replay(self,
                                                              monkeypatch):
