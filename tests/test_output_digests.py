@@ -5,8 +5,10 @@ the SHA-256 of every file it writes with ``output_digests.json``.  A report
 case first runs the serial sweep of its goal and seed, then ``report`` on
 its records, and pins the trend JSON and the five ``trend_*.csv`` files.  A
 serial sweep case also pins how many times the sweep called
-:func:`frosim.synth.feasibility`, which a memo that stops answering bounds
-without replays changes although every byte stays the same.  A
+:func:`frosim.synth.feasibility` and the interval pass
+:func:`frosim.synth._smallest_feasible_start`, which a memo that stops
+answering bounds without replays, or a pass run twice for one group and
+direction, changes although every byte stays the same.  A
 synthesis result JSON is hashed with its ``trace_file`` path left out,
 since that names a temporary directory.  A change that is meant to alter
 an output re-records the file with::
@@ -57,22 +59,27 @@ def _sweep(case: str, tmp: Path, workers: int = 1) -> dict:
     spec_path = tmp / "spec.json"
     spec_path.write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
     out = tmp / "records.csv"
-    feasibility, calls = synth.feasibility, 0
+    counted = ("feasibility", "_smallest_feasible_start")
+    real = {name: getattr(synth, name) for name in counted}
+    calls = dict.fromkeys(counted, 0)
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return feasibility(*args, **kwargs)
+    def counter(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+        return call
 
     # pool workers replay in other processes, so only a serial sweep counts
     if workers == 1:
-        synth.feasibility = counted
+        for name in counted:
+            setattr(synth, name, counter(name))
     try:
         code = run(["sweep", "--spec", str(spec_path), "--out", str(out),
                     "--workers", str(workers),
                     "--seed", seed.removeprefix("seed")])
     finally:
-        synth.feasibility = feasibility
+        for name in counted:
+            setattr(synth, name, real[name])
     digests = {
         "exit": code,
         "records.csv": _sha256(out.read_bytes()),
@@ -80,7 +87,9 @@ def _sweep(case: str, tmp: Path, workers: int = 1) -> dict:
             Path(str(out) + ".meta.json").read_bytes()),
     }
     if workers == 1:
-        digests["feasibility_calls"] = calls
+        digests["feasibility_calls"] = calls["feasibility"]
+        digests["smallest_feasible_start_calls"] = calls[
+            "_smallest_feasible_start"]
     return digests
 
 
