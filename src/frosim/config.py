@@ -162,8 +162,8 @@ def validate_grid(config: GridConfig) -> GridConfig:
     capability, and return *config* itself, its capability unchecked.
 
     Configs that differ only in capability, as the combinations of one
-    sweep (H, R, T) do, share one result and add each capability through
-    :func:`with_valid_capability`.
+    sweep (H, R, T) do, share one result and check each capability through
+    :func:`with_valid_capability` or :func:`_valid_bound`.
     """
     p = config.params
     _require(p.h_inertia > 0, "h_inertia", "must be > 0", p.h_inertia)
@@ -241,15 +241,21 @@ def with_valid_capability(grid: GridConfig,
                           cap: AttackerCapability) -> GridConfig:
     """*grid*, from :func:`validate_grid`, with capability *cap* after the
     capability checks of :func:`validate_config`."""
-    _require(0 <= cap.toi <= 1, "capability.toi", "must lie in [0, 1]", cap.toi)
-    _require(0 <= cap.ad <= 1, "capability.ad", "must lie in [0, 1]", cap.ad)
-    _require(cap.der_total >= 0, "capability.der_total", "must be >= 0",
-             cap.der_total)
-    _require(cap.kappa >= 0, "capability.kappa", "must be >= 0", cap.kappa)
-    bound = capability_bound(cap)
+    _valid_bound(cap.toi, cap.ad, cap.der_total, cap.kappa)
+    return GridConfig(grid.params, grid.generators, grid.loads, cap)
+
+
+def _valid_bound(toi, ad, der_total, kappa) -> float:
+    """The :func:`capability_bound` of these capability fields, after the
+    capability checks of :func:`validate_config`, with no capability built."""
+    _require(0 <= toi <= 1, "capability.toi", "must lie in [0, 1]", toi)
+    _require(0 <= ad <= 1, "capability.ad", "must lie in [0, 1]", ad)
+    _require(der_total >= 0, "capability.der_total", "must be >= 0", der_total)
+    _require(kappa >= 0, "capability.kappa", "must be >= 0", kappa)
+    bound = kappa * toi * ad * der_total  # as capability_bound multiplies
     _require(is_finite_real(bound), "capability",
              "bound kappa*toi*ad*der_total must be finite", bound)
-    return GridConfig(grid.params, grid.generators, grid.loads, cap)
+    return bound
 
 
 def capability_bound(cap: AttackerCapability) -> float:

@@ -8,11 +8,11 @@ identity builds the same config, so it takes its first occurrence's record
 with only its id changed and never reaches a worker.  First occurrences
 that share (H, R, T) differ only in the capability bound, so they run
 together as one group and one task of a process pool: their grid is
-validated once, each combination then checking only its capability, and
-they share one memo of :func:`~frosim.synth.synthesize_min_attack`, which
-states what it keeps.  A group runs by falling ToI x AD, so its largest
-bound runs first and its interval pass then serves every bound of the
-group.  The memo is dropped when its group ends.  A replay reads no
+validated once, each combination then checking only its ToI, AD and bound,
+and one :func:`~frosim.synth._min_attacks` call at the group's largest
+valid bound answers every bound.  Its memo lives for that call: one
+interval pass per direction, which never runs again, and the distinct
+bounds walk in falling order, equal ones answered once.  A replay reads no
 capability, so every record is the one a lone synthesis gives.  A sweep of
 fewer than two groups runs serially whatever the worker count, and only a
 sweep that starts a pool imports the process-pool modules.  Runs are
@@ -36,22 +36,24 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .config import (
-    AttackerCapability,
     GridConfig,
+    _valid_bound,
     is_finite_real,
     validate_grid,
+    with_capability,
     with_dynamics,
-    with_valid_capability,
 )
-from .dynamics import EventKind, _check_horizon
+from .dynamics import DEFAULT_OPTIONS, EventKind, _check_horizon
 from .errors import FrosimError, InvalidParameter
 from .synth import (
     RECORD_DIGITS,
     AttackGoal,
     AttackVector,
+    _min_attacks,
     check_relay_id,
-    synthesize_min_attack,
 )
+# Unused here, but bench/tracer.py wraps it under this name.
+from .synth import synthesize_min_attack  # noqa: F401
 
 # Default value grids for the five studied parameters.
 DEFAULT_H_VALUES = (2.0, 4.0, 6.0, 8.0, 10.0)
@@ -153,22 +155,25 @@ def generate_combinations(spec: SweepSpec) -> list[Combo]:
     lists; RANDOM draws ``count`` tuples uniformly with replacement from the
     lists using the spec's seed.
     """
+    lists = (spec.h_values, spec.r_values, spec.t_values,
+             spec.toi_pct_values, spec.ad_pct_values)
     if spec.mode is SweepMode.CARTESIAN:
-        return [Combo(*t) for t in itertools.product(
-            spec.h_values, spec.r_values, spec.t_values,
-            spec.toi_pct_values, spec.ad_pct_values,
-        )]
-    rng = random.Random(spec.seed)
-    return [
-        Combo(
-            rng.choice(spec.h_values),
-            rng.choice(spec.r_values),
-            rng.choice(spec.t_values),
-            rng.choice(spec.toi_pct_values),
-            rng.choice(spec.ad_pct_values),
-        )
-        for _ in range(spec.count)
-    ]
+        return [Combo(*t) for t in itertools.product(*lists)]
+    # rng.choice inlined: one getrandbits(k) rejection loop per value, as
+    # random.Random._randbelow_with_getrandbits runs it, draws the same
+    bits = random.Random(spec.seed).getrandbits
+    sizes = [(values, len(values), len(values).bit_length())
+             for values in lists]
+    combos = []
+    for _ in range(spec.count):
+        combo = []
+        for values, n, k in sizes:
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            combo.append(values[r])
+        combos.append(tuple.__new__(Combo, combo))
+    return combos
 
 
 class SweepRecord(NamedTuple):
@@ -206,35 +211,41 @@ def _no_attack(combo_id: int, combo: Combo, status: str = "ok") -> SweepRecord:
 
 
 def _run_group(args) -> list[SweepRecord]:
-    """Records of one (H, R, T) group's ``(-ToI x AD, combo_id, combo)``
-    items, in that order.
+    """Records of one (H, R, T) group's ``(combo_id, combo)`` items.
 
-    The group validates its grid once, each combination adding only the
-    capability checks, and shares one memo through
-    :func:`synthesize_min_attack`.  An invalid grid fails every record of
-    the group, as validating each combination's config would.
+    The group validates its grid once and each combination only its ToI,
+    AD and bound, building no config; one config at the largest valid bound
+    answers every valid bound in one :func:`~frosim.synth._min_attacks`
+    call.  An invalid grid fails every record of the group, as validating
+    each combination's config would.
     """
     spec, group = args
-    h, r, t = group[0][2][:3]
+    h, r, t = group[0][1][:3]
     try:
         grid = validate_grid(with_dynamics(
             spec.base, h_inertia=h, droop_r=r, governor_t=t))
     except FrosimError as exc:
-        return [_no_attack(i, c, type(exc).__name__) for _, i, c in group]
+        return [_no_attack(i, c, type(exc).__name__) for i, c in group]
     cap = spec.base.capability
-    replays: dict = {}
-    records = []
-    for _, i, combo in group:
+    records, valid = [], []
+    for i, combo in group:
+        toi, ad = combo.toi_pct / 100.0, combo.ad_pct / 100.0
         try:
-            config = with_valid_capability(grid, AttackerCapability(
-                toi=combo.toi_pct / 100.0, ad=combo.ad_pct / 100.0,
-                der_total=cap.der_total, kappa=cap.kappa,
-            ))
-            outcome = synthesize_min_attack(config, spec.goal,
-                                            _replays=replays)
+            valid.append((_valid_bound(toi, ad, cap.der_total, cap.kappa),
+                          toi, ad, i, combo))
         except FrosimError as exc:
             records.append(_no_attack(i, combo, type(exc).__name__))
-            continue
+    if not valid:
+        return records
+    _, toi, ad, _, _ = max(valid)
+    try:
+        outcomes = _min_attacks(with_capability(grid, toi=toi, ad=ad),
+                                spec.goal, [v[0] for v in valid],
+                                DEFAULT_OPTIONS)
+    except FrosimError as exc:
+        return records + [_no_attack(i, c, type(exc).__name__)
+                          for *_, i, c in valid]
+    for (*_, i, combo), outcome in zip(valid, outcomes):
         vec = outcome.vector
         records.append(_record((
             i, *combo, True, classify_attack(vec), vec.dp_a,
@@ -252,9 +263,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     and -0.0 are written apart.  Only the first occurrence of an identity
     runs; each repeat takes its record with only ``combo_id`` changed.  The
     first occurrences run in (H, R, T) groups (the H, R and T part of the
-    identity), each by falling ToI x AD and sharing one memo of
-    :func:`synthesize_min_attack`, which changes no record.  A process pool
-    takes each group as one task, so a repeat never reaches a worker.
+    identity), each answered by one synthesis call over all its bounds,
+    which changes no record.  A process pool takes each group as one task,
+    so a repeat never reaches a worker.
     Per-combination failures are folded into the record's status field;
     the sweep itself never aborts.  Results are ordered by combination id
     no matter how many workers ran them.
@@ -276,10 +287,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
         group = groups.get(key[:9])
         if group is None:
             group = groups[key[:9]] = []
-        group.append((-toi * ad, i, combo))
+        group.append((i, combo))
     del firsts  # freed before the groups run, so it adds nothing to the peak
-    # ids rise within a group, so they break ties as a stable sort would
-    tasks = [(spec, sorted(group)) for group in groups.values()]
+    tasks = [(spec, group) for group in groups.values()]
     if workers <= 1 or len(tasks) < 2:
         parts = map(_run_group, tasks)
     else:

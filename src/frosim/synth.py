@@ -33,13 +33,15 @@ one replay gives the verdict and, on a success, the trace as its
 certificate.  The exact search keeps each outcome under its direction and
 magnitude, so no magnitude is replayed twice and the answer is the outcome
 the search already holds.  A replay depends on the config only through its
-dynamics and relays, never on the capability, so a sweep's combinations of
-one (H, R, T) share one :class:`_Direction` per direction through
-:func:`synthesize_min_attack`'s private memo argument: its replays, its
-interval pass, which serves every bound of them, and, for an ``ANY`` goal,
-its largest failed magnitude.  A bound at or above an answer walks over
-replays the memo already holds.  Every replay steps through the one loop
-of :mod:`frosim.dynamics`.
+dynamics and relays, never on the capability, so :func:`_min_attacks`
+answers the capability bounds of a sweep's (H, R, T) group in one call,
+over a memo that lives for that call: per direction, one interval pass over
+the config's own bound, which never runs again, every replay and, for an
+``ANY`` goal, the largest failed magnitude.  Distinct bounds walk in
+falling order and equal ones are answered once; a bound at or above an
+answer walks over replays the memo holds.  :func:`synthesize_min_attack`
+is its one-bound call.  Every replay steps through the one loop of
+:mod:`frosim.dynamics`.
 """
 
 from __future__ import annotations
@@ -210,16 +212,15 @@ def feasibility(
 
 def _replayed(config, direction, magnitude, goal, options,
               outcomes: dict) -> FeasibilityOutcome:
-    """:func:`feasibility` of ``direction * magnitude``, replayed only when
-    *outcomes*, one direction's memo, lacks *magnitude* (a zero keeps the
-    direction's sign).  Replays read neither the capability nor the
-    tolerance, so calls whose configs differ only in capability, with the
-    same goal and options, may share one memo."""
-    dp_a = direction * magnitude
-    _check_capability(config, dp_a)
+    """:func:`feasibility` of ``direction * magnitude`` (a zero keeps the
+    direction's sign), replayed only when *outcomes*, one direction's memo,
+    lacks *magnitude*.  Replays read neither the capability nor the
+    tolerance, so bounds of one config, with the same goal and options,
+    may share one memo."""
     outcome = outcomes.get(magnitude)
     if outcome is None:
-        outcome = outcomes[magnitude] = feasibility(config, dp_a, goal, options)
+        outcome = outcomes[magnitude] = feasibility(
+            config, direction * magnitude, goal, options)
     return outcome
 
 
@@ -439,26 +440,25 @@ def _smallest_feasible_start(
 class _Direction:
     """One direction's share of a memo: every replay's *outcomes* under
     their unsigned float magnitude; the interval pass's *start*, rounded up
-    to a record decimal (``Infinity`` when it found none under the bound it
-    *covered*), and its *peak* live pieces; and, for an ``ANY`` goal, the
-    largest magnitude that *failed* a replay.  (A plain class: a dataclass
-    would add most of a millisecond to ``import frosim``.)
+    to a record decimal (``Infinity`` when it found none), and its *peak*
+    live pieces; and, for an ``ANY`` goal, the largest magnitude that
+    *failed* a replay.  (A plain class: a dataclass would add most of a
+    millisecond to ``import frosim``.)
     """
 
-    __slots__ = ("outcomes", "start", "peak", "covered", "failed")
+    __slots__ = ("outcomes", "start", "peak", "failed")
 
     def __init__(self):
         self.outcomes: dict = {}
         self.start = Decimal("Infinity")
         self.peak = 0
-        self.covered = -math.inf
         self.failed = Decimal("-Infinity")
 
 
-def _certify(config, goal, direction, start: Decimal, options,
-             memo: _Direction) -> Optional[Decimal]:
+def _certify(config, goal, direction, start: Decimal, bound: Decimal,
+             options, memo: _Direction) -> Optional[Decimal]:
     """The certified record decimal from *start* along *direction*, ``None``
-    when none replays within the capability bound.
+    when none replays within the capability bound *bound*.
 
     *start* is the interval pass's rounded-up minimum, and its float error
     can put the boundary a few units of the last digit to either side.  The
@@ -474,7 +474,6 @@ def _certify(config, goal, direction, start: Decimal, options,
     with no replay, and every walk raises that failure.  Any other bound
     walks; at or above an answer, over replays the memo already holds.
     """
-    bound = Decimal(capability_bound(config.capability))
     up_set = goal.target_kind is TargetKind.ANY
     if up_set and bound <= memo.failed:
         return None
@@ -536,8 +535,6 @@ def synthesize_min_attack(
     goal: AttackGoal,
     tolerance: float = 1e-4,
     options: SimOptions = DEFAULT_OPTIONS,
-    *,
-    _replays: Optional[dict] = None,
 ) -> FeasibilityOutcome:
     """Find the smallest-magnitude injection meeting *goal*, exactly.
 
@@ -548,69 +545,75 @@ def synthesize_min_attack(
     a record decimal and is certified by one walk, :func:`_certify`: a
     gallop away from the start's verdict, then one bisection.  A direction
     answers no attack only when a replay at or above the capability bound
-    fails: the bound's own replay, or, for an ``ANY`` goal, any failed
-    replay in the memo.  *tolerance* is validated but does not affect the
-    answer; it is the resolution of :func:`exhaustive_min_attack`.
+    fails.  *tolerance* is validated but does not affect the answer; it is
+    the resolution of :func:`exhaustive_min_attack`.
 
     When the goal allows either direction, the starts are certified smallest
     first, and the second only when it could still win: a start's float
     error is far below one record unit, so its walk certifies nothing below
     the record decimal under it.  The smaller certified magnitude wins, ties
-    broken toward the positive direction.
-
-    The search replays each magnitude once and returns the outcome of the
-    answer's replay.  *_replays* lets calls share those outcomes: a dict
-    passed to calls with the same goal and options whose configs differ
-    only in capability (as the combinations of one (H, R, T) in a sweep
-    do).  It keeps one :class:`_Direction` per direction, whose interval
-    pass every bound takes: a start found at or below the bound a pass
-    covered is the smallest start under every larger bound, and a bound
-    below the start walks from itself, as a lone call that finds no start
-    does.  Only a pass that found no start runs again, over a larger bound.
-    For an ``ANY`` goal the memo keeps the direction's largest failed
-    replay, and a bound at or below it is no attack, with no replay; a
-    bound at or above an answer walks over replays the memo already holds,
-    and takes that answer's outcome.  Every answer is the one an unshared
-    call gives.
+    broken toward the positive direction.  The search replays each magnitude
+    once and returns the outcome of the answer's replay.
     """
     _check_step("tolerance", tolerance)
-    memo = {} if _replays is None else _replays
-    bound = capability_bound(config.capability)
+    return _min_attacks(config, goal, (capability_bound(config.capability),),
+                        options)[0]
+
+
+def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
+                 options: SimOptions) -> list:
+    """The outcome :func:`synthesize_min_attack` gives under each capability
+    bound in *bounds*, in their order; a bound above *config*'s own raises
+    :class:`CapabilityExceeded`.
+
+    No replay reads the capability, so the bounds share one memo for this
+    call, a :class:`_Direction` per direction, whose one interval pass runs
+    over *config*'s bound: its start is the smallest under every bound at or
+    above it, and a bound below it walks from itself, as a lone call whose
+    pass finds no start does.  The distinct bounds (a zero apart from its
+    negative) walk in falling order, each once: an ``ANY`` goal's failed
+    replay answers every smaller bound at or below it with no replay, and a
+    bound at or above an answer walks over replays the memo holds.
+    """
+    _check_capability(config, max(bounds))
     directions = goal.directions()
-    for d in directions:
-        entry = memo.get(d)
-        if entry is None:
-            entry = memo[d] = _Direction()
-        # a new entry has found no start under any bound, so its pass runs
-        if entry.start.is_infinite() and bound > entry.covered:
-            start, entry.peak = _smallest_feasible_start(config, goal, d,
-                                                         options)
-            entry.start, entry.covered = _RECORD.plus(Decimal(start)), bound
+    memo = {d: _Direction() for d in directions}
+    for d, entry in memo.items():
+        start, entry.peak = _smallest_feasible_start(config, goal, d, options)
+        entry.start = _RECORD.plus(Decimal(start))
+    order = sorted((memo[d].start, -d) for d in directions)
     debug = log.isEnabledFor(logging.DEBUG)
-    if debug:
-        # each replay adds one outcome and nothing else does, so the
-        # difference counts the replays this call ran
-        before = sum(len(memo[d].outcomes) for d in directions)
-    best = None  # (magnitude, -direction): ties go to the positive one
-    for start, rank in sorted((memo[d].start, -d) for d in directions):
-        # a start's float error is far below one record unit, so no
-        # certified magnitude falls under the decimal below it
-        if best is not None and (_below(start), rank) >= best:
-            break
-        magnitude = _certify(config, goal, -rank, start, options, memo[-rank])
-        if magnitude is not None and (best is None or (magnitude, rank) < best):
-            best = (magnitude, rank)
-    outcome = _NO_ATTACK if best is None else _replayed(
-        config, -best[1], float(best[0]), goal, options,
-        memo[-best[1]].outcomes)
-    if debug:
-        log.debug("synthesis %s/%s by interval pass, %s; certify replays %d; "
-                  "%s", goal.target_kind.value, goal.sign.value, "; ".join(
-                      f"{d:+d}: smallest feasible start {memo[d].start}, "
-                      f"peak {memo[d].peak} live pieces" for d in directions),
-                  sum(len(memo[d].outcomes) for d in directions) - before,
-                  _describe(outcome))
-    return outcome
+    sign = math.copysign
+    answers = {}
+    for key in sorted({(b, sign(1.0, b)) for b in bounds}, reverse=True):
+        bound = Decimal(key[0])
+        if debug:
+            # each replay adds one outcome and nothing else does, so the
+            # difference counts the replays this bound ran
+            before = sum(len(memo[d].outcomes) for d in directions)
+        best = None  # (magnitude, -direction): ties go to the positive one
+        for start, rank in order:
+            # a start's float error is far below one record unit, so no
+            # certified magnitude falls under the decimal below it
+            if best is not None and (_below(start), rank) >= best:
+                break
+            magnitude = _certify(config, goal, -rank, start, bound, options,
+                                 memo[-rank])
+            if magnitude is not None and (best is None
+                                          or (magnitude, rank) < best):
+                best = (magnitude, rank)
+        outcome = answers[key] = _NO_ATTACK if best is None else _replayed(
+            config, -best[1], float(best[0]), goal, options,
+            memo[-best[1]].outcomes)
+        if debug:
+            log.debug(
+                "synthesis %s/%s by interval pass, %s; certify replays %d; "
+                "%s", goal.target_kind.value, goal.sign.value, "; ".join(
+                    f"{d:+d}: smallest feasible start {memo[d].start}, "
+                    f"peak {memo[d].peak} live pieces" for d in directions),
+                sum(len(memo[d].outcomes) for d in directions) - before,
+                _describe(outcome))
+    return [answers[b, sign(1.0, b)] for b in bounds]
 
 
 def exhaustive_min_attack(

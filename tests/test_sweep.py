@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -83,6 +84,29 @@ class TestGenerateCombinations:
         assert len(a) == 10000 and a == b
         values = {c.h for c in a}
         assert values == {2.0, 6.0}
+
+    def test_random_draws_equal_rng_choice(self):
+        # the draw consumes the seeded generator as rng.choice does: value
+        # lists of every length 1-9, one length or mixed lengths in a spec
+        pick = random.Random(0)
+        for seed in range(300):
+            if seed % 3:
+                lengths = [pick.randint(1, 9) for _ in range(5)]
+            else:
+                lengths = [seed % 9 + 1] * 5
+            lists = [tuple(float(10 * column + j) for j in range(n))
+                     for column, n in enumerate(lengths)]
+            seed = seed if seed % 2 else 2 ** 40 + seed
+            spec = small_spec(h_values=lists[0], r_values=lists[1],
+                              t_values=lists[2], toi_pct_values=lists[3],
+                              ad_pct_values=lists[4], mode=SweepMode.RANDOM,
+                              count=40, seed=seed)
+            rng = random.Random(seed)
+            expected = [tuple(rng.choice(values) for values in lists)
+                        for _ in range(40)]
+            combos = generate_combinations(spec)
+            assert combos == expected
+            assert all(type(c) is frosim.sweep.Combo for c in combos)
 
     def test_single_value_lists_yield_one_tuple(self):
         spec = small_spec(h_values=(2.0,), toi_pct_values=(2.0,),
@@ -397,9 +421,9 @@ class TestDynamicsMemo:
         records = run_sweep(spec, workers=2)
         assert records == run_sweep(spec, workers=1)
         # the tasks carry each distinct combination exactly once
-        carried = [combo for task in tasks for _, _, combo in task]
+        carried = [combo for task in tasks for _, combo in task]
         assert sorted(carried) == sorted(set(generate_combinations(spec)))
-        groups = [{combo[:3] for _, _, combo in task} for task in tasks]
+        groups = [{combo[:3] for _, combo in task} for task in tasks]
         assert all(len(group) == 1 for group in groups)
         assert len(groups) == len(set().union(*groups)) == 125
         # the pool still sends at least eight chunks of tasks
@@ -407,21 +431,49 @@ class TestDynamicsMemo:
         assert math.ceil(len(tasks) / chunksize) >= 8
 
     def test_capability_check_is_kept_on_every_call(self):
+        # a group call checks every bound against its config's, and each
+        # replay checks its magnitude
         spec = memo_spec(TargetKind.ANY, Sign.POSITIVE)
         combo = generate_combinations(spec)[0]
         wide = validate_config(with_capability(
             combo_config(spec, combo), toi=1.0, ad=1.0))
         narrow = validate_config(with_capability(
             combo_config(spec, combo), toi=0.01, ad=0.01))
-        replays = {}
-        big = synthesize_min_attack(wide, spec.goal, _replays=replays)
-        assert big.success and abs(big.vector.dp_a) > capability_bound(
-            narrow.capability)
+        bounds = [capability_bound(c.capability) for c in (narrow, wide)]
+        small, big = frosim.synth._min_attacks(wide, spec.goal, bounds,
+                                               frosim.SimOptions())
+        assert big.success and abs(big.vector.dp_a) > bounds[0]
+        assert not small.success
+        assert [repr(small), repr(big)] == [
+            repr(synthesize_min_attack(c, spec.goal)) for c in (narrow, wide)]
         with pytest.raises(frosim.CapabilityExceeded):
-            frosim.synth._replayed(narrow, 1, big.vector.dp_a, spec.goal,
-                                   frosim.SimOptions(), replays[1].outcomes)
-        assert not synthesize_min_attack(narrow, spec.goal,
-                                         _replays=replays).success
+            frosim.synth._min_attacks(narrow, spec.goal, bounds,
+                                      frosim.SimOptions())
+        with pytest.raises(frosim.CapabilityExceeded):
+            feasibility(narrow, big.vector.dp_a, spec.goal)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invalid_capabilities_in_a_group_with_valid_ones(self, workers):
+        # the base capability is valid at toi 0; a ToI of 150% fails its
+        # range check, and 100% overflows kappa*toi*ad*der_total, in every
+        # (H, R, T) group beside combinations whose bounds lie below and
+        # above the minimal injections
+        base = validate_config(with_capability(
+            study_config(), toi=0.0, der_total=4.0, kappa=1e308))
+        spec = small_spec(base=base, toi_pct_values=(1e-308, 1e-307, 150.0,
+                                                    100.0),
+                          ad_pct_values=(60.0, 100.0))
+        combos = generate_combinations(spec)
+        assert len({c[:3] for c in combos}) == 2
+        expected = lone_records(spec)
+        got = [(tuple(r), repr(r.min_dp_a)) for r in run_sweep(spec, workers)]
+        assert got == expected
+        statuses = {(r[0][4], r[0][-1]) for r in expected}
+        assert statuses == {(1e-308, "ok"), (1e-307, "ok"),
+                            (150.0, "InvalidParameter"),
+                            (100.0, "InvalidParameter")}
+        successes = {(r[0][4], r[0][6]) for r in expected}
+        assert (1e-308, False) in successes and (1e-307, True) in successes
 
 
 def record_reprs(records):
@@ -502,24 +554,34 @@ class TestDuplicateReuse:
                              ids=["random", "cartesian"])
     def test_one_synthesis_per_distinct_combination(self, monkeypatch,
                                                     cartesian):
+        # one group call per (H, R, T), on a config at the group's largest
+        # bound, carrying the bound of each distinct combination once
         spec, _ = _spec_from_file(DEMO_SPEC, 1)
         if cartesian:
             spec = dataclasses.replace(spec, mode=SweepMode.CARTESIAN,
                                        toi_pct_values=(2.0, 10.0),
                                        ad_pct_values=(20.0, 100.0))
         calls = Counter()
-        synthesize = frosim.sweep.synthesize_min_attack
+        carried = []
+        min_attacks = frosim.sweep._min_attacks
 
-        def counted(config, goal, *args, **kwargs):
-            p, cap = config.params, config.capability
-            calls[p.h_inertia, p.droop_r, p.governor_t, cap.toi, cap.ad] += 1
-            return synthesize(config, goal, *args, **kwargs)
+        def counted(config, goal, bounds, options):
+            p = config.params
+            calls[p.h_inertia, p.droop_r, p.governor_t] += 1
+            assert max(bounds) == capability_bound(config.capability)
+            carried.extend(bounds)
+            return min_attacks(config, goal, bounds, options)
 
-        monkeypatch.setattr(frosim.sweep, "synthesize_min_attack", counted)
+        monkeypatch.setattr(frosim.sweep, "_min_attacks", counted)
         records = run_sweep(spec, workers=1)
         combos = generate_combinations(spec)
         assert set(calls.values()) == {1}
-        assert sum(calls.values()) == len(set(combos))
+        assert set(calls) == {c[:3] for c in combos}
+        cap = spec.base.capability
+        assert sorted(carried) == sorted(
+            capability_bound(dataclasses.replace(
+                cap, toi=c.toi_pct / 100.0, ad=c.ad_pct / 100.0))
+            for c in set(combos))
         assert (len(set(combos)) == len(combos)) == cartesian
         assert records == run_sweep(spec, workers=2)
 

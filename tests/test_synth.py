@@ -608,29 +608,21 @@ class TestOneReplayPerMagnitude:
         assert scan is exact
 
     @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.LS_ONLY])
-    def test_shared_memo_replays_each_magnitude_once(self, monkeypatch,
-                                                     target):
+    def test_a_group_call_replays_each_magnitude_once(self, monkeypatch,
+                                                      target):
         goal = AttackGoal(horizon=60, target_kind=target, sign=Sign.EITHER)
-        calls = count_replays(monkeypatch)
-        replays: dict = {}
         # bounds 0.018 and 0.03 lie below the answer, the others above
-        outcomes = [synthesize_min_attack(study_config(kappa=kappa), goal,
-                                          _replays=replays)
-                    for kappa in (3.0, 5.0, 60.0, 10.0, 30.0, 60.0)]
+        bounds = [capability_bound(study_config(kappa=kappa).capability)
+                  for kappa in (3.0, 5.0, 60.0, 10.0, 30.0, 60.0)]
+        calls = count_replays(monkeypatch)
+        outcomes = frosim.synth._min_attacks(study_config(kappa=60.0), goal,
+                                             bounds, SimOptions())
         assert [out.success for out in outcomes] == [False] * 2 + [True] * 4
         assert all(out is outcomes[2] for out in outcomes[2:])
         assert len(calls) > 1 and replayed_once(calls)
-        # the memo keeps each replay's outcome once under its magnitude, in
-        # replay order per direction
-        assert sum(len(e.outcomes) for e in replays.values()) == len(calls)
-        for direction, entry in replays.items():
-            replayed = [(x, out) for x, out in calls
-                        if math.copysign(1.0, x) == direction]
-            assert list(entry.outcomes) == [abs(x) for x, _ in replayed]
-            assert all(v is out for v, (_, out) in zip(
-                entry.outcomes.values(), replayed))
-        assert any(v is outcomes[2] for e in replays.values()
-                   for v in e.outcomes.values())
+        # the answer is the call's own replay of it
+        assert [x for x, out in calls if out is outcomes[2]] == [
+            outcomes[2].vector.dp_a]
 
 
 class TestBackendAgreement:
@@ -666,71 +658,79 @@ def with_bound(config, bound):
                            kappa=bound)
 
 
+def group_answers(config, goal, bounds, options=SimOptions()):
+    """The outcomes of one group call for *bounds*, on *config* with the
+    largest of them as its capability bound."""
+    return frosim.synth._min_attacks(with_bound(config, max(bounds)), goal,
+                                     list(bounds), options)
+
+
+def lone_answer(config, goal, bound, options=SimOptions()):
+    return synthesize_min_attack(with_bound(config, bound), goal,
+                                 options=options)
+
+
+def assert_lone_answers(config, goal, bounds, outcomes, options=SimOptions()):
+    """Each outcome is, by ``repr``, the lone call's under its bound."""
+    assert [repr(out) for out in outcomes] == [
+        repr(lone_answer(config, goal, bound, options)) for bound in bounds]
+
+
 class TestAnyGroupBracket:
-    """Configs that share a memo share what an ``ANY`` goal's walks proved:
-    its feasible set is an up-set in magnitude, so the memo keeps its
-    largest failed replay, which answers every bound at or below it, and a
-    bound at or above an answer walks over replays the memo already
-    holds."""
+    """The bounds of one group call share what an ``ANY`` goal's walks
+    proved: its feasible set is an up-set in magnitude, so a failed replay
+    answers every smaller bound at or below it with no replay, and a bound
+    at or above an answer walks over replays the call already holds."""
 
     goal = AttackGoal(horizon=12, sign=Sign.EITHER)
 
     def test_a_bound_at_or_below_a_failure_replays_nothing(self,
                                                            monkeypatch):
+        # 0.03 lies below the answer, 0.0335807781047: its replays fail and
+        # answer every bound below it, zeros of both signs included
         cfg = study_config(kappa=60.0)
+        bounds = (0.0, 0.02, 0.03, -0.0, 1e-9, 0.03)
         calls = count_replays(monkeypatch)
-        memo = {}
-        # 0.03 lies below the answer, 0.0335807781047
-        assert not synthesize_min_attack(with_bound(cfg, 0.03), self.goal,
-                                         _replays=memo).success
+        outcomes = group_answers(cfg, self.goal, bounds)
         assert sorted(x for x, _ in calls) == [-0.03, 0.03]
-        del calls[:]
-        for bound in (0.03, 0.02, 1e-9, 0.0):
-            capped = with_bound(cfg, bound)
-            assert not synthesize_min_attack(capped, self.goal,
-                                             _replays=memo).success
-            assert not calls
-            assert not synthesize_min_attack(capped, self.goal).success
-            del calls[:]
+        assert not any(out.success for out in outcomes)
+        assert_lone_answers(cfg, self.goal, bounds, outcomes)
 
     def test_a_bound_at_or_above_the_answer_takes_its_outcome(self,
                                                               monkeypatch):
-        cfg = study_config(kappa=60.0)
-        memo = {}
-        first = synthesize_min_attack(cfg, self.goal, _replays=memo)
-        answer = Decimal(repr(first.vector.dp_a))
-        assert answer == Decimal("0.0335807781047")
-        calls = count_replays(monkeypatch)
         # the float of the answer lies just below it and walks, but its
         # replay is the answer's; one ulp and a fraction of a record unit
-        # above the answer, and bounds far above, take the answer
-        bounds = (float(answer), math.nextafter(float(answer), 1.0),
-                  float(answer) * (1 + 1e-14), 0.06, 0.36, 5.0)
+        # above the answer, and bounds far above, take the answer with no
+        # replay beyond the largest bound's
+        cfg = study_config(kappa=60.0)
+        answer = Decimal("0.0335807781047")
+        bounds = (0.06, float(answer), 5.0,
+                  math.nextafter(float(answer), 1.0),
+                  float(answer) * (1 + 1e-14), 0.36, 5.0)
         assert [Decimal(bound) >= answer for bound in bounds] == (
-            [False] + [True] * 5)
-        for bound in bounds:
-            capped = with_bound(cfg, bound)
-            assert synthesize_min_attack(capped, self.goal,
-                                         _replays=memo) is first
-            assert not calls
-            assert _answer(synthesize_min_attack(capped, self.goal)) == (
-                _answer(first))
-            del calls[:]
+            [True, False] + [True] * 5)
+        calls = count_replays(monkeypatch)
+        outcomes = group_answers(cfg, self.goal, bounds)
+        replayed = sorted(x for x, _ in calls)
+        del calls[:]
+        lone_answer(cfg, self.goal, 5.0)
+        assert replayed == sorted(x for x, _ in calls)
+        assert Decimal(repr(outcomes[0].vector.dp_a)) == answer
+        assert all(out is outcomes[0] for out in outcomes)
+        assert_lone_answers(cfg, self.goal, bounds, outcomes)
 
     def test_a_misplaced_start_walks_to_each_bound_s_answer(self,
                                                            monkeypatch):
         # a start two record units high replays at once, so each falling
         # bound walks down, from the start or from itself, to the answer
-        # that an unshared call from the exact start gives
+        # that a lone call from the exact start gives
         cfg = study_config(kappa=60.0)
         answer, unit = Decimal("0.0335807781047"), Decimal("1e-13")
-        bounds = (capability_bound(cfg.capability),
-                  float(answer + unit * Decimal("1.5")), float(answer),
-                  float(answer - unit), 0.0)
-        exact = [_answer(synthesize_min_attack(with_bound(cfg, bound),
-                                               self.goal))
-                 for bound in bounds]
-        assert [a is not None for a in exact] == [True] * 3 + [False] * 2
+        bounds = (float(answer), 0.0, capability_bound(cfg.capability),
+                  float(answer - unit), float(answer + unit * Decimal("1.5")))
+        exact = [lone_answer(cfg, self.goal, bound) for bound in bounds]
+        assert [out.success for out in exact] == [True, False, True, False,
+                                                  True]
         real = frosim.synth._smallest_feasible_start
 
         def misplaced(*args):
@@ -739,11 +739,12 @@ class TestAnyGroupBracket:
 
         monkeypatch.setattr(frosim.synth, "_smallest_feasible_start",
                             misplaced)
-        memo = {}
-        for bound, expected in zip(bounds, exact):
-            assert _answer(synthesize_min_attack(
-                with_bound(cfg, bound), self.goal, _replays=memo)) == expected
-            assert [memo[d].start for d in (1, -1)] == [answer + 2 * unit] * 2
+        passes = count_passes(monkeypatch)
+        outcomes = group_answers(cfg, self.goal, bounds)
+        assert [repr(out) for out in outcomes] == [repr(out) for out in exact]
+        assert {Decimal(x).quantize(unit, ROUND_CEILING)
+                for _, _, x in passes} == {answer + 2 * unit}
+        assert sorted(d for d, _, _ in passes) == [-1, 1]
 
     def test_a_bound_just_below_the_answer_is_its_own_replay(self,
                                                              monkeypatch):
@@ -751,47 +752,44 @@ class TestAnyGroupBracket:
         # bound at or above the kernel's boundary replays; it is then the
         # answer, by its own replay, as a lone call answers it
         cfg = study_config(kappa=60.0)
-        memo = {}
-        answer = Decimal(repr(synthesize_min_attack(
-            cfg, self.goal, _replays=memo).vector.dp_a))
+        answer = Decimal("0.0335807781047")
         lower = Context(prec=12).next_minus(answer)
+        replays, fails = (float(lower + (answer - lower) * fraction)
+                          for fraction in (Decimal("0.75"), Decimal("0.5")))
         calls = count_replays(monkeypatch)
-        for fraction, replays in ((Decimal("0.75"), True),
-                                  (Decimal("0.5"), False)):
-            bound = float(lower + (answer - lower) * fraction)
-            capped = with_bound(cfg, bound)
-            shared = synthesize_min_attack(capped, self.goal, _replays=memo)
-            # the bound is replayed, once per direction at most, and
-            # nothing else is
-            assert calls and {abs(x) for x, _ in calls} == {bound}
-            assert shared.success is replays
-            if replays:
-                assert shared.vector.dp_a == bound
-                assert [o for x, o in calls if o is shared] == [shared]
-            assert _answer(shared) == _answer(
-                synthesize_min_attack(capped, self.goal))
-            del calls[:]
+        lone_answer(cfg, self.goal, 0.36)
+        lone = {abs(x) for x, _ in calls}
+        del calls[:]
+        bounds = (replays, 0.36, fails)
+        outcomes = group_answers(cfg, self.goal, bounds)
+        # each such bound is replayed, once per direction at most, and
+        # nothing else beyond the largest bound's replays
+        assert replayed_once(calls)
+        assert {abs(x) for x, _ in calls} - lone == {replays, fails}
+        assert outcomes[0].vector.dp_a == replays
+        assert [out for _, out in calls if out is outcomes[0]] == [
+            outcomes[0]]
+        assert not outcomes[2].success
+        assert_lone_answers(cfg, self.goal, bounds, outcomes)
 
-    def test_a_shared_answer_reads_certify_replays_0(self, caplog):
+    def test_one_debug_line_per_distinct_bound(self, caplog):
         cfg = study_config(kappa=60.0)
-        memo = {}
         caplog.set_level(logging.DEBUG, logger="frosim")
-        # 0.06 lies above the answer, 0.03 below a failed replay, and the
-        # last bound between the answer and the decimal below it replays
-        for bound in (0.36, 0.06, 0.03, 0.033580778104675):
-            synthesize_min_attack(with_bound(cfg, bound), self.goal,
-                                  _replays=memo)
+        group_answers(cfg, self.goal,
+                      (0.03, 0.36, 0.033580778104675, 0.06, 0.06))
         counts = [int(re.search(r"certify replays (\d+);", r.getMessage())
                       .group(1)) for r in caplog.records
                   if r.name == "frosim.synth"]
-        # both directions certify: each replays its start and the failing
-        # decimal below it; the last bound is replayed in both directions
-        assert counts == [4, 0, 0, 2]
+        # falling bounds: 0.36 replays each direction's start and the
+        # failing decimal below it, and 0.06 walks over those; the bound
+        # between the answer and that decimal is replayed in both
+        # directions, and 0.03 lies below a failed replay
+        assert counts == [4, 0, 2, 0]
 
     @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
-    def test_a_shared_memo_answers_as_lone_calls(self, option):
+    def test_a_group_call_answers_as_lone_calls(self, option):
         # bounds at the answer, at the decimal below it, between the two,
-        # around them and far off, shuffled, one memo per grid and goal
+        # around them and far off, zeros of both signs and repeats, shuffled
         options = ALL_OPTIONS[option]
         rng = random.Random(6000 + option)
         below = Context(prec=12).next_minus
@@ -802,9 +800,9 @@ class TestAnyGroupBracket:
                               sign=rng.choice(list(Sign)),
                               attack_step=rng.choice([0, 3]))
             bound = 4 * capability_bound(cfg.capability)
-            full = synthesize_min_attack(with_bound(cfg, bound), goal,
-                                         options=options)
-            bounds = [bound, 0.0, bound * rng.random(), bound * rng.random()]
+            full = lone_answer(cfg, goal, bound, options)
+            bounds = [bound, 0.0, -0.0, bound * rng.random(),
+                      bound * rng.random()]
             if full.success:
                 a = Decimal(repr(abs(full.vector.dp_a)))
                 bounds += [float(a), float(below(a)),
@@ -812,14 +810,12 @@ class TestAnyGroupBracket:
                            float(below(a) + (a - below(a)) * 7 / 8),
                            float(a) * (1 - 1e-13), float(a) * (1 + 1e-13),
                            float(a) * (1 - 1e-9), float(a) * (1 + 1e-9)]
+            bounds += rng.sample(bounds, 3)
             rng.shuffle(bounds)
-            memo = {}
-            for b in bounds:
-                capped = with_bound(cfg, b)
-                shared = synthesize_min_attack(capped, goal, options=options,
-                                               _replays=memo)
-                lone = synthesize_min_attack(capped, goal, options=options)
-                assert _answer(shared) == _answer(lone)
+            outcomes = group_answers(cfg, goal, bounds, options)
+            for b, out in zip(bounds, outcomes):
+                lone = lone_answer(cfg, goal, b, options)
+                assert repr(out) == repr(lone)
                 answers[lone.success] += 1
         assert min(answers.values()) >= 100
 
@@ -840,58 +836,54 @@ def count_passes(monkeypatch):
 
 
 class TestOnePassPerDirection:
-    """Configs that share a memo share each direction's interval pass: a
-    start found at or below the bound a pass covered is the smallest start
-    under every larger bound, and a bound below it walks from itself, as a
-    lone call that finds no start does.  Only a pass that found no start
-    runs again, over a larger bound."""
+    """The bounds of one group call share each direction's interval pass,
+    run once over the config's own bound: a start found under it is the
+    smallest start under every bound at or above it, and a bound below it
+    walks from itself, as a lone call whose pass finds no start does.  No
+    pass runs again."""
 
     @pytest.mark.parametrize("goal", GOALS_PER_TARGET,
                              ids=[t.value for t in TargetKind])
-    def test_descending_bounds_run_one_pass_per_direction(self, monkeypatch,
+    def test_one_pass_per_direction_over_the_config_bound(self, monkeypatch,
                                                           goal):
         cfg = study_config(kappa=60.0)
-        memo = {}
+        bounds = (0.06, 0.0, 0.36, 0.018, 0.2, 0.03, 0.04, 0.36)
         passes = count_passes(monkeypatch)
-        bounds = (0.36, 0.2, 0.06, 0.04, 0.03, 0.018, 0.0)
-        shared = [synthesize_min_attack(with_bound(cfg, b), goal,
-                                        _replays=memo) for b in bounds]
-        assert sorted(d for d, _, _ in passes) == [-1, 1]
-        assert {b for _, b, _ in passes} == {0.36}
-        assert any(out.success for out in shared)
-        assert not shared[-1].success
-        for bound, out in zip(bounds, shared):
-            assert _answer(out) == _answer(
-                synthesize_min_attack(with_bound(cfg, bound), goal))
+        outcomes = group_answers(cfg, goal, bounds)
+        assert sorted((d, b) for d, b, _ in passes) == [(-1, 0.36), (1, 0.36)]
+        assert any(out.success for out in outcomes)
+        assert not outcomes[1].success
+        assert_lone_answers(cfg, goal, bounds, outcomes)
 
     @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.LS_ONLY])
-    def test_a_pass_that_found_no_start_runs_again_over_a_larger_bound(
-            self, monkeypatch, target):
-        # 0.03 lies below both goals' starts; the equal bound takes the
-        # first pass, a larger one runs its own, which found a start, and
-        # the bounds after it, smaller or larger, take that
+    def test_a_pass_that_finds_no_start_never_runs_again(self, monkeypatch,
+                                                         target):
+        # 0.03 lies below both goals' starts: a config at 0.03 finds none
+        # and answers each of its bounds with no second pass; one at 0.5
+        # finds a start, which serves the bounds below it too
         cfg = study_config(kappa=60.0)
         goal = AttackGoal(horizon=60, target_kind=target)
-        memo = {}
         passes = count_passes(monkeypatch)
+        low = group_answers(cfg, goal, (0.03, 0.0, 0.03, 0.02))
+        assert passes == [(1, 0.03, math.inf)]
+        del passes[:]
         bounds = (0.03, 0.03, 0.36, 0.03, 0.06, 0.5)
-        shared = [synthesize_min_attack(with_bound(cfg, b), goal,
-                                        _replays=memo) for b in bounds]
-        assert [(d, b) for d, b, _ in passes] == [(1, 0.03), (1, 0.36)]
-        assert passes[0][2] == math.inf and passes[1][2] < 0.06
-        assert [out.success for out in shared] == [False] * 2 + [True] + [
+        outcomes = group_answers(cfg, goal, bounds)
+        assert [(d, b) for d, b, _ in passes] == [(1, 0.5)]
+        assert passes[0][2] < 0.06
+        assert not any(out.success for out in low)
+        assert [out.success for out in outcomes] == [False] * 2 + [True] + [
             False, True, True]
-        for bound, out in zip(bounds, shared):
-            assert _answer(out) == _answer(
-                synthesize_min_attack(with_bound(cfg, bound), goal))
+        assert_lone_answers(cfg, goal, (0.03, 0.0, 0.03, 0.02), low)
+        assert_lone_answers(cfg, goal, bounds, outcomes)
 
     @pytest.mark.parametrize("goal", GOALS_PER_TARGET,
                              ids=[t.value for t in TargetKind])
     def test_bounds_at_the_start_one_ulp_above_it_and_zero(self, monkeypatch,
                                                            goal):
         # a bound at the start or one ulp above it may find no start of its
-        # own, whose rounded-up start lies at or above the bound; shared or
-        # lone, the walk then starts from the bound
+        # own, whose rounded-up start lies at or above the bound; in a group
+        # call or lone, the walk then starts from the bound
         cfg = study_config(kappa=60.0)
         starts = [frosim.synth._smallest_feasible_start(
             cfg, goal, d, SimOptions())[0] for d in (1, -1)]
@@ -899,26 +891,20 @@ class TestOnePassPerDirection:
         # a pass to the start itself finds none: the start is its top
         assert frosim.synth._smallest_feasible_start(
             with_bound(cfg, starts[0]), goal, 1, SimOptions())[0] == math.inf
-        bounds = [0.0]
+        bounds = [0.0, 0.36]
         for x in starts:
             bounds += [x, math.nextafter(x, math.inf),
                        math.nextafter(x, 0.0)]
-        memo = {}
-        synthesize_min_attack(cfg, goal, _replays=memo)
         passes = count_passes(monkeypatch)
-        for bound in sorted(bounds, reverse=True):
-            capped = with_bound(cfg, bound)
-            shared = synthesize_min_attack(capped, goal, _replays=memo)
-            assert not passes
-            assert _answer(shared) == _answer(
-                synthesize_min_attack(capped, goal))
-            del passes[:]  # the lone call's
+        outcomes = group_answers(cfg, goal, bounds)
+        assert sorted(d for d, _, _ in passes) == [-1, 1]
+        assert_lone_answers(cfg, goal, bounds, outcomes)
 
     @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
-    def test_shuffled_bounds_on_one_memo_answer_as_lone_calls(self, option):
+    def test_shuffled_bounds_in_one_call_answer_as_lone_calls(self, option):
         # per grid and goal, bounds at each direction's start, one ulp above
-        # and below it, at the answer and the decimal below it, and far
-        # off, shuffled; every target and sign
+        # and below it, at the answer and the decimal below it, far off,
+        # zeros of both signs and repeats, shuffled; every target and sign
         options = ALL_OPTIONS[option]
         rng = random.Random(7000 + option)
         below = Context(prec=12).next_minus
@@ -935,29 +921,63 @@ class TestOnePassPerDirection:
                     if target is TargetKind.SPECIFIC else None)
                 bound = 4 * capability_bound(cfg.capability)
                 wide = with_bound(cfg, bound)
-                bounds = [bound, 0.0, bound * rng.random()]
+                bounds = [bound, 0.0, -0.0, bound * rng.random()]
                 for d in goal.directions():
                     x = frosim.synth._smallest_feasible_start(
                         wide, goal, d, options)[0]
                     if x < math.inf:
                         bounds += [x, math.nextafter(x, math.inf),
                                    math.nextafter(x, 0.0)]
-                full = synthesize_min_attack(wide, goal, options=options)
+                full = lone_answer(cfg, goal, bound, options)
                 if full.success:
                     a = Decimal(repr(abs(full.vector.dp_a)))
                     bounds += [float(a), float(below(a)),
                                float((a + below(a)) / 2)]
+                bounds += rng.sample(bounds, 2)
                 rng.shuffle(bounds)
-                memo = {}
-                for b in bounds:
-                    capped = with_bound(cfg, b)
-                    shared = synthesize_min_attack(
-                        capped, goal, options=options, _replays=memo)
-                    lone = synthesize_min_attack(capped, goal,
-                                                 options=options)
-                    assert _answer(shared) == _answer(lone)
+                outcomes = group_answers(cfg, goal, bounds, options)
+                for b, out in zip(bounds, outcomes):
+                    lone = lone_answer(cfg, goal, b, options)
+                    assert repr(out) == repr(lone)
                     answers[lone.success] += 1
         assert min(answers.values()) >= 60
+
+
+class TestGroupCall:
+    """One call answers a list of capability bounds against one config."""
+
+    @pytest.mark.parametrize("goal", [AttackGoal(horizon=12)]
+                             + GOALS_PER_TARGET,
+                             ids=["any-positive-12"]
+                             + [t.value for t in TargetKind])
+    def test_equal_products_with_different_float_bounds(self, monkeypatch,
+                                                        goal):
+        # ToI x AD of 4% x 100% and 10% x 40% are equal products, but their
+        # bounds differ in the last bit
+        narrow = study_config(h=8.0, toi=0.04, ad=1.0, kappa=2.0)
+        wide = with_capability(narrow, toi=0.1, ad=0.4)
+        bounds = [capability_bound(c.capability) for c in (narrow, wide)]
+        assert bounds == [0.12, 0.12000000000000002]
+        calls = count_replays(monkeypatch)
+        outcomes = frosim.synth._min_attacks(wide, goal, bounds, SimOptions())
+        replayed = [x for x, _ in calls]
+        assert [repr(out) for out in outcomes] == [
+            repr(synthesize_min_attack(c, goal)) for c in (narrow, wide)]
+        if goal == AttackGoal(horizon=12):
+            # the answer, 0.133579713675, lies above both: the failed
+            # replay at the larger bound answers the smaller with none
+            assert replayed == [0.12000000000000002]
+
+    @pytest.mark.parametrize("goal", GOALS_PER_TARGET,
+                             ids=[t.value for t in TargetKind])
+    def test_a_bound_above_the_config_s_raises(self, monkeypatch, goal):
+        cfg = with_bound(study_config(), 0.03)
+        calls = count_replays(monkeypatch)
+        passes = count_passes(monkeypatch)
+        for bounds in ([0.02, math.nextafter(0.03, 1.0)], [0.36]):
+            with pytest.raises(CapabilityExceeded):
+                frosim.synth._min_attacks(cfg, goal, bounds, SimOptions())
+        assert not calls and not passes
 
 
 class TestIntervalPass:
@@ -1089,7 +1109,9 @@ class TestIntervalPass:
             assert 2 < certify <= 40
 
     @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
-    def test_the_decimal_below_an_answer_is_a_failed_replay(self, option):
+    def test_the_decimal_below_an_answer_is_a_failed_replay(self,
+                                                            monkeypatch,
+                                                            option):
         # for every target the search has replayed the record decimal just
         # below its answer, and it failed: the bisection ends on it or the
         # step-down stops at it.  It fails in every other allowed direction
@@ -1099,20 +1121,21 @@ class TestIntervalPass:
         options = ALL_OPTIONS[option]
         rng = random.Random(4000 + option)
         below = Context(prec=12).next_minus
+        calls = count_replays(monkeypatch)
 
         def lower_failed(cfg, goal, magnitude):
-            memo = {}
-            out = synthesize_min_attack(cfg, goal, options=options,
-                                        _replays=memo)
+            del calls[:]
+            out = synthesize_min_attack(cfg, goal, options=options)
             if out.success:
                 dp_a = out.vector.dp_a
                 assert abs(dp_a) == float(magnitude or abs(dp_a))
                 magnitude = magnitude or Decimal(repr(abs(dp_a)))
                 lower = float(below(magnitude))
-                sign = int(math.copysign(1.0, dp_a))
-                assert not memo[sign].outcomes[lower].success
+                replays = {repr(x): replay for x, replay in calls}
+                sign = math.copysign(1.0, dp_a)
+                assert not replays[repr(sign * lower)].success
                 for direction in goal.directions():
-                    replay = memo[direction].outcomes.get(lower)
+                    replay = replays.get(repr(direction * lower))
                     assert not (replay or feasibility(
                         cfg, direction * lower, goal, options)).success
             return out
@@ -1183,7 +1206,9 @@ class TestIntervalPass:
                     start = rounded_up(Decimal(x))
                     memo = frosim.synth._Direction()
                     magnitude = frosim.synth._certify(
-                        cfg, goal, direction, start, options, memo)
+                        cfg, goal, direction, start,
+                        Decimal(capability_bound(cfg.capability)), options,
+                        memo)
                     if magnitude is None:
                         continue
                     assert magnitude >= below(start)
@@ -1251,7 +1276,8 @@ class TestIntervalPass:
         memo.outcomes = {float(m): success if m >= boundary
                          else frosim.synth._NO_ATTACK for m in decimals}
         found = frosim.synth._certify(
-            cfg, goal, 1, Decimal(start), SimOptions(), memo)
+            cfg, goal, 1, Decimal(start),
+            Decimal(capability_bound(cfg.capability)), SimOptions(), memo)
         assert len(memo.outcomes) == len(decimals)
         assert found == boundary
 
@@ -1269,8 +1295,10 @@ class TestIntervalPass:
             return success
 
         monkeypatch.setattr(frosim.synth, "feasibility", always)
-        found = frosim.synth._certify(cfg, goal, -1, Decimal("0.0335807781047"),
-                                      SimOptions(), frosim.synth._Direction())
+        found = frosim.synth._certify(
+            cfg, goal, -1, Decimal("0.0335807781047"),
+            Decimal(capability_bound(cfg.capability)), SimOptions(),
+            frosim.synth._Direction())
         assert found == 0
         assert replayed[-1] == 0.0 and math.copysign(1.0, replayed[-1]) == -1.0
 
