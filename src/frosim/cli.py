@@ -8,10 +8,11 @@ Subcommands: ``simulate`` (run one injection, write the trace CSV),
 Exit codes are a stable contract: 0 success, 1 no attack exists, 2 bad
 configuration, spec or flag (including a ``--relay-id`` that names no relay
 of the grid, a ``--workers`` outside 1..cpu count and a sweep goal horizon
-shorter than one ROCOF window, and a ``--trace-out`` that names the
-``--out`` file), 3 output I/O failure.  A command that exits 3 removes
-every output file it created.  Synthesis answers every goal exactly and
-never declines, so no command exits 4.
+shorter than one ROCOF window, a ``--trace-out`` that names the ``--out``
+file, and a report ``--out`` that names one of its trend CSVs), 3 output
+I/O failure.  A command that exits 3 removes every output file it created.
+Synthesis answers every goal exactly and never declines, so no command
+exits 4.
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
 logging verbosity.
@@ -92,6 +93,14 @@ def _absent(*paths) -> list[Path]:
     return [Path(p) for p in paths if not os.path.lexists(p)]
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths *a* and *b* name one file: equal absolute paths, or
+    the same existing file."""
+    return (os.path.abspath(a) == os.path.abspath(b)
+            or os.path.exists(a) and os.path.exists(b)
+            and os.path.samefile(a, b))
+
+
 def _remove(paths: list[Path]) -> None:
     """Remove what a failed command created of *paths*, in order: files,
     then a directory once it is empty."""
@@ -164,13 +173,9 @@ def cmd_synthesize(args) -> int:
             raise InvalidParameter("--tolerance", "must be finite and > 0",
                                    tolerance)
         # the result would overwrite the trace it names
-        trace_out, out = args.trace_out, args.out
-        if trace_out is not None and (
-                os.path.abspath(trace_out) == os.path.abspath(out)
-                or os.path.exists(trace_out) and os.path.exists(out)
-                and os.path.samefile(trace_out, out)):
+        if args.trace_out is not None and _same_file(args.trace_out, args.out):
             raise InvalidParameter("--trace-out", "names the same file as --out",
-                                   trace_out)
+                                   args.trace_out)
     except (FrosimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -315,15 +320,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    csv_dir = Path(args.csv_dir or Path(args.out).parent)
     try:
         records = read_records_csv(args.records)
         report = trend_report(records)
+        csvs = [trend_csv_path(csv_dir, name) for name in report.parameters]
+        # a trend CSV would overwrite the report
+        if any(_same_file(args.out, csv) for csv in csvs):
+            raise InvalidParameter("--out", "names a trend CSV of --csv-dir",
+                                   args.out)
     except (FrosimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    csv_dir = Path(args.csv_dir or Path(args.out).parent)
-    created = _absent(args.out, *(trend_csv_path(csv_dir, name)
-                                  for name in report.parameters), csv_dir)
+    created = _absent(args.out, *csvs, csv_dir)
     try:
         write_trend_outputs(report, args.out, csv_dir)
     except OSError as exc:

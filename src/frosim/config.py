@@ -147,14 +147,17 @@ def _require(cond: bool, fld: str, message: str, value) -> None:
 
 
 def validate_config(config: GridConfig) -> GridConfig:
-    """Check every invariant of *config* and return an equal config.
+    """Check every invariant of *config* and return *config* itself.
 
     Raises :class:`InvalidParameter` naming the offending field, or
     :class:`StabilityViolation` when the step size is incompatible with the
     governor time constant.  The dynamics and rosters are checked before the
     capability, so their error is the one raised when both are invalid.
     """
-    return with_valid_capability(validate_grid(config), config.capability)
+    validate_grid(config)
+    cap = config.capability
+    _valid_bound(cap.toi, cap.ad, cap.der_total, cap.kappa)
+    return config
 
 
 def validate_grid(config: GridConfig) -> GridConfig:
@@ -162,8 +165,8 @@ def validate_grid(config: GridConfig) -> GridConfig:
     capability, and return *config* itself, its capability unchecked.
 
     Configs that differ only in capability, as the combinations of one
-    sweep (H, R, T) do, share one result and check each capability through
-    :func:`with_valid_capability` or :func:`_valid_bound`.
+    sweep (H, R, T) do, share one result and check each capability's fields
+    through :func:`_valid_bound`.
     """
     p = config.params
     _require(p.h_inertia > 0, "h_inertia", "must be > 0", p.h_inertia)
@@ -235,14 +238,6 @@ def validate_grid(config: GridConfig) -> GridConfig:
         seen.add(l.id)
 
     return config
-
-
-def with_valid_capability(grid: GridConfig,
-                          cap: AttackerCapability) -> GridConfig:
-    """*grid*, from :func:`validate_grid`, with capability *cap* after the
-    capability checks of :func:`validate_config`."""
-    _valid_bound(cap.toi, cap.ad, cap.der_total, cap.kappa)
-    return GridConfig(grid.params, grid.generators, grid.loads, cap)
 
 
 def _valid_bound(toi, ad, der_total, kappa) -> float:

@@ -35,14 +35,13 @@ function with the relay loops and both recursions inlined, which allocates a
 new latch tuple or event only when a relay newly operates.  What it reads of
 a grid, the recursions' per-grid factors and the rosters as plain tuples
 with their highest load-shedding and lowest ROCOF threshold, is built once
-per (params, rosters) by :func:`_step_constants` and kept on the config and
-its params, so the configs of a sweep group, which share both, share one
-build.  These step constants are the one place a grid's derived quantities
-are computed: the kernel and the interval pass of :mod:`frosim.synth` both
-read them.  A roster whose extreme threshold the step's frequency or slope
-does not reach is skipped, and so is one whose relays have all latched
-unless ``literal_accumulation`` is on: no relay in it could operate, so the
-skip is exact.
+per config by :func:`_step_constants` and kept on it; a sweep group runs on
+one config, so it builds them once.  These step constants are the one
+place a grid's derived quantities are computed: the kernel and the interval
+pass of :mod:`frosim.synth` both read them.  A roster whose extreme
+threshold the step's frequency or slope does not reach is skipped, and so
+is one whose relays have all latched unless ``literal_accumulation`` is on:
+no relay in it could operate, so the skip is exact.
 
 Every replay steps the kernel through one loop, :func:`_steps`, which
 yields the step records from :func:`initial_state` for as long as its
@@ -51,7 +50,7 @@ plain tuples in :class:`SystemState` and :class:`StepRecord` field order:
 a plain tuple costs a fraction of a named one to build, and most replays
 only read a field or two.  Once the injection is on and a step leaves the
 state bit for bit as it found it (a settled steady state), the loop stops
-stepping and repeats that step's record with only ``n`` and ``t_s``
+stepping and yields that step's record again with only ``n`` and ``t_s``
 advanced, which is what stepping on would give.  :func:`simulate` builds
 a :class:`StepRecord` of each and keeps them as a :class:`SimTrace`;
 :func:`write_trace_csv` writes one CSV row per record of a trace or of the
@@ -223,26 +222,17 @@ def _build_step_constants(params: GridParams,
 
 
 def _step_constants(config: GridConfig) -> tuple:
-    """The step constants of *config*, built once per (params, rosters).
+    """The step constants of *config*, built once and kept on it.
 
-    They are kept on the config and on its ``params`` (with the rosters they
-    were built from, so a config sharing the params but not the rosters
-    builds its own), outside the dataclass fields: equality, hash and repr
+    They are kept outside the dataclass fields: equality, hash and repr
     never see them.  Configs are frozen, so what a kept build was computed
     from cannot change under it.
     """
     constants = config.__dict__.get("_step_constants")
-    if constants is not None:
-        return constants
-    params, generators, loads = config.params, config.generators, config.loads
-    kept = params.__dict__.get("_step_constants")
-    if kept is not None and kept[0] is generators and kept[1] is loads:
-        constants = kept[2]
-    else:
-        constants = _build_step_constants(params, generators, loads)
-        object.__setattr__(params, "_step_constants",
-                           (generators, loads, constants))
-    object.__setattr__(config, "_step_constants", constants)
+    if constants is None:
+        constants = _build_step_constants(config.params, config.generators,
+                                          config.loads)
+        object.__setattr__(config, "_step_constants", constants)
     return constants
 
 
@@ -267,8 +257,8 @@ def simulate_step(
     field orders, with the same values.
 
     The grid's factors and rosters come from :func:`_step_constants`, built
-    once per (params, rosters) and kept on the config.  A roster's loop is
-    skipped when no relay in it can act: a load relay operates (or, under
+    once per config and kept on it.  A roster's loop is skipped when no
+    relay in it can act: a load relay operates (or, under
     ``literal_accumulation``, re-adds its block) only if ``f_hz <= its
     threshold <= the highest``, a ROCOF relay only if ``|slope| >= its
     threshold >= the lowest``, and without ``literal_accumulation`` a
@@ -424,7 +414,7 @@ def _steps(
     A step reads ``n`` only through the attack gate and its record's ``n``
     and ``t_s``.  So once the injection is on and a step leaves the rest of
     the state bit for bit as it found it (:func:`_same_state`), every later
-    step repeats that step's record but for ``n`` and ``t_s = n * dt``; the
+    step has that step's record but for ``n`` and ``t_s = n * dt``; the
     loop yields those records, sharing the repeated field values, without
     stepping the kernel.
     """
@@ -496,7 +486,7 @@ def write_trace_csv(trace: SimTrace | Iterable[tuple],
         fh.write(TRACE_CSV_HEADER + "\n")
         chunk = []
         prev = row = None
-        values = None  # prev's row after its ``n,t_s,``, once a record repeats it
+        values = None  # prev's row after its ``n,t_s,``, once a record reuses it
         for r in records:
             (n, t_s, _, f_hz, slope, dp_gov, dp_sh_cum, dp_tg_cum,
              events) = r

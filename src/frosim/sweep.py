@@ -2,23 +2,19 @@
 
 Each combination instantiates the base grid with its dynamic parameters and
 attacker capability, runs minimal-attack synthesis, and records the
-outcome.  One pass over the combinations decides each one's identity: its
-five values, their types and the signs of their zeros.  A repeat of an
-identity builds the same config, so it takes its first occurrence's record
-with only its id changed and never reaches a worker.  First occurrences
-that share (H, R, T) differ only in the capability bound, so they run
-together as one group and one task of a process pool: their grid is
-validated once, each combination then checking only its ToI, AD and bound,
-and one :func:`~frosim.synth._min_attacks` call at the group's largest
-valid bound answers every bound.  Its memo lives for that call: one
-interval pass per direction, which never runs again, and the distinct
-bounds walk in falling order, equal ones answered once.  A replay reads no
-capability, so every record is the one a lone synthesis gives.  A sweep of
-fewer than two groups runs serially whatever the worker count, and only a
-sweep that starts a pool imports the process-pool modules.  Runs are
-reproducible because the random mode draws from a seeded generator and each
-record lands in its combination id's slot regardless of how many workers
-executed it.
+outcome.  Combinations that share (H, R, T) differ only in the capability
+bound, so they run together as one group and one task of a process pool:
+their grid is validated once, each combination then checking only its ToI,
+AD and bound, and one :func:`~frosim.synth._min_attacks` call at the
+group's largest valid bound answers every bound.  Its memo lives for that
+call: one interval pass per direction, which never runs again, and the
+distinct bounds walk in falling order, equal ones answered once, so a
+repeated combination costs no replay.  A replay reads no capability, so
+every record is the one a lone synthesis gives.  A sweep of fewer than two
+groups runs serially whatever the worker count, and only a sweep that
+starts a pool imports the process-pool modules.  Runs are reproducible
+because the random mode draws from a seeded generator and each record lands
+in its combination id's slot regardless of how many workers executed it.
 """
 
 from __future__ import annotations
@@ -257,38 +253,27 @@ def _run_group(args) -> list[SweepRecord]:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Synthesize the minimal attack for every combination.
 
-    A combination's identity is its five values, their types and the signs
-    of their zeros: 2 and 2.0 compare equal, but configs built from them
-    need not step bit for bit alike (integer products are exact), and 0.0
-    and -0.0 are written apart.  Only the first occurrence of an identity
-    runs; each repeat takes its record with only ``combo_id`` changed.  The
-    first occurrences run in (H, R, T) groups (the H, R and T part of the
-    identity), each answered by one synthesis call over all its bounds,
-    which changes no record.  A process pool takes each group as one task,
-    so a repeat never reaches a worker.
+    The combinations run in (H, R, T) groups, keyed on the three values,
+    their types and the signs of their zeros: 2 and 2.0 compare equal, but
+    configs built from them need not step bit for bit alike (integer
+    products are exact), and 0.0 and -0.0 are written apart.  Each group is
+    answered by one synthesis call over all its bounds, which changes no
+    record, and a process pool takes each group as one task.
     Per-combination failures are folded into the record's status field;
     the sweep itself never aborts.  Results are ordered by combination id
     no matter how many workers ran them.
     """
     combos = generate_combinations(spec)
     sign = math.copysign
-    firsts: dict = {}
     groups: dict = {}
-    repeats = []
     for i, combo in enumerate(combos):
-        h, r, t, toi, ad = combo
+        h, r, t, _, _ = combo
         key = (h, r, t, type(h), type(r), type(t), sign(1.0, h), sign(1.0, r),
-               sign(1.0, t), toi, ad, type(toi), type(ad), sign(1.0, toi),
-               sign(1.0, ad))
-        first = firsts.setdefault(key, i)
-        if first != i:
-            repeats.append((i, first))
-            continue
-        group = groups.get(key[:9])
+               sign(1.0, t))
+        group = groups.get(key)
         if group is None:
-            group = groups[key[:9]] = []
+            group = groups[key] = []
         group.append((i, combo))
-    del firsts  # freed before the groups run, so it adds nothing to the peak
     tasks = [(spec, group) for group in groups.values()]
     if workers <= 1 or len(tasks) < 2:
         parts = map(_run_group, tasks)
@@ -303,8 +288,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     for part in parts:
         for record in part:
             records[record[0]] = record
-    for i, first in repeats:
-        records[i] = _record((i, *records[first][1:]))
     return records
 
 

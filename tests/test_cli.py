@@ -771,6 +771,29 @@ class TestReport:
         assert "error writing report: " in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == listing
 
+    @pytest.mark.parametrize("csv_dir", ["default", "explicit", "linked"])
+    def test_out_naming_a_trend_csv_exits_2(self, tmp_path, capsys, csv_dir):
+        # the h_s trend CSV would overwrite the report JSON; a directory
+        # link names an existing trend CSV by another path
+        records = self.records_file(tmp_path)
+        argv = ["report", "--records", str(records)]
+        if csv_dir == "default":
+            out = tmp_path / "trend_h_s.csv"
+        else:
+            (tmp_path / "csv").mkdir()
+            argv += ["--csv-dir", str(tmp_path / "csv")]
+            out = tmp_path / "csv" / "trend_h_s.csv"
+        if csv_dir == "linked":
+            out.write_text("h_s,successes\n")
+            (tmp_path / "link").symlink_to(tmp_path / "csv")
+            out = tmp_path / "link" / "trend_h_s.csv"
+        capsys.readouterr()
+        listing = sorted(tmp_path.rglob("*"))
+        assert run(argv + ["--out", str(out)]) == 2
+        assert ("error: --out: names a trend CSV of --csv-dir"
+                in capsys.readouterr().err)
+        assert sorted(tmp_path.rglob("*")) == listing
+
     def test_empty_records_exits_2(self, tmp_path):
         p = tmp_path / "records.csv"
         p.write_text(SWEEP_CSV_HEADER + "\n")

@@ -675,8 +675,8 @@ class TestRosterSkip:
 
 
 class TestStepConstants:
-    """A grid's step constants are built once per (params, rosters) and kept
-    on the config and its params; no config may step with another's."""
+    """A grid's step constants are built once per config and kept on it,
+    not on its params; no config may step with another's."""
 
     ATTACK = AttackSignal(0.3)
 
@@ -735,6 +735,7 @@ class TestStepConstants:
         before = (repr(cfg), hash(cfg), repr(cfg.params), hash(cfg.params))
         simulate(cfg, self.ATTACK, 60)
         assert "_step_constants" in vars(cfg)
+        assert "_step_constants" not in vars(cfg.params)
         assert (repr(cfg), hash(cfg), repr(cfg.params),
                 hash(cfg.params)) == before
         assert cfg == twin and twin == cfg and cfg.params == twin.params
@@ -885,7 +886,7 @@ class TestTraceCsv:
         # long traces: past a fixed point, whose repeated records share
         # their field values, and long after the unstable grid's f_hz
         # overflows to inf and then NaN
-        repeats = 0
+        reused = 0
         for i, (cfg, attack) in enumerate([
                 (grids[0], AttackSignal(0.322)),
                 (grids[0], AttackSignal(-0.0, 500)),
@@ -893,12 +894,12 @@ class TestTraceCsv:
                 (grids[-1], AttackSignal(0.322))]):
             trace = simulate(cfg, attack, 3000, options)
             last, before = trace.records[-1], trace.records[-2]
-            repeats += last.f_hz is before.f_hz
+            reused += last.f_hz is before.f_hz
             got, want = tmp_path / f"long{i}.csv", tmp_path / f"longref{i}.csv"
             write_trace_csv(trace, got)
             reference_write_trace_csv(trace, want)
             assert got.read_bytes() == want.read_bytes()
-        assert repeats > 0
+        assert reused > 0
         f_hz = [r.f_hz for r in trace.records]
         assert math.inf in f_hz or -math.inf in f_hz
         assert math.isnan(f_hz[-1])

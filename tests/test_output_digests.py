@@ -5,10 +5,12 @@ the SHA-256 of every file it writes with ``output_digests.json``.  A report
 case first runs the serial sweep of its goal and seed, then ``report`` on
 its records, and pins the trend JSON and the five ``trend_*.csv`` files.  A
 serial sweep case also pins how many times the sweep called
-:func:`frosim.synth.feasibility` and the interval pass
-:func:`frosim.synth._smallest_feasible_start`, which a memo that stops
-answering bounds without replays, or a pass run twice for one group and
-direction, changes although every byte stays the same.  A
+:func:`frosim.synth.feasibility`, the interval pass
+:func:`frosim.synth._smallest_feasible_start` and the step-constant build
+:func:`frosim.dynamics._build_step_constants`, which a memo that stops
+answering bounds without replays, a pass run twice for one group and
+direction, or a group that builds its grid's constants twice, changes
+although every byte stays the same.  A
 synthesis result JSON is hashed with its ``trace_file`` path left out,
 since that names a temporary directory.  A change that is meant to alter
 an output re-records the file with::
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from frosim import synth
+from frosim import dynamics, synth
 from frosim.cli import run
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -59,8 +61,9 @@ def _sweep(case: str, tmp: Path, workers: int = 1) -> dict:
     spec_path = tmp / "spec.json"
     spec_path.write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
     out = tmp / "records.csv"
-    counted = ("feasibility", "_smallest_feasible_start")
-    real = {name: getattr(synth, name) for name in counted}
+    counted = {"feasibility": synth, "_smallest_feasible_start": synth,
+               "_build_step_constants": dynamics}
+    real = {name: getattr(module, name) for name, module in counted.items()}
     calls = dict.fromkeys(counted, 0)
 
     def counter(name):
@@ -71,15 +74,15 @@ def _sweep(case: str, tmp: Path, workers: int = 1) -> dict:
 
     # pool workers replay in other processes, so only a serial sweep counts
     if workers == 1:
-        for name in counted:
-            setattr(synth, name, counter(name))
+        for name, module in counted.items():
+            setattr(module, name, counter(name))
     try:
         code = run(["sweep", "--spec", str(spec_path), "--out", str(out),
                     "--workers", str(workers),
                     "--seed", seed.removeprefix("seed")])
     finally:
-        for name in counted:
-            setattr(synth, name, real[name])
+        for name, module in counted.items():
+            setattr(module, name, real[name])
     digests = {
         "exit": code,
         "records.csv": _sha256(out.read_bytes()),
@@ -90,6 +93,7 @@ def _sweep(case: str, tmp: Path, workers: int = 1) -> dict:
         digests["feasibility_calls"] = calls["feasibility"]
         digests["smallest_feasible_start_calls"] = calls[
             "_smallest_feasible_start"]
+        digests["step_constant_builds"] = calls["_build_step_constants"]
     return digests
 
 

@@ -292,7 +292,7 @@ class TestDynamicsMemo:
         AttackGoal(horizon=60, target_kind=TargetKind.ROCOF_ONLY,
                    sign=Sign.EITHER)], ids=["any", "rocof"])
     def test_step_constants_built_once_per_group(self, monkeypatch, goal):
-        # the group's configs differ only in capability
+        # each group call runs on one config
         spec, _ = _spec_from_file(DEMO_SPEC, 1)
         spec = dataclasses.replace(spec, goal=goal)
         builds = Counter()
@@ -420,9 +420,10 @@ class TestDynamicsMemo:
                             InProcessPool)
         records = run_sweep(spec, workers=2)
         assert records == run_sweep(spec, workers=1)
-        # the tasks carry each distinct combination exactly once
-        carried = [combo for task in tasks for _, combo in task]
-        assert sorted(carried) == sorted(set(generate_combinations(spec)))
+        # the tasks carry every combination id exactly once, with its combo
+        combos = generate_combinations(spec)
+        carried = sorted(item for task in tasks for item in task)
+        assert carried == list(enumerate(combos))
         groups = [{combo[:3] for _, combo in task} for task in tasks]
         assert all(len(group) == 1 for group in groups)
         assert len(groups) == len(set().union(*groups)) == 125
@@ -492,9 +493,9 @@ def demo_spec_and_lone_reprs():
 
 
 class TestDuplicateReuse:
-    """A combination whose five values an earlier one had, in value, type
-    and sign of a zero, takes that record with only its id changed; no
-    record may change."""
+    """A combination whose five values an earlier one had runs in the same
+    (H, R, T) group, whose call answers its bound once; values equal but of
+    another type or zero sign may run apart.  No record may change."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_demo_spec_equals_lone_syntheses(self, workers):
@@ -550,12 +551,45 @@ class TestDuplicateReuse:
         assert [row.split(",")[1:6] for row in rows] == [
             [frosim.sweep._FLOAT % v for v in combo] for combo in combos]
 
+    @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.ROCOF_ONLY])
+    def test_repeats_cost_no_replay(self, monkeypatch, target):
+        # repeated ToI and AD values repeat combinations, which the group
+        # call answers with the replays and passes of the spec without them
+        spec = small_spec(
+            goal=AttackGoal(horizon=12, target_kind=target, sign=Sign.EITHER),
+            toi_pct_values=(2.0, 10.0, 2.0),
+            ad_pct_values=(20.0, 100.0, 100.0))
+        distinct = dataclasses.replace(spec, toi_pct_values=(2.0, 10.0),
+                                       ad_pct_values=(20.0, 100.0))
+        calls = []
+        feasibility = frosim.synth.feasibility
+        start = frosim.synth._smallest_feasible_start
+
+        def counted_feasibility(config, dp_a, goal, options):
+            calls.append((config.params, repr(dp_a)))
+            return feasibility(config, dp_a, goal, options)
+
+        def counted_start(config, goal, direction, options):
+            calls.append((config.params, direction))
+            return start(config, goal, direction, options)
+
+        monkeypatch.setattr(frosim.synth, "feasibility", counted_feasibility)
+        monkeypatch.setattr(frosim.synth, "_smallest_feasible_start",
+                            counted_start)
+        records = run_sweep(spec, workers=1)
+        repeated, calls[:] = calls[:], []
+        run_sweep(distinct, workers=1)
+        assert repeated == calls and calls
+        combos = generate_combinations(spec)
+        assert len(combos) == 18 and len(set(combos)) == 8
+        assert record_reprs(records) == lone_reprs(spec)
+        assert 0 < sum(r.success for r in records) < len(records)
+
     @pytest.mark.parametrize("cartesian", [False, True],
                              ids=["random", "cartesian"])
-    def test_one_synthesis_per_distinct_combination(self, monkeypatch,
-                                                    cartesian):
+    def test_one_synthesis_per_group(self, monkeypatch, cartesian):
         # one group call per (H, R, T), on a config at the group's largest
-        # bound, carrying the bound of each distinct combination once
+        # bound, carrying the bound of every valid combination
         spec, _ = _spec_from_file(DEMO_SPEC, 1)
         if cartesian:
             spec = dataclasses.replace(spec, mode=SweepMode.CARTESIAN,
@@ -581,7 +615,7 @@ class TestDuplicateReuse:
         assert sorted(carried) == sorted(
             capability_bound(dataclasses.replace(
                 cap, toi=c.toi_pct / 100.0, ad=c.ad_pct / 100.0))
-            for c in set(combos))
+            for c in combos)
         assert (len(set(combos)) == len(combos)) == cartesian
         assert records == run_sweep(spec, workers=2)
 

@@ -466,7 +466,7 @@ GOALS_PER_TARGET = [
 
 
 class TestGridConstants:
-    """Synthesis reads the kernel's step constants, kept per params."""
+    """Synthesis reads the kernel's step constants, kept per config."""
 
     NAN_GENERATOR = GeneratorRelay("gN", "bN", 1.0, math.nan)
     NAN_LOAD = LoadRelay("lN", "bN", 0.5, math.nan)
@@ -494,8 +494,8 @@ class TestGridConstants:
 
     def test_configs_sharing_params_keep_their_own_constants(self,
                                                              monkeypatch):
-        # the ANY goal's relay-free unit response replaces the constants kept
-        # on the shared params between calls
+        # configs share the params, as does the ANY goal's relay-free unit
+        # response between calls, but each steps with its own rosters
         params = GridParams(h_inertia=2.0, droop_r=0.2, governor_t=0.2)
         cap = AttackerCapability(toi=0.02, ad=0.2, der_total=1.5, kappa=60.0)
         rosters = [
