@@ -9,10 +9,11 @@ Exit codes are a stable contract: 0 success, 1 no attack exists, 2 bad
 configuration, spec or flag (including a ``--relay-id`` that names no relay
 of the grid, a ``--workers`` outside 1..cpu count and a sweep goal horizon
 shorter than one ROCOF window, a ``--trace-out`` that names the ``--out``
-file, and a report ``--out`` that names one of its trend CSVs), 3 output
-I/O failure.  A command that exits 3 removes every output file it created.
-Synthesis answers every goal exactly and never declines, so no command
-exits 4.
+file, a report ``--out`` that names one of its trend CSVs, and an output
+that names the command's ``--config``, ``--spec`` or ``--records``), 3
+output I/O failure.  A command that exits 3 removes every output file it
+created.  Synthesis answers every goal exactly and never declines, so no
+command exits 4.
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
 logging verbosity.
@@ -101,6 +102,16 @@ def _same_file(a, b) -> bool:
             and os.path.samefile(a, b))
 
 
+def _check_outputs(flag: str, path, *outputs) -> None:
+    """Raise :class:`InvalidParameter` when one of *outputs*, ``(label,
+    path)`` pairs, names the input file *path* of *flag*, which the command
+    would overwrite."""
+    for label, out in outputs:
+        if _same_file(out, path):
+            raise InvalidParameter(label, f"names the same file as {flag}",
+                                   str(out))
+
+
 def _remove(paths: list[Path]) -> None:
     """Remove what a failed command created of *paths*, in order: files,
     then a directory once it is empty."""
@@ -148,6 +159,7 @@ def cmd_simulate(args) -> int:
         # the replay loop checks the horizon only once the writer steps it,
         # after the output file exists
         _check_horizon(config, args.horizon)
+        _check_outputs("--config", args.config, ("--out", args.out))
     except (FrosimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -172,10 +184,11 @@ def cmd_synthesize(args) -> int:
         if not 0 < tolerance < math.inf:
             raise InvalidParameter("--tolerance", "must be finite and > 0",
                                    tolerance)
+        trace_out = args.trace_out or str(args.out) + ".trace.csv"
         # the result would overwrite the trace it names
-        if args.trace_out is not None and _same_file(args.trace_out, args.out):
-            raise InvalidParameter("--trace-out", "names the same file as --out",
-                                   args.trace_out)
+        _check_outputs("--out", args.out, ("--trace-out", trace_out))
+        _check_outputs("--config", args.config, ("--out", args.out),
+                       ("--trace-out", trace_out))
     except (FrosimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -189,9 +202,7 @@ def cmd_synthesize(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    trace_file = None
-    if outcome.success:
-        trace_file = args.trace_out or str(args.out) + ".trace.csv"
+    trace_file = trace_out if outcome.success else None
     created = _absent(*filter(None, (trace_file, args.out)))
     try:
         if outcome.success:
@@ -284,6 +295,13 @@ def cmd_sweep(args) -> int:
         print(f"error: --workers must be in 1..{cpus} (got {args.workers})",
               file=sys.stderr)
         return EXIT_CONFIG
+    meta = str(args.out) + ".meta.json"
+    try:
+        _check_outputs("--spec", args.spec, ("--out", args.out),
+                       ("the .meta.json of --out", meta))
+    except InvalidParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         spec, spec_sha256 = _spec_from_file(args.spec, args.seed)
     except (FrosimError, OSError, ValueError, KeyError) as exc:
@@ -291,7 +309,6 @@ def cmd_sweep(args) -> int:
         return EXIT_CONFIG
     records = run_sweep(spec, workers=args.workers)
     status_counts = Counter(r.status for r in records)
-    meta = str(args.out) + ".meta.json"
     created = _absent(args.out, meta)
     try:
         write_records_csv(records, args.out)
@@ -329,6 +346,8 @@ def cmd_report(args) -> int:
         if any(_same_file(args.out, csv) for csv in csvs):
             raise InvalidParameter("--out", "names a trend CSV of --csv-dir",
                                    args.out)
+        _check_outputs("--records", args.records, ("--out", args.out),
+                       *(("a trend CSV of --csv-dir", csv) for csv in csvs))
     except (FrosimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

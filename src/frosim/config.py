@@ -180,15 +180,19 @@ def validate_grid(config: GridConfig) -> GridConfig:
     _require(p.f_nominal > 0, "f_nominal", "must be > 0", p.f_nominal)
     # the quotients the step kernel derives from the params, each finite
     # (a zero divisor is an underflowed product), or every replay steps
-    # into inf and NaN and reads as no attack
-    four_h = 4.0 * p.h_inertia
-    for name, numerator, divisor in (
-            ("4*h_inertia/dt", four_h, p.dt),
-            ("dt/(4*h_inertia)", p.dt, four_h),
-            ("dt/(droop_r*governor_t)", p.dt, p.droop_r * p.governor_t),
-            ("f_nominal/(rocof_window_m*dt)", p.f_nominal,
-             p.rocof_window_m * p.dt)):
-        factor = numerator / divisor if divisor else math.inf
+    # into inf and NaN and reads as no attack; an integer field or product
+    # beyond the float range gives no float at all
+    for name, quotient in (
+            ("4*h_inertia/dt", lambda: 4.0 * p.h_inertia / p.dt),
+            ("dt/(4*h_inertia)", lambda: p.dt / (4.0 * p.h_inertia)),
+            ("dt/(droop_r*governor_t)",
+             lambda: p.dt / (p.droop_r * p.governor_t)),
+            ("f_nominal/(rocof_window_m*dt)",
+             lambda: p.f_nominal / (p.rocof_window_m * p.dt))):
+        try:
+            factor = quotient()
+        except (ZeroDivisionError, OverflowError):
+            factor = math.inf
         _require(is_finite_real(factor), name, "must be finite", factor)
 
     if p.dt > p.governor_t:
@@ -200,6 +204,9 @@ def validate_grid(config: GridConfig) -> GridConfig:
         coeff = p.delta_f_coefficient
     except ZeroDivisionError:  # 4*H*R*T underflows to 0
         coeff = -math.inf
+    except OverflowError:  # an integer factor of 4*H*R*T beyond the floats
+        raise InvalidParameter("dt**2/(4*h_inertia*droop_r*governor_t)",
+                               "must be finite", math.inf) from None
     if not (-1.0 < coeff <= 1.0):
         raise StabilityViolation(
             f"frequency-update coefficient {coeff} outside (-1, 1]; "

@@ -296,8 +296,7 @@ def simulate_step(
 
     # 3. ROCOF against the windowed slope, once M+1 samples exist
     tripped = 0.0
-    full = len(history) > m
-    if not full:
+    if len(history) <= m:
         slope = None
     else:
         slope = (history[-1] - history[-1 - m]) * f_nominal / m_dt
@@ -336,10 +335,7 @@ def simulate_step(
     )
 
     # 5. keep the last M+1 deviations
-    if full:
-        history = history[-m:] + (df_next,)
-    else:
-        history = history + (df_next,)
+    history = history[-m:] + (df_next,)
 
     nxt = (n + 1, df_next, gov_next, dp_sh_next, dp_tg_next, history,
            gen_latches, load_latches)

@@ -104,6 +104,7 @@ class SweepSpec:
     and calibration factor, step size, window length, and nominal frequency.
     A ``SPECIFIC`` goal must name one of its relays, and the goal's horizon
     must span one ROCOF window of it, since the window length is not swept.
+    Swept values and the tolerance are stored as floats, as a spec file's.
     """
 
     base: GridConfig
@@ -126,7 +127,7 @@ class SweepSpec:
                     is_finite_real(v) for v in vals)):
                 raise InvalidParameter(
                     name, "must be a list of finite numbers", vals)
-            vals = tuple(vals)
+            vals = tuple(map(float, vals))
             object.__setattr__(self, name, vals)
             if not vals:
                 raise InvalidParameter(name, "must be nonempty", vals)
@@ -140,6 +141,7 @@ class SweepSpec:
         if not (is_finite_real(self.tolerance) and self.tolerance > 0):
             raise InvalidParameter("tolerance", "must be finite and > 0",
                                    self.tolerance)
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         check_relay_id(self.base, self.goal)
         _check_horizon(self.base, self.goal.horizon)
 
@@ -187,7 +189,13 @@ class SweepRecord(NamedTuple):
 
 
 def classify_attack(vector: Optional[AttackVector]) -> AttackType:
-    """Attack type = kind of the first relay event in the winning trace."""
+    """Attack type = kind of the first relay event in the winning trace.
+
+    A record's ``trip_step`` is the step of the event that met the goal, so
+    under a ``rocof``, ``ls`` or ``specific`` goal the two can name
+    different events: an ``ls`` goal met by a shed at step 9, after a ROCOF
+    trip at step 6, reads ``ROCOF``.
+    """
     if vector is None:
         return AttackType.NONE
     first = vector.trace.first_event
@@ -253,23 +261,19 @@ def _run_group(args) -> list[SweepRecord]:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Synthesize the minimal attack for every combination.
 
-    The combinations run in (H, R, T) groups, keyed on the three values,
-    their types and the signs of their zeros: 2 and 2.0 compare equal, but
-    configs built from them need not step bit for bit alike (integer
-    products are exact), and 0.0 and -0.0 are written apart.  Each group is
-    answered by one synthesis call over all its bounds, which changes no
-    record, and a process pool takes each group as one task.
+    The combinations run in (H, R, T) groups, keyed on the three float
+    values: a zero H, R or T of either sign fails its grid's validation
+    alike, and each record carries its own combination's values.  Each
+    group is answered by one synthesis call over all its bounds, which
+    changes no record, and a process pool takes each group as one task.
     Per-combination failures are folded into the record's status field;
     the sweep itself never aborts.  Results are ordered by combination id
     no matter how many workers ran them.
     """
     combos = generate_combinations(spec)
-    sign = math.copysign
     groups: dict = {}
     for i, combo in enumerate(combos):
-        h, r, t, _, _ = combo
-        key = (h, r, t, type(h), type(r), type(t), sign(1.0, h), sign(1.0, r),
-               sign(1.0, t))
+        key = combo[:3]
         group = groups.get(key)
         if group is None:
             group = groups[key] = []

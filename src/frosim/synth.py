@@ -570,10 +570,13 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
     call, a :class:`_Direction` per direction, whose one interval pass runs
     over *config*'s bound: its start is the smallest under every bound at or
     above it, and a bound below it walks from itself, as a lone call whose
-    pass finds no start does.  The distinct bounds (a zero apart from its
-    negative) walk in falling order, each once: an ``ANY`` goal's failed
-    replay answers every smaller bound at or below it with no replay, and a
-    bound at or above an answer walks over replays the memo holds.
+    pass finds no start does.  The distinct bound values walk in falling
+    order, each once: an ``ANY`` goal's failed replay answers every smaller
+    bound at or below it with no replay, and a bound at or above an answer
+    walks over replays the memo holds.  *config* must pass
+    :func:`~frosim.config.validate_grid`: then a zero injection holds the
+    grid at its bit-flat equilibrium, which meets no relay threshold, so a
+    zero bound of either sign is no attack and the two share one answer.
     """
     _check_capability(config, max(bounds))
     directions = goal.directions()
@@ -583,10 +586,9 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
         entry.start = _RECORD.plus(Decimal(start))
     order = sorted((memo[d].start, -d) for d in directions)
     debug = log.isEnabledFor(logging.DEBUG)
-    sign = math.copysign
     answers = {}
-    for key in sorted({(b, sign(1.0, b)) for b in bounds}, reverse=True):
-        bound = Decimal(key[0])
+    for b in sorted(set(bounds), reverse=True):
+        bound = Decimal(b)
         if debug:
             # each replay adds one outcome and nothing else does, so the
             # difference counts the replays this bound ran
@@ -602,7 +604,7 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
             if magnitude is not None and (best is None
                                           or (magnitude, rank) < best):
                 best = (magnitude, rank)
-        outcome = answers[key] = _NO_ATTACK if best is None else _replayed(
+        outcome = answers[b] = _NO_ATTACK if best is None else _replayed(
             config, -best[1], float(best[0]), goal, options,
             memo[-best[1]].outcomes)
         if debug:
@@ -613,7 +615,7 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
                     f"peak {memo[d].peak} live pieces" for d in directions),
                 sum(len(memo[d].outcomes) for d in directions) - before,
                 _describe(outcome))
-    return [answers[b, sign(1.0, b)] for b in bounds]
+    return [answers[b] for b in bounds]
 
 
 def exhaustive_min_attack(

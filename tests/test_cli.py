@@ -813,6 +813,71 @@ class TestReport:
         assert verdicts == {"insufficient buckets"}
 
 
+# The bytes of each command's input file.
+INPUT_BYTES = {
+    "--config": json.dumps(config_dict()).encode(),
+    "--spec": json.dumps({"base_config": config_dict(kappa=2.0),
+                          "goal": {"horizon": 12}, "h_s": [2.0]}).encode(),
+    "--records": (SWEEP_CSV_HEADER
+                  + "\n0,2,0.2,0.2,2,20,false,NONE,,,ok\n").encode(),
+}
+# command, input flag and file, other arguments, and the label and path of
+# the output that names the input ("link.json" links to the input)
+SELF_OVERWRITES = {
+    "simulate-out": ("simulate", "--config", "c.json",
+                     ["--dp-a", "0.3", "--horizon", "60", "--out", "c.json"],
+                     "--out", "c.json"),
+    "simulate-linked-out": ("simulate", "--config", "c.json",
+                            ["--dp-a", "0.3", "--horizon", "60",
+                             "--out", "link.json"], "--out", "link.json"),
+    "synthesize-out": ("synthesize", "--config", "c.json",
+                       ["--horizon", "12", "--out", "c.json"],
+                       "--out", "c.json"),
+    "synthesize-trace-out": ("synthesize", "--config", "c.json",
+                             ["--horizon", "12", "--out", "r.json",
+                              "--trace-out", "c.json", "--exhaustive"],
+                             "--trace-out", "c.json"),
+    "synthesize-default-trace": ("synthesize", "--config", "r.json.trace.csv",
+                                 ["--horizon", "12", "--out", "r.json"],
+                                 "--trace-out", "r.json.trace.csv"),
+    "sweep-out": ("sweep", "--spec", "s.json", ["--out", "s.json"],
+                  "--out", "s.json"),
+    "sweep-meta": ("sweep", "--spec", "r.csv.meta.json", ["--out", "r.csv"],
+                   "the .meta.json of --out", "r.csv.meta.json"),
+    "report-out": ("report", "--records", "r.csv", ["--out", "r.csv"],
+                   "--out", "r.csv"),
+    "report-linked-out": ("report", "--records", "r.csv",
+                          ["--out", "link.json"], "--out", "link.json"),
+    "report-trend-csv": ("report", "--records", "trend_h_s.csv",
+                         ["--out", "t.json"], "a trend CSV of --csv-dir",
+                         "trend_h_s.csv"),
+}
+
+
+@pytest.mark.parametrize("case", SELF_OVERWRITES)
+def test_output_naming_an_input_exits_2(tmp_path, capsys, monkeypatch, case):
+    # the command would overwrite what it reads: it exits 2 before it
+    # searches, sweeps or writes anything
+    command, flag, name, rest, label, out = SELF_OVERWRITES[case]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("searched or wrote")
+    for attr in ("synthesize_min_attack", "exhaustive_min_attack", "run_sweep",
+                 "write_trace_csv", "write_records_csv",
+                 "write_trend_outputs"):
+        monkeypatch.setattr(f"frosim.cli.{attr}", refused)
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_bytes(INPUT_BYTES[flag])
+    if out == "link.json":
+        Path(out).symlink_to(name)
+    listing = sorted(tmp_path.iterdir())
+    assert run([command, flag, name, *rest]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {label}: names the same file as {flag} (got {out!r})\n")
+    assert Path(name).read_bytes() == INPUT_BYTES[flag]
+    assert sorted(tmp_path.iterdir()) == listing
+
+
 class TestIntegerSpellings:
     """A JSON integer beyond what products of floats keep exact runs as its
     float spelling does, in a config and in a sweep's value lists."""

@@ -64,10 +64,17 @@ class TestValidateConfig:
         ("dt/(droop_r*governor_t)",
          dict(droop_r=1e-200, governor_t=1e-200, dt=1e-201)),
         ("f_nominal/(rocof_window_m*dt)", dict(f_nominal=1e300, dt=1e-10)),
+        # integers, or an integer product, that convert to no float
+        ("dt/(droop_r*governor_t)",
+         dict(droop_r=2 ** 600, governor_t=2 ** 600)),
+        ("4*h_inertia/dt", dict(h_inertia=2 ** 1100)),
+        ("f_nominal/(rocof_window_m*dt)", dict(f_nominal=2 ** 1100)),
+        ("dt**2/(4*h_inertia*droop_r*governor_t)",
+         dict(dt=1, droop_r=2 ** 1100, governor_t=1)),
     ])
     def test_overflowing_step_factor_rejected(self, field, kw):
-        # each value is finite and > 0, but a quotient the step kernel
-        # derives from the params is not finite
+        # each value is > 0, but a quotient the step kernel derives from
+        # the params is not finite, or is no float at all
         with pytest.raises(InvalidParameter) as exc:
             validate_config(make_config(**kw))
         assert exc.value.field == field

@@ -43,7 +43,8 @@ SWEEP_GOALS = {
 SWEEP_CASES = [f"sweep/{goal}/seed{seed}"
                for goal in SWEEP_GOALS for seed in (1, 2)]
 REPORT_CASES = [f"report/{goal}/seed{seed}"
-                for goal in ("any-positive-12", "rocof-either-60")
+                for goal in ("any-positive-12", "rocof-either-60",
+                             "ls-negative-60")
                 for seed in (1, 2)]
 SYNTH_CASES = [f"synthesize/{target}-either-60"
                for target in ("any", "rocof", "ls")]

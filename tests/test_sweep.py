@@ -494,8 +494,9 @@ def demo_spec_and_lone_reprs():
 
 class TestDuplicateReuse:
     """A combination whose five values an earlier one had runs in the same
-    (H, R, T) group, whose call answers its bound once; values equal but of
-    another type or zero sign may run apart.  No record may change."""
+    (H, R, T) group, whose call answers its bound once; a zero of either
+    sign shares its group and its answer, and each record keeps its own
+    values.  No record may change."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_demo_spec_equals_lone_syntheses(self, workers):
@@ -505,16 +506,16 @@ class TestDuplicateReuse:
         assert record_reprs(run_sweep(spec, workers)) == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_same_value_of_another_type_or_zero_sign_runs_again(self,
-                                                                workers):
-        # 150% fails its capability check; 0.0 and -0.0, and 2 and 2.0,
-        # are equal but are written apart
+    def test_same_value_of_another_zero_sign_runs_again(self, workers):
+        # 150% fails its capability check; 0.0 and -0.0 are equal but are
+        # written apart, and the ToI 2 is read as 2.0
         spec = small_spec(
             mode=SweepMode.RANDOM, count=120, seed=3, h_values=(2.0, 6.0),
             toi_pct_values=(0.0, -0.0, 2, 2.0, 10.0, 150.0),
             ad_pct_values=(20.0, 100.0))
+        assert repr(spec.toi_pct_values[2:4]) == repr((2.0, 2.0))
         combos = generate_combinations(spec)
-        for toi in (150.0, 0.0, -0.0, 2):
+        for toi in (150.0, 0.0, -0.0, 2.0):
             cells = [c for c in combos if repr(c.toi_pct) == repr(toi)]
             assert len(cells) > len(set(map(repr, cells))), toi
         records = run_sweep(spec, workers)
@@ -527,12 +528,11 @@ class TestDuplicateReuse:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("column,values", [
         (0, (0.0, -0.0, 2.0)), (1, (0.0, -0.0, 0.2)), (2, (0.0, -0.0, 0.2)),
-        (0, (2, 2.0, 6.0)),
-    ], ids=["h-zero-sign", "r-zero-sign", "t-zero-sign", "h-2-and-2.0"])
+    ], ids=["h-zero-sign", "r-zero-sign", "t-zero-sign"])
     def test_repeats_apart_only_in_h_r_or_t_run_apart(self, tmp_path, column,
                                                       values, workers):
-        # equal H, R or T values that are written apart: a zero fails its
-        # grid, and 2 and 2.0 both run
+        # equal H, R or T values that are written apart: a zero of either
+        # sign fails its grid
         field = ("h_values", "r_values", "t_values")[column]
         spec = small_spec(mode=SweepMode.RANDOM, count=80, seed=2,
                           **{field: values})
@@ -542,14 +542,29 @@ class TestDuplicateReuse:
             assert len(cells) > len(set(map(repr, cells))), value
         records = run_sweep(spec, workers)
         assert record_reprs(records) == lone_reprs(spec)
-        assert {r.status == "ok" for r in records} == (
-            {True} if values[0] == 2 else {True, False})
+        assert {r.status == "ok" for r in records} == {True, False}
         # each record writes its own values, -0 apart from 0
         out = tmp_path / "records.csv"
         write_records_csv(records, out)
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[1:6] for row in rows] == [
             [frosim.sweep._FLOAT % v for v in combo] for combo in combos]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("values", [
+        {"h_values": (2, 6.0)},
+        {"r_values": (2 ** 600,), "t_values": (2 ** 600,)},
+    ], ids=["h-2", "r-and-t-2**600"])
+    def test_an_integer_value_runs_as_its_float(self, values, workers):
+        # integers are stored as their floats, so an H of 2 is written as
+        # 2.0 and R*T of two large ones overflows to inf, as it does for
+        # floats, where the integer product converts to no float at all
+        spec = small_spec(mode=SweepMode.RANDOM, count=40, seed=2, **values)
+        floats = small_spec(mode=SweepMode.RANDOM, count=40, seed=2, **{
+            field: tuple(map(float, vals)) for field, vals in values.items()})
+        records = run_sweep(spec, workers)
+        assert record_reprs(records) == record_reprs(run_sweep(floats, 1))
+        assert {r.status for r in records} == {"ok"}
 
     @pytest.mark.parametrize("target", [TargetKind.ANY, TargetKind.ROCOF_ONLY])
     def test_repeats_cost_no_replay(self, monkeypatch, target):
