@@ -10,10 +10,10 @@ configuration, spec or flag (including a ``--relay-id`` that names no relay
 of the grid, a ``--workers`` outside 1..cpu count and a sweep goal horizon
 shorter than one ROCOF window, a ``--trace-out`` that names the ``--out``
 file, a report ``--out`` that names one of its trend CSVs, and an output
-that names the command's ``--config``, ``--spec`` or ``--records``), 3
-output I/O failure.  A command that exits 3 removes every output file it
-created.  Synthesis answers every goal exactly and never declines, so no
-command exits 4.
+that names the command's ``--config``, ``--spec``, the spec's
+``base_config_file`` or ``--records``), 3 output I/O failure.  A command
+that exits 3 removes every output file it created.  Synthesis answers
+every goal exactly and never declines, so no command exits 4.
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
 logging verbosity.
@@ -239,11 +239,14 @@ def _warn_unknown(where: str, data: dict, known: set) -> None:
                       stacklevel=3)
 
 
-def _spec_from_file(path, seed_override=None) -> tuple[SweepSpec, str]:
+def _spec_from_file(path, seed_override=None, outputs=()) -> tuple[SweepSpec, str]:
     """The spec in the JSON file at *path*, and the sha256 of its bytes.
 
     Unknown top-level and ``goal`` keys are ignored with a warning, as
     :func:`~frosim.config.config_from_dict` ignores unknown config keys.
+    An output of *outputs*, ``(label, path)`` pairs, that names the
+    ``base_config_file`` raises :class:`InvalidParameter`, as
+    :func:`_check_outputs` does.
     """
     raw = Path(path).read_bytes()
     try:
@@ -254,6 +257,7 @@ def _spec_from_file(path, seed_override=None) -> tuple[SweepSpec, str]:
     _warn_unknown("spec", data, _SPEC_KEYS)
     if "base_config_file" in data:
         name = require_json_type(data["base_config_file"], "base_config_file", str)
+        _check_outputs("base_config_file", Path(path).parent / name, *outputs)
         base = load_config(Path(path).parent / name)
     else:
         base = config_from_dict(data["base_config"])
@@ -296,14 +300,14 @@ def cmd_sweep(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     meta = str(args.out) + ".meta.json"
+    outputs = (("--out", args.out), ("the .meta.json of --out", meta))
     try:
-        _check_outputs("--spec", args.spec, ("--out", args.out),
-                       ("the .meta.json of --out", meta))
+        _check_outputs("--spec", args.spec, *outputs)
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        spec, spec_sha256 = _spec_from_file(args.spec, args.seed)
+        spec, spec_sha256 = _spec_from_file(args.spec, args.seed, outputs)
     except (FrosimError, OSError, ValueError, KeyError) as exc:
         print(f"error: bad sweep spec: {exc!r}", file=sys.stderr)
         return EXIT_CONFIG

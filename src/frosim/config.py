@@ -40,7 +40,7 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import InvalidParameter, StabilityViolation
 
@@ -49,8 +49,7 @@ from .errors import InvalidParameter, StabilityViolation
 ROCOF_THRESHOLD_BAND = (0.5, 1.2)
 
 
-@dataclass(frozen=True)
-class GridParams:
+class GridParams(NamedTuple):
     """Aggregate dynamic parameters of the grid.
 
     h_inertia      -- inertia constant H of the equivalent machine, seconds
@@ -78,8 +77,7 @@ class GridParams:
         return 1.0 - self.dt ** 2 / (4.0 * self.h_inertia * self.droop_r * self.governor_t)
 
 
-@dataclass(frozen=True)
-class GeneratorRelay:
+class GeneratorRelay(NamedTuple):
     """A generator protected by a ROCOF relay.
 
     Tripping removes ``p_tg`` per-unit of generation.  The relay operates when
@@ -93,8 +91,7 @@ class GeneratorRelay:
     rocof_threshold: float
 
 
-@dataclass(frozen=True)
-class LoadRelay:
+class LoadRelay(NamedTuple):
     """A load block protected by an under-frequency shedding relay.
 
     Operating sheds ``p_sh`` per-unit of load once frequency falls to
@@ -107,8 +104,7 @@ class LoadRelay:
     underfreq_threshold: float
 
 
-@dataclass(frozen=True)
-class AttackerCapability:
+class AttackerCapability(NamedTuple):
     """What the attacker can reach and how hard they can push.
 
     toi       -- fraction of each measurement that can be falsified undetected
@@ -124,21 +120,23 @@ class AttackerCapability:
     kappa: float = 1.0
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Complete static description of one study grid."""
-
+class _GridConfig(NamedTuple):
     params: GridParams
     generators: tuple[GeneratorRelay, ...]
     loads: tuple[LoadRelay, ...]
     capability: AttackerCapability
 
-    def __post_init__(self):
+
+class GridConfig(_GridConfig):
+    """Complete static description of one study grid; its ``__dict__``
+    (no ``__slots__``) keeps :mod:`frosim.dynamics`' step constants."""
+
+    def __new__(cls, params, generators, loads, capability):
         # Accept lists for convenience; store tuples so configs hash/share safely.
-        if not isinstance(self.generators, tuple):
-            object.__setattr__(self, "generators", tuple(self.generators))
-        if not isinstance(self.loads, tuple):
-            object.__setattr__(self, "loads", tuple(self.loads))
+        return super().__new__(cls, params, tuple(generators), tuple(loads),
+                               capability)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs __new__
 
 
 def _require(cond: bool, fld: str, message: str, value) -> None:
@@ -180,20 +178,26 @@ def validate_grid(config: GridConfig) -> GridConfig:
     _require(p.f_nominal > 0, "f_nominal", "must be > 0", p.f_nominal)
     # the quotients the step kernel derives from the params, each finite
     # (a zero divisor is an underflowed product), or every replay steps
-    # into inf and NaN and reads as no attack; an integer field or product
-    # beyond the float range gives no float at all
-    for name, quotient in (
-            ("4*h_inertia/dt", lambda: 4.0 * p.h_inertia / p.dt),
-            ("dt/(4*h_inertia)", lambda: p.dt / (4.0 * p.h_inertia)),
-            ("dt/(droop_r*governor_t)",
-             lambda: p.dt / (p.droop_r * p.governor_t)),
-            ("f_nominal/(rocof_window_m*dt)",
-             lambda: p.f_nominal / (p.rocof_window_m * p.dt))):
+    # into inf and NaN and reads as no attack.  An integer field or product
+    # beyond the float range in a numerator makes the quotient infinite; one
+    # only in a divisor is named last, as the kernel cannot divide by it
+    divisor_only = None
+    for name, numerator, divisor in (
+            ("4*h_inertia/dt", lambda: 4 * p.h_inertia, lambda: p.dt),
+            ("dt/(4*h_inertia)", lambda: p.dt, lambda: 4 * p.h_inertia),
+            ("dt/(droop_r*governor_t)", lambda: p.dt,
+             lambda: p.droop_r * p.governor_t),
+            ("f_nominal/(rocof_window_m*dt)", lambda: p.f_nominal,
+             lambda: p.rocof_window_m * p.dt)):
         try:
-            factor = quotient()
-        except (ZeroDivisionError, OverflowError):
+            factor = numerator() / divisor()
+        except (ZeroDivisionError, OverflowError) as exc:
             factor = math.inf
+            if isinstance(exc, OverflowError) and is_finite_real(numerator()):
+                divisor_only = divisor_only or name
+                continue
         _require(is_finite_real(factor), name, "must be finite", factor)
+    _require(divisor_only is None, divisor_only, "must be finite", math.inf)
 
     if p.dt > p.governor_t:
         raise StabilityViolation(
@@ -394,8 +398,7 @@ def with_dynamics(config: GridConfig, *, h_inertia=None, droop_r=None,
                   governor_t=None) -> GridConfig:
     """Return a copy of *config* with some dynamic parameters replaced."""
     params = config.params
-    params = replace(
-        params,
+    params = params._replace(
         h_inertia=params.h_inertia if h_inertia is None else h_inertia,
         droop_r=params.droop_r if droop_r is None else droop_r,
         governor_t=params.governor_t if governor_t is None else governor_t,

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -99,24 +98,28 @@ class RelayEvent(NamedTuple):
     kind: EventKind
 
 
-@dataclass(frozen=True)
-class AttackSignal:
-    """A single persistent setpoint change of ``dp_a`` per-unit at ``attack_step``."""
-
+class _AttackSignal(NamedTuple):
     dp_a: float
     attack_step: int = 0
 
-    def __post_init__(self):
-        if self.attack_step < 0:
-            raise ValueError(f"attack_step must be >= 0, got {self.attack_step}")
+
+class AttackSignal(_AttackSignal):
+    """A single persistent setpoint change of ``dp_a`` per-unit at ``attack_step``."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs __new__
+
+    def __new__(cls, dp_a, attack_step=0):
+        if attack_step < 0:
+            raise ValueError(f"attack_step must be >= 0, got {attack_step}")
+        return super().__new__(cls, dp_a, attack_step)
 
 
 #: The do-nothing injection.
 NO_ATTACK = AttackSignal(0.0, 0)
 
 
-@dataclass(frozen=True)
-class SimOptions:
+class SimOptions(NamedTuple):
     """Behavioral switches for the relay/inertia modeling.
 
     literal_accumulation -- relays re-add their block every step their trigger
@@ -224,15 +227,14 @@ def _build_step_constants(params: GridParams,
 def _step_constants(config: GridConfig) -> tuple:
     """The step constants of *config*, built once and kept on it.
 
-    They are kept outside the dataclass fields: equality, hash and repr
-    never see them.  Configs are frozen, so what a kept build was computed
-    from cannot change under it.
+    They are kept in the config's instance ``__dict__``, outside its tuple
+    fields: equality, hash and repr never see them.  Configs are immutable,
+    so what a kept build was computed from cannot change under it.
     """
     constants = config.__dict__.get("_step_constants")
     if constants is None:
-        constants = _build_step_constants(config.params, config.generators,
-                                          config.loads)
-        object.__setattr__(config, "_step_constants", constants)
+        constants = config._step_constants = _build_step_constants(
+            config.params, config.generators, config.loads)
     return constants
 
 
@@ -254,7 +256,8 @@ def simulate_step(
     Given a :class:`SystemState`, it returns a ``SystemState`` and a
     :class:`StepRecord`.  Given a plain tuple in ``SystemState`` field order,
     as :func:`_steps` carries the state, it returns plain tuples in the same
-    field orders, with the same values.
+    field orders, with the same values.  It unpacks *attack* and *options*
+    too, which :func:`_steps` passes as plain tuples: they unpack fastest.
 
     The grid's factors and rosters come from :func:`_step_constants`, built
     once per config and kept on it.  A roster's loop is skipped when no
@@ -268,6 +271,8 @@ def simulate_step(
     """
     (n, delta_f, dp_gov, dp_sh_cum, dp_tg_cum,
      history, gen_latches, load_latches) = state
+    dp_a, attack_step = attack
+    accumulate, literal_signs, rescale_inertia = options
     try:
         constants = config._step_constants
     except AttributeError:
@@ -281,7 +286,6 @@ def simulate_step(
     f_hz = f_nominal * (1.0 + delta_f)
     shed = 0.0
     if f_hz <= ls_highest:
-        accumulate = options.literal_accumulation
         if accumulate or False in load_latches:
             for i, (threshold, block, relay_id) in enumerate(loads):
                 if f_hz <= threshold:
@@ -303,7 +307,6 @@ def simulate_step(
         # abs() but for the sign of a zero or NaN, which no comparison reads
         magnitude = slope if slope >= 0.0 else -slope
         if magnitude >= rocof_lowest:
-            accumulate = options.literal_accumulation
             if accumulate or False in gen_latches:
                 for i, (threshold, block, relay_id) in enumerate(generators):
                     if magnitude >= threshold:
@@ -318,9 +321,9 @@ def simulate_step(
     dp_tg_next = dp_tg_cum + tripped
 
     # 4. governor and frequency recursions on the updated relay totals
-    dp_a = attack.dp_a if n >= attack.attack_step else 0.0
+    dp_a = dp_a if n >= attack_step else 0.0
     gov_next = dp_gov + dt_t * (-delta_f / droop_r - dp_gov)
-    if options.rescale_inertia:
+    if rescale_inertia:
         share = ((total_generation - dp_tg_next) / total_generation
                  if total_generation > 0 else 1.0)
         h = h * max(share, _H_RESCALE_FLOOR)
@@ -331,7 +334,7 @@ def simulate_step(
         - 2.0 * dp_a
         - delta_f * df_scale
         - dp_tg_next
-        + (-dp_sh_next if options.literal_signs else dp_sh_next)
+        + (-dp_sh_next if literal_signs else dp_sh_next)
     )
 
     # 5. keep the last M+1 deviations
@@ -349,17 +352,19 @@ def simulate_step(
 TRACE_CSV_HEADER = "n,t_s,f_hz,rocof_hz_per_s,dp_gov_pu,dp_sh_cum_pu,dp_tg_cum_pu,events"
 
 
-@dataclass(frozen=True)
-class SimTrace:
+class _SimTrace(NamedTuple):
+    records: tuple[StepRecord, ...]
+
+
+class SimTrace(_SimTrace):
     """The step records of one run, with its event log.
 
     Records cover steps 0..horizon inclusive; ``rocof_hz_per_s`` is ``None``
     while fewer than M+1 frequency samples exist.  Relay totals in a record
     include operations at that record's step.  ``delta_f`` carries the
     per-unit deviation exactly as stepped; ``f_hz`` is its Hz reconstruction.
+    It has no ``__slots__``: its instance ``__dict__`` caches ``events``.
     """
-
-    records: tuple[StepRecord, ...]
 
     @cached_property
     def events(self) -> tuple[RelayEvent, ...]:
@@ -417,6 +422,7 @@ def _steps(
     _check_horizon(config, horizon)
     state = tuple(initial_state(config))
     attack_step = attack.attack_step
+    attack, options = tuple(attack), tuple(options)
     for n in range(horizon + 1):
         nxt, record = simulate_step(state, config, attack, options)
         yield record

@@ -26,7 +26,6 @@ import math
 import numbers
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -96,17 +95,7 @@ class AttackType(enum.Enum):
     NONE = "NONE"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """What to sweep and how.
-
-    The base config supplies everything not swept: rosters, the DER total
-    and calibration factor, step size, window length, and nominal frequency.
-    A ``SPECIFIC`` goal must name one of its relays, and the goal's horizon
-    must span one ROCOF window of it, since the window length is not swept.
-    Swept values and the tolerance are stored as floats, as a spec file's.
-    """
-
+class _SweepSpec(NamedTuple):
     base: GridConfig
     goal: AttackGoal
     h_values: tuple[float, ...] = DEFAULT_H_VALUES
@@ -119,7 +108,23 @@ class SweepSpec:
     seed: int = 0
     tolerance: float = 1e-4
 
-    def __post_init__(self):
+
+class SweepSpec(_SweepSpec):
+    """What to sweep and how.
+
+    The base config supplies everything not swept: rosters, the DER total
+    and calibration factor, step size, window length, and nominal frequency.
+    A ``SPECIFIC`` goal must name one of its relays, and the goal's horizon
+    must span one ROCOF window of it, since the window length is not swept.
+    Swept values and the tolerance are stored as floats, as a spec file's.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs __new__
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        floats = {}
         for name in ("h_values", "r_values", "t_values",
                      "toi_pct_values", "ad_pct_values"):
             vals = getattr(self, name)
@@ -127,8 +132,7 @@ class SweepSpec:
                     is_finite_real(v) for v in vals)):
                 raise InvalidParameter(
                     name, "must be a list of finite numbers", vals)
-            vals = tuple(map(float, vals))
-            object.__setattr__(self, name, vals)
+            vals = floats[name] = tuple(map(float, vals))
             if not vals:
                 raise InvalidParameter(name, "must be nonempty", vals)
         if self.count is not None and not (
@@ -141,9 +145,10 @@ class SweepSpec:
         if not (is_finite_real(self.tolerance) and self.tolerance > 0):
             raise InvalidParameter("tolerance", "must be finite and > 0",
                                    self.tolerance)
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        floats["tolerance"] = float(self.tolerance)
         check_relay_id(self.base, self.goal)
         _check_horizon(self.base, self.goal.horizon)
+        return super().__new__(cls, **{**self._asdict(), **floats})
 
 
 def generate_combinations(spec: SweepSpec) -> list[Combo]:
@@ -299,8 +304,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
 # Trend aggregation
 
 
-@dataclass(frozen=True)
-class TrendBucket:
+class TrendBucket(NamedTuple):
     value: float
     records: int
     successes: int
@@ -310,8 +314,7 @@ class TrendBucket:
         return self.successes / self.records if self.records else 0.0
 
 
-@dataclass(frozen=True)
-class ParameterTrend:
+class ParameterTrend(NamedTuple):
     parameter: str
     expected: str
     buckets: tuple[TrendBucket, ...]
@@ -319,16 +322,14 @@ class ParameterTrend:
     matches_expected: bool
 
 
-@dataclass(frozen=True)
-class HTypeSplit:
+class HTypeSplit(NamedTuple):
     h: float
     rocof: int
     ls: int
     none: int
 
 
-@dataclass(frozen=True)
-class TrendReport:
+class TrendReport(NamedTuple):
     """Trend verdicts over the ``ok`` records.
 
     ``total_records`` counts every record; ``excluded_records`` counts those
@@ -340,7 +341,7 @@ class TrendReport:
     total_successes: int
     slack: float
     parameters: dict[str, ParameterTrend]
-    h_type_split: tuple[HTypeSplit, ...] = field(default_factory=tuple)
+    h_type_split: tuple[HTypeSplit, ...] = ()
     excluded_records: int = 0
 
 

@@ -49,7 +49,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
 from typing import NamedTuple, Optional
 
@@ -100,23 +99,29 @@ class Sign(enum.Enum):
     EITHER = "either"
 
 
-@dataclass(frozen=True)
-class AttackGoal:
-    """What counts as a successful attack and within how many steps."""
-
+class _AttackGoal(NamedTuple):
     horizon: int
     target_kind: TargetKind = TargetKind.ANY
     sign: Sign = Sign.POSITIVE
     specific_relay_id: Optional[str] = None
     attack_step: int = 0
 
-    def __post_init__(self):
+
+class AttackGoal(_AttackGoal):
+    """What counts as a successful attack and within how many steps."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs __new__
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.target_kind is TargetKind.SPECIFIC and not self.specific_relay_id:
             raise ValueError("SPECIFIC goal requires specific_relay_id")
         if self.attack_step < 0:
             raise ValueError(f"attack_step must be >= 0, got {self.attack_step}")
+        return self
 
     def directions(self) -> tuple[int, ...]:
         if self.sign is Sign.POSITIVE:
@@ -150,8 +155,7 @@ class AttackOutcome(NamedTuple):
     trip_step: int
 
 
-@dataclass(frozen=True)
-class AttackVector:
+class AttackVector(NamedTuple):
     """A synthesized injection together with its certified effect."""
 
     dp_a: float
@@ -160,8 +164,7 @@ class AttackVector:
     trace: SimTrace
 
 
-@dataclass(frozen=True)
-class FeasibilityOutcome:
+class FeasibilityOutcome(NamedTuple):
     vector: Optional[AttackVector] = None
 
     @property
@@ -224,8 +227,7 @@ def _replayed(config, direction, magnitude, goal, options,
     return outcome
 
 
-@dataclass(frozen=True)
-class DirectionProbe:
+class DirectionProbe(NamedTuple):
     """Feasibility samples along one injection direction."""
 
     direction: int
@@ -235,8 +237,7 @@ class DirectionProbe:
     bracket: Optional[tuple[float, float]]  # (largest infeasible, smallest feasible)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     directions: dict[int, DirectionProbe]
 
     @property
@@ -442,8 +443,8 @@ class _Direction:
     their unsigned float magnitude; the interval pass's *start*, rounded up
     to a record decimal (``Infinity`` when it found none), and its *peak*
     live pieces; and, for an ``ANY`` goal, the largest magnitude that
-    *failed* a replay.  (A plain class: a dataclass would add most of a
-    millisecond to ``import frosim``.)
+    *failed* a replay.  (A plain class with slots: a search updates it in
+    place, and the value types are immutable named tuples.)
     """
 
     __slots__ = ("outcomes", "start", "peak", "failed")

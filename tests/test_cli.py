@@ -878,6 +878,34 @@ def test_output_naming_an_input_exits_2(tmp_path, capsys, monkeypatch, case):
     assert sorted(tmp_path.iterdir()) == listing
 
 
+@pytest.mark.parametrize("base,out,label", [
+    ("grid.json", "grid.json", "--out"),
+    ("r.csv.meta.json", "r.csv", "the .meta.json of --out"),
+], ids=["out", "meta"])
+def test_sweep_output_naming_the_base_config_file_exits_2(
+        tmp_path, capsys, monkeypatch, base, out, label):
+    # the spec names its grid beside it, and the output names that file by
+    # another path: the sweep exits 2 before it sweeps or writes anything
+    def refused(*args, **kwargs):
+        raise AssertionError("swept or wrote")
+    for attr in ("run_sweep", "write_records_csv"):
+        monkeypatch.setattr(f"frosim.cli.{attr}", refused)
+    monkeypatch.chdir(tmp_path)
+    study = Path("study")
+    study.mkdir()
+    grid = json.dumps(config_dict()).encode()
+    (study / base).write_bytes(grid)
+    (study / "s.json").write_text(json.dumps({
+        "base_config_file": base, "goal": {"horizon": 12}, "h_s": [2.0]}))
+    listing = sorted(tmp_path.rglob("*"))
+    assert run(["sweep", "--spec", str(study / "s.json"), "--workers", "1",
+                "--out", str(study / out)]) == 2
+    assert (f"{label}: names the same file as base_config_file"
+            in capsys.readouterr().err)
+    assert (study / base).read_bytes() == grid
+    assert sorted(tmp_path.rglob("*")) == listing
+
+
 class TestIntegerSpellings:
     """A JSON integer beyond what products of floats keep exact runs as its
     float spelling does, in a config and in a sweep's value lists."""

@@ -68,6 +68,9 @@ class TestValidateConfig:
         ("dt/(droop_r*governor_t)",
          dict(droop_r=2 ** 600, governor_t=2 ** 600)),
         ("4*h_inertia/dt", dict(h_inertia=2 ** 1100)),
+        # 4*h_inertia/dt is near 0 here; its reciprocal is the infinite one
+        ("dt/(4*h_inertia)", dict(dt=2 ** 1100)),
+        ("f_nominal/(rocof_window_m*dt)", dict(rocof_window_m=2 ** 1100)),
         ("f_nominal/(rocof_window_m*dt)", dict(f_nominal=2 ** 1100)),
         ("dt**2/(4*h_inertia*droop_r*governor_t)",
          dict(dt=1, droop_r=2 ** 1100, governor_t=1)),

@@ -1,6 +1,5 @@
 """Dynamics engine: recursions, relay evaluation, stepping, traces."""
 
-import dataclasses
 import itertools
 import math
 import pickle
@@ -703,10 +702,9 @@ class TestStepConstants:
         cfg = study_config()
         configs = [
             cfg,
-            dataclasses.replace(cfg, loads=cfg.loads[:1]),
-            dataclasses.replace(cfg, generators=tuple(
-                dataclasses.replace(g, p_tg=g.p_tg / 2)
-                for g in cfg.generators)),
+            cfg._replace(loads=cfg.loads[:1]),
+            cfg._replace(generators=tuple(
+                g._replace(p_tg=g.p_tg / 2) for g in cfg.generators)),
             unvalidated(cfg, (), ()),  # as the unit response replays it
         ]
         assert all(c.params is cfg.params for c in configs)
@@ -715,8 +713,7 @@ class TestStepConstants:
     def test_replaced_params(self):
         cfg = study_config()
         simulate(cfg, self.ATTACK, 60)
-        heavier = dataclasses.replace(
-            cfg, params=dataclasses.replace(cfg.params, h_inertia=6.0))
+        heavier = cfg._replace(params=cfg.params._replace(h_inertia=6.0))
         slower = with_dynamics(cfg, governor_t=1.0)
         assert heavier.generators is cfg.generators is slower.generators
         assert len(set(self.step_alike([cfg, heavier, slower]))) == 3
@@ -735,11 +732,11 @@ class TestStepConstants:
         before = (repr(cfg), hash(cfg), repr(cfg.params), hash(cfg.params))
         simulate(cfg, self.ATTACK, 60)
         assert "_step_constants" in vars(cfg)
-        assert "_step_constants" not in vars(cfg.params)
+        assert not hasattr(cfg.params, "_step_constants")
         assert (repr(cfg), hash(cfg), repr(cfg.params),
                 hash(cfg.params)) == before
         assert cfg == twin and twin == cfg and cfg.params == twin.params
-        assert dataclasses.astuple(cfg) == dataclasses.astuple(twin)
+        assert tuple(cfg) == tuple(twin)
 
 
 class TestSimTrace:

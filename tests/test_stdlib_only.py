@@ -1,8 +1,8 @@
 """frosim needs only the standard library: importing it loads no numpy, and
 every CLI command gives the same exit code, printed output and files with
 numpy imports blocked as in a normal run.  Its cold start stays small: only
-a sweep that starts a pool loads the process-pool modules, and only a sweep
-loads hashlib."""
+a sweep that starts a pool loads the process-pool modules, only a sweep
+loads hashlib, and no command loads dataclasses or inspect."""
 
 import json
 import os
@@ -75,19 +75,22 @@ def check_absent(names, after):
     assert not loaded, (after, loaded)
 
 POOL = ("concurrent.futures", "multiprocessing")
-check_absent(POOL + ("hashlib",), "import")
+# the value types are named tuples: dataclasses (with inspect, ast, dis and
+# tokenize) would cost about a third of the import
+CODEGEN = ("dataclasses", "inspect")
+check_absent(POOL + ("hashlib",) + CODEGEN, "import")
 for argv in json.loads(sys.argv[1]):
     assert frosim.cli.run(argv) == 0, argv
-    check_absent(POOL + ("hashlib",), argv)
+    check_absent(POOL + ("hashlib",) + CODEGEN, argv)
 serial_sweep = json.loads(sys.argv[2])
 assert frosim.cli.run(serial_sweep) == 0
-check_absent(POOL, serial_sweep)
+check_absent(POOL + CODEGEN, serial_sweep)
 """
 
 
 def test_commands_load_no_pool_and_no_hashlib(tmp_path):
-    """Only a sweep that starts a pool loads the pool modules, and only a
-    sweep hashes its spec."""
+    """Only a sweep that starts a pool loads the pool modules, only a
+    sweep hashes its spec, and nothing loads dataclasses or inspect."""
     serial_sweep = SWEEP[:-1] + ["1"]
     _run_case([serial_sweep], "normal", tmp_path / "run")  # writes records
     steps = [SIMULATE, SYNTHESIZE, SYNTHESIZE + ["--exhaustive"], REPORT]

@@ -1,6 +1,5 @@
 """Sweep harness: combination generation, execution, trends, file formats."""
 
-import dataclasses
 import functools
 import math
 import random
@@ -294,7 +293,7 @@ class TestDynamicsMemo:
     def test_step_constants_built_once_per_group(self, monkeypatch, goal):
         # each group call runs on one config
         spec, _ = _spec_from_file(DEMO_SPEC, 1)
-        spec = dataclasses.replace(spec, goal=goal)
+        spec = spec._replace(goal=goal)
         builds = Counter()
         build = frosim.dynamics._build_step_constants
 
@@ -574,8 +573,8 @@ class TestDuplicateReuse:
             goal=AttackGoal(horizon=12, target_kind=target, sign=Sign.EITHER),
             toi_pct_values=(2.0, 10.0, 2.0),
             ad_pct_values=(20.0, 100.0, 100.0))
-        distinct = dataclasses.replace(spec, toi_pct_values=(2.0, 10.0),
-                                       ad_pct_values=(20.0, 100.0))
+        distinct = spec._replace(toi_pct_values=(2.0, 10.0),
+                                 ad_pct_values=(20.0, 100.0))
         calls = []
         feasibility = frosim.synth.feasibility
         start = frosim.synth._smallest_feasible_start
@@ -607,9 +606,9 @@ class TestDuplicateReuse:
         # bound, carrying the bound of every valid combination
         spec, _ = _spec_from_file(DEMO_SPEC, 1)
         if cartesian:
-            spec = dataclasses.replace(spec, mode=SweepMode.CARTESIAN,
-                                       toi_pct_values=(2.0, 10.0),
-                                       ad_pct_values=(20.0, 100.0))
+            spec = spec._replace(mode=SweepMode.CARTESIAN,
+                                 toi_pct_values=(2.0, 10.0),
+                                 ad_pct_values=(20.0, 100.0))
         calls = Counter()
         carried = []
         min_attacks = frosim.sweep._min_attacks
@@ -628,8 +627,8 @@ class TestDuplicateReuse:
         assert set(calls) == {c[:3] for c in combos}
         cap = spec.base.capability
         assert sorted(carried) == sorted(
-            capability_bound(dataclasses.replace(
-                cap, toi=c.toi_pct / 100.0, ad=c.ad_pct / 100.0))
+            capability_bound(cap._replace(
+                toi=c.toi_pct / 100.0, ad=c.ad_pct / 100.0))
             for c in combos)
         assert (len(set(combos)) == len(combos)) == cartesian
         assert records == run_sweep(spec, workers=2)

@@ -1,7 +1,6 @@
 """Attack synthesis: feasibility oracle, probing, the interval pass for
 every goal, certify walks, exhaustive scan."""
 
-import dataclasses
 import itertools
 import logging
 import math
@@ -508,7 +507,7 @@ class TestGridConstants:
                  for target in (TargetKind.ANY, TargetKind.ROCOF_ONLY)]
         fresh = {
             (i, goal): _answer(synthesize_min_attack(GridConfig(
-                dataclasses.replace(params), *roster, cap), goal))
+                params._replace(), *roster, cap), goal))
             for i, roster in enumerate(rosters) for goal in goals}
         assert fresh[0, goals[0]] != fresh[1, goals[0]]
         assert fresh[0, goals[1]] != fresh[1, goals[1]]
