@@ -223,7 +223,7 @@ def validate_grid(config: GridConfig) -> GridConfig:
     _require(len(config.loads) >= 1, "loads", "at least one required",
              len(config.loads))
 
-    seen = set()
+    seen = set()  # relay ids, unique across both rosters
     for i, g in enumerate(config.generators):
         _require(g.p_tg > 0, f"generators[{i}].p_tg", "must be > 0", g.p_tg)
         _require(g.rocof_threshold > 0, f"generators[{i}].rocof_threshold",
@@ -239,7 +239,6 @@ def validate_grid(config: GridConfig) -> GridConfig:
                 stacklevel=3,  # the caller of validate_config
             )
 
-    seen = set()
     for i, l in enumerate(config.loads):
         _require(l.p_sh > 0, f"loads[{i}].p_sh", "must be > 0", l.p_sh)
         _require(0 < l.underfreq_threshold < p.f_nominal,

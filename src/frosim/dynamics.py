@@ -200,7 +200,8 @@ def _build_step_constants(params: GridParams,
     the highest load-shedding and the lowest ROCOF threshold.  It has two
     readers: the kernel, which skips a roster with the extremes, and the
     interval pass of :func:`frosim.synth._smallest_feasible_start` (the
-    recursions' factors, R, the total generation and both rosters).
+    recursions' factors, R, the total generation, both rosters and both
+    extremes).
 
     A NaN threshold satisfies no comparison, so its relay never operates and
     the extremes leave it out.  The extreme of a roster with no other

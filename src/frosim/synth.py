@@ -313,16 +313,30 @@ def _smallest_feasible_start(
     and every relay condition changes truth at most at one point (load
     shedding) or two (ROCOF, ``|slope| >= thr``).  Each step cuts every
     piece at those points and decides each sub-piece's relays at its
-    midpoint with the kernel's comparisons.  A sub-piece where a matching
-    relay newly operates is feasible and leaves the pass; the others advance
-    by the kernel's recursions applied to both coefficients.  Adjacent
-    sub-pieces of one piece that end the step with equal totals and latches
-    advance as one: their futures are the same affine functions.  Pieces of
-    different parents never merge, since equal latches set at different
-    steps leave different constant terms.  The options change only terms
-    that are constant on a piece (the inertia rescale, the shed sign,
-    re-accumulation).  The start carries the float error of a cut point; a
-    replay decides.
+    midpoint with the kernel's comparisons and roster skips.  A sub-piece
+    where a matching relay newly operates is feasible and leaves the pass;
+    the others advance by the kernel's recursions applied to both
+    coefficients.  Adjacent sub-pieces of one piece that end the step with
+    equal totals and latches advance as one: their futures are the same
+    affine functions.  Pieces of different parents never merge, since equal
+    latches set at different steps leave different constant terms.  The
+    options change only terms that are constant on a piece (the inertia
+    rescale, the shed sign, re-accumulation).
+
+    A piece on which no relay can act is *quiet* and advances whole as one
+    group, with no cut or decision: at both ends, so on all of it, the
+    deviation lies above the highest load-shedding margin and, once the
+    window is full, the slope's magnitude below the lowest ROCOF threshold,
+    each by 1e-9 times the sum of what its comparisons round (1, the margin
+    and the deviation's terms at ``2*hi``; the threshold and the window's
+    terms), far above their rounding, a few units of 2**-53 of that sum.  A
+    NaN, an infinity or a midpoint that could overflow fails the test.
+
+    The start's error budget: a cut point, it lies a few units of the last
+    place from the replayed boundary, so rounded up it is the answer or one
+    record unit off.  :func:`_certify` gallops from either side; it and
+    :func:`_min_attacks` rely on no replay succeeding below the decimal
+    under the start.
 
     A piece at or above the smallest feasible start so far can only add
     larger starts and is dropped when next visited.  No live piece
@@ -336,11 +350,14 @@ def _smallest_feasible_start(
     """
     _check_horizon(config, goal.horizon)
     (f_nominal, dt, m, m_dt, droop_r, gain, gov_decay, scale, damping,
-     load_roster, _, gen_roster, _, h, dt_rt, total_tg) = _step_constants(config)
+     load_roster, ls_highest, gen_roster, rocof_lowest, h, dt_rt,
+     total_tg) = _step_constants(config)
     accumulate = options.literal_accumulation
     literal_signs = options.literal_signs
     rescale = options.rescale_inertia
     slope_per_pu = f_nominal / m_dt
+    ls_margin = ls_highest / f_nominal - 1.0
+    ls_slack = 1.0 + abs(ls_margin)
     loads = [(thr, thr / f_nominal - 1.0, p_sh,
               goal.matches(RelayEvent(0, relay_id, EventKind.LS_SHED)))
              for thr, p_sh, relay_id in load_roster]
@@ -362,10 +379,22 @@ def _smallest_feasible_start(
              gen_latches, load_latches) in pieces:
             if lo >= first:
                 continue
+            floor = ls_margin + 1e-9 * (ls_slack + abs(d0) + abs(d1) * (hi + hi))
+            quiet = d0 + d1 * lo > floor and d0 + d1 * hi > floor
             windowed = len(w0) > m
             if windowed:
                 s0 = (w0[-1] - w0[-1 - m]) * slope_per_pu
                 s1 = (w1[-1] - w1[-1 - m]) * slope_per_pu
+                if quiet:
+                    ceiling = rocof_lowest - 1e-9 * (rocof_lowest + (
+                        abs(w0[-1]) + abs(w0[-1 - m]) + (hi + hi) * (
+                            abs(w1[-1]) + abs(w1[-1 - m]))) * slope_per_pu)
+                    quiet = (-ceiling < s0 + s1 * lo < ceiling
+                             and -ceiling < s0 + s1 * hi < ceiling)
+            if quiet:
+                key = (sh + 0.0, tg + 0.0, gen_latches, load_latches)
+                advanced.append(((lo, hi), key, d0, d1, g0, g1, w0, w1))
+                continue
             cuts = [lo, hi]
             if d1:
                 for i, (_, margin, _, _) in enumerate(loads):
@@ -386,7 +415,8 @@ def _smallest_feasible_start(
                 mid = 0.5 * (a + b)
                 f_hz = f_nominal * (1.0 + (d0 + d1 * mid))
                 ll, shed, met = load_latches, 0.0, False
-                for i, (thr, _, p_sh, match) in enumerate(loads):
+                for i, (thr, _, p_sh, match) in enumerate(
+                        loads if f_hz <= ls_highest else ()):
                     if f_hz <= thr:
                         if not ll[i]:
                             met = met or match
@@ -399,7 +429,8 @@ def _smallest_feasible_start(
                     magnitude = abs(((w0[-1] + w1[-1] * mid)
                                      - (w0[-1 - m] + w1[-1 - m] * mid))
                                     * slope_per_pu)
-                    for i, (thr, p_tg, match) in enumerate(gens):
+                    for i, (thr, p_tg, match) in enumerate(
+                            gens if magnitude >= rocof_lowest else ()):
                         if magnitude >= thr:
                             if not gl[i]:
                                 met = met or match
@@ -461,14 +492,14 @@ def _certify(config, goal, direction, start: Decimal, bound: Decimal,
     """The certified record decimal from *start* along *direction*, ``None``
     when none replays within the capability bound *bound*.
 
-    *start* is the interval pass's rounded-up minimum, and its float error
-    can put the boundary a few units of the last digit to either side.  The
-    walk gallops 1, 2, 4, ... units away from the start's verdict: up while
-    replays fail, replaying the capability bound itself once past it; down
-    from the decimal below the start while replays succeed, to zero at the
-    lowest.  It then bisects between its last failure and success, never
-    past the decimal below the success, so it ends only when the decimal
-    below its answer is a failed replay.
+    *start* is the interval pass's rounded-up minimum, within the error
+    budget of :func:`_smallest_feasible_start`.  The walk gallops 1, 2, 4,
+    ... units away from the start's verdict: up while replays fail,
+    replaying the capability bound itself once past it; down from the
+    decimal below the start while replays succeed, to zero at the lowest.
+    It then bisects between its last failure and success, never past the
+    decimal below the success, so it ends only when the decimal below its
+    answer is a failed replay.
 
     *memo* is the direction's :class:`_Direction`.  For an ``ANY`` goal a
     bound at or below its largest failed replay is answered by ``None``
@@ -550,11 +581,11 @@ def synthesize_min_attack(
     the resolution of :func:`exhaustive_min_attack`.
 
     When the goal allows either direction, the starts are certified smallest
-    first, and the second only when it could still win: a start's float
-    error is far below one record unit, so its walk certifies nothing below
-    the record decimal under it.  The smaller certified magnitude wins, ties
-    broken toward the positive direction.  The search replays each magnitude
-    once and returns the outcome of the answer's replay.
+    first, and the second only when it could still win: by the pass's error
+    budget, its walk certifies nothing below the record decimal under its
+    start.  The smaller certified magnitude wins, ties broken toward the
+    positive direction.  The search replays each magnitude once and
+    returns the outcome of the answer's replay.
     """
     _check_step("tolerance", tolerance)
     return _min_attacks(config, goal, (capability_bound(config.capability),),
@@ -596,8 +627,7 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
             before = sum(len(memo[d].outcomes) for d in directions)
         best = None  # (magnitude, -direction): ties go to the positive one
         for start, rank in order:
-            # a start's float error is far below one record unit, so no
-            # certified magnitude falls under the decimal below it
+            # by the pass's error budget nothing under _below(start) replays
             if best is not None and (_below(start), rank) >= best:
                 break
             magnitude = _certify(config, goal, -rank, start, bound, options,

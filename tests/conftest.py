@@ -87,3 +87,19 @@ def random_small_config(rng: random.Random):
             der_total=1.5, kappa=rng.uniform(0.3, 1.0),
         ),
     ))
+
+
+def wide_roster_config(block_scale=0.25, h=2.0):
+    """32 generator and 32 load relays drawn from ``random.Random(0)``,
+    thresholds in the customary bands and blocks scaled by *block_scale*,
+    with a 9 pu capability bound: a grid whose interval pass keeps many
+    pieces live."""
+    rng = random.Random(0)
+    gens = [GeneratorRelay(f"g{i}", f"b{i}",
+                           block_scale * rng.uniform(0.5, 1.5),
+                           rng.uniform(0.5, 1.2)) for i in range(32)]
+    loads = [LoadRelay(f"l{i}", f"c{i}", block_scale * rng.uniform(0.3, 1.0),
+                       rng.uniform(59.0, 59.8)) for i in range(32)]
+    return validate_config(GridConfig(
+        GridParams(h_inertia=h, droop_r=0.2, governor_t=0.2),
+        gens, loads, AttackerCapability(toi=1.0, ad=1.0, der_total=9.0)))

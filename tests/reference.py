@@ -7,13 +7,21 @@ frequency recursions), :func:`eval_ls_relays`, :func:`rocof`,
 give the states and records of the fused kernel
 :func:`frosim.dynamics.simulate_step` bit for bit.  The tests hold the
 kernel to them; the package itself never calls them.
+
+:func:`smallest_feasible_start` is the interval pass of synthesis in its
+plain form, which decides every piece at the midpoints of its cuts.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional, Sequence
 
-from frosim import GeneratorRelay, GridParams, LoadRelay, SystemState
+from frosim import (AttackGoal, GeneratorRelay, GridConfig, GridParams,
+                    LoadRelay, SimOptions, SystemState)
+from frosim.config import capability_bound
+from frosim.dynamics import (_H_RESCALE_FLOOR, EventKind, RelayEvent,
+                             _check_horizon, _step_constants)
 
 
 def governor_step(state: SystemState, params: GridParams) -> float:
@@ -127,3 +135,119 @@ def eval_rocof_relays(
             elif literal_accumulation:
                 increment += relay.p_tg
     return RelayEvalResult(increment, tuple(new_latches), tuple(fired))
+
+
+def smallest_feasible_start(
+    config: GridConfig,
+    goal: AttackGoal,
+    direction: int,
+    options: SimOptions,
+) -> tuple[float, int]:
+    """The interval pass with neither the quiet-piece rule nor the roster
+    skips at the midpoints: every live piece is cut at each relay
+    condition's change points and decided at each sub-piece's midpoint.
+    The tests hold :func:`frosim.synth._smallest_feasible_start` to its
+    ``(start, peak)``.
+    """
+    _check_horizon(config, goal.horizon)
+    (f_nominal, dt, m, m_dt, droop_r, gain, gov_decay, scale, damping,
+     load_roster, _, gen_roster, _, h, dt_rt, total_tg) = _step_constants(config)
+    accumulate = options.literal_accumulation
+    literal_signs = options.literal_signs
+    rescale = options.rescale_inertia
+    slope_per_pu = f_nominal / m_dt
+    loads = [(thr, thr / f_nominal - 1.0, p_sh,
+              goal.matches(RelayEvent(0, relay_id, EventKind.LS_SHED)))
+             for thr, p_sh, relay_id in load_roster]
+    gens = [(thr, p_tg,
+             goal.matches(RelayEvent(0, relay_id, EventKind.ROCOF_TRIP)))
+            for thr, p_tg, relay_id in gen_roster]
+
+    first = math.inf
+    # (lo, hi, delta_f c0, c1, dp_gov c0, c1, history c0s, c1s, shed total,
+    #  tripped total, generator latches, load latches)
+    pieces = [(0.0, capability_bound(config.capability), 0.0, 0.0, 0.0, 0.0,
+               (0.0,), (0.0,), 0.0, 0.0,
+               (False,) * len(gens), (False,) * len(loads))]
+    peak = 1
+    for n in range(goal.horizon + 1):
+        drive = -2.0 * direction if n >= goal.attack_step else 0.0
+        advanced = []
+        for (lo, hi, d0, d1, g0, g1, w0, w1, sh, tg,
+             gen_latches, load_latches) in pieces:
+            if lo >= first:
+                continue
+            windowed = len(w0) > m
+            if windowed:
+                s0 = (w0[-1] - w0[-1 - m]) * slope_per_pu
+                s1 = (w1[-1] - w1[-1 - m]) * slope_per_pu
+            cuts = [lo, hi]
+            if d1:
+                for i, (_, margin, _, _) in enumerate(loads):
+                    if accumulate or not load_latches[i]:
+                        x = (margin - d0) / d1
+                        if lo < x < hi:
+                            cuts.append(x)
+            if windowed and s1:
+                for i, (thr, _, _) in enumerate(gens):
+                    if accumulate or not gen_latches[i]:
+                        for x in ((thr - s0) / s1, (-thr - s0) / s1):
+                            if lo < x < hi:
+                                cuts.append(x)
+            if len(cuts) > 2:
+                cuts = sorted(set(cuts))
+            group = None
+            for a, b in zip(cuts, cuts[1:]):
+                mid = 0.5 * (a + b)
+                f_hz = f_nominal * (1.0 + (d0 + d1 * mid))
+                ll, shed, met = load_latches, 0.0, False
+                for i, (thr, _, p_sh, match) in enumerate(loads):
+                    if f_hz <= thr:
+                        if not ll[i]:
+                            met = met or match
+                            ll = ll[:i] + (True,) + ll[i + 1:]
+                            shed += p_sh
+                        elif accumulate:
+                            shed += p_sh
+                gl, tripped = gen_latches, 0.0
+                if windowed:
+                    magnitude = abs(((w0[-1] + w1[-1] * mid)
+                                     - (w0[-1 - m] + w1[-1 - m] * mid))
+                                    * slope_per_pu)
+                    for i, (thr, p_tg, match) in enumerate(gens):
+                        if magnitude >= thr:
+                            if not gl[i]:
+                                met = met or match
+                                gl = gl[:i] + (True,) + gl[i + 1:]
+                                tripped += p_tg
+                            elif accumulate:
+                                tripped += p_tg
+                if met:
+                    first = min(first, a)
+                    group = None
+                    continue
+                key = (sh + shed, tg + tripped, gl, ll)
+                if group is not None and group[1] == key:
+                    group[0][1] = b
+                else:
+                    group = ([a, b], key)
+                    advanced.append((group[0], key, d0, d1, g0, g1, w0, w1))
+        pieces = []
+        for ((lo, hi), (sh, tg, gl, ll), d0, d1, g0, g1, w0, w1) in advanced:
+            if rescale:
+                share = (total_tg - tg) / total_tg if total_tg > 0 else 1.0
+                h_rescaled = h * max(share, _H_RESCALE_FLOOR)
+                scale = dt / (4.0 * h_rescaled)
+                damping = dt_rt - 4.0 * h_rescaled / dt
+            nd0 = scale * (g0 * gov_decay - d0 * damping - tg
+                           + (-sh if literal_signs else sh))
+            nd1 = scale * (g1 * gov_decay + drive - d1 * damping)
+            w0, w1 = w0[-m:] + (nd0,), w1[-m:] + (nd1,)
+            pieces.append((lo, hi, nd0, nd1,
+                           g0 + gain * (-d0 / droop_r - g0),
+                           g1 + gain * (-d1 / droop_r - g1),
+                           w0, w1, sh, tg, gl, ll))
+        peak = max(peak, len(pieces))
+        if not pieces:
+            break
+    return first, peak

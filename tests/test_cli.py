@@ -268,6 +268,19 @@ class TestSimulateStreams:
 
 
 class TestSynthesize:
+    def test_relay_id_shared_across_rosters_exits_2(self, tmp_path, capsys):
+        data = config_dict()
+        data["loads"][0]["id"] = "g4"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        code = run(["synthesize", "--config", str(bad), "--horizon", "12",
+                    "--target", "specific", "--relay-id", "g4",
+                    "--out", str(out)])
+        assert code == 2
+        assert "loads[0].id" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_success_names_the_relay(self, tmp_path, config_file):
         out = tmp_path / "result.json"
         code = run(["synthesize", "--config", str(config_file),

@@ -120,6 +120,17 @@ class TestValidateConfig:
         with pytest.raises(InvalidParameter):
             validate_config(cfg)
 
+    def test_relay_id_shared_across_rosters_rejected(self):
+        # a specific goal names one relay, so a generator and a load relay
+        # may not share an id
+        loads = (LoadRelay("g4", "b1", 0.5, 59.5),) + C1_LOADS[1:]
+        cfg = GridConfig(GridParams(2, 0.2, 0.2), C1_GENERATORS, loads,
+                         AttackerCapability(0.1, 0.5, 1.5))
+        with pytest.raises(InvalidParameter) as exc:
+            validate_config(cfg)
+        assert (exc.value.field, exc.value.value) == ("loads[0].id", "g4")
+        assert "must be unique" in str(exc.value)
+
     def test_threshold_outside_band_warns_but_passes(self):
         gens = (GeneratorRelay("g", "b", 1.0, 2.5),)
         cfg = GridConfig(GridParams(2, 0.2, 0.2), gens, C1_LOADS,

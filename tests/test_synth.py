@@ -35,8 +35,8 @@ from frosim import (
     with_capability,
 )
 from conftest import (C1_GENERATORS, C1_LOADS, random_small_config,
-                      study_config)
-from reference import frequency_step, governor_step
+                      relays_disabled_config, study_config, wide_roster_config)
+from reference import frequency_step, governor_step, smallest_feasible_start
 
 
 def exhaustive_scan_oracle(config, goal, resolution):
@@ -1006,6 +1006,38 @@ class TestIntervalPass:
             pytest.fail("no grid in 100 draws admits an attack")
         assert_exact_minimum(cfg, goal, out, resolution=1e-3, options=options)
 
+    def test_equals_the_reference_pass(self):
+        # a quiet piece advances whole and a midpoint skips a roster no
+        # relay of which can act, and neither moves a start or a peak: the
+        # pass gives the plain pass's (start, peak) by repr on random small
+        # grids (half of them at ten times the reach), the case-study grid
+        # and a grid whose ROCOF threshold is infinite, under every goal
+        # kind, direction and option
+        rng = random.Random(32)
+        disabled = relays_disabled_config()
+        for kind, direction, options in itertools.product(
+                TargetKind, (1, -1), ALL_OPTIONS):
+            for _ in range(5):
+                grid = rng.randrange(3)
+                if grid == 0:
+                    cfg = random_small_config(rng)
+                    cfg = validate_config(with_capability(
+                        cfg, kappa=rng.choice((1, 10)) * cfg.capability.kappa))
+                elif grid == 1:
+                    cfg = study_config(h=rng.uniform(2.0, 10.0),
+                                       kappa=rng.uniform(1.0, 20.0))
+                else:
+                    cfg = disabled
+                goal = AttackGoal(
+                    horizon=rng.choice((12, 60, 120)), target_kind=kind,
+                    attack_step=rng.choice((0, 3)),
+                    specific_relay_id=rng.choice(
+                        [r.id for r in (*cfg.generators, *cfg.loads)])
+                    if kind is TargetKind.SPECIFIC else None)
+                assert repr(frosim.synth._smallest_feasible_start(
+                    cfg, goal, direction, options)) == repr(
+                    smallest_feasible_start(cfg, goal, direction, options))
+
     @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
     def test_start_agrees_with_replays(self, option):
         # on grids whose reach (ten times the usual) lets several relays
@@ -1355,14 +1387,7 @@ class TestIntervalPass:
         # 32 generator and 32 load relays with thresholds in the customary
         # bands; a pass that kept every piece above the answer peaked at
         # 2,160 live pieces in the negative direction here
-        rng = random.Random(0)
-        gens = [GeneratorRelay(f"g{i}", f"b{i}", 0.25 * rng.uniform(0.5, 1.5),
-                               rng.uniform(0.5, 1.2)) for i in range(32)]
-        loads = [LoadRelay(f"l{i}", f"c{i}", 0.25 * rng.uniform(0.3, 1.0),
-                           rng.uniform(59.0, 59.8)) for i in range(32)]
-        cfg = validate_config(GridConfig(
-            GridParams(h_inertia=2.0, droop_r=0.2, governor_t=0.2),
-            gens, loads, AttackerCapability(toi=1.0, ad=1.0, der_total=9.0)))
+        cfg = wide_roster_config()
         goal = AttackGoal(horizon=600, target_kind=TargetKind.SPECIFIC,
                           sign=Sign.EITHER, specific_relay_id="l31")
         peaks = [frosim.synth._smallest_feasible_start(
