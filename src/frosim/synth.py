@@ -36,12 +36,12 @@ the search already holds.  A replay depends on the config only through its
 dynamics and relays, never on the capability, so :func:`_min_attacks`
 answers the capability bounds of a sweep's (H, R, T) group in one call,
 over a memo that lives for that call: per direction, one interval pass over
-the config's own bound, which never runs again, every replay and, for an
-``ANY`` goal, the largest failed magnitude.  Distinct bounds walk in
-falling order and equal ones are answered once; a bound at or above an
-answer walks over replays the memo holds.  :func:`synthesize_min_attack`
-is its one-bound call.  Every replay steps through the one loop of
-:mod:`frosim.dynamics`.
+the config's own bound, which never runs again, and every replay.  Distinct
+bounds walk in falling order and equal ones are answered once; a bound far
+below the pass's start replays nothing, for every goal, and a bound at or
+above an answer walks over replays the memo holds.
+:func:`synthesize_min_attack` is its one-bound call.  Every replay steps
+through the one loop of :mod:`frosim.dynamics`.
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ _RECORD = Context(prec=RECORD_DIGITS, rounding=ROUND_CEILING)
 # Exact for the sums, halves and unit steps of record decimals, whatever the
 # caller's decimal context.
 _EXACT = Context(prec=2 * RECORD_DIGITS)
+# A start times this lies about 1,000 record units below it, far outside the
+# interval pass's error budget.
+_FAR = Decimal("0.999999999")
 
 
 class TargetKind(enum.Enum):
@@ -471,20 +474,18 @@ def _smallest_feasible_start(
 
 class _Direction:
     """One direction's share of a memo: every replay's *outcomes* under
-    their unsigned float magnitude; the interval pass's *start*, rounded up
+    their unsigned float magnitude, the interval pass's *start*, rounded up
     to a record decimal (``Infinity`` when it found none), and its *peak*
-    live pieces; and, for an ``ANY`` goal, the largest magnitude that
-    *failed* a replay.  (A plain class with slots: a search updates it in
-    place, and the value types are immutable named tuples.)
+    live pieces.  (A plain class with slots: a search updates it in place,
+    and the value types are immutable named tuples.)
     """
 
-    __slots__ = ("outcomes", "start", "peak", "failed")
+    __slots__ = ("outcomes", "start", "peak")
 
     def __init__(self):
         self.outcomes: dict = {}
         self.start = Decimal("Infinity")
         self.peak = 0
-        self.failed = Decimal("-Infinity")
 
 
 def _certify(config, goal, direction, start: Decimal, bound: Decimal,
@@ -501,22 +502,13 @@ def _certify(config, goal, direction, start: Decimal, bound: Decimal,
     decimal below the success, so it ends only when the decimal below its
     answer is a failed replay.
 
-    *memo* is the direction's :class:`_Direction`.  For an ``ANY`` goal a
-    bound at or below its largest failed replay is answered by ``None``
-    with no replay, and every walk raises that failure.  Any other bound
-    walks; at or above an answer, over replays the memo already holds.
+    *memo* is the direction's :class:`_Direction`.  A bound far below the
+    pass's start never walks, for every goal (:func:`_min_attacks`); one at
+    or above an answer walks over replays the memo already holds.
     """
-    up_set = goal.target_kind is TargetKind.ANY
-    if up_set and bound <= memo.failed:
-        return None
-
     def meets(magnitude: Decimal) -> bool:
-        if _replayed(config, direction, float(magnitude), goal, options,
-                     memo.outcomes).success:
-            return True
-        if up_set and magnitude > memo.failed:
-            memo.failed = magnitude
-        return False
+        return _replayed(config, direction, float(magnitude), goal, options,
+                         memo.outcomes).success
 
     def moved(magnitude: Decimal, units: int) -> Decimal:
         exponent = magnitude.adjusted() - RECORD_DIGITS + 1
@@ -601,22 +593,27 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
     No replay reads the capability, so the bounds share one memo for this
     call, a :class:`_Direction` per direction, whose one interval pass runs
     over *config*'s bound: its start is the smallest under every bound at or
-    above it, and a bound below it walks from itself, as a lone call whose
-    pass finds no start does.  The distinct bound values walk in falling
-    order, each once: an ``ANY`` goal's failed replay answers every smaller
-    bound at or below it with no replay, and a bound at or above an answer
-    walks over replays the memo holds.  *config* must pass
+    above it.  The distinct bound values walk in falling order, each once,
+    and a bound at or above an answer walks over replays the memo holds.  A
+    bound far below the pass's start replays nothing, for every goal: below
+    *config*'s bound and ``start * (1 - 1e-9)`` (``start`` ``Infinity`` when
+    the pass found none), its walk would replay it once and fail, by the
+    pass's error budget.  A bound nearer the start walks from itself; a lone
+    call never skips, its one bound being its pass's.  *config* must pass
     :func:`~frosim.config.validate_grid`: then a zero injection holds the
     grid at its bit-flat equilibrium, which meets no relay threshold, so a
     zero bound of either sign is no attack and the two share one answer.
     """
+    top = capability_bound(config.capability)
     _check_capability(config, max(bounds))
     directions = goal.directions()
     memo = {d: _Direction() for d in directions}
     for d, entry in memo.items():
         start, entry.peak = _smallest_feasible_start(config, goal, d, options)
         entry.start = _RECORD.plus(Decimal(start))
-    order = sorted((memo[d].start, -d) for d in directions)
+    # (start, -direction, the bound under which the direction skips)
+    order = sorted((memo[d].start, -d, _EXACT.multiply(memo[d].start, _FAR))
+                   for d in directions)
     debug = log.isEnabledFor(logging.DEBUG)
     answers = {}
     for b in sorted(set(bounds), reverse=True):
@@ -626,10 +623,12 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
             # difference counts the replays this bound ran
             before = sum(len(memo[d].outcomes) for d in directions)
         best = None  # (magnitude, -direction): ties go to the positive one
-        for start, rank in order:
+        for start, rank, far in order:
             # by the pass's error budget nothing under _below(start) replays
             if best is not None and (_below(start), rank) >= best:
                 break
+            if b < top and bound < far:
+                continue
             magnitude = _certify(config, goal, -rank, start, bound, options,
                                  memo[-rank])
             if magnitude is not None and (best is None

@@ -4,6 +4,8 @@ import functools
 import math
 import random
 from collections import Counter
+from decimal import (ROUND_CEILING, Context, Decimal, Inexact, Rounded,
+                     localcontext)
 from pathlib import Path
 
 import pytest
@@ -311,8 +313,9 @@ class TestDynamicsMemo:
     def test_serial_sweep_replays_each_dynamics_and_magnitude_once(
             self, monkeypatch, target):
         # one replay per (group, signed magnitude); an answer is one of them.
-        # An ANY group's failed replay answers every bound at or below it and
-        # its certified answer every bound above, so it replays a strict
+        # For every goal a group answers a bound far below its pass's start
+        # with no replay, where a lone synthesis replays the bound, and its
+        # certified answer serves every bound above; so it replays a strict
         # subset of what its lone syntheses replay
         spec = memo_spec(target, Sign.EITHER, count=160)
         replays = Counter()
@@ -326,12 +329,27 @@ class TestDynamicsMemo:
         monkeypatch.setattr(frosim.synth, "feasibility", counted_feasibility)
         lone = lone_records(spec)
         lone_replays, replays = replays, Counter()
+        starts = {}
+        real_pass = frosim.synth._smallest_feasible_start
+
+        def recorded_pass(config, goal, direction, options):
+            start, peak = real_pass(config, goal, direction, options)
+            p = config.params
+            starts[p.h_inertia, p.droop_r, p.governor_t, direction] = start
+            return start, peak
+
+        monkeypatch.setattr(frosim.synth, "_smallest_feasible_start",
+                            recorded_pass)
         records = run_sweep(spec, workers=1)
         assert [(tuple(r), repr(r.min_dp_a)) for r in records] == lone
-        if target is TargetKind.ANY:
-            assert set(replays) < set(lone_replays)
-        else:
-            assert set(replays) == set(lone_replays)
+        assert set(replays) < set(lone_replays)
+        # each skipped replay lies below its direction's rounded-up start
+        # times 1 - 1e-9
+        rounded = Context(prec=12, rounding=ROUND_CEILING).plus
+        for h, r, t, dp_a in set(lone_replays) - set(replays):
+            start = starts[h, r, t, math.copysign(1, float(dp_a))]
+            assert abs(Decimal(dp_a)) < rounded(Decimal(start)) * Decimal(
+                "0.999999999")
         assert set(replays.values()) == {1}
         assert sum(lone_replays.values()) >= 2 * len(replays)
         answers = {(r.h, r.r, r.t, repr(r.min_dp_a))
@@ -489,6 +507,26 @@ def lone_reprs(spec):
 def demo_spec_and_lone_reprs():
     spec, _ = _spec_from_file(DEMO_SPEC, 1)
     return spec, lone_reprs(spec)
+
+
+class TestCallerDecimalContext:
+    def test_answers_do_not_depend_on_the_decimal_context(self):
+        # synthesis rounds and compares record decimals in contexts of its
+        # own, so a coarse caller context that traps every rounding changes
+        # no record and no outcome
+        goal = AttackGoal(horizon=60, target_kind=TargetKind.ROCOF_ONLY,
+                          sign=Sign.EITHER)
+        spec, _ = _spec_from_file(DEMO_SPEC, 1)
+        spec = spec._replace(goal=goal, count=300)
+        cfg = study_config(kappa=60.0)
+
+        def answers():
+            return (repr(run_sweep(spec, workers=1)),
+                    repr(synthesize_min_attack(cfg, goal)))
+
+        expected = answers()
+        with localcontext(Context(prec=3, traps=[Inexact, Rounded])):
+            assert answers() == expected
 
 
 class TestDuplicateReuse:

@@ -676,17 +676,19 @@ def assert_lone_answers(config, goal, bounds, outcomes, options=SimOptions()):
 
 
 class TestAnyGroupBracket:
-    """The bounds of one group call share what an ``ANY`` goal's walks
-    proved: its feasible set is an up-set in magnitude, so a failed replay
-    answers every smaller bound at or below it with no replay, and a bound
-    at or above an answer walks over replays the call already holds."""
+    """The bounds of one ``ANY`` group call share what its pass and walks
+    proved: a bound far below the pass's start replays nothing, as for
+    every goal, and a bound at or above an answer walks over replays the
+    call already holds."""
 
     goal = AttackGoal(horizon=12, sign=Sign.EITHER)
 
     def test_a_bound_at_or_below_a_failure_replays_nothing(self,
                                                            monkeypatch):
-        # 0.03 lies below the answer, 0.0335807781047: its replays fail and
-        # answer every bound below it, zeros of both signs included
+        # 0.03 lies below the answer, 0.0335807781047, so the pass over it
+        # finds no start: 0.03 is the pass's bound and is replayed, and
+        # every bound below it, zeros of both signs included, replays
+        # nothing
         cfg = study_config(kappa=60.0)
         bounds = (0.0, 0.02, 0.03, -0.0, 1e-9, 0.03)
         calls = count_replays(monkeypatch)
@@ -782,7 +784,7 @@ class TestAnyGroupBracket:
         # falling bounds: 0.36 replays each direction's start and the
         # failing decimal below it, and 0.06 walks over those; the bound
         # between the answer and that decimal is replayed in both
-        # directions, and 0.03 lies below a failed replay
+        # directions, and 0.03 lies far below the pass's start
         assert counts == [4, 0, 2, 0]
 
     @pytest.mark.parametrize("option", range(len(ALL_OPTIONS)))
@@ -837,9 +839,9 @@ def count_passes(monkeypatch):
 class TestOnePassPerDirection:
     """The bounds of one group call share each direction's interval pass,
     run once over the config's own bound: a start found under it is the
-    smallest start under every bound at or above it, and a bound below it
-    walks from itself, as a lone call whose pass finds no start does.  No
-    pass runs again."""
+    smallest start under every bound at or above it, a bound just below it
+    walks from itself, as a lone call whose pass finds no start does, and
+    one far below it replays nothing.  No pass runs again."""
 
     @pytest.mark.parametrize("goal", GOALS_PER_TARGET,
                              ids=[t.value for t in TargetKind])
@@ -963,9 +965,34 @@ class TestGroupCall:
         assert [repr(out) for out in outcomes] == [
             repr(synthesize_min_attack(c, goal)) for c in (narrow, wide)]
         if goal == AttackGoal(horizon=12):
-            # the answer, 0.133579713675, lies above both: the failed
-            # replay at the larger bound answers the smaller with none
+            # the answer, 0.133579713675, lies above both: the pass over
+            # the larger bound finds no start, so the smaller replays nothing
             assert replayed == [0.12000000000000002]
+
+    @pytest.mark.parametrize("goal", GOALS_PER_TARGET,
+                             ids=[t.value for t in TargetKind])
+    def test_a_bound_far_below_the_start_replays_nothing(self, monkeypatch,
+                                                         goal):
+        # under the rounded-up start times 1 - 1e-9 a bound is no attack
+        # with no replay, for every goal; between that and the start it
+        # is replayed, as a lone call replays it
+        cfg = study_config(kappa=60.0)
+        top = capability_bound(cfg.capability)
+        start = min(Context(prec=12, rounding=ROUND_CEILING).plus(Decimal(
+            frosim.synth._smallest_feasible_start(cfg, goal, d,
+                                                  SimOptions())[0]))
+                    for d in goal.directions())
+        far, near = (float(start * (1 - Decimal(margin)))
+                     for margin in ("2e-9", "1e-10"))
+        calls = count_replays(monkeypatch)
+        group_answers(cfg, goal, (top,))
+        top_replays = {x for x, _ in calls}
+        del calls[:]
+        bounds = (top, far, near)
+        outcomes = group_answers(cfg, goal, bounds)
+        assert {abs(x) for x, _ in calls if x not in top_replays} == {near}
+        assert not outcomes[1].success and not outcomes[2].success
+        assert_lone_answers(cfg, goal, bounds, outcomes)
 
     @pytest.mark.parametrize("goal", GOALS_PER_TARGET,
                              ids=[t.value for t in TargetKind])
