@@ -33,7 +33,13 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .config import config_from_dict, load_config, require_json_type
+from .config import (
+    _unknown_keys,
+    _warn_unknown,
+    config_from_dict,
+    load_config,
+    require_json_type,
+)
 from .dynamics import (
     AttackSignal,
     SimOptions,
@@ -232,29 +238,27 @@ _SPEC_KEYS = {"base_config", "base_config_file", "goal", "mode", "count",
 _GOAL_KEYS = {"horizon", "target", "sign", "relay_id", "attack_step"}
 
 
-def _warn_unknown(where: str, data: dict, known: set) -> None:
-    unknown = set(data) - known
-    if unknown:
-        warnings.warn(f"ignoring unknown {where} keys: {sorted(unknown)}",
-                      stacklevel=3)
-
-
 def _spec_from_file(path, seed_override=None, outputs=()) -> tuple[SweepSpec, str]:
     """The spec in the JSON file at *path*, and the sha256 of its bytes.
 
-    Unknown top-level and ``goal`` keys are ignored with a warning, as
+    Unknown top-level and ``goal`` keys are ignored with a warning each, as
     :func:`~frosim.config.config_from_dict` ignores unknown config keys.
+    A file that is not UTF-8 text raises :class:`InvalidParameter`.
     An output of *outputs*, ``(label, path)`` pairs, that names the
     ``base_config_file`` raises :class:`InvalidParameter`, as
     :func:`_check_outputs` does.
     """
     raw = Path(path).read_bytes()
     try:
-        parsed = json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter("spec", "not UTF-8 text") from exc
+    try:
+        parsed = json.loads(text)
     except RecursionError as exc:
         raise InvalidParameter("spec", "nested too deeply") from exc
     data = require_json_type(parsed, "spec", dict)
-    _warn_unknown("spec", data, _SPEC_KEYS)
+    _warn_unknown("spec", _unknown_keys(data, _SPEC_KEYS), 2)
     if "base_config_file" in data:
         name = require_json_type(data["base_config_file"], "base_config_file", str)
         _check_outputs("base_config_file", Path(path).parent / name, *outputs)
@@ -262,7 +266,7 @@ def _spec_from_file(path, seed_override=None, outputs=()) -> tuple[SweepSpec, st
     else:
         base = config_from_dict(data["base_config"])
     g = require_json_type(data["goal"], "goal", dict)
-    _warn_unknown("goal", g, _GOAL_KEYS)
+    _warn_unknown("goal", _unknown_keys(g, _GOAL_KEYS), 2)
     for key, kind in (("horizon", int), ("attack_step", int), ("relay_id", str)):
         if key in g:
             require_json_type(g[key], f"goal.{key}", kind)

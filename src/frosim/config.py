@@ -139,9 +139,22 @@ class GridConfig(_GridConfig):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs __new__
 
 
-def _require(cond: bool, fld: str, message: str, value) -> None:
+def _field(key: str, roster=None, index=None) -> str:
+    """The name of field *key*: bare, or ``roster.key``, or, with an
+    *index*, ``roster[index].key``."""
+    if roster is None:
+        return key
+    if index is None:
+        return f"{roster}.{key}"
+    return f"{roster}[{index}].{key}"
+
+
+def _require(cond: bool, fld: str, message: str, value, roster=None,
+             index=None) -> None:
+    """Raise :class:`InvalidParameter` unless *cond*, the field named as
+    :func:`_field` names it, which is done only then."""
     if not cond:
-        raise InvalidParameter(fld, message, value)
+        raise InvalidParameter(_field(fld, roster, index), message, value)
 
 
 def validate_config(config: GridConfig) -> GridConfig:
@@ -180,23 +193,26 @@ def validate_grid(config: GridConfig) -> GridConfig:
     # (a zero divisor is an underflowed product), or every replay steps
     # into inf and NaN and reads as no attack.  An integer field or product
     # beyond the float range in a numerator makes the quotient infinite; one
-    # only in a divisor is named last, as the kernel cannot divide by it
+    # only in a divisor is named last, as the kernel cannot divide by it.
+    # A divisor is the product of its two factors, or its first alone
+    h4, dt = 4 * p.h_inertia, p.dt
     divisor_only = None
-    for name, numerator, divisor in (
-            ("4*h_inertia/dt", lambda: 4 * p.h_inertia, lambda: p.dt),
-            ("dt/(4*h_inertia)", lambda: p.dt, lambda: 4 * p.h_inertia),
-            ("dt/(droop_r*governor_t)", lambda: p.dt,
-             lambda: p.droop_r * p.governor_t),
-            ("f_nominal/(rocof_window_m*dt)", lambda: p.f_nominal,
-             lambda: p.rocof_window_m * p.dt)):
+    for name, numerator, factor, other in (
+            ("4*h_inertia/dt", h4, dt, None),
+            ("dt/(4*h_inertia)", dt, h4, None),
+            ("dt/(droop_r*governor_t)", dt, p.droop_r, p.governor_t),
+            ("f_nominal/(rocof_window_m*dt)", p.f_nominal, p.rocof_window_m,
+             dt)):
         try:
-            factor = numerator() / divisor()
-        except (ZeroDivisionError, OverflowError) as exc:
-            factor = math.inf
-            if isinstance(exc, OverflowError) and is_finite_real(numerator()):
+            quotient = numerator / (factor if other is None else factor * other)
+        except ZeroDivisionError:
+            quotient = math.inf
+        except OverflowError:
+            if is_finite_real(numerator):
                 divisor_only = divisor_only or name
                 continue
-        _require(is_finite_real(factor), name, "must be finite", factor)
+            quotient = math.inf
+        _require(is_finite_real(quotient), name, "must be finite", quotient)
     _require(divisor_only is None, divisor_only, "must be finite", math.inf)
 
     if p.dt > p.governor_t:
@@ -224,13 +240,14 @@ def validate_grid(config: GridConfig) -> GridConfig:
              len(config.loads))
 
     seen = set()  # relay ids, unique across both rosters
+    lo, hi = ROCOF_THRESHOLD_BAND
     for i, g in enumerate(config.generators):
-        _require(g.p_tg > 0, f"generators[{i}].p_tg", "must be > 0", g.p_tg)
-        _require(g.rocof_threshold > 0, f"generators[{i}].rocof_threshold",
-                 "must be > 0", g.rocof_threshold)
-        _require(g.id not in seen, f"generators[{i}].id", "must be unique", g.id)
+        _require(g.p_tg > 0, "p_tg", "must be > 0", g.p_tg, "generators", i)
+        _require(g.rocof_threshold > 0, "rocof_threshold", "must be > 0",
+                 g.rocof_threshold, "generators", i)
+        _require(g.id not in seen, "id", "must be unique", g.id,
+                 "generators", i)
         seen.add(g.id)
-        lo, hi = ROCOF_THRESHOLD_BAND
         if not (lo <= g.rocof_threshold <= hi):
             warnings.warn(
                 f"generator relay {g.id!r}: rocof_threshold "
@@ -240,11 +257,12 @@ def validate_grid(config: GridConfig) -> GridConfig:
             )
 
     for i, l in enumerate(config.loads):
-        _require(l.p_sh > 0, f"loads[{i}].p_sh", "must be > 0", l.p_sh)
-        _require(0 < l.underfreq_threshold < p.f_nominal,
-                 f"loads[{i}].underfreq_threshold",
-                 f"must lie in (0, {p.f_nominal})", l.underfreq_threshold)
-        _require(l.id not in seen, f"loads[{i}].id", "must be unique", l.id)
+        _require(l.p_sh > 0, "p_sh", "must be > 0", l.p_sh, "loads", i)
+        if not 0 < l.underfreq_threshold < p.f_nominal:
+            raise InvalidParameter(f"loads[{i}].underfreq_threshold",
+                                   f"must lie in (0, {p.f_nominal})",
+                                   l.underfreq_threshold)
+        _require(l.id not in seen, "id", "must be unique", l.id, "loads", i)
         seen.add(l.id)
 
     return config
@@ -281,15 +299,24 @@ _TOP_KEYS = {
     "frequency_nominal_hz", "dt_s", "inertia_h_s", "droop_r_pu",
     "governor_t_s", "rocof_window_m", "generators", "loads", "attacker",
 }
+_ROSTER_KEYS = (
+    ("generators", {"id", "bus", "p_tg_pu", "rocof_thresh_hz_per_s"}),
+    ("loads", {"id", "bus", "p_sh_pu", "underfreq_thresh_hz"}),
+)
+_ATTACKER_KEYS = {"toi", "ad", "der_total_pu", "kappa"}
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def is_finite_real(value) -> bool:
     """A real number, not a ``bool`` (JSON ``true`` is no number), that a
     float holds finitely: NaN, the infinities and integers beyond the float
     range are not."""
-    # the concrete check first: it is the common case and much cheaper
-    return ((isinstance(value, (int, float)) or isinstance(value, numbers.Real))
-            and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
+    # the exact JSON types first: the common case, and much cheaper
+    if type(value) is float or type(value) is int:
+        return -_FLOAT_MAX <= value <= _FLOAT_MAX
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= _FLOAT_MAX)
 
 
 _KINDS = {float: "a finite number", int: "an integer", list: "a list",
@@ -307,6 +334,9 @@ def require_json_type(value, fld: str, kind: type):
     integer, products such as ``R*T`` of two large ones are exact and can
     outgrow what a float converts from.
     """
+    if type(value) is kind and (kind is not float
+                                or -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        return value
     if kind is float:
         if is_finite_real(value):
             return float(value)
@@ -320,10 +350,33 @@ def require_json_type(value, fld: str, kind: type):
     return value
 
 
-def _get(d: dict, key: str, where: str, kind: type):
+def _get(d: dict, key: str, kind: type, roster=None, index=None):
+    """``d[key]`` checked as :func:`require_json_type` checks it, the field
+    named as :func:`_field` names it."""
     if key not in d:
-        raise InvalidParameter(f"{where}{key}", "missing required key", None)
-    return require_json_type(d[key], f"{where}{key}", kind)
+        raise InvalidParameter(_field(key, roster, index),
+                               "missing required key", None)
+    value = d[key]
+    if type(value) is kind and (kind is not float
+                                or -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        return value
+    return require_json_type(value, _field(key, roster, index), kind)
+
+
+def _unknown_keys(data: dict, known: set, roster=None, index=None) -> list:
+    """The keys of *data* outside *known*, sorted, each named as
+    :func:`_field` names it."""
+    if known.issuperset(data):  # the common case, and much cheaper
+        return []
+    return [_field(key, roster, index) for key in sorted(data.keys() - known)]
+
+
+def _warn_unknown(where: str, names: list, stacklevel: int) -> None:
+    """Warn once that the keys *names* of the *where* document are ignored;
+    *stacklevel* counts as :func:`warnings.warn` does from the caller."""
+    if names:
+        warnings.warn(f"ignoring unknown {where} keys: {names}",
+                      stacklevel=stacklevel + 1)
 
 
 def config_from_dict(data: dict) -> GridConfig:
@@ -332,60 +385,77 @@ def config_from_dict(data: dict) -> GridConfig:
     Every field must have its JSON type: numbers finite and not booleans
     (read as floats, but ``rocof_window_m`` an integer), ``generators`` and
     ``loads`` lists of objects, ``id`` and ``bus`` strings, ``attacker`` an
-    object.  Anything else raises :class:`InvalidParameter`.
+    object.  Anything else raises :class:`InvalidParameter`.  Unknown keys,
+    at the top level and in ``attacker`` and each relay object, are ignored
+    with one warning that names each by its path, such as
+    ``generators[0].colour``, before any field is checked.
     """
     if not isinstance(data, dict):
         raise InvalidParameter("config", "top level must be an object", type(data).__name__)
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        warnings.warn(f"ignoring unknown config keys: {sorted(unknown)}", stacklevel=2)
+    unknown = _unknown_keys(data, _TOP_KEYS)
+    for roster, known in _ROSTER_KEYS:
+        relays = data.get(roster)
+        if isinstance(relays, list):
+            for i, relay in enumerate(relays):
+                if isinstance(relay, dict):
+                    unknown += _unknown_keys(relay, known, roster, i)
+    if isinstance(data.get("attacker"), dict):
+        unknown += _unknown_keys(data["attacker"], _ATTACKER_KEYS, "attacker")
+    _warn_unknown("config", unknown, 2)
 
-    window = _get(data, "rocof_window_m", "", int)
+    window = _get(data, "rocof_window_m", int)
     require_json_type(window, "rocof_window_m", float)  # and a float holds it
     params = GridParams(
-        h_inertia=_get(data, "inertia_h_s", "", float),
-        droop_r=_get(data, "droop_r_pu", "", float),
-        governor_t=_get(data, "governor_t_s", "", float),
-        dt=_get(data, "dt_s", "", float),
-        rocof_window_m=window,
-        f_nominal=require_json_type(data.get("frequency_nominal_hz", 60.0),
-                                    "frequency_nominal_hz", float),
+        _get(data, "inertia_h_s", float),
+        _get(data, "droop_r_pu", float),
+        _get(data, "governor_t_s", float),
+        _get(data, "dt_s", float),
+        window,
+        require_json_type(data.get("frequency_nominal_hz", 60.0),
+                          "frequency_nominal_hz", float),
     )
     gens = []
-    for i, g in enumerate(_get(data, "generators", "", list)):
-        where = f"generators[{i}]."
-        g = require_json_type(g, f"generators[{i}]", dict)
+    for i, g in enumerate(_get(data, "generators", list)):
+        if type(g) is not dict:
+            g = require_json_type(g, f"generators[{i}]", dict)
         gens.append(GeneratorRelay(
-            id=_get(g, "id", where, str),
-            bus=_get(g, "bus", where, str),
-            p_tg=_get(g, "p_tg_pu", where, float),
-            rocof_threshold=_get(g, "rocof_thresh_hz_per_s", where, float),
+            _get(g, "id", str, "generators", i),
+            _get(g, "bus", str, "generators", i),
+            _get(g, "p_tg_pu", float, "generators", i),
+            _get(g, "rocof_thresh_hz_per_s", float, "generators", i),
         ))
     loads = []
-    for i, l in enumerate(_get(data, "loads", "", list)):
-        where = f"loads[{i}]."
-        l = require_json_type(l, f"loads[{i}]", dict)
+    for i, l in enumerate(_get(data, "loads", list)):
+        if type(l) is not dict:
+            l = require_json_type(l, f"loads[{i}]", dict)
         loads.append(LoadRelay(
-            id=_get(l, "id", where, str),
-            bus=_get(l, "bus", where, str),
-            p_sh=_get(l, "p_sh_pu", where, float),
-            underfreq_threshold=_get(l, "underfreq_thresh_hz", where, float),
+            _get(l, "id", str, "loads", i),
+            _get(l, "bus", str, "loads", i),
+            _get(l, "p_sh_pu", float, "loads", i),
+            _get(l, "underfreq_thresh_hz", float, "loads", i),
         ))
-    a = _get(data, "attacker", "", dict)
+    a = _get(data, "attacker", dict)
     cap = AttackerCapability(
-        toi=_get(a, "toi", "attacker.", float),
-        ad=_get(a, "ad", "attacker.", float),
-        der_total=_get(a, "der_total_pu", "attacker.", float),
-        kappa=require_json_type(a.get("kappa", 1.0), "attacker.kappa", float),
+        _get(a, "toi", float, "attacker"),
+        _get(a, "ad", float, "attacker"),
+        _get(a, "der_total_pu", float, "attacker"),
+        require_json_type(a.get("kappa", 1.0), "attacker.kappa", float),
     )
-    return validate_config(GridConfig(params, tuple(gens), tuple(loads), cap))
+    return validate_config(GridConfig(params, gens, loads, cap))
 
 
 def load_config(path) -> GridConfig:
-    """Read, parse, and validate a JSON configuration file."""
+    """Read, parse, and validate a JSON configuration file.
+
+    A file that is not UTF-8 text or not JSON raises
+    :class:`InvalidParameter`, as :func:`config_from_dict` does for a
+    malformed config.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidParameter("config", "not UTF-8 text") from exc
         except json.JSONDecodeError as exc:
             raise InvalidParameter("config", f"not valid JSON: {exc}") from exc
         except RecursionError as exc:

@@ -14,7 +14,13 @@ import pytest
 
 import frosim
 import frosim.dynamics
-from frosim import AttackSignal, SimOptions, load_config, simulate
+from frosim import (
+    AttackSignal,
+    InvalidParameter,
+    SimOptions,
+    load_config,
+    simulate,
+)
 from frosim.cli import _spec_from_file, run
 from frosim.dynamics import TRACE_CSV_HEADER
 from frosim.sweep import SWEEP_CSV_HEADER
@@ -136,6 +142,17 @@ class TestSimulate:
                     "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,extra", [
+        ("simulate", ["--dp-a", "0.1"]), ("synthesize", [])])
+    def test_not_utf8_config_exits_2(self, tmp_path, capsys, command, extra):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(bytes.fromhex("fffe7b7d"))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(bad), *extra, "--horizon", "60",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: config: not UTF-8 text\n"
+        assert not out.exists()
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -523,6 +540,31 @@ class TestSweep:
         assert meta["frosim_version"] == frosim.__version__
         assert meta["spec_sha256"] == hashlib.sha256(spec.read_bytes()).hexdigest()
         assert meta["status_counts"] == {"ok": 8}
+
+    def test_not_utf8_spec_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(bytes.fromhex("fffe7b7d"))
+        with pytest.raises(InvalidParameter) as exc:
+            _spec_from_file(spec)
+        assert exc.value.field == "spec"
+        assert str(exc.value) == "spec: not UTF-8 text"
+        out = tmp_path / "records.csv"
+        assert run(["sweep", "--spec", str(spec), "--out", str(out),
+                    "--workers", "1"]) == 2
+        assert "InvalidParameter('spec: not UTF-8 text')" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_not_utf8_base_config_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "grid.json").write_bytes(bytes.fromhex("fffe7b7d"))
+        spec = self.spec_file(tmp_path, base_config_file="grid.json")
+        data = json.loads(spec.read_text())
+        del data["base_config"]
+        spec.write_text(json.dumps(data))
+        assert run(["sweep", "--spec", str(spec), "--out",
+                    str(tmp_path / "records.csv"), "--workers", "1"]) == 2
+        assert "InvalidParameter('config: not UTF-8 text')" in \
+            capsys.readouterr().err
 
     def test_unknown_spec_and_goal_keys_warn(self, tmp_path):
         # misspelled keys are ignored, so the spec runs on the defaults

@@ -1,5 +1,6 @@
 """Configuration validation, capability bound, and JSON ingestion."""
 
+import itertools
 import json
 import math
 import random
@@ -18,6 +19,7 @@ from frosim import (
     load_config,
     validate_config,
 )
+from frosim.config import _valid_bound
 from conftest import C1_GENERATORS, C1_LOADS, study_config
 
 
@@ -243,16 +245,105 @@ class TestJsonLoading:
         assert "inertia_h_s" in str(exc.value)
 
     def test_unknown_key_warns(self, tmp_path):
+        # top-level keys keep their bare names
         data = self.base_dict()
-        data["inertia"] = 3.0
-        with pytest.warns(UserWarning, match="unknown config keys"):
+        data["zeta"] = data["inertia"] = 3.0
+        with pytest.warns(UserWarning) as caught:
             load_config(self.write(tmp_path, data))
+        assert [str(w.message) for w in caught] == [
+            "ignoring unknown config keys: ['inertia', 'zeta']"]
+
+    def test_unknown_nested_keys_warn_once_by_path(self, tmp_path):
+        # a misspelled kappa runs at the default, so the warning must say so
+        data = self.base_dict()
+        data["attacker"]["kapa"] = data["attacker"].pop("kappa")
+        data["generators"][0]["colour"] = "red"
+        data["loads"].append({**data["loads"][0], "id": "l2", "note": 1,
+                              "bus ": "x"})
+        data["extra"] = True
+        with pytest.warns(UserWarning) as caught:
+            cfg = load_config(self.write(tmp_path, data))
+        assert [str(w.message) for w in caught] == [
+            "ignoring unknown config keys: ['extra', 'generators[0].colour', "
+            "'loads[1].bus ', 'loads[1].note', 'attacker.kapa']"]
+        assert cfg.capability.kappa == 1.0
+
+    def test_unknown_keys_warn_before_a_field_fails(self, tmp_path):
+        data = self.base_dict()
+        data["generators"][0]["colour"] = "red"
+        data["loads"][0]["p_sh_pu"] = "0.5"
+        with pytest.warns(UserWarning, match=r"\['generators\[0\].colour'\]"):
+            with pytest.raises(InvalidParameter, match=r"loads\[0\].p_sh_pu"):
+                load_config(self.write(tmp_path, data))
+
+    def test_a_valid_config_warns_nothing(self, tmp_path, recwarn):
+        load_config(self.write(tmp_path, self.base_dict()))
+        assert not recwarn.list
 
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
         with pytest.raises(InvalidParameter):
             load_config(p)
+
+    def test_not_utf8_reported(self, tmp_path):
+        p = tmp_path / "grid.json"
+        p.write_bytes(bytes.fromhex("fffe7b7d"))
+        with pytest.raises(InvalidParameter) as exc:
+            load_config(p)
+        assert exc.value.field == "config"
+        assert str(exc.value) == "config: not UTF-8 text"
+
+
+# Values each capability field takes in turn: the ends of its range, both
+# zeros, NaN and the infinities, a boolean, an integer beyond the floats and
+# a float whose products overflow.
+BOUND_FIELD_VALUES = [0, 1, 0.0, -0.0, 0.5, 1e308, math.nan, math.inf,
+                      -math.inf, True, 2 ** 1100, -1]
+
+
+def _outcome(call):
+    try:
+        value = call()
+    except Exception as exc:  # the class is part of what is compared
+        return type(exc), str(exc), getattr(exc, "field", None)
+    return "ok", type(value), repr(value)
+
+
+def _expected_field(toi, ad, der_total, kappa):
+    """The field the documented capability checks name, in their order, or
+    None when they accept; an OverflowError of the product propagates."""
+    for name, ok in (("toi", 0 <= toi <= 1), ("ad", 0 <= ad <= 1),
+                     ("der_total", der_total >= 0), ("kappa", kappa >= 0)):
+        if not ok:
+            return f"capability.{name}"
+    bound = kappa * toi * ad * der_total
+    try:
+        finite = math.isfinite(bound)
+    except OverflowError:  # an integer beyond the floats
+        finite = False
+    return None if finite else "capability"
+
+
+def test_valid_bound_matches_the_public_path():
+    grid = validate_config(make_config())
+    for toi, ad, der_total, kappa in itertools.product(BOUND_FIELD_VALUES,
+                                                       repeat=4):
+        cap = AttackerCapability(toi, ad, der_total, kappa)
+        public = _outcome(lambda: validate_config(grid._replace(capability=cap)))
+        bound = _outcome(lambda: _valid_bound(toi, ad, der_total, kappa))
+        try:
+            field = _expected_field(toi, ad, der_total, kappa)
+        except OverflowError:
+            assert bound[0] is OverflowError, cap
+            assert public[:2] == bound[:2], cap
+            continue
+        if field is None:
+            assert public[0] == "ok", cap
+            assert bound == _outcome(lambda: capability_bound(cap)), cap
+        else:
+            assert bound[0] is InvalidParameter and bound[2] == field, cap
+            assert public == bound, cap
 
 
 def test_study_config_helper_is_shareable():
