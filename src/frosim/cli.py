@@ -12,8 +12,10 @@ shorter than one ROCOF window, a ``--trace-out`` that names the ``--out``
 file, a report ``--out`` that names one of its trend CSVs, and an output
 that names the command's ``--config``, ``--spec``, the spec's
 ``base_config_file`` or ``--records``), 3 output I/O failure.  A command
-that exits 3 removes every output file it created.  Synthesis answers
-every goal exactly and never declines, so no command exits 4.
+that exits 3 removes every output file it created, and a ``report`` the
+``--csv-dir`` parents it made.  Commands raise; :func:`run` alone maps a
+failure to its exit code and stderr line.  Synthesis answers every goal
+exactly and never declines, so no command exits 4.
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
 logging verbosity.
@@ -22,6 +24,7 @@ logging verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -34,6 +37,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import (
+    _get,
     _unknown_keys,
     _warn_unknown,
     config_from_dict,
@@ -95,11 +99,6 @@ def parse_quantity(text: str, f_nominal: float) -> float:
     return float(t)
 
 
-def _absent(*paths) -> list[Path]:
-    """Those of *paths* that do not exist yet: the outputs a command creates."""
-    return [Path(p) for p in paths if not os.path.lexists(p)]
-
-
 def _same_file(a, b) -> bool:
     """Whether paths *a* and *b* name one file: equal absolute paths, or
     the same existing file."""
@@ -118,17 +117,28 @@ def _check_outputs(flag: str, path, *outputs) -> None:
                                    str(out))
 
 
-def _remove(paths: list[Path]) -> None:
-    """Remove what a failed command created of *paths*, in order: files,
-    then a directory once it is empty."""
-    for path in paths:
-        try:
-            if path.is_dir():
-                path.rmdir()
-            else:
-                path.unlink(missing_ok=True)
-        except OSError:
-            pass
+class _Exit(Exception):
+    """A command failure with its own args: exit code, then stderr line."""
+
+
+@contextlib.contextmanager
+def _writing(what: str, *paths):
+    """Run a command's writes to *paths*: on :class:`OSError`, remove those
+    of *paths* that did not exist before, in order (files, then a directory
+    once it is empty), and fail with exit 3."""
+    created = [Path(p) for p in paths if not os.path.lexists(p)]
+    try:
+        yield
+    except OSError as exc:
+        for path in created:
+            try:
+                if path.is_dir():
+                    path.rmdir()
+                else:
+                    path.unlink(missing_ok=True)
+            except OSError:
+                pass
+        raise _Exit(EXIT_IO, f"error writing {what}: {exc}") from exc
 
 
 def _sim_options(args) -> SimOptions:
@@ -139,87 +149,64 @@ def _sim_options(args) -> SimOptions:
     )
 
 
-def _goal(horizon, target, sign, relay_id, attack_step) -> AttackGoal:
+def _goal(horizon, target: TargetKind, sign: Sign, relay_id,
+          attack_step) -> AttackGoal:
     """The goal of a flag set or spec; a relay id that only a ``specific``
     target reads is ignored with a warning under any other target."""
-    goal = AttackGoal(horizon, TargetKind(target), Sign(sign), relay_id,
-                      attack_step)
-    if relay_id is not None and goal.target_kind is not TargetKind.SPECIFIC:
+    goal = AttackGoal(horizon, target, sign, relay_id, attack_step)
+    if relay_id is not None and target is not TargetKind.SPECIFIC:
         warnings.warn(f"ignoring relay_id {relay_id!r}: target is "
-                      f"{target!r}, not 'specific'", stacklevel=3)
+                      f"{target.value!r}, not 'specific'", stacklevel=3)
     return goal
 
 
 def _goal_from_args(args) -> AttackGoal:
-    return _goal(args.horizon, args.target, args.sign, args.relay_id,
-                 args.attack_step)
+    return _goal(args.horizon, TargetKind(args.target), Sign(args.sign),
+                 args.relay_id, args.attack_step)
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = load_config(args.config)
-        dp_a = parse_quantity(args.dp_a, config.params.f_nominal)
-        if not math.isfinite(dp_a):
-            raise InvalidParameter("--dp-a", "must be finite", dp_a)
-        attack = AttackSignal(dp_a, args.attack_step)
-        # the replay loop checks the horizon only once the writer steps it,
-        # after the output file exists
-        _check_horizon(config, args.horizon)
-        _check_outputs("--config", args.config, ("--out", args.out))
-    except (FrosimError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    created = _absent(args.out)
-    try:
+    config = load_config(args.config)
+    dp_a = parse_quantity(args.dp_a, config.params.f_nominal)
+    if not math.isfinite(dp_a):
+        raise InvalidParameter("--dp-a", "must be finite", dp_a)
+    attack = AttackSignal(dp_a, args.attack_step)
+    # the replay loop checks the horizon only once the writer steps it,
+    # after the output file exists
+    _check_horizon(config, args.horizon)
+    _check_outputs("--config", args.config, ("--out", args.out))
+    with _writing(args.out, args.out):
         rows, events = write_trace_csv(
             _steps(config, attack, args.horizon, _sim_options(args)), args.out)
-    except OSError as exc:
-        _remove(created)
-        print(f"error writing {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
     log.info("trace written to %s (%d rows, %d events)", args.out, rows, events)
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        config = load_config(args.config)
-        goal = _goal_from_args(args)
-        check_relay_id(config, goal)
-        tolerance = parse_quantity(args.tolerance, config.params.f_nominal)
-        if not 0 < tolerance < math.inf:
-            raise InvalidParameter("--tolerance", "must be finite and > 0",
-                                   tolerance)
-        trace_out = args.trace_out or str(args.out) + ".trace.csv"
-        # the result would overwrite the trace it names
-        _check_outputs("--out", args.out, ("--trace-out", trace_out))
-        _check_outputs("--config", args.config, ("--out", args.out),
-                       ("--trace-out", trace_out))
-    except (FrosimError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if args.exhaustive:
-            outcome = exhaustive_min_attack(config, goal, tolerance)
-        else:
-            outcome = synthesize_min_attack(config, goal)
-    except FrosimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_config(args.config)
+    goal = _goal_from_args(args)
+    check_relay_id(config, goal)
+    tolerance = parse_quantity(args.tolerance, config.params.f_nominal)
+    if not 0 < tolerance < math.inf:
+        raise InvalidParameter("--tolerance", "must be finite and > 0",
+                               tolerance)
+    trace_out = args.trace_out or str(args.out) + ".trace.csv"
+    # the result would overwrite the trace it names
+    _check_outputs("--out", args.out, ("--trace-out", trace_out))
+    _check_outputs("--config", args.config, ("--out", args.out),
+                   ("--trace-out", trace_out))
+    if args.exhaustive:
+        outcome = exhaustive_min_attack(config, goal, tolerance)
+    else:
+        outcome = synthesize_min_attack(config, goal)
 
     trace_file = trace_out if outcome.success else None
-    created = _absent(*filter(None, (trace_file, args.out)))
-    try:
+    with _writing("results", *filter(None, (trace_file, args.out))):
         if outcome.success:
             write_trace_csv(outcome.vector.trace, trace_file)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(synthesis_result_dict(outcome, trace_file), fh, indent=2)
             fh.write("\n")
-    except OSError as exc:
-        _remove(created)
-        print(f"error writing results: {exc}", file=sys.stderr)
-        return EXIT_IO
 
     if not outcome.success:
         print("no attack exists within the capability bound")
@@ -238,12 +225,23 @@ _SPEC_KEYS = {"base_config", "base_config_file", "goal", "mode", "count",
 _GOAL_KEYS = {"horizon", "target", "sign", "relay_id", "attack_step"}
 
 
+def _member(kind, value, fld: str):
+    """The member of enum *kind* whose value is *value*, else
+    :class:`InvalidParameter` naming *fld* and the values allowed."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidParameter(fld, "must be one of " + ", ".join(
+            repr(m.value) for m in kind), value) from None
+
+
 def _spec_from_file(path, seed_override=None, outputs=()) -> tuple[SweepSpec, str]:
     """The spec in the JSON file at *path*, and the sha256 of its bytes.
 
     Unknown top-level and ``goal`` keys are ignored with a warning each, as
     :func:`~frosim.config.config_from_dict` ignores unknown config keys.
-    A file that is not UTF-8 text raises :class:`InvalidParameter`.
+    A file that is not UTF-8 text, a missing required key and an enum
+    value outside its choices raise :class:`InvalidParameter`.
     An output of *outputs*, ``(label, path)`` pairs, that names the
     ``base_config_file`` raises :class:`InvalidParameter`, as
     :func:`_check_outputs` does.
@@ -263,16 +261,20 @@ def _spec_from_file(path, seed_override=None, outputs=()) -> tuple[SweepSpec, st
         name = require_json_type(data["base_config_file"], "base_config_file", str)
         _check_outputs("base_config_file", Path(path).parent / name, *outputs)
         base = load_config(Path(path).parent / name)
-    else:
+    elif "base_config" in data:
         base = config_from_dict(data["base_config"])
-    g = require_json_type(data["goal"], "goal", dict)
+    else:
+        raise InvalidParameter("base_config", "missing required key")
+    g = _get(data, "goal", dict)
     _warn_unknown("goal", _unknown_keys(g, _GOAL_KEYS), 2)
-    for key, kind in (("horizon", int), ("attack_step", int), ("relay_id", str)):
+    horizon = _get(g, "horizon", int, "goal")
+    for key, kind in (("attack_step", int), ("relay_id", str)):
         if key in g:
             require_json_type(g[key], f"goal.{key}", kind)
-    goal = _goal(g["horizon"], g.get("target", "any"),
-                 g.get("sign", "positive"), g.get("relay_id"),
-                 g.get("attack_step", 0))
+    goal = _goal(horizon,
+                 _member(TargetKind, g.get("target", "any"), "goal.target"),
+                 _member(Sign, g.get("sign", "positive"), "goal.sign"),
+                 g.get("relay_id"), g.get("attack_step", 0))
     kwargs = {}
     for json_key, field_name in _SWEPT:
         if json_key in data:
@@ -284,7 +286,7 @@ def _spec_from_file(path, seed_override=None, outputs=()) -> tuple[SweepSpec, st
     spec = SweepSpec(
         base=base,
         goal=goal,
-        mode=SweepMode(data.get("mode", "cartesian")),
+        mode=_member(SweepMode, data.get("mode", "cartesian"), "mode"),
         count=data.get("count"),
         seed=seed,
         tolerance=require_json_type(data.get("tolerance", 1e-4), "tolerance",
@@ -300,25 +302,18 @@ def _spec_from_file(path, seed_override=None, outputs=()) -> tuple[SweepSpec, st
 def cmd_sweep(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
-        print(f"error: --workers must be in 1..{cpus} (got {args.workers})",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Exit(EXIT_CONFIG, f"error: --workers must be in 1..{cpus} "
+                                 f"(got {args.workers})")
     meta = str(args.out) + ".meta.json"
     outputs = (("--out", args.out), ("the .meta.json of --out", meta))
-    try:
-        _check_outputs("--spec", args.spec, *outputs)
-    except InvalidParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    _check_outputs("--spec", args.spec, *outputs)
     try:
         spec, spec_sha256 = _spec_from_file(args.spec, args.seed, outputs)
-    except (FrosimError, OSError, ValueError, KeyError) as exc:
-        print(f"error: bad sweep spec: {exc!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (FrosimError, OSError, ValueError) as exc:
+        raise _Exit(EXIT_CONFIG, f"error: bad sweep spec: {exc!r}") from exc
     records = run_sweep(spec, workers=args.workers)
     status_counts = Counter(r.status for r in records)
-    created = _absent(args.out, meta)
-    try:
+    with _writing(args.out, args.out, meta):
         write_records_csv(records, args.out)
         with open(meta, "w", encoding="utf-8") as fh:
             json.dump({
@@ -332,10 +327,6 @@ def cmd_sweep(args) -> int:
                 "status_counts": dict(sorted(status_counts.items())),
             }, fh, indent=2)
             fh.write("\n")
-    except OSError as exc:
-        _remove(created)
-        print(f"error writing {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
     successes = sum(1 for r in records if r.success)
     by_type = Counter(r.attack_type for r in records)
     print(f"{len(records)} combinations, {successes} successful "
@@ -346,26 +337,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     csv_dir = Path(args.csv_dir or Path(args.out).parent)
-    try:
-        records = read_records_csv(args.records)
-        report = trend_report(records)
-        csvs = [trend_csv_path(csv_dir, name) for name in report.parameters]
-        # a trend CSV would overwrite the report
-        if any(_same_file(args.out, csv) for csv in csvs):
-            raise InvalidParameter("--out", "names a trend CSV of --csv-dir",
-                                   args.out)
-        _check_outputs("--records", args.records, ("--out", args.out),
-                       *(("a trend CSV of --csv-dir", csv) for csv in csvs))
-    except (FrosimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    created = _absent(args.out, *csvs, csv_dir)
-    try:
+    records = read_records_csv(args.records)
+    report = trend_report(records)
+    csvs = [trend_csv_path(csv_dir, name) for name in report.parameters]
+    # a trend CSV would overwrite the report
+    if any(_same_file(args.out, csv) for csv in csvs):
+        raise InvalidParameter("--out", "names a trend CSV of --csv-dir",
+                               args.out)
+    _check_outputs("--records", args.records, ("--out", args.out),
+                   *(("a trend CSV of --csv-dir", csv) for csv in csvs))
+    # the writer makes --csv-dir and its missing parents, removed deepest first
+    with _writing("report", args.out, *csvs, csv_dir, *csv_dir.parents):
         write_trend_outputs(report, args.out, csv_dir)
-    except OSError as exc:
-        _remove(created)
-        print(f"error writing report: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"{report.total_records} records, {report.total_successes} successes, "
           f"{report.excluded_records} excluded (status not ok)")
     for name, trend in report.parameters.items():
@@ -446,7 +429,16 @@ def run(argv=None) -> int:
                             logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = _parser().parse_args(argv)
-    return args.func(args)
+    # the one failure path of every command
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        code, line = exc.args
+        print(line, file=sys.stderr)
+        return code
+    except (FrosimError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main() -> None:

@@ -275,7 +275,10 @@ def _valid_bound(toi, ad, der_total, kappa) -> float:
     _require(0 <= ad <= 1, "capability.ad", "must lie in [0, 1]", ad)
     _require(der_total >= 0, "capability.der_total", "must be >= 0", der_total)
     _require(kappa >= 0, "capability.kappa", "must be >= 0", kappa)
-    bound = kappa * toi * ad * der_total  # as capability_bound multiplies
+    try:
+        bound = kappa * toi * ad * der_total  # as capability_bound multiplies
+    except OverflowError:  # a float times an integer beyond the floats
+        bound = None
     _require(is_finite_real(bound), "capability",
              "bound kappa*toi*ad*der_total must be finite", bound)
     return bound

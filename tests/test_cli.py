@@ -636,6 +636,16 @@ class TestSweep:
                         "--out", str(tmp_path / "o.csv")]) == 2, over
             assert "error: bad sweep spec" in capsys.readouterr().err, over
 
+    def test_missing_base_config_is_named(self, tmp_path, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"goal": {"horizon": 12}}))
+        assert run(["sweep", "--spec", str(p), "--workers", "1",
+                    "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad sweep spec: InvalidParameter('base_config: missing "
+            "required key')\n")
+        assert sorted(tmp_path.iterdir()) == [p]
+
     def test_base_config_file_is_read_beside_the_spec(self, tmp_path,
                                                       monkeypatch):
         # the working directory holds another grid of the same name
@@ -826,6 +836,21 @@ class TestReport:
         assert "error writing report: " in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == listing
 
+    def test_failed_report_removes_the_csv_dir_parents_it_made(self,
+                                                               tmp_path,
+                                                               capsys):
+        # the writer makes a/ and a/b/, then the last name is too long
+        records = self.records_file(tmp_path)
+        csv_dir = tmp_path / "a" / "b" / ("x" * 300)
+        capsys.readouterr()
+        listing = sorted(tmp_path.rglob("*"))
+        assert run(["report", "--records", str(records),
+                    "--out", str(tmp_path / "trend.json"),
+                    "--csv-dir", str(csv_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error writing report: ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == listing
+
     @pytest.mark.parametrize("csv_dir", ["default", "explicit", "linked"])
     def test_out_naming_a_trend_csv_exits_2(self, tmp_path, capsys, csv_dir):
         # the h_s trend CSV would overwrite the report JSON; a directory
@@ -930,6 +955,29 @@ def test_output_naming_an_input_exits_2(tmp_path, capsys, monkeypatch, case):
     assert capsys.readouterr().err == (
         f"error: {label}: names the same file as {flag} (got {out!r})\n")
     assert Path(name).read_bytes() == INPUT_BYTES[flag]
+    assert sorted(tmp_path.iterdir()) == listing
+
+
+@pytest.mark.parametrize("error", [InvalidParameter("x", "bad", 1),
+                                   ValueError("bad value")],
+                         ids=["FrosimError", "ValueError"])
+@pytest.mark.parametrize("command", ["synthesize", "sweep"])
+def test_failure_while_computing_exits_2(tmp_path, capsys, monkeypatch,
+                                         command, error):
+    # whatever the search or sweep raises of these reads as a bad input,
+    # never as exit 1 ("no attack exists") or a traceback
+    def fails(*args, **kwargs):
+        raise error
+    monkeypatch.setattr({"synthesize": "frosim.cli.synthesize_min_attack",
+                         "sweep": "frosim.cli.run_sweep"}[command], fails)
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_bytes(INPUT_BYTES["--config"])
+    Path("s.json").write_bytes(INPUT_BYTES["--spec"])
+    listing = sorted(tmp_path.iterdir())
+    argv = {"synthesize": ["--config", "c.json", "--horizon", "12"],
+            "sweep": ["--spec", "s.json", "--workers", "1"]}[command]
+    assert run([command, *argv, "--out", "o"]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
     assert sorted(tmp_path.iterdir()) == listing
 
 
