@@ -333,9 +333,9 @@ def require_json_type(value, fld: str, kind: type):
     ``float`` admits a number that :func:`is_finite_real` accepts and
     returns it as a float, ``int`` an integer, neither a boolean; ``list``,
     ``dict`` and ``str`` are the JSON array, object and string.  A JSON
-    integer read as a real runs as its float spelling does: kept an
-    integer, products such as ``R*T`` of two large ones are exact and can
-    outgrow what a float converts from.
+    integer read as a real becomes its float, so it runs as its float
+    spelling does: a product such as ``R*T`` of two large ones overflows
+    to ``inf``, not to an exact integer beyond the floats.
     """
     if type(value) is kind and (kind is not float
                                 or -_FLOAT_MAX <= value <= _FLOAT_MAX):

@@ -2,19 +2,23 @@
 
 Each combination instantiates the base grid with its dynamic parameters and
 attacker capability, runs minimal-attack synthesis, and records the
-outcome.  Combinations that share (H, R, T) differ only in the capability
-bound, so they run together as one group and one task of a process pool:
-their grid is validated once, each combination then checking only its ToI,
-AD and bound, and one :func:`~frosim.synth._min_attacks` call at the
+outcome.  The work is done once per distinct value, not once per
+combination.  A sweep checks each distinct (ToI, AD) and computes its
+capability bound once, into one table that every group reads.
+Combinations that share (H, R, T) differ only in the capability bound, so
+they run together as one group and one task of a process pool: their grid
+is validated once, and one :func:`~frosim.synth._min_attacks` call at the
 group's largest valid bound answers every bound.  Its memo lives for that
-call: one interval pass per direction, which never runs again, and the
-distinct bounds walk in falling order, equal ones answered once, so a
-repeated combination costs no replay.  A replay reads no capability, so
-every record is the one a lone synthesis gives.  A sweep of fewer than two
-groups runs serially whatever the worker count, and only a sweep that
-starts a pool imports the process-pool modules.  Runs are reproducible
-because the random mode draws from a seeded generator and each record lands
-in its combination id's slot regardless of how many workers executed it.
+call: one interval pass per direction, which never runs again, and each
+distinct bound answered once, so a repeated combination costs no replay
+and no walk.  Each distinct outcome is classified once.  A replay reads no
+capability, so every record is the one a lone synthesis gives.  A sweep of
+fewer than two groups runs serially whatever the worker count, and only a
+sweep that starts a pool imports the process-pool modules.  Runs are
+reproducible because the random mode draws from a seeded generator and
+each record lands in its combination id's slot regardless of how many
+workers executed it.  The records CSV writer formats each distinct value
+once, and its reader parses each distinct number text once.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numbers
 import random
 from collections import Counter
 from functools import partial
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -219,47 +224,70 @@ def _no_attack(combo_id: int, combo: Combo, status: str = "ok") -> SweepRecord:
                     status))
 
 
+def _bound_table(spec: SweepSpec, combos) -> dict:
+    """Each distinct (ToI, AD) of *combos*, in percent, mapped to its
+    :func:`~frosim.config._valid_bound` and the ToI and AD fractions, or to
+    the name of the error that check raised.
+
+    Zeros of either sign share an entry: their bounds differ only in a
+    zero's sign, which a group call answers alike, and each record keeps
+    its own combination's values."""
+    cap = spec.base.capability
+    table = dict.fromkeys(map(itemgetter(3, 4), combos))
+    for toi_pct, ad_pct in table:
+        toi, ad = toi_pct / 100.0, ad_pct / 100.0
+        try:
+            table[toi_pct, ad_pct] = (
+                _valid_bound(toi, ad, cap.der_total, cap.kappa), toi, ad)
+        except FrosimError as exc:
+            table[toi_pct, ad_pct] = type(exc).__name__
+    return table
+
+
 def _run_group(args) -> list[SweepRecord]:
     """Records of one (H, R, T) group's ``(combo_id, combo)`` items.
 
-    The group validates its grid once and each combination only its ToI,
-    AD and bound, building no config; one config at the largest valid bound
-    answers every valid bound in one :func:`~frosim.synth._min_attacks`
-    call.  An invalid grid fails every record of the group, as validating
-    each combination's config would.
+    The group validates its grid once and looks each combination's bound up
+    in the sweep's table, building no config; one config at the largest
+    valid bound answers every valid bound in one
+    :func:`~frosim.synth._min_attacks` call.  An invalid grid fails every
+    record of the group, as validating each combination's config would.
     """
-    spec, group = args
+    spec, group, table = args
     h, r, t = group[0][1][:3]
     try:
         grid = validate_grid(with_dynamics(
             spec.base, h_inertia=h, droop_r=r, governor_t=t))
     except FrosimError as exc:
         return [_no_attack(i, c, type(exc).__name__) for i, c in group]
-    cap = spec.base.capability
     records, valid = [], []
     for i, combo in group:
-        toi, ad = combo.toi_pct / 100.0, combo.ad_pct / 100.0
-        try:
-            valid.append((_valid_bound(toi, ad, cap.der_total, cap.kappa),
-                          toi, ad, i, combo))
-        except FrosimError as exc:
-            records.append(_no_attack(i, combo, type(exc).__name__))
+        entry = table[combo[3], combo[4]]
+        if type(entry) is str:
+            records.append(_no_attack(i, combo, entry))
+        else:
+            valid.append((entry, i, combo))
     if not valid:
         return records
-    _, toi, ad, _, _ = max(valid)
+    _, toi, ad = max(entry for entry, _, _ in valid)
     try:
         outcomes = _min_attacks(with_capability(grid, toi=toi, ad=ad),
-                                spec.goal, [v[0] for v in valid],
+                                spec.goal, [entry[0] for entry, _, _ in valid],
                                 DEFAULT_OPTIONS)
     except FrosimError as exc:
         return records + [_no_attack(i, c, type(exc).__name__)
-                          for *_, i, c in valid]
-    for (*_, i, combo), outcome in zip(valid, outcomes):
-        vec = outcome.vector
-        records.append(_record((
-            i, *combo, True, classify_attack(vec), vec.dp_a,
-            vec.outcome.trip_step, "ok",
-        )) if outcome.success else _no_attack(i, combo))
+                          for _, i, c in valid]
+    # equal bounds share one outcome object: each is classified once
+    tails = {}
+    for (_, i, combo), outcome in zip(valid, outcomes):
+        tail = tails.get(id(outcome))
+        if tail is None:
+            vec = outcome.vector
+            tail = tails[id(outcome)] = (
+                (True, classify_attack(vec), vec.dp_a,
+                 vec.outcome.trip_step, "ok") if outcome.success
+                else (False, AttackType.NONE, None, None, "ok"))
+        records.append(_record((i, *combo, *tail)))
     return records
 
 
@@ -269,8 +297,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     The combinations run in (H, R, T) groups, keyed on the three float
     values: a zero H, R or T of either sign fails its grid's validation
     alike, and each record carries its own combination's values.  Each
-    group is answered by one synthesis call over all its bounds, which
-    changes no record, and a process pool takes each group as one task.
+    distinct (ToI, AD) is checked once, into a table that goes with every
+    group.  Each group is answered by one synthesis call over all its
+    bounds, which changes no record, and a process pool takes each group as
+    one task.
     Per-combination failures are folded into the record's status field;
     the sweep itself never aborts.  Results are ordered by combination id
     no matter how many workers ran them.
@@ -283,7 +313,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
         if group is None:
             group = groups[key] = []
         group.append((i, combo))
-    tasks = [(spec, group) for group in groups.values()]
+    table = _bound_table(spec, combos)
+    tasks = [(spec, group, table) for group in groups.values()]
     if workers <= 1 or len(tasks) < 2:
         parts = map(_run_group, tasks)
     else:
@@ -449,8 +480,24 @@ def trend_report_dict(report: TrendReport) -> dict:
 
 
 _FLOAT = f"%.{RECORD_DIGITS}g"
-_PARAMS = ",".join([_FLOAT] * 5)  # h_s, r_pu, t_s, toi_pct, ad_pct
-_RECORD_ROW = f"%s,{_PARAMS},%s,%s,%s,%s,%s\n"
+
+
+class _Once(dict):
+    """*fn* of each key, called once per distinct key, as the writer's text
+    of a value or the reader's value of a text.  A zero key is not kept:
+    ``0.0 == -0.0``, so one entry would give both zeros the text of
+    whichever came first.  An exception from *fn* leaves no entry."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self.fn(key)
+        if key != 0:
+            self[key] = value
+        return value
 
 
 def _dp_a_text(x: Optional[float]) -> str:
@@ -463,20 +510,30 @@ def _dp_a_text(x: Optional[float]) -> str:
 
 
 def write_records_csv(records: Sequence[SweepRecord], path) -> None:
-    """Write the records in the stable CSV layout, one ``%``-format a row.
+    """Write the records in the stable CSV layout, in one write.
 
-    ``min_dp_a`` is written to :data:`~frosim.synth.RECORD_DIGITS`
-    significant digits, or in full when those digits do not give back the
-    answer, so every written answer replays within its own bound.
+    Each distinct parameter value, attack type and ``min_dp_a`` is
+    formatted once.  ``min_dp_a`` is written to
+    :data:`~frosim.synth.RECORD_DIGITS` significant digits, or in full when
+    those digits do not give back the answer, so every written answer
+    replays within its own bound.
     """
+    lines = [SWEEP_CSV_HEADER]
+    if records:
+        (ids, hs, rs, ts, tois, ads, successes, attack_types, dp_as,
+         trip_steps, statuses) = zip(*records)
+        param = _Once(_FLOAT.__mod__).__getitem__
+        lines += map(",".join, zip(
+            map(str, ids), map(param, hs), map(param, rs), map(param, ts),
+            map(param, tois), map(param, ads),
+            ["true" if success else "false" for success in successes],
+            map(_Once(attrgetter("value")).__getitem__, attack_types),
+            map(_Once(_dp_a_text).__getitem__, dp_as),
+            ["" if step is None else str(step) for step in trip_steps],
+            map(str, statuses)))
+    lines.append("")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for r in records:
-            fh.write(_RECORD_ROW % (
-                r.combo_id, r.h, r.r, r.t, r.toi_pct, r.ad_pct,
-                "true" if r.success else "false", r.attack_type.value,
-                _dp_a_text(r.min_dp_a),
-                "" if r.trip_step is None else r.trip_step, r.status))
+        fh.write("\n".join(lines))
 
 
 def _finite(text: str) -> float:
@@ -498,11 +555,13 @@ def read_records_csv(path) -> list[SweepRecord]:
     finite, and ``status`` must not be blank.  A success names its attack
     type, ``min_dp_a`` and a ``trip_step`` >= 0, and a failure none of them,
     as :func:`write_records_csv` writes them.  A file that is not UTF-8 text
-    or has any other malformed row raises :class:`InvalidParameter`.
+    or has any other malformed row raises :class:`InvalidParameter`.  Each
+    distinct number text is parsed and checked once, the first time it
+    occurs, so a bad one fails at the first row that holds it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+            lines = [ln for ln in fh.read().split("\n") if ln.strip()]
     except UnicodeDecodeError as exc:
         raise InvalidParameter("records", "not UTF-8 text") from exc
     header = lines[0] if lines else ""
@@ -511,6 +570,7 @@ def read_records_csv(path) -> list[SweepRecord]:
     if len(lines) < 2:
         raise InvalidParameter("records", "no data rows", 0)
     has_status = header == SWEEP_CSV_HEADER
+    number = _Once(_finite).__getitem__
     records = []
     for ln in lines[1:]:
         parts = ln.split(",")
@@ -522,12 +582,12 @@ def read_records_csv(path) -> list[SweepRecord]:
         try:
             record = _record((
                 int(parts[0]),
-                _finite(parts[1]), _finite(parts[2]), _finite(parts[3]),
-                _finite(parts[4]), _finite(parts[5]),
+                number(parts[1]), number(parts[2]), number(parts[3]),
+                number(parts[4]), number(parts[5]),
                 success,
                 # the enum call only for a miss, for its error text
                 _ATTACK_TYPES.get(parts[7]) or AttackType(parts[7]),
-                _finite(parts[8]) if parts[8] else None,
+                number(parts[8]) if parts[8] else None,
                 int(parts[9]) if parts[9] else None,
                 status,
             ))

@@ -37,9 +37,10 @@ dynamics and relays, never on the capability, so :func:`_min_attacks`
 answers the capability bounds of a sweep's (H, R, T) group in one call,
 over a memo that lives for that call: per direction, one interval pass over
 the config's own bound, which never runs again, and every replay.  Distinct
-bounds walk in falling order and equal ones are answered once; a bound far
-below the pass's start replays nothing, for every goal, and a bound at or
-above an answer walks over replays the memo holds.
+bounds are answered once each, in falling order.  A bound far below the
+pass's start replays nothing, for every goal.  Once a direction's walk has
+found its start itself, every later bound at or above the start takes it
+with no walk; any other bound walks, over replays the memo mostly holds.
 :func:`synthesize_min_attack` is its one-bound call.  Every replay steps
 through the one loop of :mod:`frosim.dynamics`.
 """
@@ -502,9 +503,11 @@ def _certify(config, goal, direction, start: Decimal, bound: Decimal,
     decimal below the success, so it ends only when the decimal below its
     answer is a failed replay.
 
-    *memo* is the direction's :class:`_Direction`.  A bound far below the
-    pass's start never walks, for every goal (:func:`_min_attacks`); one at
-    or above an answer walks over replays the memo already holds.
+    *memo* is the direction's :class:`_Direction`.  :func:`_min_attacks`
+    calls this walk for a bound only when it cannot tell the answer without
+    one: a bound far below the pass's start never walks, for every goal,
+    and once a walk has returned *start* itself, a later bound at or above
+    it does not walk either, since it would reread the same two replays.
     """
     def meets(magnitude: Decimal) -> bool:
         return _replayed(config, direction, float(magnitude), goal, options,
@@ -593,16 +596,26 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
     No replay reads the capability, so the bounds share one memo for this
     call, a :class:`_Direction` per direction, whose one interval pass runs
     over *config*'s bound: its start is the smallest under every bound at or
-    above it.  The distinct bound values walk in falling order, each once,
-    and a bound at or above an answer walks over replays the memo holds.  A
-    bound far below the pass's start replays nothing, for every goal: below
-    *config*'s bound and ``start * (1 - 1e-9)`` (``start`` ``Infinity`` when
-    the pass found none), its walk would replay it once and fail, by the
-    pass's error budget.  A bound nearer the start walks from itself; a lone
-    call never skips, its one bound being its pass's.  *config* must pass
-    :func:`~frosim.config.validate_grid`: then a zero injection holds the
-    grid at its bit-flat equilibrium, which meets no relay threshold, so a
-    zero bound of either sign is no attack and the two share one answer.
+    above it.  The distinct bound values are answered in falling order, each
+    once, and a direction walks under a bound only when neither rule below
+    answers it without a walk:
+
+    - A bound far below the pass's start replays nothing, for every goal:
+      below *config*'s bound and ``start * (1 - 1e-9)`` (``start``
+      ``Infinity`` when the pass found none), its walk would replay it once
+      and fail, by the pass's error budget.  A bound nearer the start walks
+      from itself; a lone call never skips, its one bound being its pass's.
+    - Once the direction's walk returned its start itself (the start
+      replayed and the record decimal below it failed), a later bound at or
+      above the start takes the start: its walk would begin at the start
+      and reread those two replays.  A walk that returned anything else
+      galloped, and each later bound walks again, over replays the memo
+      mostly holds.
+
+    *config* must pass :func:`~frosim.config.validate_grid`: then a zero
+    injection holds the grid at its bit-flat equilibrium, which meets no
+    relay threshold, so a zero bound of either sign is no attack and the
+    two share one answer.
     """
     top = capability_bound(config.capability)
     _check_capability(config, max(bounds))
@@ -616,6 +629,7 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
                    for d in directions)
     debug = log.isEnabledFor(logging.DEBUG)
     answers = {}
+    settled = set()  # the directions whose walk found their start itself
     for b in sorted(set(bounds), reverse=True):
         bound = Decimal(b)
         if debug:
@@ -629,8 +643,15 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
                 break
             if b < top and bound < far:
                 continue
-            magnitude = _certify(config, goal, -rank, start, bound, options,
-                                 memo[-rank])
+            if -rank in settled and bound >= start:
+                # its walk would reread the start's and the decimal below's
+                # replays, and find the start again
+                magnitude = start
+            else:
+                magnitude = _certify(config, goal, -rank, start, bound,
+                                     options, memo[-rank])
+                if magnitude == start:
+                    settled.add(-rank)
             if magnitude is not None and (best is None
                                           or (magnitude, rank) < best):
                 best = (magnitude, rank)

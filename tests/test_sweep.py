@@ -543,24 +543,35 @@ class TestDuplicateReuse:
         assert record_reprs(run_sweep(spec, workers)) == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_same_value_of_another_zero_sign_runs_again(self, workers):
+    def test_same_value_of_another_zero_sign_runs_again(self, tmp_path,
+                                                        workers):
         # 150% fails its capability check; 0.0 and -0.0 are equal but are
-        # written apart, and the ToI 2 is read as 2.0
+        # written apart, in ToI and in AD, and the ToI 2 is read as 2.0
         spec = small_spec(
-            mode=SweepMode.RANDOM, count=120, seed=3, h_values=(2.0, 6.0),
+            mode=SweepMode.RANDOM, count=160, seed=3, h_values=(2.0, 6.0),
             toi_pct_values=(0.0, -0.0, 2, 2.0, 10.0, 150.0),
-            ad_pct_values=(20.0, 100.0))
+            ad_pct_values=(0.0, -0.0, 20.0, 100.0))
         assert repr(spec.toi_pct_values[2:4]) == repr((2.0, 2.0))
         combos = generate_combinations(spec)
-        for toi in (150.0, 0.0, -0.0, 2.0):
-            cells = [c for c in combos if repr(c.toi_pct) == repr(toi)]
-            assert len(cells) > len(set(map(repr, cells))), toi
+        for column, value in ((3, 150.0), (3, 0.0), (3, -0.0), (3, 2.0),
+                              (4, 0.0), (4, -0.0)):
+            cells = [c for c in combos if repr(c[column]) == repr(value)]
+            assert len(cells) > len(set(map(repr, cells))), (column, value)
         records = run_sweep(spec, workers)
         assert record_reprs(records) == lone_reprs(spec)
         statuses = Counter(r.status for r in records)
         assert statuses["InvalidParameter"] == sum(
             c.toi_pct == 150.0 for c in combos)
         assert 0 < sum(r.success for r in records) < len(combos)
+        # each row writes its own values, -0 apart from 0, and reads them
+        # back as they were
+        out = tmp_path / "records.csv"
+        write_records_csv(records, out)
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1:6] for row in rows] == [
+            [frosim.sweep._FLOAT % v for v in combo] for combo in combos]
+        assert [repr(r[1:6]) for r in read_records_csv(out)] == [
+            repr(tuple(combo)) for combo in combos]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("column,values", [

@@ -821,6 +821,75 @@ class TestAnyGroupBracket:
         assert min(answers.values()) >= 100
 
 
+def count_walks(monkeypatch):
+    """Every certify walk synthesis runs from now on, in order, as
+    ``(direction, bound, answer)``."""
+    walks = []
+    real = frosim.synth._certify
+
+    def counted(config, goal, direction, start, bound, options, memo):
+        answer = real(config, goal, direction, start, bound, options, memo)
+        walks.append((direction, bound, answer))
+        return answer
+
+    monkeypatch.setattr(frosim.synth, "_certify", counted)
+    return walks
+
+
+class TestRepeatBoundsSkipTheWalk:
+    """Once a direction's walk finds its pass start itself, a later bound
+    at or above that start takes the start with no walk: the walk would
+    reread the two replays it just read.  A walk that galloped away from
+    its start walks again under each later bound."""
+
+    goal = AttackGoal(horizon=12, sign=Sign.EITHER)
+    answer = Decimal("0.0335807781047")
+    # every bound lies at or above the answer, one ulp above it included
+    bounds = (0.06, 5.0, 0.36, 0.1, 0.06, 1.0, 0.04,
+              math.nextafter(float(answer), 1.0))
+
+    def test_bounds_at_or_above_the_answer_walk_once_per_direction(
+            self, monkeypatch):
+        cfg = study_config(kappa=60.0)
+        assert all(Decimal(b) >= self.answer for b in self.bounds)
+        calls = count_replays(monkeypatch)
+        walks = count_walks(monkeypatch)
+        outcomes = group_answers(cfg, self.goal, self.bounds)
+        # the largest bound walks each direction to its start
+        assert [(d, b, a) for d, b, a in walks] == [
+            (1, Decimal(5.0), self.answer), (-1, Decimal(5.0), self.answer)]
+        # each start and the failing decimal below it, per direction
+        assert len(calls) == 4
+        assert_lone_answers(cfg, self.goal, self.bounds, outcomes)
+
+    def test_a_walk_off_its_start_walks_under_every_bound(self, monkeypatch):
+        # a start two record units high replays, so the walk gallops down
+        # to the answer below it and finds no start to reuse
+        cfg = study_config(kappa=60.0)
+        real = frosim.synth._smallest_feasible_start
+
+        def misplaced(*args):
+            start, peak = real(*args)
+            return start * (1 + 5e-12), peak
+
+        monkeypatch.setattr(frosim.synth, "_smallest_feasible_start",
+                            misplaced)
+        calls = count_replays(monkeypatch)
+        walks = count_walks(monkeypatch)
+        outcomes = group_answers(cfg, self.goal, self.bounds)
+        # the negative direction's start lies above the positive answer, so
+        # only the positive direction walks, once per distinct bound
+        assert [b for _, b, _ in walks] == sorted(
+            map(Decimal, set(self.bounds)), reverse=True)
+        assert {(d, a) for d, _, a in walks} == {(1, self.answer)}
+        # the walk under 5 replays the start, the decimal below it, two
+        # units further down and the answer; the bound one ulp above the
+        # answer lies below the start, so its walk replays the bound itself
+        # and, galloping down, the decimal two units below the answer
+        assert len(calls) == 6
+        assert_lone_answers(cfg, self.goal, self.bounds, outcomes)
+
+
 def count_passes(monkeypatch):
     """Every interval pass synthesis runs from now on, in order, as
     ``(direction, capability bound, start)``."""
