@@ -18,7 +18,9 @@ failure to its exit code and stderr line.  Synthesis answers every goal
 exactly and never declines, so no command exits 4.
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
-logging verbosity.
+logging verbosity.  At ``error`` and ``warn``, the default, a command loads
+no :mod:`logging` and logs nothing, since frosim logs nothing above
+``info``; ``info`` and ``debug`` load it and log to stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import argparse
 import contextlib
 import functools
 import json
-import logging
 import math
 import os
 import sys
@@ -68,25 +69,17 @@ from .synth import (
     AttackGoal,
     Sign,
     TargetKind,
+    _logger,
     check_relay_id,
     exhaustive_min_attack,
     synthesis_result_dict,
     synthesize_min_attack,
 )
 
-log = logging.getLogger("frosim")
-
 EXIT_OK = 0
 EXIT_NO_ATTACK = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
 
 
 def parse_quantity(text: str, f_nominal: float) -> float:
@@ -178,7 +171,10 @@ def cmd_simulate(args) -> int:
     with _writing(args.out, args.out):
         rows, events = write_trace_csv(
             _steps(config, attack, args.horizon, _sim_options(args)), args.out)
-    log.info("trace written to %s (%d rows, %d events)", args.out, rows, events)
+    log = _logger("frosim", "INFO")
+    if log:
+        log.info("trace written to %s (%d rows, %d events)", args.out, rows,
+                 events)
     return EXIT_OK
 
 
@@ -425,9 +421,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    level = _LOG_LEVELS.get(os.environ.get("FRO_LOG_LEVEL", "warn").lower(),
-                            logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("FRO_LOG_LEVEL", "warn").lower()
+    if level in ("info", "debug"):
+        # imported here: no line is logged above INFO, so no other level
+        # pays for loading logging
+        import logging
+        logging.basicConfig(level=level.upper(),
+                            format="%(levelname)s %(name)s: %(message)s")
     args = _parser().parse_args(argv)
     # the one failure path of every command
     try:

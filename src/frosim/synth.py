@@ -48,8 +48,8 @@ through the one loop of :mod:`frosim.dynamics`.
 from __future__ import annotations
 
 import enum
-import logging
 import math
+import sys
 from decimal import ROUND_CEILING, Context, Decimal
 from typing import NamedTuple, Optional
 
@@ -70,8 +70,6 @@ from .dynamics import (
 # Unused here, but bench/tracer.py wraps them under these names.
 from .dynamics import initial_state, simulate, simulate_step  # noqa: F401
 from .errors import CapabilityExceeded, InvalidParameter
-
-log = logging.getLogger(__name__)
 
 #: Significant digits of a recorded injection magnitude (the sweep records
 #: CSV).  Every exact answer is a decimal of this many digits, so the value a
@@ -549,6 +547,17 @@ def _below(magnitude: Decimal) -> Decimal:
     return _RECORD.next_minus(magnitude) if magnitude > 0 else magnitude
 
 
+def _logger(name: str, level: str):
+    """The logger *name* when it is enabled for *level* (``"INFO"`` or
+    ``"DEBUG"``), else ``None``.  Only a process that has imported
+    :mod:`logging` can have enabled a logger, so this never loads it."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(name)
+    return log if log.isEnabledFor(getattr(logging, level)) else None
+
+
 def _describe(outcome: FeasibilityOutcome) -> str:
     if not outcome.success:
         return "no attack"
@@ -627,12 +636,12 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
     # (start, -direction, the bound under which the direction skips)
     order = sorted((memo[d].start, -d, _EXACT.multiply(memo[d].start, _FAR))
                    for d in directions)
-    debug = log.isEnabledFor(logging.DEBUG)
+    log = _logger(__name__, "DEBUG")
     answers = {}
     settled = set()  # the directions whose walk found their start itself
     for b in sorted(set(bounds), reverse=True):
         bound = Decimal(b)
-        if debug:
+        if log:
             # each replay adds one outcome and nothing else does, so the
             # difference counts the replays this bound ran
             before = sum(len(memo[d].outcomes) for d in directions)
@@ -658,7 +667,7 @@ def _min_attacks(config: GridConfig, goal: AttackGoal, bounds,
         outcome = answers[b] = _NO_ATTACK if best is None else _replayed(
             config, -best[1], float(best[0]), goal, options,
             memo[-best[1]].outcomes)
-        if debug:
+        if log:
             log.debug(
                 "synthesis %s/%s by interval pass, %s; certify replays %d; "
                 "%s", goal.target_kind.value, goal.sign.value, "; ".join(
@@ -704,7 +713,8 @@ def exhaustive_min_attack(
                 found.append((mag, -direction, outcome))
                 break
     best = min(found, key=lambda c: c[:2])[2]
-    if log.isEnabledFor(logging.DEBUG):
+    log = _logger(__name__, "DEBUG")
+    if log:
         log.debug("synthesis %s/%s by exhaustive scan at %r; scan replays %d; "
                   "%s", goal.target_kind.value, goal.sign.value, resolution,
                   scanned, _describe(best))

@@ -278,7 +278,7 @@ class TestSimulateStreams:
             finally:
                 tracemalloc.stop()
 
-        peak(100)  # the parser and logging set up once per process
+        peak(100)  # the parser is built once per process
         short, long = peak(4000), peak(40000)
         assert long < 3 * 2**20
         assert long - short < 2**19

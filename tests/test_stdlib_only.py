@@ -2,7 +2,8 @@
 every CLI command gives the same exit code, printed output and files with
 numpy imports blocked as in a normal run.  Its cold start stays small: only
 a sweep that starts a pool loads the process-pool modules, only a sweep
-loads hashlib, and no command loads dataclasses or inspect."""
+loads hashlib, no command loads dataclasses or inspect, and at the default
+log level no serial command loads logging."""
 
 import json
 import os
@@ -78,19 +79,24 @@ POOL = ("concurrent.futures", "multiprocessing")
 # the value types are named tuples: dataclasses (with inspect, ast, dis and
 # tokenize) would cost about a third of the import
 CODEGEN = ("dataclasses", "inspect")
-check_absent(POOL + ("hashlib",) + CODEGEN, "import")
+# logging and what it loads; at the default level nothing is logged.  A
+# pooled sweep is exempt: concurrent.futures imports logging itself
+LOGGING = ("logging", "traceback", "linecache", "tokenize", "textwrap",
+           "string")
+check_absent(POOL + ("hashlib",) + CODEGEN + LOGGING, "import")
 for argv in json.loads(sys.argv[1]):
     assert frosim.cli.run(argv) == 0, argv
-    check_absent(POOL + ("hashlib",) + CODEGEN, argv)
+    check_absent(POOL + ("hashlib",) + CODEGEN + LOGGING, argv)
 serial_sweep = json.loads(sys.argv[2])
 assert frosim.cli.run(serial_sweep) == 0
-check_absent(POOL + CODEGEN, serial_sweep)
+check_absent(POOL + CODEGEN + LOGGING, serial_sweep)
 """
 
 
 def test_commands_load_no_pool_and_no_hashlib(tmp_path):
     """Only a sweep that starts a pool loads the pool modules, only a
-    sweep hashes its spec, and nothing loads dataclasses or inspect."""
+    sweep hashes its spec, nothing loads dataclasses or inspect, and no
+    serial command at the default log level loads logging."""
     serial_sweep = SWEEP[:-1] + ["1"]
     _run_case([serial_sweep], "normal", tmp_path / "run")  # writes records
     steps = [SIMULATE, SYNTHESIZE, SYNTHESIZE + ["--exhaustive"], REPORT]
