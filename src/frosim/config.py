@@ -158,22 +158,46 @@ def _require(cond: bool, fld: str, message: str, value, roster=None,
 
 
 def validate_config(config: GridConfig) -> GridConfig:
-    """Check every invariant of *config* and return *config* itself.
+    """Check every invariant of *config*; return it, each real field a float.
 
     Raises :class:`InvalidParameter` naming the offending field, or
     :class:`StabilityViolation` when the step size is incompatible with the
     governor time constant.  The dynamics and rosters are checked before the
     capability, so their error is the one raised when both are invalid.
     """
+    config = _as_floats(config)
     validate_grid(config)
     cap = config.capability
     _valid_bound(cap.toi, cap.ad, cap.der_total, cap.kappa)
     return config
 
 
+def _as_floats(config: GridConfig) -> GridConfig:
+    """*config* with its real fields floats: itself when each is, else a copy
+    reading each other one as :func:`require_json_type` reads a JSON number,
+    named by its Python path.  A float passes, ``inf`` and ``nan`` included."""
+    p, cap = config.params, config.capability
+    # fields 2 and 3 of a relay are its block and threshold
+    if (type(p.h_inertia) is type(p.droop_r) is type(p.governor_t)
+            is type(p.dt) is type(p.f_nominal) is type(cap.toi)
+            is type(cap.ad) is type(cap.der_total) is type(cap.kappa) is float
+            and all(type(r[2]) is type(r[3]) is float for r in config.generators)
+            and all(type(r[2]) is type(r[3]) is float for r in config.loads)):
+        return config
+    floats = lambda record, where="": record._make(
+        value if type(value) is float or key in ("id", "bus", "rocof_window_m")
+        else require_json_type(value, where + key, float)
+        for key, value in zip(record._fields, record))
+    return GridConfig(
+        floats(p),
+        [floats(g, f"generators[{i}].") for i, g in enumerate(config.generators)],
+        [floats(l, f"loads[{i}].") for i, l in enumerate(config.loads)],
+        floats(cap, "capability."))
+
+
 def validate_grid(config: GridConfig) -> GridConfig:
     """Run the checks of :func:`validate_config` that do not read the
-    capability, and return *config* itself, its capability unchecked.
+    capability, on a *config* whose real fields are floats, and return it.
 
     Configs that differ only in capability, as the combinations of one
     sweep (H, R, T) do, share one result and check each capability's fields
@@ -184,36 +208,20 @@ def validate_grid(config: GridConfig) -> GridConfig:
     _require(p.droop_r > 0, "droop_r", "must be > 0", p.droop_r)
     _require(p.governor_t > 0, "governor_t", "must be > 0", p.governor_t)
     _require(p.dt > 0, "dt", "must be > 0", p.dt)
-    _require(
-        isinstance(p.rocof_window_m, int) and p.rocof_window_m >= 1,
-        "rocof_window_m", "must be an integer >= 1", p.rocof_window_m,
-    )
+    m = p.rocof_window_m
+    _require(type(m) is int and m >= 1, "rocof_window_m",
+             "must be an integer >= 1", m)
+    require_json_type(m, "rocof_window_m", float)  # and a float holds it
     _require(p.f_nominal > 0, "f_nominal", "must be > 0", p.f_nominal)
-    # the quotients the step kernel derives from the params, each finite
-    # (a zero divisor is an underflowed product), or every replay steps
-    # into inf and NaN and reads as no attack.  An integer field or product
-    # beyond the float range in a numerator makes the quotient infinite; one
-    # only in a divisor is named last, as the kernel cannot divide by it.
-    # A divisor is the product of its two factors, or its first alone
-    h4, dt = 4 * p.h_inertia, p.dt
-    divisor_only = None
-    for name, numerator, factor, other in (
-            ("4*h_inertia/dt", h4, dt, None),
-            ("dt/(4*h_inertia)", dt, h4, None),
-            ("dt/(droop_r*governor_t)", dt, p.droop_r, p.governor_t),
-            ("f_nominal/(rocof_window_m*dt)", p.f_nominal, p.rocof_window_m,
-             dt)):
-        try:
-            quotient = numerator / (factor if other is None else factor * other)
-        except ZeroDivisionError:
-            quotient = math.inf
-        except OverflowError:
-            if is_finite_real(numerator):
-                divisor_only = divisor_only or name
-                continue
-            quotient = math.inf
+    # each quotient the step kernel derives must be finite (a zero divisor
+    # is an underflowed product): a replay into inf and NaN reads as no attack
+    for name, numerator, divisor in (
+            ("4*h_inertia/dt", 4 * p.h_inertia, p.dt),
+            ("dt/(4*h_inertia)", p.dt, 4 * p.h_inertia),
+            ("dt/(droop_r*governor_t)", p.dt, p.droop_r * p.governor_t),
+            ("f_nominal/(rocof_window_m*dt)", p.f_nominal, m * p.dt)):
+        quotient = numerator / divisor if divisor else math.inf
         _require(is_finite_real(quotient), name, "must be finite", quotient)
-    _require(divisor_only is None, divisor_only, "must be finite", math.inf)
 
     if p.dt > p.governor_t:
         raise StabilityViolation(
@@ -222,11 +230,8 @@ def validate_grid(config: GridConfig) -> GridConfig:
         )
     try:
         coeff = p.delta_f_coefficient
-    except ZeroDivisionError:  # 4*H*R*T underflows to 0
+    except ArithmeticError:  # 4*H*R*T underflows to 0, or dt**2 overflows
         coeff = -math.inf
-    except OverflowError:  # an integer factor of 4*H*R*T beyond the floats
-        raise InvalidParameter("dt**2/(4*h_inertia*droop_r*governor_t)",
-                               "must be finite", math.inf) from None
     if not (-1.0 < coeff <= 1.0):
         raise StabilityViolation(
             f"frequency-update coefficient {coeff} outside (-1, 1]; "
@@ -243,6 +248,8 @@ def validate_grid(config: GridConfig) -> GridConfig:
     lo, hi = ROCOF_THRESHOLD_BAND
     for i, g in enumerate(config.generators):
         _require(g.p_tg > 0, "p_tg", "must be > 0", g.p_tg, "generators", i)
+        _require(g.p_tg < math.inf, "p_tg", "must be finite", g.p_tg,
+                 "generators", i)
         _require(g.rocof_threshold > 0, "rocof_threshold", "must be > 0",
                  g.rocof_threshold, "generators", i)
         _require(g.id not in seen, "id", "must be unique", g.id,
@@ -258,6 +265,8 @@ def validate_grid(config: GridConfig) -> GridConfig:
 
     for i, l in enumerate(config.loads):
         _require(l.p_sh > 0, "p_sh", "must be > 0", l.p_sh, "loads", i)
+        _require(l.p_sh < math.inf, "p_sh", "must be finite", l.p_sh,
+                 "loads", i)
         if not 0 < l.underfreq_threshold < p.f_nominal:
             raise InvalidParameter(f"loads[{i}].underfreq_threshold",
                                    f"must lie in (0, {p.f_nominal})",
@@ -269,16 +278,13 @@ def validate_grid(config: GridConfig) -> GridConfig:
 
 
 def _valid_bound(toi, ad, der_total, kappa) -> float:
-    """The :func:`capability_bound` of these capability fields, after the
-    capability checks of :func:`validate_config`, with no capability built."""
+    """The :func:`capability_bound` of these float capability fields, after
+    their checks in :func:`validate_config`, with no capability built."""
     _require(0 <= toi <= 1, "capability.toi", "must lie in [0, 1]", toi)
     _require(0 <= ad <= 1, "capability.ad", "must lie in [0, 1]", ad)
     _require(der_total >= 0, "capability.der_total", "must be >= 0", der_total)
     _require(kappa >= 0, "capability.kappa", "must be >= 0", kappa)
-    try:
-        bound = kappa * toi * ad * der_total  # as capability_bound multiplies
-    except OverflowError:  # a float times an integer beyond the floats
-        bound = None
+    bound = kappa * toi * ad * der_total  # as capability_bound multiplies
     _require(is_finite_real(bound), "capability",
              "bound kappa*toi*ad*der_total must be finite", bound)
     return bound
@@ -406,14 +412,12 @@ def config_from_dict(data: dict) -> GridConfig:
         unknown += _unknown_keys(data["attacker"], _ATTACKER_KEYS, "attacker")
     _warn_unknown("config", unknown, 2)
 
-    window = _get(data, "rocof_window_m", int)
-    require_json_type(window, "rocof_window_m", float)  # and a float holds it
     params = GridParams(
         _get(data, "inertia_h_s", float),
         _get(data, "droop_r_pu", float),
         _get(data, "governor_t_s", float),
         _get(data, "dt_s", float),
-        window,
+        _get(data, "rocof_window_m", int),
         require_json_type(data.get("frequency_nominal_hz", 60.0),
                           "frequency_nominal_hz", float),
     )

@@ -37,6 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .config import (
     GridConfig,
+    _as_floats,
     _valid_bound,
     is_finite_real,
     validate_grid,
@@ -121,7 +122,8 @@ class SweepSpec(_SweepSpec):
     and calibration factor, step size, window length, and nominal frequency.
     A ``SPECIFIC`` goal must name one of its relays, and the goal's horizon
     must span one ROCOF window of it, since the window length is not swept.
-    Swept values and the tolerance are stored as floats, as a spec file's.
+    Swept values, the tolerance and the base config's real fields are
+    stored as floats, as a spec file's.
     """
 
     __slots__ = ()
@@ -151,6 +153,7 @@ class SweepSpec(_SweepSpec):
             raise InvalidParameter("tolerance", "must be finite and > 0",
                                    self.tolerance)
         floats["tolerance"] = float(self.tolerance)
+        floats["base"] = _as_floats(self.base)
         check_relay_id(self.base, self.goal)
         _check_horizon(self.base, self.goal.horizon)
         return super().__new__(cls, **{**self._asdict(), **floats})
@@ -554,8 +557,9 @@ def read_records_csv(path) -> list[SweepRecord]:
     ``false``, the parameter columns and a ``min_dp_a`` present must be
     finite, and ``status`` must not be blank.  A success names its attack
     type, ``min_dp_a`` and a ``trip_step`` >= 0, and a failure none of them,
-    as :func:`write_records_csv` writes them.  A file that is not UTF-8 text
-    or has any other malformed row raises :class:`InvalidParameter`.  Each
+    as :func:`write_records_csv` writes them.  Each ``combo_id`` is >= 0
+    and names one row, in any order.  A file that is not UTF-8 text or has
+    any other malformed row raises :class:`InvalidParameter`.  Each
     distinct number text is parsed and checked once, the first time it
     occurs, so a bad one fails at the first row that holds it.
     """
@@ -571,7 +575,7 @@ def read_records_csv(path) -> list[SweepRecord]:
         raise InvalidParameter("records", "no data rows", 0)
     has_status = header == SWEEP_CSV_HEADER
     number = _Once(_finite).__getitem__
-    records = []
+    records, ids = [], set()
     for ln in lines[1:]:
         parts = ln.split(",")
         status = parts[-1] if has_status else "ok"
@@ -601,6 +605,10 @@ def read_records_csv(path) -> list[SweepRecord]:
                 "min_dp_a and trip_step, a failure none of them", ln)
         if success and record.trip_step < 0:
             raise InvalidParameter("records", "malformed row: trip_step < 0", ln)
+        if record.combo_id < 0 or record.combo_id in ids:
+            raise InvalidParameter("records", "malformed row: combo_id " + (
+                "< 0" if record.combo_id < 0 else "repeated"), ln)
+        ids.add(record.combo_id)
         records.append(record)
     return records
 

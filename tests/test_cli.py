@@ -1052,6 +1052,64 @@ class TestIntegerSpellings:
         assert "Traceback" not in capsys.readouterr().err
 
 
+class TestPythonIntegerSpellings:
+    """A config built in Python with integer fields, R*T among them beyond
+    what products of floats keep exact, runs as its float spelling does
+    once :func:`frosim.validate_config` or a :class:`frosim.SweepSpec` has
+    read it."""
+
+    BIG = 2 ** 600
+
+    def spelling(self, number):
+        """The case-study grid with H, R, T, g4's block and kappa spelled by
+        *number*."""
+        grid = load_config(CASE_STUDY_GRID)
+        return grid._replace(
+            params=grid.params._replace(h_inertia=number(2),
+                                        droop_r=number(self.BIG),
+                                        governor_t=number(self.BIG)),
+            generators=[grid.generators[0]._replace(p_tg=number(1)),
+                        *grid.generators[1:]],
+            capability=grid.capability._replace(kappa=number(60)))
+
+    def test_validation_returns_the_float_spelling(self):
+        validated = frosim.validate_config(self.spelling(int))
+        assert repr(validated) == repr(self.spelling(float))
+        p = validated.params
+        reals = [p.h_inertia, p.droop_r, p.governor_t, p.dt, p.f_nominal,
+                 *validated.capability]
+        for relay in (*validated.generators, *validated.loads):
+            reals += relay[2:]
+        assert {type(value) for value in reals} == {float}
+        assert type(p.rocof_window_m) is int
+
+    def test_a_float_config_is_returned_itself(self):
+        config = self.spelling(float)
+        assert frosim.validate_config(config) is config
+
+    def test_synthesis_and_simulation(self):
+        results = []
+        for number in (int, float):
+            config = frosim.validate_config(self.spelling(number))
+            results.append(repr((
+                frosim.synthesize_min_attack(config, frosim.AttackGoal(60)),
+                simulate(config, AttackSignal(-0.3), 60))))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep(self, workers):
+        records = []
+        for number in (int, float):
+            spec = frosim.SweepSpec(
+                base=self.spelling(number),
+                goal=frosim.AttackGoal(horizon=12),
+                h_values=(2, 6.0), r_values=(0.2,), t_values=(0.2, 1),
+                toi_pct_values=(2.0, 10.0), ad_pct_values=(100.0,))
+            assert repr(spec.base) == repr(self.spelling(float))
+            records.append(repr(frosim.run_sweep(spec, workers=workers)))
+        assert records[0] == records[1]
+
+
 def test_one_parser_serves_every_command(tmp_path, monkeypatch):
     # synthesize, a rejected flag, then sweep: in one process as in three
     cfg = tmp_path / "grid.json"

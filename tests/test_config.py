@@ -8,6 +8,7 @@ import random
 import pytest
 
 from frosim import (
+    AttackSignal,
     AttackerCapability,
     GeneratorRelay,
     GridConfig,
@@ -17,9 +18,10 @@ from frosim import (
     StabilityViolation,
     capability_bound,
     load_config,
+    simulate,
     validate_config,
 )
-from frosim.config import _valid_bound
+from frosim.config import _valid_bound, is_finite_real
 from conftest import C1_GENERATORS, C1_LOADS, study_config
 
 
@@ -66,23 +68,43 @@ class TestValidateConfig:
         ("dt/(droop_r*governor_t)",
          dict(droop_r=1e-200, governor_t=1e-200, dt=1e-201)),
         ("f_nominal/(rocof_window_m*dt)", dict(f_nominal=1e300, dt=1e-10)),
-        # integers, or an integer product, that convert to no float
-        ("dt/(droop_r*governor_t)",
-         dict(droop_r=2 ** 600, governor_t=2 ** 600)),
-        ("4*h_inertia/dt", dict(h_inertia=2 ** 1100)),
-        # 4*h_inertia/dt is near 0 here; its reciprocal is the infinite one
-        ("dt/(4*h_inertia)", dict(dt=2 ** 1100)),
-        ("f_nominal/(rocof_window_m*dt)", dict(rocof_window_m=2 ** 1100)),
-        ("f_nominal/(rocof_window_m*dt)", dict(f_nominal=2 ** 1100)),
-        ("dt**2/(4*h_inertia*droop_r*governor_t)",
-         dict(dt=1, droop_r=2 ** 1100, governor_t=1)),
+        # integers that convert to no float are named as fields, as a JSON
+        # number beyond the floats is
+        ("h_inertia", dict(h_inertia=2 ** 1100)),
+        ("dt", dict(dt=2 ** 1100)),
+        ("rocof_window_m", dict(rocof_window_m=2 ** 1100)),
+        ("f_nominal", dict(f_nominal=2 ** 1100)),
+        ("droop_r", dict(dt=1, droop_r=2 ** 1100, governor_t=1)),
     ])
     def test_overflowing_step_factor_rejected(self, field, kw):
         # each value is > 0, but a quotient the step kernel derives from
-        # the params is not finite, or is no float at all
+        # the params is not finite, or the value is no float at all
         with pytest.raises(InvalidParameter) as exc:
             validate_config(make_config(**kw))
         assert exc.value.field == field
+
+    def test_overflowing_step_square_is_unstable(self):
+        # every quotient is finite and dt <= T, but dt**2 overflows
+        with pytest.raises(StabilityViolation) as exc:
+            validate_config(make_config(h_inertia=1e200, droop_r=1.0,
+                                        governor_t=1e300, dt=1e200))
+        assert exc.value.coefficient == -math.inf
+
+    @pytest.mark.parametrize("roster,field", [("generators", "p_tg"),
+                                              ("loads", "p_sh")])
+    def test_infinite_relay_block_rejected(self, roster, field):
+        # an infinite block passes "> 0", but its trip or shed steps the
+        # frequency into NaN, which no relay reads as an event
+        cfg = study_config()
+        relays = list(getattr(cfg, roster))
+        relays[0] = relays[0]._replace(**{field: math.inf})
+        infinite = cfg._replace(**{roster: relays})
+        end = simulate(infinite, AttackSignal(-0.3), 60).records[-1]
+        assert math.isnan(end.delta_f)
+        with pytest.raises(InvalidParameter) as exc:
+            validate_config(infinite)
+        assert exc.value.field == f"{roster}[0].{field}"
+        assert str(exc.value) == f"{roster}[0].{field}: must be finite (got inf)"
 
     def test_underflowing_coefficient_divisor_rejected(self):
         # every step factor is finite, but 4*H*R*T underflows to zero
@@ -312,36 +334,33 @@ def _outcome(call):
 
 def _expected_field(toi, ad, der_total, kappa):
     """The field the documented capability checks name, in their order, or
-    None when they accept; an OverflowError of the product propagates."""
+    None when they accept."""
     for name, ok in (("toi", 0 <= toi <= 1), ("ad", 0 <= ad <= 1),
                      ("der_total", der_total >= 0), ("kappa", kappa >= 0)):
         if not ok:
             return f"capability.{name}"
-    bound = kappa * toi * ad * der_total
-    try:
-        finite = math.isfinite(bound)
-    except OverflowError:  # an integer beyond the floats
-        finite = False
-    return None if finite else "capability"
+    return None if math.isfinite(kappa * toi * ad * der_total) else "capability"
 
 
 def test_valid_bound_matches_the_public_path():
+    # the public path reads each field as a float first, as JSON input is
+    # read, and _valid_bound checks those floats
     grid = validate_config(make_config())
-    for toi, ad, der_total, kappa in itertools.product(BOUND_FIELD_VALUES,
-                                                       repeat=4):
-        cap = AttackerCapability(toi, ad, der_total, kappa)
+    for fields in itertools.product(BOUND_FIELD_VALUES, repeat=4):
+        cap = AttackerCapability(*fields)
         public = _outcome(lambda: validate_config(grid._replace(capability=cap)))
-        bound = _outcome(lambda: _valid_bound(toi, ad, der_total, kappa))
-        try:
-            field = _expected_field(toi, ad, der_total, kappa)
-        except OverflowError:
-            assert bound[0] is InvalidParameter, cap
-            assert bound[2] == "capability", cap
-            assert public == bound, cap
+        unread = [name for name, value in zip(cap._fields, fields)
+                  if type(value) is not float and not is_finite_real(value)]
+        if unread:  # a boolean or an integer beyond the floats
+            assert public[0] is InvalidParameter, cap
+            assert public[2] == f"capability.{unread[0]}", cap
             continue
+        floats = AttackerCapability(*map(float, fields))
+        bound = _outcome(lambda: _valid_bound(*floats))
+        field = _expected_field(*floats)
         if field is None:
             assert public[0] == "ok", cap
-            assert bound == _outcome(lambda: capability_bound(cap)), cap
+            assert bound == _outcome(lambda: capability_bound(floats)), cap
         else:
             assert bound[0] is InvalidParameter and bound[2] == field, cap
             assert public == bound, cap

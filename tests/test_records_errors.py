@@ -26,6 +26,7 @@ from frosim.sweep import (
     AttackType,
     SweepRecord,
     read_records_csv,
+    trend_report,
     write_records_csv,
 )
 
@@ -115,6 +116,16 @@ def test_the_written_file_reads_back_every_value(tmp_path):
     path = tmp_path / "records.csv"
     path.write_bytes(data)
     assert repr(read_records_csv(path)) == repr(RECORDS)
+
+
+def test_rows_sorted_by_another_column_report_as_written(tmp_path):
+    # each combo_id names one row, but the rows may come in any order
+    header, *rows = written(tmp_path).decode("utf-8").splitlines()
+    by_ad = sorted(rows, key=lambda row: float(row.split(",")[5]))
+    assert by_ad != rows
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([header, *by_ad, ""]), encoding="utf-8")
+    assert trend_report(read_records_csv(path)) == trend_report(RECORDS)
 
 
 def test_every_outcome_matches_its_pin(tmp_path):
