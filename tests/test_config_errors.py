@@ -16,7 +16,6 @@ message re-records the table with::
 import copy
 import json
 import math
-import sys
 import warnings
 from pathlib import Path
 
@@ -140,7 +139,8 @@ def test_the_table_covers_each_kind_of_mutant():
 if __name__ == "__main__":
     import tempfile
 
+    from pin_tables import rewrite
+
     with tempfile.TemporaryDirectory() as tmp:
         pins = table(Path(tmp))
-    TABLE.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(pins)} pins written to {TABLE}", file=sys.stderr)
+    rewrite(TABLE, pins)

@@ -90,8 +90,9 @@ def test_a_library_caller_that_configures_logging_gets_the_debug_line():
 if __name__ == "__main__":
     import tempfile
 
+    from pin_tables import rewrite
+
     with tempfile.TemporaryDirectory() as tmp:
         pins = {case: outcome(case, Path(tmp) / str(i))
                 for i, case in enumerate(CASES)}
-    TABLE.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(pins)} pins written to {TABLE}", file=sys.stderr)
+    rewrite(TABLE, pins)

@@ -16,7 +16,6 @@ A change that is meant to alter an outcome re-records the table with::
 
 import json
 import math
-import sys
 import warnings
 from pathlib import Path
 
@@ -102,6 +101,6 @@ def test_the_table_covers_each_field_and_value():
 
 
 if __name__ == "__main__":
-    pins = table()
-    TABLE.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(pins)} pins written to {TABLE}", file=sys.stderr)
+    from pin_tables import rewrite
+
+    rewrite(TABLE, table())

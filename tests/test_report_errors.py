@@ -16,7 +16,6 @@ import hashlib
 import io
 import json
 import shutil
-import sys
 from pathlib import Path
 
 from frosim.cli import EXIT_CONFIG, EXIT_OK, run
@@ -94,7 +93,8 @@ def test_open_questions_are_pinned_as_they_stand():
 if __name__ == "__main__":
     import tempfile
 
+    from pin_tables import rewrite
+
     with tempfile.TemporaryDirectory() as tmp:
         pins = table(Path(tmp))
-    TABLE.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(pins)} pins written to {TABLE}", file=sys.stderr)
+    rewrite(TABLE, pins)
