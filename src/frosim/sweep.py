@@ -67,8 +67,6 @@ SWEEP_CSV_HEADER = (
     "combo_id,h_s,r_pu,t_s,toi_pct,ad_pct,success,attack_type,min_dp_a_pu,"
     "trip_step,status"
 )
-# Records written before the status column existed; read with status "ok".
-_SWEEP_CSV_HEADER_NO_STATUS = SWEEP_CSV_HEADER.rsplit(",", 1)[0]
 
 #: Expected trend direction per parameter: success counts should not rise
 #: with inertia or droop, and should not fall with the governor time
@@ -549,19 +547,21 @@ def _finite(text: str) -> float:
 _ATTACK_TYPES = {t.value: t for t in AttackType}
 
 
+def _error_names(cls=FrosimError) -> set:
+    return {cls.__name__}.union(*map(_error_names, cls.__subclasses__()))
+
+
 def read_records_csv(path) -> list[SweepRecord]:
     """Parse a sweep CSV back into records (for the report stage).
 
-    A file with the older header, which lacks the ``status`` column, reads
-    with status ``ok`` on every record.  ``success`` must read ``true`` or
-    ``false``, the parameter columns and a ``min_dp_a`` present must be
-    finite, and ``status`` must not be blank.  A success names its attack
-    type, ``min_dp_a`` and a ``trip_step`` >= 0, and a failure none of them,
-    as :func:`write_records_csv` writes them.  Each ``combo_id`` is >= 0
-    and names one row, in any order.  A file that is not UTF-8 text or has
-    any other malformed row raises :class:`InvalidParameter`.  Each
-    distinct number text is parsed and checked once, the first time it
-    occurs, so a bad one fails at the first row that holds it.
+    Each line must be as :func:`write_records_csv` writes it from
+    :func:`run_sweep`'s records: the header, ``success`` ``true`` or
+    ``false``, finite parameters and ``min_dp_a``, a ``status`` of ``ok``
+    or the name of a :class:`FrosimError` class, and an attack type,
+    ``min_dp_a`` and a ``trip_step`` >= 0 for a success alone.  Each
+    ``combo_id`` is >= 0 and names one row, in any order.  Any other file
+    raises :class:`InvalidParameter`.  Each distinct number text is parsed
+    and checked once, so a bad one fails at the first row that holds it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -569,17 +569,16 @@ def read_records_csv(path) -> list[SweepRecord]:
     except UnicodeDecodeError as exc:
         raise InvalidParameter("records", "not UTF-8 text") from exc
     header = lines[0] if lines else ""
-    if header not in (SWEEP_CSV_HEADER, _SWEEP_CSV_HEADER_NO_STATUS):
+    if header != SWEEP_CSV_HEADER:
         raise InvalidParameter("records", "missing or wrong header", header)
     if len(lines) < 2:
         raise InvalidParameter("records", "no data rows", 0)
-    has_status = header == SWEEP_CSV_HEADER
+    statuses = {"ok", *_error_names()}
     number = _Once(_finite).__getitem__
     records, ids = [], set()
     for ln in lines[1:]:
         parts = ln.split(",")
-        status = parts[-1] if has_status else "ok"
-        if (len(parts) != 10 + has_status or not status.strip()
+        if (len(parts) != 11 or parts[10] not in statuses
                 or parts[6] not in ("true", "false")):
             raise InvalidParameter("records", "malformed row", ln)
         success = parts[6] == "true"
@@ -593,7 +592,7 @@ def read_records_csv(path) -> list[SweepRecord]:
                 _ATTACK_TYPES.get(parts[7]) or AttackType(parts[7]),
                 number(parts[8]) if parts[8] else None,
                 int(parts[9]) if parts[9] else None,
-                status,
+                parts[10],
             ))
         except (ValueError, KeyError) as exc:
             raise InvalidParameter("records", f"malformed row: {exc}", ln) from exc

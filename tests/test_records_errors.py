@@ -5,7 +5,7 @@ Each case changes one place in a small records file written by
 ``0`` and repeat a parameter value and an answer: a data cell swapped for
 an empty string, ``nan``, ``inf``, ``-1``, ``1e999``, text or a NUL; a row
 dropped, repeated or moved to the other end; the header with a BOM, without
-one of its columns or with an extra one; the older layout with no status
+one of its columns or with an extra one; every line without its status
 column; CRLF line ends, no final newline, or one byte that is not UTF-8.
 Each outcome is the exception's class and ``str`` from
 :func:`frosim.sweep.read_records_csv`, or ``ok`` with a digest of the

@@ -1,6 +1,7 @@
 """Sweep harness: combination generation, execution, trends, file formats."""
 
 import functools
+import json
 import math
 import random
 from collections import Counter
@@ -42,7 +43,7 @@ from frosim.sweep import (
     trend_report_dict,
     write_trend_outputs,
 )
-from frosim.cli import _spec_from_file
+from frosim.cli import _spec_from_file, run
 from conftest import study_config
 
 DEMO_SPEC = Path(__file__).resolve().parent.parent / "demos" / "sweep_spec.json"
@@ -117,6 +118,12 @@ class TestGenerateCombinations:
     def test_empty_list_rejected(self):
         with pytest.raises(InvalidParameter):
             small_spec(h_values=())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(InvalidParameter,
+                           match="^h_values: must be a list of finite numbers"):
+            small_spec(h_values=(2.0, value))
 
     def test_random_requires_count(self):
         with pytest.raises(InvalidParameter):
@@ -202,6 +209,41 @@ class TestRunSweep:
         records = run_sweep(small_spec(base=base, toi_pct_values=(0.0, 2.0)))
         assert {(r.toi_pct, r.status) for r in records} == {
             (0.0, "ok"), (2.0, "InvalidParameter")}
+        assert not any(r.success for r in records)
+
+    def test_failed_synthesis_fails_its_group_alone(self, monkeypatch,
+                                                    tmp_path, capsys):
+        spec = small_spec()
+        want = run_sweep(spec)
+        # the H = 6 group holds a success, which the failure must not keep
+        assert any(r.success for r in want if r.h == 6.0)
+        min_attacks = frosim.sweep._min_attacks
+
+        def failing(config, *args):
+            if config.params.h_inertia == 6.0:
+                raise InvalidParameter("capability", "synthesis failed")
+            return min_attacks(config, *args)
+
+        monkeypatch.setattr(frosim.sweep, "_min_attacks", failing)
+        records = run_sweep(spec, workers=1)
+        assert [r for r in records if r.h != 6.0] == [
+            r for r in want if r.h != 6.0]
+        failed = [r for r in records if r.h == 6.0]
+        assert failed == [r._replace(success=False, attack_type=AttackType.NONE,
+                                     min_dp_a=None, trip_step=None,
+                                     status="InvalidParameter")
+                          for r in want if r.h == 6.0]
+        path, out = tmp_path / "records.csv", tmp_path / "report.json"
+        write_records_csv(records, path)
+        capsys.readouterr()
+        assert run(["report", "--records", str(path), "--out", str(out)]) == 0
+        assert "8 records, 3 successes, 4 excluded" in capsys.readouterr().out
+        assert json.loads(out.read_text())["excluded_records"] == 4
+
+    def test_every_capability_invalid_fails_every_record(self):
+        records = run_sweep(small_spec(toi_pct_values=(150.0,)))
+        assert len(records) == 4
+        assert {r.status for r in records} == {"InvalidParameter"}
         assert not any(r.success for r in records)
 
     def test_records_ordered_by_combo_id(self):
@@ -909,7 +951,9 @@ class TestFiles:
         assert [r.status for r in back] == [r.status for r in records]
         assert {r.status for r in back} == {"ok", "InvalidParameter"}
 
-    def test_header_without_status_reads_ok(self, tmp_path):
+    def test_header_without_status_rejected(self, tmp_path):
+        # no sweep writes this layout, whose rows could not tell a failed
+        # combination from one with no attack
         records = run_sweep(small_spec())
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
@@ -917,10 +961,45 @@ class TestFiles:
         assert old[0] == ("combo_id,h_s,r_pu,t_s,toi_pct,ad_pct,success,"
                           "attack_type,min_dp_a_pu,trip_step")
         path.write_text("\n".join(old) + "\n")
-        back = read_records_csv(path)
-        assert len(back) == len(records)
-        assert all(r.status == "ok" for r in back)
-        assert [r.success for r in back] == [r.success for r in records]
+        with pytest.raises(InvalidParameter,
+                           match="^records: missing or wrong header"):
+            read_records_csv(path)
+
+    def test_every_error_status_round_trips(self, tmp_path):
+        # run_sweep writes the name of the FrosimError class it caught
+        errors = [FrosimError]
+        for cls in errors:
+            errors += cls.__subclasses__()
+        names = {cls.__name__ for cls in errors}
+        assert names >= {"FrosimError", "InvalidParameter",
+                         "StabilityViolation", "HorizonTooShort",
+                         "CapabilityExceeded", "NonMonotoneFeasibility"}
+
+        class LaterError(InvalidParameter):
+            """A class the reader was never told of."""
+
+        path = tmp_path / "records.csv"
+        for name in [*names, LaterError.__name__]:
+            records = [SweepRecord(0, 2.0, 0.2, 0.2, 2.0, 20.0, False,
+                                   AttackType.NONE, status=name)]
+            write_records_csv(records, path)
+            assert repr(read_records_csv(path)) == repr(records), name
+
+    @pytest.mark.parametrize("status", [
+        "x", "OK", "ok ", " ok", "None", "-1", "nan", "\0", "ValueError",
+        "Exception", "invalidparameter", "InvalidParameter ",
+        "frosim.errors.InvalidParameter"])
+    def test_a_status_no_sweep_writes_exits_2(self, tmp_path, capsys, status):
+        path = tmp_path / "records.csv"
+        write_records_csv([SweepRecord(0, 2.0, 0.2, 0.2, 2.0, 20.0, False,
+                                       AttackType.NONE, status=status)], path)
+        with pytest.raises(InvalidParameter, match="^records: malformed row"):
+            read_records_csv(path)
+        out = tmp_path / "report.json"
+        assert run(["report", "--records", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: records: malformed row")
+        assert not out.exists()
 
     @pytest.mark.parametrize("column,value", [
         (6, "yes"), (6, "1"), (6, ""), (8, "nan"), (8, "-inf"), (8, "inf"),
