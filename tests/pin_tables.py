@@ -27,8 +27,5 @@ def rewrite(path: Path, pins: dict) -> None:
     for name in old:
         if name not in new:
             print(f"removed: {name}", file=sys.stderr)
-    if [name for name in new if name in old] != [
-            name for name in old if name in new]:
-        print("reordered: the pins kept", file=sys.stderr)
     path.write_text(text, encoding="utf-8")
     print(f"{len(pins)} pins written to {path}", file=sys.stderr)

@@ -26,7 +26,8 @@ import shutil
 from pathlib import Path
 
 from frosim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, run
-from test_records_errors import written
+from frosim.sweep import write_records_csv
+from test_records_errors import RECORDS
 
 TABLE = Path(__file__).resolve().parent / "report_argv.json"
 
@@ -35,8 +36,7 @@ def fixtures(directory: Path) -> dict:
     """Make *directory* with the records file, ``a_file`` and ``a_dir``;
     the flags of the unchanged argv, as absolute paths."""
     directory.mkdir()
-    (directory / "records.csv").write_bytes(written(directory))
-    (directory / "written.csv").unlink()
+    write_records_csv(RECORDS, directory / "records.csv")
     (directory / "a_file").write_text("not a directory\n", encoding="utf-8")
     (directory / "a_dir").mkdir()
     return {"--records": str(directory / "records.csv"),
@@ -50,9 +50,9 @@ def argvs(flags: dict):
     def argv(flag=None, value=None):
         """The unchanged argv with *flag* set to *value*, or dropped when
         *value* is None."""
-        return ["report", *(item for f, v in flags.items()
-                            if f != flag or value is not None
-                            for item in (f, value if f == flag else v))]
+        changed = {**flags, flag: value} if flag else flags
+        return ["report", *(item for f, v in changed.items()
+                            if v is not None for item in (f, v))]
 
     yield "unchanged", argv()
     here = Path(flags["--records"]).parent
