@@ -8,14 +8,16 @@ Subcommands: ``simulate`` (run one injection, write the trace CSV),
 Exit codes are a stable contract: 0 success, 1 no attack exists, 2 bad
 configuration, spec or flag (including a ``--relay-id`` that names no relay
 of the grid, a ``--workers`` outside 1..cpu count and a sweep goal horizon
-shorter than one ROCOF window, a ``--trace-out`` that names the ``--out``
-file, a report ``--out`` that names one of its trend CSVs, and an output
-that names the command's ``--config``, ``--spec``, the spec's
-``base_config_file`` or ``--records``), 3 output I/O failure.  A command
-that exits 3 removes every output file it created, and a ``report`` the
-``--csv-dir`` parents it made.  Commands raise; :func:`run` alone maps a
-failure to its exit code and stderr line.  Synthesis answers every goal
-exactly and never declines, so no command exits 4.
+shorter than one ROCOF window), 3 output I/O failure.  Each command names
+its input and output paths once, as ``(flag, path)`` pairs, a derived path
+by what it comes from (``the .meta.json of --out``), and checks them before
+it searches or writes: an empty path, and an output that names an input
+(the spec's ``base_config_file`` among them) or another output, exit 2.  A
+write that fails at the file system exits 3, once the command has removed
+every output it created and each directory it made above one.  Commands
+raise; :func:`run` alone maps a failure to its exit code and stderr line.
+Synthesis answers every goal exactly and never declines, so no command
+exits 4.
 
 The environment variable FRO_LOG_LEVEL (error|warn|info|debug) controls
 logging verbosity.  At ``error`` and ``warn``, the default, a command loads
@@ -55,6 +57,7 @@ from .dynamics import (
 )
 from .errors import FrosimError, InvalidParameter
 from .sweep import (
+    EXPECTED_DIRECTIONS,
     AttackType,
     SweepMode,
     SweepSpec,
@@ -92,22 +95,22 @@ def parse_quantity(text: str, f_nominal: float) -> float:
     return float(t)
 
 
-def _same_file(a, b) -> bool:
-    """Whether paths *a* and *b* name one file: equal absolute paths, or
-    the same existing file."""
-    return (os.path.abspath(a) == os.path.abspath(b)
-            or os.path.exists(a) and os.path.exists(b)
-            and os.path.samefile(a, b))
-
-
-def _check_outputs(flag: str, path, *outputs) -> None:
-    """Raise :class:`InvalidParameter` when one of *outputs*, ``(label,
-    path)`` pairs, names the input file *path* of *flag*, which the command
+def _check_paths(inputs, outputs) -> None:
+    """Raise :class:`InvalidParameter`, before a command searches or writes,
+    when a path of *inputs* or *outputs*, ``(label, path)`` pairs, is empty,
+    or when an output names an input or another output, which the command
     would overwrite."""
-    for label, out in outputs:
-        if _same_file(out, path):
-            raise InvalidParameter(label, f"names the same file as {flag}",
-                                   str(out))
+    for label, path in (*inputs, *outputs):
+        if not str(path):
+            raise InvalidParameter(label, "must not be empty")
+    for i, (label, out) in enumerate(outputs):
+        for other, path in (*inputs, *outputs[:i]):
+            # equal absolute paths, or one existing file by two paths
+            if (os.path.abspath(out) == os.path.abspath(path)
+                    or os.path.exists(out) and os.path.exists(path)
+                    and os.path.samefile(out, path)):
+                raise InvalidParameter(
+                    label, f"names the same file as {other}", str(out))
 
 
 class _Exit(Exception):
@@ -115,31 +118,24 @@ class _Exit(Exception):
 
 
 @contextlib.contextmanager
-def _writing(what: str, *paths):
-    """Run a command's writes to *paths*: on :class:`OSError`, remove those
-    of *paths* that did not exist before, in order (files, then a directory
-    once it is empty), and fail with exit 3."""
-    created = [Path(p) for p in paths if not os.path.lexists(p)]
+def _writing(what: str, outputs):
+    """Run a command's writes to *outputs*, ``(label, path)`` pairs: on
+    :class:`OSError`, remove each output that did not exist before and each
+    missing directory above one, deepest first, and fail with exit 3."""
+    created = set()
+    for _, path in outputs:
+        path = Path(os.path.abspath(path))
+        for p in (path, *path.parents):
+            if os.path.lexists(p):
+                break
+            created.add(p)
     try:
         yield
     except OSError as exc:
-        for path in created:
-            try:
-                if path.is_dir():
-                    path.rmdir()
-                else:
-                    path.unlink(missing_ok=True)
-            except OSError:
-                pass
+        for path in sorted(created, key=lambda p: len(p.parts), reverse=True):
+            with contextlib.suppress(OSError):
+                (path.rmdir if path.is_dir() else path.unlink)()
         raise _Exit(EXIT_IO, f"error writing {what}: {exc}") from exc
-
-
-def _sim_options(args) -> SimOptions:
-    return SimOptions(
-        literal_accumulation=args.literal_accumulation,
-        literal_signs=args.literal_signs,
-        rescale_inertia=args.rescale_inertia,
-    )
 
 
 def _goal(horizon, target: TargetKind, sign: Sign, relay_id,
@@ -159,6 +155,8 @@ def _goal_from_args(args) -> AttackGoal:
 
 
 def cmd_simulate(args) -> int:
+    outputs = (("--out", args.out),)
+    _check_paths((("--config", args.config),), outputs)
     config = load_config(args.config)
     dp_a = parse_quantity(args.dp_a, config.params.f_nominal)
     if not math.isfinite(dp_a):
@@ -167,10 +165,11 @@ def cmd_simulate(args) -> int:
     # the replay loop checks the horizon only once the writer steps it,
     # after the output file exists
     _check_horizon(config, args.horizon)
-    _check_outputs("--config", args.config, ("--out", args.out))
-    with _writing(args.out, args.out):
+    # each switch's flag sets the SimOptions field of its name
+    options = SimOptions._make(getattr(args, f) for f in SimOptions._fields)
+    with _writing(args.out, outputs):
         rows, events = write_trace_csv(
-            _steps(config, attack, args.horizon, _sim_options(args)), args.out)
+            _steps(config, attack, args.horizon, options), args.out)
     log = _logger("frosim", "INFO")
     if log:
         log.info("trace written to %s (%d rows, %d events)", args.out, rows,
@@ -179,6 +178,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    trace_out = (str(args.out) + ".trace.csv" if args.trace_out is None
+                 else args.trace_out)
+    outputs = (("--out", args.out), ("--trace-out", trace_out))
+    _check_paths((("--config", args.config),), outputs)
     config = load_config(args.config)
     goal = _goal_from_args(args)
     check_relay_id(config, goal)
@@ -186,18 +189,13 @@ def cmd_synthesize(args) -> int:
     if not 0 < tolerance < math.inf:
         raise InvalidParameter("--tolerance", "must be finite and > 0",
                                tolerance)
-    trace_out = args.trace_out or str(args.out) + ".trace.csv"
-    # the result would overwrite the trace it names
-    _check_outputs("--out", args.out, ("--trace-out", trace_out))
-    _check_outputs("--config", args.config, ("--out", args.out),
-                   ("--trace-out", trace_out))
     if args.exhaustive:
         outcome = exhaustive_min_attack(config, goal, tolerance)
     else:
         outcome = synthesize_min_attack(config, goal)
 
     trace_file = trace_out if outcome.success else None
-    with _writing("results", *filter(None, (trace_file, args.out))):
+    with _writing("results", outputs):
         if outcome.success:
             write_trace_csv(outcome.vector.trace, trace_file)
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -231,16 +229,16 @@ def _member(kind, value, fld: str):
             repr(m.value) for m in kind), value) from None
 
 
-def _spec_from_file(path, seed_override=None, outputs=()) -> tuple[SweepSpec, str]:
+def _spec_from_file(path, seed_override=None,
+                    inputs=None) -> tuple[SweepSpec, str]:
     """The spec in the JSON file at *path*, and the sha256 of its bytes.
 
     Unknown top-level and ``goal`` keys are ignored with a warning each, as
     :func:`~frosim.config.config_from_dict` ignores unknown config keys.
     A file that is not UTF-8 text, a missing required key and an enum
     value outside its choices raise :class:`InvalidParameter`.
-    An output of *outputs*, ``(label, path)`` pairs, that names the
-    ``base_config_file`` raises :class:`InvalidParameter`, as
-    :func:`_check_outputs` does.
+    A ``base_config_file`` joins the list *inputs*, when one is given, as
+    ``("base_config_file", path)``.
     """
     raw = Path(path).read_bytes()
     try:
@@ -255,8 +253,10 @@ def _spec_from_file(path, seed_override=None, outputs=()) -> tuple[SweepSpec, st
     _warn_unknown("spec", _unknown_keys(data, _SPEC_KEYS), 2)
     if "base_config_file" in data:
         name = require_json_type(data["base_config_file"], "base_config_file", str)
-        _check_outputs("base_config_file", Path(path).parent / name, *outputs)
-        base = load_config(Path(path).parent / name)
+        base_path = Path(path).parent / name
+        if inputs is not None:
+            inputs.append(("base_config_file", base_path))
+        base = load_config(base_path)
     elif "base_config" in data:
         base = config_from_dict(data["base_config"])
     else:
@@ -301,16 +301,17 @@ def cmd_sweep(args) -> int:
         raise _Exit(EXIT_CONFIG, f"error: --workers must be in 1..{cpus} "
                                  f"(got {args.workers})")
     meta = str(args.out) + ".meta.json"
-    outputs = (("--out", args.out), ("the .meta.json of --out", meta))
-    _check_outputs("--spec", args.spec, *outputs)
+    inputs = [("--spec", args.spec)]
     try:
-        spec, spec_sha256 = _spec_from_file(args.spec, args.seed, outputs)
+        spec, spec_sha256 = _spec_from_file(args.spec, args.seed, inputs)
     except (FrosimError, OSError, ValueError) as exc:
         raise _Exit(EXIT_CONFIG, f"error: bad sweep spec: {exc!r}") from exc
+    outputs = (("--out", args.out), ("the .meta.json of --out", meta))
+    _check_paths(inputs, outputs)
     records = run_sweep(spec, workers=args.workers)
     # one pass over the records, into columns; each count below runs in C
     (*_, successes, attack_types, _, _, statuses) = zip(*records)
-    with _writing(args.out, args.out, meta):
+    with _writing(args.out, outputs):
         write_records_csv(records, args.out)
         with open(meta, "w", encoding="utf-8") as fh:
             json.dump({
@@ -332,19 +333,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    csv_dir = Path(args.csv_dir or Path(args.out).parent)
-    records = read_records_csv(args.records)
-    report = trend_report(records)
-    csvs = [trend_csv_path(csv_dir, name) for name in report.parameters]
-    # a trend CSV would overwrite the report
-    if any(_same_file(args.out, csv) for csv in csvs):
-        raise InvalidParameter("--out", "names a trend CSV of --csv-dir",
-                               args.out)
-    _check_outputs("--records", args.records, ("--out", args.out),
-                   *(("a trend CSV of --csv-dir", csv) for csv in csvs))
-    # the writer makes --csv-dir and its missing parents, removed deepest first
-    with _writing("report", args.out, *csvs, csv_dir, *csv_dir.parents):
-        write_trend_outputs(report, args.out, csv_dir)
+    csv_dir = (("the directory of --out", Path(args.out).parent)
+               if args.csv_dir is None else ("--csv-dir", args.csv_dir))
+    outputs = (("--out", args.out), csv_dir, *(
+        ("a trend CSV of --csv-dir", trend_csv_path(csv_dir[1], name))
+        for name in EXPECTED_DIRECTIONS))
+    _check_paths((("--records", args.records),), outputs)
+    report = trend_report(read_records_csv(args.records))
+    with _writing("report", outputs):
+        write_trend_outputs(report, args.out, csv_dir[1])
     print(f"{report.total_records} records, {report.total_successes} successes, "
           f"{report.excluded_records} excluded (status not ok)")
     for name, trend in report.parameters.items():

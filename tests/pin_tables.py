@@ -34,7 +34,8 @@ def rewrite(path: Path, pins: dict, depth: int = 1) -> None:
     name on stderr each pin that moved, was added or was removed.  A table
     of *depth* 2 holds sections of pins."""
     text = json.dumps(pins, indent=1) + "\n"
-    new = _flat(json.loads(text), depth)  # tuples read back as lists, as the old pins do
+    # tuples read back as lists, as the old pins do
+    new = _flat(json.loads(text), depth)
     old = (_flat(json.loads(path.read_text(encoding="utf-8")), depth)
            if path.exists() else {})
     for name, pin in new.items():

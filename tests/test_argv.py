@@ -144,10 +144,10 @@ def argvs(command: str, flags: dict):
             yield f"drop {flag}", argv(flag)
             yield f"double {flag}", [*argv(), flag, value]
         name = Path(value).name if value else action.dest
-        for what, other in (*VALUES.items(),
-                            ("a directory", here / "a_dir"),
-                            ("under a missing parent", here / "missing" / name),
-                            ("under a file parent", here / "a_file" / name)):
+        for what, other in (
+                *VALUES.items(), ("a directory", here / "a_dir"),
+                ("under a missing parent", here / "missing" / name),
+                ("under a file parent", here / "a_file" / name)):
             if not (flag == "--horizon" and what == "huge"):
                 yield f"{flag} {what}", argv(flag, str(other))
     paths = {flag: value for flag, value in flags.items()
@@ -261,6 +261,38 @@ def test_every_pin_keeps_the_exit_code_contract(tmp_path):
         codes = {pin["exit"] for name, pin in pins.items()
                  if (command, name) not in NO_ATTACK}
         assert codes == {EXIT_OK, EXIT_CONFIG, EXIT_IO}, command
+
+
+def test_each_command_writes_exactly_the_outputs_it_declares(
+        tmp_path, monkeypatch):
+    # the outputs a command checks are the paths its cleanup removes, so
+    # those cannot drift apart from what it writes: on success it creates
+    # each declared output that did not exist before, and nothing else
+    import frosim.cli
+
+    recorded = json.loads(TABLE.read_text(encoding="utf-8"))
+    check = frosim.cli._check_paths
+    new = set()
+
+    def spy(inputs, outputs):
+        new.update(path for _, path in outputs if not os.path.lexists(path))
+        return check(inputs, outputs)
+    monkeypatch.setattr(frosim.cli, "_check_paths", spy)
+    run_dir = tmp_path / "run"
+    for command in ARGVS:
+        cases = dict(argvs(command, fixtures(command, run_dir)))
+        inputs = set(listing(run_dir))
+        shutil.rmtree(run_dir)
+        for name, argv in cases.items():
+            if name == "unchanged" or name.startswith("drop ") and (
+                    recorded[command][name]["exit"] == EXIT_OK):
+                new.clear()
+                fixtures(command, run_dir)
+                pin = outcome(argv, run_dir)
+                assert pin["exit"] == EXIT_OK, (command, name)
+                assert set(pin["files"]) - inputs == {
+                    os.path.relpath(path, run_dir) for path in new}, (
+                    command, name)
 
 
 if __name__ == "__main__":

@@ -826,9 +826,10 @@ class TestReport:
     @pytest.mark.parametrize("blocked", ["out", "csv-dir"])
     def test_unwritable_output_exits_3(self, tmp_path, capsys, blocked):
         records = self.records_file(tmp_path)
-        # --out a directory, or --csv-dir a file
+        # --out a directory, or --csv-dir a file that the report does not read
+        (tmp_path / "a_file").write_text("not a directory\n")
         out, csv_dir = ((tmp_path, tmp_path / "csv") if blocked == "out"
-                        else (tmp_path / "trend.json", records))
+                        else (tmp_path / "trend.json", tmp_path / "a_file"))
         capsys.readouterr()
         listing = sorted(tmp_path.rglob("*"))
         assert run(["report", "--records", str(records), "--out", str(out),
@@ -870,7 +871,7 @@ class TestReport:
         capsys.readouterr()
         listing = sorted(tmp_path.rglob("*"))
         assert run(argv + ["--out", str(out)]) == 2
-        assert ("error: --out: names a trend CSV of --csv-dir"
+        assert ("error: a trend CSV of --csv-dir: names the same file as --out"
                 in capsys.readouterr().err)
         assert sorted(tmp_path.rglob("*")) == listing
 
