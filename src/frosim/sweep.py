@@ -544,6 +544,20 @@ def _finite(text: str) -> float:
     return value
 
 
+def _grid_value(text: str) -> float:
+    value = _finite(text)
+    if not value > 0:  # as validate_grid requires
+        raise ValueError(f"H, R and T must be > 0: {text}")
+    return value
+
+
+def _share_value(text: str) -> float:
+    value = _finite(text)
+    if not 0 <= value / 100.0 <= 1:  # the fraction _bound_table checks
+        raise ValueError(f"ToI and AD must lie in [0, 1] as fractions: {text}")
+    return value
+
+
 _ATTACK_TYPES = {t.value: t for t in AttackType}
 
 
@@ -559,9 +573,12 @@ def read_records_csv(path) -> list[SweepRecord]:
     ``false``, finite parameters and ``min_dp_a``, a ``status`` of ``ok``
     or the name of a :class:`FrosimError` class, and an attack type,
     ``min_dp_a`` and a ``trip_step`` >= 0 for a success alone.  Each
-    ``combo_id`` is >= 0 and names one row, in any order.  Any other file
-    raises :class:`InvalidParameter`.  Each distinct number text is parsed
-    and checked once, so a bad one fails at the first row that holds it.
+    ``combo_id`` is >= 0 and names one row, in any order.  An ``ok`` row
+    holds what the model allows, as a sweep writes only those: H, R and T
+    > 0, ToI and AD fractions (the percent over 100) in [0, 1], and both > 0
+    in a success.  Any other file raises :class:`InvalidParameter`.  Each
+    distinct number text is parsed and checked once per kind of column, so
+    a bad one fails at the first row that holds it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -575,18 +592,21 @@ def read_records_csv(path) -> list[SweepRecord]:
         raise InvalidParameter("records", "no data rows", 0)
     statuses = {"ok", *_error_names()}
     number = _Once(_finite).__getitem__
+    checked = (_Once(_grid_value).__getitem__,
+               _Once(_share_value).__getitem__)
     records, ids = [], set()
     for ln in lines[1:]:
         parts = ln.split(",")
         if (len(parts) != 11 or parts[10] not in statuses
                 or parts[6] not in ("true", "false")):
             raise InvalidParameter("records", "malformed row", ln)
-        success = parts[6] == "true"
+        success, ok = parts[6] == "true", parts[10] == "ok"
+        grid, share = checked if ok else (number, number)
         try:
             record = _record((
                 int(parts[0]),
-                number(parts[1]), number(parts[2]), number(parts[3]),
-                number(parts[4]), number(parts[5]),
+                grid(parts[1]), grid(parts[2]), grid(parts[3]),
+                share(parts[4]), share(parts[5]),
                 success,
                 # the enum call only for a miss, for its error text
                 _ATTACK_TYPES.get(parts[7]) or AttackType(parts[7]),
@@ -604,6 +624,10 @@ def read_records_csv(path) -> list[SweepRecord]:
                 "min_dp_a and trip_step, a failure none of them", ln)
         if success and record.trip_step < 0:
             raise InvalidParameter("records", "malformed row: trip_step < 0", ln)
+        if ok and success and not (record.toi_pct and record.ad_pct):
+            # a zero bound is no attack
+            raise InvalidParameter(
+                "records", "malformed row: a success has ToI and AD > 0", ln)
         if record.combo_id < 0 or record.combo_id in ids:
             raise InvalidParameter("records", "malformed row: combo_id " + (
                 "< 0" if record.combo_id < 0 else "repeated"), ln)

@@ -18,8 +18,12 @@ re-records the table with::
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
+import pytest
+
+from frosim.errors import InvalidParameter
 from frosim.sweep import (
     SWEEP_CSV_HEADER,
     AttackType,
@@ -125,6 +129,32 @@ def test_rows_sorted_by_another_column_report_as_written(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("\n".join([header, *by_ad, ""]), encoding="utf-8")
     assert trend_report(read_records_csv(path)) == trend_report(RECORDS)
+
+
+@pytest.mark.parametrize("row,error", [
+    ("2,2,0.2,0.2,0,100,true,ROCOF,0.01,6,ok", "a success has ToI and AD > 0"),
+    ("2,2,0.2,0.2,2,-0,true,LS,0.01,6,ok", "a success has ToI and AD > 0"),
+    ("2,2,0.2,0.2,100.5,20,false,NONE,,,ok", "ToI and AD must lie in [0, 1]"),
+    ("2,2,0.2,0,2,20,false,NONE,,,ok", "H, R and T must be > 0: 0"),
+    ("2,2,0.2,-0,2,20,false,NONE,,,ok", "H, R and T must be > 0: -0"),
+    ("2,2,0.2,0.2,0,100,true,ROCOF,0.01,6,InvalidParameter", None),
+    ("2,0,0.2,0.2,150,-5,false,NONE,,,StabilityViolation", None),
+    ("2,2,0.2,0.2,-0,100,false,NONE,,,ok", None),
+    ("2,2,0.2,0.2,100,100,true,LS,0.01,6,ok", None),
+], ids=["success-toi-0", "success-ad-minus-0", "toi-over-100", "t-0",
+        "t-minus-0", "error-row-success-toi-0", "error-row-any-values",
+        "failure-toi-minus-0", "success-at-100"])
+def test_an_ok_row_holds_what_the_model_allows(tmp_path, row, error):
+    # an error row keeps any finite values; an ok row reads only with the
+    # values a sweep writes
+    path = tmp_path / "records.csv"
+    lines = [SWEEP_CSV_HEADER, "0,2,0.2,0.2,2,20,false,NONE,,,ok", row, ""]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    if error is None:
+        assert len(read_records_csv(path)) == 2
+    else:
+        with pytest.raises(InvalidParameter, match=re.escape(error)):
+            read_records_csv(path)
 
 
 def test_every_outcome_matches_its_pin(tmp_path):

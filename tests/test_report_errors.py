@@ -81,14 +81,15 @@ def test_every_pin_keeps_the_exit_code_contract():
 def test_open_questions_are_pinned_as_they_stand():
     """A repeated row would be counted twice, so it exits 2; rows may come
     in any order, so a moved row reports.  A ``status`` that no sweep
-    writes, as a NUL, exits 2.  A ``-1`` in a parameter column reports,
-    exiting 0; whether it should is an open question, and a change that
-    answers it re-records its pins."""
+    writes, as a NUL, exits 2.  A ``-1`` in a parameter column of an ``ok``
+    row exits 2, since the model allows no such value; a failed row keeps
+    any finite value, so its ``-1`` reports."""
     recorded = json.loads(TABLE.read_text(encoding="utf-8"))
     assert recorded["repeat row 0"]["exit"] == EXIT_CONFIG
     assert "combo_id repeated" in recorded["repeat row 0"]["stderr"]
     assert recorded["row 0 status -> NUL"]["exit"] == EXIT_CONFIG
-    for name in ("move row 0", "row 0 h_s -> -1"):
+    assert recorded["row 0 h_s -> -1"]["exit"] == EXIT_CONFIG
+    for name in ("move row 0", "row 4 h_s -> -1"):
         assert recorded[name]["exit"] == EXIT_OK, name
 
 
