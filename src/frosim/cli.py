@@ -99,18 +99,20 @@ def _check_paths(inputs, outputs) -> None:
     """Raise :class:`InvalidParameter`, before a command searches or writes,
     when a path of *inputs* or *outputs*, ``(label, path)`` pairs, is empty,
     or when an output names an input or another output, which the command
-    would overwrite."""
+    would overwrite.  Two paths name one file when their absolute paths are
+    equal, or when both exist and are the same file."""
+    named = []
     for label, path in (*inputs, *outputs):
         if not str(path):
             raise InvalidParameter(label, "must not be empty")
-    for i, (label, out) in enumerate(outputs):
-        for other, path in (*inputs, *outputs[:i]):
-            # equal absolute paths, or one existing file by two paths
-            if (os.path.abspath(out) == os.path.abspath(path)
-                    or os.path.exists(out) and os.path.exists(path)
-                    and os.path.samefile(out, path)):
+        named.append((label, os.path.abspath(path), os.path.exists(path)))
+    for i, (_, given) in enumerate(outputs, len(inputs)):
+        label, out, exists = named[i]
+        for other, path, other_exists in named[:i]:
+            if out == path or (exists and other_exists
+                               and os.path.samefile(out, path)):
                 raise InvalidParameter(
-                    label, f"names the same file as {other}", str(out))
+                    label, f"names the same file as {other}", str(given))
 
 
 class _Exit(Exception):
@@ -124,17 +126,17 @@ def _writing(what: str, outputs):
     missing directory above one, deepest first, and fail with exit 3."""
     created = set()
     for _, path in outputs:
-        path = Path(os.path.abspath(path))
-        for p in (path, *path.parents):
-            if os.path.lexists(p):
-                break
-            created.add(p)
+        path = os.path.abspath(path)
+        while not os.path.lexists(path):
+            created.add(path)
+            path = os.path.dirname(path)
     try:
         yield
     except OSError as exc:
-        for path in sorted(created, key=lambda p: len(p.parts), reverse=True):
+        for path in sorted(created, key=lambda p: p.count(os.sep),
+                           reverse=True):
             with contextlib.suppress(OSError):
-                (path.rmdir if path.is_dir() else path.unlink)()
+                (os.rmdir if os.path.isdir(path) else os.unlink)(path)
         raise _Exit(EXIT_IO, f"error writing {what}: {exc}") from exc
 
 
