@@ -554,7 +554,8 @@ def _grid_value(text: str) -> float:
 def _share_value(text: str) -> float:
     value = _finite(text)
     if not 0 <= value / 100.0 <= 1:  # the fraction _bound_table checks
-        raise ValueError(f"ToI and AD must lie in [0, 1] as fractions: {text}")
+        raise ValueError(
+            f"ToI and AD must lie in [0, 1] as fractions: {text}")
     return value
 
 
