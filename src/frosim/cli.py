@@ -302,12 +302,12 @@ def cmd_sweep(args) -> int:
     if not 1 <= args.workers <= cpus:
         raise _Exit(EXIT_CONFIG, f"error: --workers must be in 1..{cpus} "
                                  f"(got {args.workers})")
-    meta = str(args.out) + ".meta.json"
     inputs = [("--spec", args.spec)]
     try:
         spec, spec_sha256 = _spec_from_file(args.spec, args.seed, inputs)
     except (FrosimError, OSError, ValueError) as exc:
         raise _Exit(EXIT_CONFIG, f"error: bad sweep spec: {exc!r}") from exc
+    meta = str(args.out) + ".meta.json"
     outputs = (("--out", args.out), ("the .meta.json of --out", meta))
     _check_paths(inputs, outputs)
     records = run_sweep(spec, workers=args.workers)
